@@ -4,7 +4,8 @@ A Tensor wraps an ndarray and remembers how it was produced. Calling
 backward() on a scalar root walks the recorded graph in reverse
 topological order and accumulates gradients into every Tensor that
 requires them. Training runs in float64; inference code may pass
-float32 arrays for speed.
+float32 arrays for speed, and runs inside no_grad(), which records no
+graph.
 
 Broadcasting is deliberately restricted: binary ops accept equal
 shapes, a python scalar, or a trailing-suffix shape (bias add). This
@@ -12,6 +13,8 @@ keeps every backward rule explicit and easy to audit.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -114,9 +117,28 @@ def _as_tensor(x):
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: results keep no parents and no
+    backward, so inference holds no activations alive. Nests, and the
+    previous mode returns on exit, also when the block raises. The mode
+    is process-wide, not per thread.
+    """
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _node(data, parents, backward):
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

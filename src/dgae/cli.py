@@ -17,11 +17,10 @@ import time
 
 import numpy as np
 
-from . import evaluation, prior, training
+from . import __version__, evaluation, training
 from .graphs import DatasetSpec, build_dataset, load_dataset, save_dataset
 from .training import ConfigError, ModelConfig
 
-__version__ = "0.1.0"
 FORMAT_VERSIONS = {"checkpoint": 1, "dataset": 1, "sequence_cache": 1}
 _VERSION_LINE = (f"dgae {__version__} (formats: " +
                  ", ".join(f"{k}={v}" for k, v in FORMAT_VERSIONS.items()) + ")")

@@ -312,24 +312,9 @@ def prior_nll(params: PriorParams, batch: SequenceBatch, train: bool) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# ancestral sampling (plain numpy, incremental with per-node KV caches)
+# ancestral sampling (incremental with per-node KV caches, off the tape)
 
-def _ln_np(x, gamma, beta, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc / np.sqrt(var + eps) * gamma + beta
-
-
-def _mlp_np(layers, x):
-    last = len(layers) - 1
-    for i, aff in enumerate(layers):
-        x = x @ aff.w.data + aff.b.data
-        if i < last:
-            x = np.maximum(x, 0.0)
-    return x
-
-
+@ad.no_grad()
 def generate(params: PriorParams, codebooks, count, seed, n_max=None,
              collect_logits=False, step_times=None):
     """Sample `count` index sequences ancestrally.
@@ -359,7 +344,12 @@ def generate(params: PriorParams, codebooks, count, seed, n_max=None,
     else:
         pos_table = params.pos_table
 
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
+    # sample i's stream, drawn up front: uniform t*C + c is the one its
+    # node t, partition c would have drawn next, so truncating at
+    # end-of-set consumes the stream exactly as one draw at a time does
+    uniforms = np.array([np.random.default_rng(s).random(n_max * C)
+                         for s in np.random.SeedSequence(seed).spawn(count)])
+    uniforms = uniforms.reshape(count, n_max * C)
     nb = len(params.blocks)
     # attention-ready layouts so the per-step reads below are views
     K_cache = [np.zeros((count, H, dk, n_max)) for _ in range(nb)]
@@ -390,13 +380,12 @@ def generate(params: PriorParams, codebooks, count, seed, n_max=None,
             else:
                 inp = np.concatenate(
                     [prev_flat[active], cur_parts[:, :c].reshape(active.size, c * dp)], axis=1)
-            x = inp @ params.in_proj[c].w.data + params.in_proj[c].b.data
-            x = x + pos_table[t]
+            x = params.in_proj[c](inp).data + pos_table[t]
             for l, blk in enumerate(params.blocks):
                 if c == 0:
-                    k_new = (x @ blk.wk.w.data + blk.wk.b.data).reshape(-1, H, dk)
-                    v_new = (x @ blk.wv.w.data + blk.wv.b.data).reshape(-1, H, dk)
-                q = (x @ blk.wq[c].w.data + blk.wq[c].b.data).reshape(-1, H, dk)
+                    k_new = blk.wk(x).data.reshape(-1, H, dk)
+                    v_new = blk.wv(x).data.reshape(-1, H, dk)
+                q = blk.wq[c](x).data.reshape(-1, H, dk)
                 if t == 0:
                     a = np.zeros((active.size, dm))
                 else:
@@ -408,9 +397,9 @@ def generate(params: PriorParams, codebooks, count, seed, n_max=None,
                 if c == 0:
                     K_cache[l][rows, :, :, t] = k_new
                     V_cache[l][rows, :, t, :] = v_new
-                h = _ln_np(x + a, blk.ln1.gamma.data, blk.ln1.beta.data)
-                x = _ln_np(h + _mlp_np(blk.f_z.layers, h), blk.ln2.gamma.data, blk.ln2.beta.data)
-            logits = x @ params.out[c].w.data + params.out[c].b.data
+                h = ad.layernorm(x + a, blk.ln1.gamma, blk.ln1.beta)
+                x = ad.layernorm(h + blk.f_z(h), blk.ln2.gamma, blk.ln2.beta).data
+            logits = params.out[c](x).data
             if c > 0:
                 logits[:, m] = MASK_VALUE
             if c == 0 and t >= 1:
@@ -425,12 +414,11 @@ def generate(params: PriorParams, codebooks, count, seed, n_max=None,
             p = np.exp(shifted)
             p /= p.sum(axis=1, keepdims=True)
             cdf = np.cumsum(p, axis=1)
-            draws = np.empty(active.size, dtype=np.int64)
-            for row, g_idx in enumerate(active):
-                u = rngs[g_idx].random()
-                k_draw = int(np.searchsorted(cdf[row], u, side="right"))
-                nz = np.flatnonzero(p[row] > 0)
-                draws[row] = min(k_draw, int(nz[-1]))
+            u = uniforms[active, t * C + c]
+            # inverse CDF, clamped to the last class with nonzero mass
+            # in case rounding leaves the cdf's end below u
+            last_nz = m - np.argmax(p[:, ::-1] > 0, axis=1)
+            draws = np.minimum((cdf <= u[:, None]).sum(axis=1), last_nz)
             if c == 0:
                 hit_eos = draws == m
                 if hit_eos.any():
@@ -484,14 +472,20 @@ def _write_varint(f, value):
             return
 
 
-def _read_varint(f):
+def read_exact(f, size, path, field):
+    """`size` bytes of the binary file `f`, or a ValueError naming the
+    file and the field it ends in when it is shorter."""
+    data = f.read(size)
+    if len(data) != size:
+        raise ValueError(f"{path}: truncated at {field}")
+    return data
+
+
+def _read_varint(f, path, field):
     shift = 0
     result = 0
     while True:
-        raw = f.read(1)
-        if not raw:
-            raise ValueError("truncated varint")
-        byte = raw[0]
+        byte = read_exact(f, 1, path, field)[0]
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
             return result
@@ -521,14 +515,16 @@ def read_sequences(path):
     with open(path, "rb") as f:
         if f.read(4) != _SEQ_MAGIC:
             raise ValueError(f"{path}: not a sequence cache file")
-        version, m, C = struct.unpack("<III", f.read(12))
+        version, m, C = struct.unpack("<III", read_exact(f, 12, path, "header"))
         if version != 1:
             raise ValueError(f"{path}: unsupported sequence cache version {version}")
-        (count,) = struct.unpack("<Q", f.read(8))
+        (count,) = struct.unpack("<Q", read_exact(f, 8, path, "sequence count"))
         seqs = []
-        for _ in range(count):
-            T = _read_varint(f)
-            flat = np.array([_read_varint(f) for _ in range(T * C)], dtype=np.int64)
+        for i in range(count):
+            field = f"sequence {i}"
+            T = _read_varint(f, path, field)
+            flat = np.array([_read_varint(f, path, field) for _ in range(T * C)],
+                            dtype=np.int64)
             seqs.append(flat.reshape(T, C))
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after {count} sequences")

@@ -188,7 +188,7 @@ def commitment_loss(z_parts: Tensor, codewords, mask=None):
     return ad.mul(ad.sum_(sq), 1.0 / max(grid, 1))
 
 
-def tuple_histogram(indices, m, C):
+def tuple_histogram(indices, C):
     """Counts of distinct index tuples. Returns dict tuple -> count."""
     indices = np.asarray(indices).reshape(-1, C)
     hist = {}

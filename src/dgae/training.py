@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from . import codec, prior, quantize
 from .autodiff import Tensor, straight_through
 from .features import FeatureConfig, augment, feature_widths
 from .graphs import Graph
+from .prior import read_exact
 
 
 class ConfigError(ValueError):
@@ -268,20 +270,23 @@ def load_checkpoint(path):
     with open(path, "rb") as f:
         if f.read(4) != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        version, blob_len = struct.unpack("<II", f.read(8))
+        version, blob_len = struct.unpack("<II", read_exact(f, 8, path, "header length"))
         if version != _CKPT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(f.read(blob_len))
-        (count,) = struct.unpack("<I", f.read(4))
+        header = json.loads(read_exact(f, blob_len, path, "header"))
+        (count,) = struct.unpack("<I", read_exact(f, 4, path, "tensor count"))
         tensors = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode()
-            code, rank = struct.unpack("<BB", f.read(2))
-            shape = struct.unpack(f"<{rank}I", f.read(4 * rank))
+        for i in range(count):
+            (name_len,) = struct.unpack("<H", read_exact(f, 2, path, f"tensor {i}"))
+            name = read_exact(f, name_len, path, f"tensor {i}").decode()
+            field = f"tensor {name}"
+            code, rank = struct.unpack("<BB", read_exact(f, 2, path, field))
+            if code not in _DTYPES:
+                raise ValueError(f"{path}: {field} has unknown dtype code {code}")
+            shape = struct.unpack(f"<{rank}I", read_exact(f, 4 * rank, path, field))
             dtype = np.dtype(_DTYPES[code])
             nbytes = int(np.prod(shape)) * dtype.itemsize if rank else dtype.itemsize
-            data = f.read(nbytes)
+            data = read_exact(f, nbytes, path, field)
             tensors[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after {count} tensors")
@@ -409,6 +414,7 @@ def _quantized_latent(model: AutoEncoderModel, z):
     return idx, words, st
 
 
+@ad.no_grad()
 def _collect_embeddings(model: AutoEncoderModel, aug_train, cfg: ModelConfig):
     """Up to cfg.kmeans_samples valid node embeddings.
 
@@ -436,6 +442,7 @@ def _collect_embeddings(model: AutoEncoderModel, aug_train, cfg: ModelConfig):
     return quantize.partition(z_all, cfg.partitions)
 
 
+@ad.no_grad()
 def evaluate_autoencoder(model: AutoEncoderModel, aug_val, cfg: ModelConfig):
     """Holdout metrics in eval mode; quantized path once codebooks exist."""
     if not aug_val:
@@ -448,8 +455,7 @@ def evaluate_autoencoder(model: AutoEncoderModel, aug_val, cfg: ModelConfig):
         if model.codebooks.initialized:
             idx, words, st = _quantized_latent(model, z)
             valid_idx = idx[batch.node_mask]
-            for key, cnt in quantize.tuple_histogram(valid_idx, cfg.codebook_size,
-                                                     cfg.partitions).items():
+            for key, cnt in quantize.tuple_histogram(valid_idx, cfg.partitions).items():
                 hist[key] = hist.get(key, 0) + cnt
             commit = quantize.commitment_loss(
                 quantize.partition(z, cfg.partitions), words,
@@ -553,6 +559,7 @@ def train_autoencoder(graphs, cfg: ModelConfig, metrics_path=None, log=None):
 # ---------------------------------------------------------------------------
 # stage 2: prior over quantized sequences
 
+@ad.no_grad()
 def encode_sequences(model: AutoEncoderModel, aug_graphs, cfg: ModelConfig):
     """Deterministic preprocessing: embed, quantize, sort each graph."""
     if not model.codebooks.initialized:
@@ -605,9 +612,10 @@ def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
                 step += 1
             metrics = {"epoch": epoch, "step": step}
             if val_seqs:
-                metrics["nll"] = float(prior.prior_nll(
-                    pmodel.params_, prior.pack_sequences(val_seqs, cfg.n_max),
-                    train=False).data)
+                with ad.no_grad():
+                    metrics["nll"] = float(prior.prior_nll(
+                        pmodel.params_, prior.pack_sequences(val_seqs, cfg.n_max),
+                        train=False).data)
             history.append(metrics)
             writer.row(step, nll=metrics.get("nll"))
             if log and "nll" in metrics:
@@ -621,26 +629,28 @@ def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
 # ---------------------------------------------------------------------------
 # generation: prior samples decoded back to graphs
 
+@ad.no_grad()
 def decode_sequences(model: AutoEncoderModel, samples, cfg: ModelConfig, chunk_size=256):
-    """Decode sampled index sequences to graphs (eval mode, mode decode)."""
-    graphs_out = []
+    """Decode sampled index sequences to graphs (eval mode, mode decode).
+
+    Samples are grouped by node count and each group is decoded in
+    chunks of at most chunk_size, so no chunk carries padding. Graphs
+    come back in input order.
+    """
     cbs = model.codebooks
-    for lo in range(0, len(samples), chunk_size):
-        part = samples[lo:lo + chunk_size]
-        sizes = [s.shape[0] for s in part]
-        n = max(sizes)
-        B = len(part)
-        z = np.zeros((B, n, cfg.d_latent))
-        mask = np.zeros((B, n), dtype=bool)
-        for b, s in enumerate(part):
-            words = np.stack([cbs.codebooks[c][s[:, c]] for c in range(cbs.C)], axis=1)
-            z[b, :s.shape[0]] = quantize.unpartition(words)
-            mask[b, :s.shape[0]] = True
-        node_logits, edge_logits = codec.decode(z, mask, model.decoder, train=False)
-        for b, s in enumerate(part):
-            k = sizes[b]
-            graphs_out.append(codec.sample_graph(node_logits.data[b, :k],
-                                                 edge_logits.data[b, :k, :k]))
+    sizes = np.array([s.shape[0] for s in samples], dtype=np.int64)
+    graphs_out = [None] * len(samples)
+    for n in np.unique(sizes):
+        group = np.flatnonzero(sizes == n)
+        for lo in range(0, len(group), chunk_size):
+            part = group[lo:lo + chunk_size]
+            idx = np.stack([samples[i] for i in part])  # (B, n, C)
+            words = np.stack([cbs.codebooks[c][idx[:, :, c]] for c in range(cbs.C)], axis=2)
+            mask = np.ones((len(part), n), dtype=bool)
+            node_logits, edge_logits = codec.decode(quantize.unpartition(words), mask,
+                                                    model.decoder, train=False)
+            for b, i in enumerate(part):
+                graphs_out[i] = codec.sample_graph(node_logits.data[b], edge_logits.data[b])
     return graphs_out
 
 

@@ -217,3 +217,27 @@ def test_backward_accumulates_through_reuse():
 def test_matmul_shape_error():
     with pytest.raises(ShapeError):
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+
+
+def test_no_grad_records_no_tape_and_restores_the_mode():
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    x = Tensor(np.arange(6.0).reshape(2, 3))
+
+    def recorded():
+        y = ad.relu(ad.matmul(x, w))
+        return y.requires_grad and y._parents != () and y._backward is not None
+
+    def untaped(y):
+        return not y.requires_grad and y._parents == () and y._backward is None
+
+    with ad.no_grad():
+        assert untaped(ad.relu(ad.matmul(x, w)))
+        with ad.no_grad():
+            assert untaped(ad.layernorm(x, Tensor(np.ones(3), requires_grad=True),
+                                        Tensor(np.zeros(3), requires_grad=True)))
+        assert untaped(ad.matmul(x, w))  # the inner exit keeps the outer mode
+    assert recorded()
+    with pytest.raises(KeyError):
+        with ad.no_grad():
+            raise KeyError("boom")
+    assert recorded()

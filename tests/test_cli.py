@@ -295,6 +295,23 @@ def test_checkpoints_reload_through_the_cli_loader(workspace):
     assert pmodel is not None
 
 
+def test_truncated_checkpoint_is_one_error_line(workspace, tmp_path, capsys):
+    raw = workspace["full_ckpt"].read_bytes()
+    # inside the magic, the header length, the JSON header, the tensor
+    # count, a tensor's name, shape and data, and one byte short
+    blob_end = 12 + int.from_bytes(raw[8:12], "little")
+    for cut in (3, 6, 10, 40, blob_end + 2, blob_end + 7, blob_end + 12, blob_end + 40,
+                len(raw) // 2, len(raw) - 1):
+        path = tmp_path / f"cut{cut}.ckpt"
+        path.write_bytes(raw[:cut])
+        capsys.readouterr()
+        rc = run(["generate", "--ckpt", path, "--count", 2, "--out", tmp_path / "g"])
+        err = capsys.readouterr().err
+        assert rc == 1, cut
+        assert err.startswith("error: ") and err.count("\n") == 1, (cut, err)
+        assert str(path) in err, (cut, err)
+
+
 # ---------------------------------------------------------------------------
 # ablation and benchmark commands
 

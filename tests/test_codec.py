@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from dgae import autodiff as ad
 from dgae import codec
 from dgae.autodiff import Tensor
 from dgae.features import FeatureConfig, augment
@@ -201,3 +202,18 @@ def test_error_rates_counts_mistakes():
     node_err, edge_err = codec.error_rates(Tensor(nl), Tensor(el), batch)
     assert node_err == pytest.approx(0.0)
     assert edge_err == pytest.approx(2.0 / 6.0)  # both directions of one pair
+
+
+def test_decode_is_bit_identical_off_the_tape():
+    rng = np.random.default_rng(8)
+    enc, dec = make_models(rng)
+    warm_up(enc, dec, [random_graph(rng, 6) for _ in range(8)])
+    z = rng.normal(size=(3, 7, 6))
+    mask = np.ones((3, 7), dtype=bool)
+    mask[1, 5:] = False
+    taped = codec.decode(z, mask, dec, train=False)
+    with ad.no_grad():
+        free = codec.decode(z, mask, dec, train=False)
+    for a, b in zip(taped, free):
+        assert a.requires_grad and not b.requires_grad and b._parents == ()
+        assert np.array_equal(a.data, b.data)

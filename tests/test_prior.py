@@ -1,5 +1,7 @@
 """Autoregressive set prior: ordering, masking, causality, sampling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -453,6 +455,11 @@ def test_sequence_file_rejects_corruption(tmp_path):
     (tmp_path / "magic.bin").write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(ValueError, match="not a sequence cache"):
         read_sequences(tmp_path / "magic.bin")
+    for cut in (6, 16, 20, 24, len(raw) - 1):
+        short = tmp_path / f"cut{cut}.bin"
+        short.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match=re.escape(f"{short}: truncated at ")):
+            read_sequences(short)
     with pytest.raises(ValueError, match="out of codebook range"):
         write_sequences(tmp_path / "bad.bin", 5, 2, [np.full((2, 2), 5)])
     with pytest.raises(ValueError, match="incompatible"):

@@ -217,7 +217,7 @@ def test_commitment_mask_excludes_padding():
 
 def test_tuple_histogram_and_perplexity():
     idx = np.array([[0, 1], [0, 1], [2, 0]])
-    hist = tuple_histogram(idx, m=3, C=2)
+    hist = tuple_histogram(idx, C=2)
     assert hist[(0, 1)] == 2 and hist[(2, 0)] == 1
     M = 9
     uniform = {(i, j): 1 for i in range(3) for j in range(3)}

@@ -1,10 +1,13 @@
 """Training loops: config checks, optimization, checkpoints, pipelines."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dgae.autodiff import Tensor
-from dgae import prior, quantize
+from dgae import codec, prior, quantize
+from dgae.graphs import graphs_equal
 from dgae.training import (
     AdamState,
     AutoEncoderModel,
@@ -17,6 +20,7 @@ from dgae.training import (
     adam_step,
     clip_gradients,
     config_from_dict,
+    decode_sequences,
     encode_sequences,
     evaluate_autoencoder,
     featurize_all,
@@ -416,3 +420,60 @@ def test_evaluate_reports_quantized_metrics():
     M = cfg.codebook_size ** cfg.partitions
     assert 1.0 / M <= out["perplexity"] <= 1.0
     assert evaluate_autoencoder(model, [], cfg) == {}
+
+
+# ---------------------------------------------------------------------------
+# decoding sampled sequences
+
+def _decoder_with_codebooks(cfg, seed):
+    """Auto-encoder with random weights and random codewords: decoding
+    cost and output order depend on shapes, not on trained weights."""
+    rng = np.random.default_rng(seed)
+    model = AutoEncoderModel(cfg, rng)
+    d_part = cfg.d_latent // cfg.partitions
+    model.codebooks.codebooks = [rng.standard_normal((cfg.codebook_size, d_part))
+                                 for _ in range(cfg.partitions)]
+    model.codebooks.initialized = True
+    return model, rng
+
+
+def test_decode_sequences_keeps_input_order_across_size_buckets():
+    cfg = tiny_config()
+    model, rng = _decoder_with_codebooks(cfg, 21)
+    sizes = rng.permutation([1, 1, 2, 3, 3, 3, 5, 5, 6, 8, 8, 8, 8, 4, 7])
+    samples = [rng.integers(0, cfg.codebook_size, size=(n, cfg.partitions)) for n in sizes]
+    solo = decode_sequences(model, samples, cfg, chunk_size=1)
+    assert [g.n for g in solo] == list(sizes)
+    for chunk_size in (3, 256):
+        out = decode_sequences(model, samples, cfg, chunk_size=chunk_size)
+        assert all(graphs_equal(a, b) for a, b in zip(out, solo))
+    # the same graphs as one decode of the whole padded batch
+    z = np.zeros((len(samples), cfg.n_max, cfg.d_latent))
+    mask = np.zeros((len(samples), cfg.n_max), dtype=bool)
+    for b, s in enumerate(samples):
+        words = np.stack([model.codebooks.codebooks[c][s[:, c]]
+                          for c in range(cfg.partitions)], axis=1)
+        z[b, :len(s)] = quantize.unpartition(words)
+        mask[b, :len(s)] = True
+    nl, el = codec.decode(z, mask, model.decoder, train=False)
+    for b, (s, g) in enumerate(zip(samples, solo)):
+        n = len(s)
+        assert graphs_equal(codec.sample_graph(nl.data[b, :n], el.data[b, :n, :n]), g)
+    assert decode_sequences(model, [], cfg) == []
+
+
+def test_decode_sequences_memory_is_bounded():
+    cfg = ModelConfig()
+    model, rng = _decoder_with_codebooks(cfg, 22)
+    samples = [rng.integers(0, cfg.codebook_size, size=(cfg.n_max, cfg.partitions))
+               for _ in range(256)]
+    tracemalloc.start()
+    try:
+        out = decode_sequences(model, samples, cfg)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 256
+    # one 256 x 20-node chunk peaked at about 2 GB while the decode
+    # recorded its unused autodiff graph
+    assert peak_mb < 512, peak_mb
