@@ -221,8 +221,7 @@ def cmd_eval(args):
     ref, _ = load_dataset(args.ref)
     gen, _ = load_dataset(args.gen)
     cfg = resolve_config(args)
-    report = evaluation.mmd_report(ref, gen, cfg.mmd_sigma, cfg.clustering_bins,
-                                   jobs=args.jobs)
+    report = evaluation.mmd_report(ref, gen, cfg.mmd_sigma, cfg.clustering_bins)
     if _maybe_dry_run(args, cfg, [args.out]):
         return 0
     evaluation.write_mmd_report(args.out, report)
@@ -278,32 +277,6 @@ def cmd_ablate_codebook(args):
     for (m, c), agg in results.items():
         mu, sd = agg["perplexity"]
         print(f"m={m} C={c}: perplexity {mu:.4f} +- {sd:.4f}")
-    return 0
-
-
-def cmd_bench_gen(args):
-    cfg, model, pmodel, _ = _load_models(args.ckpt, need_prior=True)
-    if _maybe_dry_run(args, cfg, [args.out]):
-        return 0
-    if args.nmax_sweep:
-        values = [int(v) for v in args.nmax_sweep.split(",")]
-        sweep = []
-        for n_max in values:
-            cfg_n = dataclasses.replace(cfg, n_max=n_max)
-            bench = evaluation.benchmark_generation(model, pmodel, cfg_n,
-                                                    args.count, args.seed)
-            total = sum(dt for _, dt, _ in bench["step_times"])
-            bench["mean_step_seconds"] = total / max(bench["steps"], 1)
-            sweep.append(bench)
-            print(f"n_max={n_max}: total {bench['total_seconds']:.2f}s, "
-                  f"mean step {bench['mean_step_seconds'] * 1e3:.3f}ms")
-        evaluation.write_benchmark(args.out, {"sweep": sweep})
-    else:
-        bench = evaluation.benchmark_generation(model, pmodel, cfg, args.count, args.seed)
-        evaluation.write_benchmark(args.out, bench)
-        print(f"{args.count} graphs in {bench['total_seconds']:.2f}s "
-              f"({bench['graphs_per_second']:.1f}/s)")
-    write_manifest(args, cfg, [args.out], {"count": args.count, "seed": args.seed})
     return 0
 
 
@@ -368,7 +341,6 @@ def build_parser():
     ev.add_argument("--ref", required=True)
     ev.add_argument("--gen", required=True)
     ev.add_argument("--out", required=True)
-    ev.add_argument("--jobs", type=int, default=1, help="stat extraction workers")
     _add_config_args(ev)
     ev.set_defaults(func=cmd_eval)
 
@@ -389,18 +361,6 @@ def build_parser():
                     help="skip stage 2 and MMD columns")
     _add_config_args(ac, seed=False)
     ac.set_defaults(func=cmd_ablate_codebook)
-
-    be = sub.add_parser("bench", help="benchmarks")
-    be_sub = be.add_subparsers(dest="action", required=True)
-    bg = be_sub.add_parser("gen", help="generation timing")
-    bg.add_argument("--ckpt", required=True)
-    bg.add_argument("--count", type=int, default=1000)
-    bg.add_argument("--seed", type=int, default=0)
-    bg.add_argument("--out", required=True)
-    bg.add_argument("--nmax-sweep", dest="nmax_sweep",
-                    help="comma-separated n_max values to sweep")
-    bg.add_argument("--dry-run", action="store_true", dest="dry_run")
-    bg.set_defaults(func=cmd_bench_gen)
 
     return parser
 

@@ -158,14 +158,12 @@ class GraphTensorBatch:
         return pm
 
 
-def prepare_batch(aug_graphs, n_pad=None) -> GraphTensorBatch:
+def prepare_batch(aug_graphs) -> GraphTensorBatch:
     """Pad a list of augmented graphs into one dense batch."""
     if not aug_graphs:
         raise ValueError("empty batch")
     sizes = np.array([ag.n for ag in aug_graphs], dtype=np.int64)
-    n = int(sizes.max()) if n_pad is None else n_pad
-    if n < sizes.max():
-        raise ValueError(f"n_pad={n_pad} smaller than largest graph ({sizes.max()})")
+    n = int(sizes.max())
     B = len(aug_graphs)
     fn = aug_graphs[0].node_feats.shape[1]
     fe = aug_graphs[0].edge_feats.shape[2]
@@ -283,7 +281,7 @@ def error_rates(node_logits, edge_logits, batch: GraphTensorBatch):
     return node_err, edge_err
 
 
-def sample_graph(node_logits, edge_logits, directed=False) -> Graph:
+def sample_graph(node_logits, edge_logits) -> Graph:
     """Mode decode of one graph: argmax per node and per pair, ties to
     the lowest category. Edge logits are symmetrized first; category 0
     means no edge.
@@ -292,8 +290,7 @@ def sample_graph(node_logits, edge_logits, directed=False) -> Graph:
     el = edge_logits.data if isinstance(edge_logits, Tensor) else np.asarray(edge_logits)
     n, R = nl.shape
     S = el.shape[-1]
-    if not directed:
-        el = 0.5 * (el + el.transpose(1, 0, 2))
+    el = 0.5 * (el + el.transpose(1, 0, 2))
     node_cat = nl.argmax(axis=1)
     edge_cat = el.argmax(axis=2)
     np.fill_diagonal(edge_cat, 0)
@@ -302,7 +299,7 @@ def sample_graph(node_logits, edge_logits, directed=False) -> Graph:
     edge_attrs = np.zeros((n, n, S))
     rows, cols = np.indices((n, n))
     edge_attrs[rows, cols, edge_cat] = 1.0
-    g = Graph(node_attrs, edge_attrs, directed)
+    g = Graph(node_attrs, edge_attrs)
     g.validate()
     return g
 

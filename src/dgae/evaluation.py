@@ -17,10 +17,6 @@ This reading is stated in every report this module writes.
 from __future__ import annotations
 
 import itertools
-import json
-import platform
-import sys
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -229,17 +225,10 @@ def mmd(hists_a, hists_b, sigma=1.0, bin_width=1.0):
     return val
 
 
-def mmd_report(ref_graphs, gen_graphs, sigma=1.0, clustering_bins=100, jobs=1):
+def mmd_report(ref_graphs, gen_graphs, sigma=1.0, clustering_bins=100):
     """All three statistics plus their average, as an ordered dict."""
-    def stats_for(graphs):
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=jobs) as ex:
-                return list(ex.map(lambda g: graph_stats(g, clustering_bins), graphs))
-        return [graph_stats(g, clustering_bins) for g in graphs]
-
-    ref = stats_for(ref_graphs)
-    gen = stats_for(gen_graphs)
+    ref = [graph_stats(g, clustering_bins) for g in ref_graphs]
+    gen = [graph_stats(g, clustering_bins) for g in gen_graphs]
     deg = mmd([s.degree_hist for s in ref], [s.degree_hist for s in gen], sigma, 1.0)
     clu = mmd([s.clustering_hist for s in ref], [s.clustering_hist for s in gen],
               sigma, 1.0 / clustering_bins)
@@ -258,42 +247,6 @@ def write_mmd_report(path, report):
         f.write(",".join(keys) + "\n")
         f.write(",".join(format(report[k], ".10g") if isinstance(report[k], float)
                          else str(report[k]) for k in keys) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# generation benchmark
-
-def benchmark_generation(model, pmodel, cfg, count, seed=0):
-    """Wall-clock phase breakdown for sampling + decoding `count` graphs."""
-    step_times = []
-    t0 = time.perf_counter()
-    from . import prior as prior_mod
-    samples = prior_mod.generate(pmodel.params_, model.codebooks.codebooks, count, seed,
-                                 n_max=cfg.n_max, step_times=step_times)
-    t1 = time.perf_counter()
-    graphs = training.decode_sequences(model, [s["indices"] for s in samples], cfg)
-    t2 = time.perf_counter()
-    sizes = [g.n for g in graphs]
-    return {
-        "count": count,
-        "n_max": cfg.n_max,
-        "sample_seconds": t1 - t0,
-        "decode_seconds": t2 - t1,
-        "total_seconds": t2 - t0,
-        "graphs_per_second": count / max(t2 - t0, 1e-12),
-        "steps": len(step_times),
-        "step_times": [(t, dt, act) for t, dt, act in step_times],
-        "truncated": sum(1 for s in samples if s["truncated"]),
-        "mean_nodes": float(np.mean(sizes)) if sizes else 0.0,
-        "machine": {"platform": platform.platform(), "python": sys.version.split()[0],
-                    "numpy": np.__version__},
-    }
-
-
-def write_benchmark(path, bench):
-    with open(path, "w") as f:
-        json.dump(bench, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 # ---------------------------------------------------------------------------

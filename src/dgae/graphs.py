@@ -7,7 +7,6 @@ dense layout caps out around n=64, which is the operating range here.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -57,12 +56,6 @@ class Graph:
         if not self.directed:
             if not np.array_equal(self.edge_attrs, self.edge_attrs.transpose(1, 0, 2)):
                 raise ValueError("undirected graph has asymmetric edge_attrs")
-
-
-def graphs_equal(a: Graph, b: Graph) -> bool:
-    return (a.directed == b.directed
-            and np.array_equal(a.node_attrs, b.node_attrs)
-            and np.array_equal(a.edge_attrs, b.edge_attrs))
 
 
 def new_graph(n, edges=(), node_categories=None, num_node_categories=None,
@@ -222,28 +215,3 @@ def load_dataset(path):
                 raise ValueError(f"{path}:{ln}: bad graph record: {e}") from e
             graphs.append(g)
     return graphs, {"R": R, "S": S, "directed": directed}
-
-
-def is_isomorphic_small(a: Graph, b: Graph) -> bool:
-    """Exact isomorphism test by permutation search; meant for n <= 8."""
-    if a.n != b.n:
-        return False
-    if a.n > 8:
-        raise ValueError("is_isomorphic_small is limited to n <= 8")
-    if (a.num_node_categories != b.num_node_categories
-            or a.num_edge_categories != b.num_edge_categories
-            or a.directed != b.directed):
-        return False
-    # cheap invariants first
-    da = np.sort(a.adjacency().sum(axis=1))
-    db = np.sort(b.adjacency().sum(axis=1))
-    if not np.array_equal(da, db):
-        return False
-    if not np.array_equal(np.sort(a.node_categories()), np.sort(b.node_categories())):
-        return False
-    for perm in itertools.permutations(range(a.n)):
-        p = np.array(perm)
-        if (np.array_equal(b.node_attrs, a.node_attrs[p])
-                and np.array_equal(b.edge_attrs, a.edge_attrs[p][:, p])):
-            return True
-    return False

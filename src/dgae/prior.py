@@ -13,6 +13,12 @@ only, so the per-node state that later positions attend to is built
 once per node. End-of-set is an extra class (index m) that only the
 partition-0 head may emit. A structural order mask zeroes the
 probability of breaking the sorted-order invariant on partition 0.
+
+Teacher forcing and sampling share one forward definition. The sampler
+runs the same input projection, block and masked output head one
+(t, c) at a time: the queries of node t, partition c attend over a
+cache of the keys and values of nodes 0..t, which hides row t itself
+exactly as the teacher-forced causal mask does.
 """
 
 from __future__ import annotations
@@ -156,6 +162,21 @@ def pack_sequences(seqs, n_max) -> SequenceBatch:
     return SequenceBatch(idx, cw, lengths)
 
 
+def _input_column(params: PriorParams, c, prev, cur, pos) -> Tensor:
+    """Partition c's block input (B, T, 1, d_model) at T positions:
+    in_proj[c] of the previous node's codewords prev (B, T, d_latent)
+    and the current node's partitions 0..c-1 from cur (B, T, >=c,
+    d_part), plus the position rows pos (T, d_model).
+    """
+    B, T = prev.shape[:2]
+    inp = prev
+    if c > 0:
+        inp = np.concatenate([prev, cur[:, :, :c].reshape(B, T, -1)], axis=2)
+    x = params.in_proj[c](Tensor(inp.reshape(B * T, -1)))
+    x = ad.reshape(x, (B, T, params.d_model)) + Tensor(pos)
+    return ad.reshape(x, (B, T, 1, params.d_model))
+
+
 def build_inputs(params: PriorParams, batch: SequenceBatch) -> Tensor:
     """Project codeword context to the model width: (B, T+1, C, d_model).
 
@@ -171,16 +192,7 @@ def build_inputs(params: PriorParams, batch: SequenceBatch) -> Tensor:
     cur = np.zeros((B, Tp, C, dp))
     cur[:, :T] = batch.codewords
     pos = params.pos_table[:Tp]
-    cols = []
-    for c in range(C):
-        if c == 0:
-            inp = prev
-        else:
-            inp = np.concatenate([prev, cur[:, :, :c].reshape(B, Tp, c * dp)], axis=2)
-        x = params.in_proj[c](Tensor(inp.reshape(B * Tp, -1)))
-        x = ad.reshape(x, (B, Tp, params.d_model)) + Tensor(pos)
-        cols.append(ad.reshape(x, (B, Tp, 1, params.d_model)))
-    return ad.concat(cols, 2)
+    return ad.concat([_input_column(params, c, prev, cur, pos) for c in range(C)], 2)
 
 
 def attention_2d(q, k, v, kv_valid=None):
@@ -188,96 +200,101 @@ def attention_2d(q, k, v, kv_valid=None):
     strictly earlier node positions s < t; rows with no predecessor
     (t = 0) return zeros.
 
-    q: Tensor (B, H, T, C, d_k) or (T, C, d_k)
-    k: Tensor (B, H, T, d_k) or (T, d_k)
-    v: same leading shape as k with width d_v
-    kv_valid: optional (B, T) bool marking real (non-padding) keys.
+    q: Tensor (B, H, T, C, d_k), the last T of the S node positions
+    k: Tensor (B, H, S, d_k), S >= T
+    v: Tensor (B, H, S, d_v)
+    kv_valid: optional (B, S) bool marking real (non-padding) keys.
     """
-    squeeze = q.ndim == 3
-    if squeeze:
-        q = ad.reshape(q, (1, 1) + q.shape)
-        k = ad.reshape(k, (1, 1) + k.shape)
-        v = ad.reshape(v, (1, 1) + v.shape)
     B, H, T, C, dk = q.shape
+    S = k.shape[2]
     dv = v.shape[-1]
     qf = ad.reshape(q, (B, H, T * C, dk))
     scores = ad.matmul(qf, ad.transpose(k, (0, 1, 3, 2)))
     scores = ad.mul(scores, 1.0 / np.sqrt(dk))
 
-    t_of_row = np.repeat(np.arange(T), C)
-    allowed = np.arange(T)[None, :] < t_of_row[:, None]  # (T*C, T)
+    t_of_row = np.repeat(np.arange(S - T, S), C)
+    allowed = np.arange(S)[None, :] < t_of_row[:, None]  # (T*C, S)
     if kv_valid is not None:
         allowed = allowed[None, :, :] & np.asarray(kv_valid, dtype=bool)[:, None, :]
-        allowed = allowed[:, None, :, :]  # (B, 1, T*C, T)
+        allowed = allowed[:, None, :, :]  # (B, 1, T*C, S)
     else:
         allowed = allowed[None, None, :, :]
-    scores = ad.masked_fill(scores, ~np.broadcast_to(allowed, (B, H, T * C, T)), MASK_VALUE)
+    scores = ad.masked_fill(scores, ~np.broadcast_to(allowed, (B, H, T * C, S)), MASK_VALUE)
     probs = ad.softmax(scores, axis=-1)
     # a fully masked row softmaxes to uniform; the t=0 convention is zeros
     row_live = (t_of_row > 0).astype(np.float64)[None, None, :, None]
-    probs = ad.mul(probs, Tensor(np.broadcast_to(row_live, (B, H, T * C, T))))
+    probs = ad.mul(probs, Tensor(np.broadcast_to(row_live, (B, H, T * C, S))))
     out = ad.matmul(probs, v)
-    out = ad.reshape(out, (B, H, T, C, dv))
-    if squeeze:
-        out = ad.reshape(out, (T, C, dv))
-    return out
+    return ad.reshape(out, (B, H, T, C, dv))
 
 
-def _block_forward(blk: PriorBlock, x: Tensor, kv_valid):
-    """x: (B, T, C, d_model) -> same shape."""
-    B, T, C, dm = x.shape
-    H, dk = blk.heads, blk.d_k
+def _by_partition(maps, x: Tensor, parts) -> Tensor:
+    """maps[c] applied to column j of x (B, T, P, d) for each (j, c)
+    in enumerate(parts): (B, T, P, d_out)."""
+    B, T, P, d = x.shape
     cols = []
-    for c in range(C):
-        xc = ad.reshape(x[:, :, c, :], (B * T, dm))
-        qc = ad.reshape(blk.wq[c](xc), (B, T, 1, H, dk))
-        cols.append(qc)
-    q = ad.transpose(ad.concat(cols, 2), (0, 3, 1, 2, 4))  # (B, H, T, C, dk)
-    x0 = ad.reshape(x[:, :, 0, :], (B * T, dm))
-    k = ad.transpose(ad.reshape(blk.wk(x0), (B, T, H, dk)), (0, 2, 1, 3))
-    v = ad.transpose(ad.reshape(blk.wv(x0), (B, T, H, dk)), (0, 2, 1, 3))
-    a = attention_2d(q, k, v, kv_valid)  # (B, H, T, C, dk)
-    a = ad.reshape(ad.transpose(a, (0, 2, 3, 1, 4)), (B, T, C, dm))
+    for j, c in enumerate(parts):
+        y = maps[c](ad.reshape(x[:, :, j, :], (B * T, d)))
+        cols.append(ad.reshape(y, (B, T, 1, y.shape[-1])))
+    return ad.concat(cols, 2)
+
+
+def _keys_values(blk: PriorBlock, x0: Tensor):
+    """Keys and values (B, H, S, d_k) of partition-0 rows x0 (B, S, d_model)."""
+    B, S, dm = x0.shape
+    x0 = ad.reshape(x0, (B * S, dm))
+    k = ad.transpose(ad.reshape(blk.wk(x0), (B, S, blk.heads, blk.d_k)), (0, 2, 1, 3))
+    v = ad.transpose(ad.reshape(blk.wv(x0), (B, S, blk.heads, blk.d_k)), (0, 2, 1, 3))
+    return k, v
+
+
+def _block_forward(blk: PriorBlock, x: Tensor, k: Tensor, v: Tensor, parts, kv_valid=None):
+    """x: (B, T, P, d_model) -> same shape. Column j of x holds
+    partition parts[j] at the last T of the S node positions whose
+    keys and values k, v (B, H, S, d_k) it attends over.
+    """
+    B, T, P, dm = x.shape
+    H, dk = blk.heads, blk.d_k
+    q = ad.reshape(_by_partition(blk.wq, x, parts), (B, T, P, H, dk))
+    a = attention_2d(ad.transpose(q, (0, 3, 1, 2, 4)), k, v, kv_valid)  # (B, H, T, P, dk)
+    a = ad.reshape(ad.transpose(a, (0, 2, 3, 1, 4)), (B, T, P, dm))
     h = ad.layernorm(x + a, blk.ln1.gamma, blk.ln1.beta)
-    f = ad.reshape(blk.f_z(ad.reshape(h, (B * T * C, dm))), (B, T, C, dm))
+    f = ad.reshape(blk.f_z(ad.reshape(h, (B * T * P, dm))), (B, T, P, dm))
     return ad.layernorm(h + f, blk.ln2.gamma, blk.ln2.beta)
 
 
-def _logit_masks(params: PriorParams, batch: SequenceBatch):
-    """Structural masks for teacher-forced logits (B, T+1, C, m+1):
-    end-of-set is only available on partition 0, and partition-0
-    classes below the previous node's partition-0 index are forbidden.
+def _logits(params: PriorParams, x: Tensor, parts, prev_k0) -> Tensor:
+    """Masked logits (B, T, P, m+1) of block output x (B, T, P, d_model)
+    whose column j holds partition parts[j]. End-of-set (class m) is
+    only available on partition 0, where classes below the previous
+    node's partition-0 index prev_k0 (B, T; 0 at the start node) are
+    forbidden to keep the set sorted.
     """
-    B, T, C = batch.indices.shape
-    Tp, K = T + 1, params.m + 1
-    mask = np.zeros((B, Tp, C, K), dtype=bool)
-    if C > 1:
-        mask[:, :, 1:, params.m] = True
-    prev_k0 = np.zeros((B, Tp), dtype=np.int64)
-    prev_k0[:, 1:] = batch.indices[:, :, 0]
-    classes = np.arange(K)
-    order = classes[None, None, :] < prev_k0[:, :, None]  # (B, Tp, K)
-    order[:, 0, :] = False
-    mask[:, :, 0, :] |= order
-    return mask
+    logits = _by_partition(params.out, x, parts)
+    classes = np.arange(params.m + 1)
+    mask = np.zeros(logits.shape, dtype=bool)
+    for j, c in enumerate(parts):
+        if c == 0:
+            mask[:, :, j] = classes < prev_k0[:, :, None]
+        else:
+            mask[:, :, j, params.m] = True
+    return ad.masked_fill(logits, mask, MASK_VALUE)
 
 
-def prior_logits(params: PriorParams, batch: SequenceBatch, train: bool) -> Tensor:
+def prior_logits(params: PriorParams, batch: SequenceBatch) -> Tensor:
     """Teacher-forced masked logits (B, T+1, C, m+1). Logits at padded
-    positions are meaningless; use sequence_loss_mask to ignore them.
+    positions are meaningless; the loss mask of sequence_targets
+    ignores them.
     """
     B, T, C = batch.indices.shape
     x = build_inputs(params, batch)
     kv_valid = np.arange(T + 1)[None, :] < batch.lengths[:, None]
     for blk in params.blocks:
-        x = _block_forward(blk, x, kv_valid)
-    dm = params.d_model
-    cols = []
-    for c in range(C):
-        xc = ad.reshape(x[:, :, c, :], (B * (T + 1), dm))
-        cols.append(ad.reshape(params.out[c](xc), (B, T + 1, 1, params.m + 1)))
-    logits = ad.concat(cols, 2)
-    return ad.masked_fill(logits, _logit_masks(params, batch), MASK_VALUE)
+        k, v = _keys_values(blk, x[:, :, 0])
+        x = _block_forward(blk, x, k, v, range(C), kv_valid)
+    prev_k0 = np.zeros((B, T + 1), dtype=np.int64)
+    prev_k0[:, 1:] = batch.indices[:, :, 0]
+    return _logits(params, x, range(C), prev_k0)
 
 
 def sequence_targets(params: PriorParams, batch: SequenceBatch):
@@ -305,18 +322,19 @@ def nll_from_logits(logits: Tensor, targets, loss_mask) -> Tensor:
     return ad.mul(ad.sum_(ad.mul(ce, Tensor(w))), 1.0 / w.sum())
 
 
-def prior_nll(params: PriorParams, batch: SequenceBatch, train: bool) -> Tensor:
-    logits = prior_logits(params, batch, train)
+def prior_nll(params: PriorParams, batch: SequenceBatch) -> Tensor:
+    logits = prior_logits(params, batch)
     targets, loss_mask = sequence_targets(params, batch)
     return nll_from_logits(logits, targets, loss_mask)
 
 
 # ---------------------------------------------------------------------------
-# ancestral sampling (incremental with per-node KV caches, off the tape)
+# ancestral sampling: the teacher-forced block run one (t, c) at a time
+# over per-node key/value caches, off the tape
 
 @ad.no_grad()
-def generate(params: PriorParams, codebooks, count, seed, n_max=None,
-             collect_logits=False, step_times=None):
+def generate(params: PriorParams, codebooks, count, seed, collect_logits=False,
+             step_times=None):
     """Sample `count` index sequences ancestrally.
 
     codebooks: list of C arrays (m, d_part) used to embed sampled
@@ -324,7 +342,7 @@ def generate(params: PriorParams, codebooks, count, seed, n_max=None,
 
     Each sample draws from its own spawned RNG stream, so sample i is
     reproducible from (seed, i) regardless of batching. Sampling stops
-    at end-of-set or after n_max nodes (truncation). The first draw
+    at end-of-set or after params.n_max nodes (truncation). The first draw
     renormalizes end-of-set away so every set has at least one node.
 
     Returns a list of dicts: {"indices": (T, C) int64, "truncated":
@@ -333,114 +351,76 @@ def generate(params: PriorParams, codebooks, count, seed, n_max=None,
     end-of-set renormalization, so they match teacher forcing exactly.
     step_times, if a list, collects (t, seconds, active) per node step.
     """
-    C, m, H = params.C, params.m, params.heads
-    dk = params.d_model // H
-    dm, dp = params.d_model, params.d_part
-    n_max = params.n_max if n_max is None else n_max
-    if n_max > params.pos_table.shape[0] - 1:
-        # the position encoding is a fixed function, so longer tables
-        # agree with the stored one on every shared row
-        pos_table = sinusoidal_positions(n_max + 1, dm)
-    else:
-        pos_table = params.pos_table
-
-    # sample i's stream, drawn up front: uniform t*C + c is the one its
-    # node t, partition c would have drawn next, so truncating at
-    # end-of-set consumes the stream exactly as one draw at a time does
-    uniforms = np.array([np.random.default_rng(s).random(n_max * C)
-                         for s in np.random.SeedSequence(seed).spawn(count)])
-    uniforms = uniforms.reshape(count, n_max * C)
-    nb = len(params.blocks)
-    # attention-ready layouts so the per-step reads below are views
-    K_cache = [np.zeros((count, H, dk, n_max)) for _ in range(nb)]
-    V_cache = [np.zeros((count, H, n_max, dk)) for _ in range(nb)]
-
+    C, m, n_max = params.C, params.m, params.n_max
     indices = np.zeros((count, n_max, C), dtype=np.int64)
-    prev_flat = np.zeros((count, params.d_latent))
-    prev_k0 = np.zeros(count, dtype=np.int64)
     lengths = np.full(count, n_max, dtype=np.int64)
     truncated = np.ones(count, dtype=bool)
     logit_log = [[] for _ in range(count)] if collect_logits else None
+    # one row per live sample, dropped when the sample ends: its index,
+    # its uniforms (drawn up front: uniform t*C + c is the one its node
+    # t, partition c would have drawn next, so truncating at end-of-set
+    # consumes the stream exactly as one draw at a time does), the
+    # previous node's codewords and partition-0 index, and per block
+    # the keys and values of its nodes so far
     active = np.arange(count)
+    uniforms = np.array([np.random.default_rng(s).random(n_max * C)
+                         for s in np.random.SeedSequence(seed).spawn(count)])
+    uniforms = uniforms.reshape(count, n_max * C)
+    prev = np.zeros((count, 1, params.d_latent))
+    prev_k0 = np.zeros((count, 1), dtype=np.int64)
+    kv = np.zeros((len(params.blocks), 2, count, params.heads, n_max,
+                   params.d_model // params.heads))
 
     for t in range(n_max):
         if active.size == 0:
             break
         t0 = time.perf_counter()
-        rows = slice(None) if active.size == count else active
-        # row t is written after partition 0's attention, so the cached
-        # prefixes are frozen for the whole step; read them once
-        if t > 0:
-            kc_t = [K_cache[l][rows, :, :, :t] for l in range(nb)]  # (N, H, dk, t)
-            vc_t = [V_cache[l][rows, :, :t, :] for l in range(nb)]  # (N, H, t, dk)
-        cur_parts = np.zeros((active.size, C, dp))
+        cur = np.zeros((active.size, 1, C, params.d_part))
         for c in range(C):
-            if c == 0:
-                inp = prev_flat[active]
-            else:
-                inp = np.concatenate(
-                    [prev_flat[active], cur_parts[:, :c].reshape(active.size, c * dp)], axis=1)
-            x = params.in_proj[c](inp).data + pos_table[t]
+            x = _input_column(params, c, prev, cur, params.pos_table[t:t + 1])
             for l, blk in enumerate(params.blocks):
                 if c == 0:
-                    k_new = blk.wk(x).data.reshape(-1, H, dk)
-                    v_new = blk.wv(x).data.reshape(-1, H, dk)
-                q = blk.wq[c](x).data.reshape(-1, H, dk)
-                if t == 0:
-                    a = np.zeros((active.size, dm))
-                else:
-                    s = np.einsum("nhd,nhdt->nht", q, kc_t[l]) / np.sqrt(dk)
-                    s -= s.max(axis=-1, keepdims=True)
-                    e = np.exp(s)
-                    p = e / e.sum(axis=-1, keepdims=True)
-                    a = np.einsum("nht,nhtd->nhd", p, vc_t[l]).reshape(-1, H * dk)
-                if c == 0:
-                    K_cache[l][rows, :, :, t] = k_new
-                    V_cache[l][rows, :, t, :] = v_new
-                h = ad.layernorm(x + a, blk.ln1.gamma, blk.ln1.beta)
-                x = ad.layernorm(h + blk.f_z(h), blk.ln2.gamma, blk.ln2.beta).data
-            logits = params.out[c](x).data
-            if c > 0:
-                logits[:, m] = MASK_VALUE
-            if c == 0 and t >= 1:
-                cls = np.arange(m + 1)
-                logits[cls[None, :] < prev_k0[active][:, None]] = MASK_VALUE
+                    k, v = _keys_values(blk, x[:, :, 0])
+                    kv[l, 0, :, :, t:t + 1], kv[l, 1, :, :, t:t + 1] = k.data, v.data
+                x = _block_forward(blk, x, Tensor(kv[l, 0, :, :, :t + 1]),
+                                   Tensor(kv[l, 1, :, :, :t + 1]), (c,))
+            logits = _logits(params, x, (c,), prev_k0).data[:, 0, 0]
             if collect_logits:
-                for row, g_idx in enumerate(active):
-                    logit_log[g_idx].append(logits[row].copy())
+                for row, i in enumerate(active):
+                    logit_log[i].append(logits[row].copy())
             if c == 0 and t == 0:
                 logits[:, m] = MASK_VALUE  # every set has at least one node
             shifted = logits - logits.max(axis=1, keepdims=True)
             p = np.exp(shifted)
             p /= p.sum(axis=1, keepdims=True)
             cdf = np.cumsum(p, axis=1)
-            u = uniforms[active, t * C + c]
             # inverse CDF, clamped to the last class with nonzero mass
             # in case rounding leaves the cdf's end below u
             last_nz = m - np.argmax(p[:, ::-1] > 0, axis=1)
-            draws = np.minimum((cdf <= u[:, None]).sum(axis=1), last_nz)
+            draws = np.minimum((cdf <= uniforms[:, t * C + c, None]).sum(axis=1), last_nz)
             if c == 0:
-                hit_eos = draws == m
-                if hit_eos.any():
-                    lengths[active[hit_eos]] = t
-                    truncated[active[hit_eos]] = False
-                    keep = ~hit_eos
-                    active = active[keep]
-                    cur_parts = cur_parts[keep]
-                    draws = draws[keep]
-                    if active.size == 0:
+                ended = draws == m
+                if ended.any():
+                    lengths[active[ended]] = t
+                    truncated[active[ended]] = False
+                    # drop the ended rows in place: live rows past the
+                    # first n move into the ended rows before it
+                    n = active.size - int(ended.sum())
+                    holes, movers = np.flatnonzero(ended[:n]), n + np.flatnonzero(~ended[n:])
+                    live = (active, uniforms, prev, cur, draws)
+                    for a in live:
+                        a[holes] = a[movers]
+                    kv[:, :, holes] = kv[:, :, movers]
+                    active, uniforms, prev, cur, draws = (a[:n] for a in live)
+                    kv = kv[:, :, :n]
+                    if n == 0:
                         break
-                    if t > 0:
-                        kc_t = [kc[keep] for kc in kc_t]
-                        vc_t = [vc[keep] for vc in vc_t]
             indices[active, t, c] = draws
-            cur_parts[:, c] = codebooks[c][draws]
+            cur[:, 0, c] = codebooks[c][draws]
         if step_times is not None:
             step_times.append((t, time.perf_counter() - t0, int(active.size)))
-        if active.size == 0:
-            break
-        prev_flat[active] = cur_parts.reshape(active.size, C * dp)
-        prev_k0[active] = indices[active, t, 0]
+        prev = cur.reshape(active.size, 1, C * params.d_part)
+        prev_k0 = indices[active, t, :1]
 
     out = []
     for i in range(count):

@@ -355,14 +355,12 @@ def _lr_at(cfg: ModelConfig, step):
 # ---------------------------------------------------------------------------
 # data plumbing
 
-def featurize_all(graphs, cfg: ModelConfig, seed_stream=None):
+def featurize_all(graphs, cfg: ModelConfig):
     """Augment every graph once, with a per-graph random-feature stream
     spawned from the config seed so the result is order-stable.
     """
     fcfg = cfg.feature_config()
-    if seed_stream is None:
-        seed_stream = np.random.SeedSequence([cfg.seed, 0xFEA7])
-    children = seed_stream.spawn(len(graphs))
+    children = np.random.SeedSequence([cfg.seed, 0xFEA7]).spawn(len(graphs))
     return [augment(g, fcfg, np.random.default_rng(children[i]))
             for i, g in enumerate(graphs)]
 
@@ -603,7 +601,7 @@ def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
             order = shuffle_rng.permutation(len(train_seqs))
             for chunk in _batches(order, cfg.batch_size):
                 batch = prior.pack_sequences([train_seqs[i] for i in chunk], cfg.n_max)
-                nll = prior.prior_nll(pmodel.params_, batch, train=True)
+                nll = prior.prior_nll(pmodel.params_, batch)
                 if not np.isfinite(nll.data):
                     raise TrainingDiverged(f"non-finite NLL at step {step}")
                 nll.backward()
@@ -614,8 +612,7 @@ def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
             if val_seqs:
                 with ad.no_grad():
                     metrics["nll"] = float(prior.prior_nll(
-                        pmodel.params_, prior.pack_sequences(val_seqs, cfg.n_max),
-                        train=False).data)
+                        pmodel.params_, prior.pack_sequences(val_seqs, cfg.n_max)).data)
             history.append(metrics)
             writer.row(step, nll=metrics.get("nll"))
             if log and "nll" in metrics:
@@ -630,7 +627,7 @@ def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
 # generation: prior samples decoded back to graphs
 
 @ad.no_grad()
-def decode_sequences(model: AutoEncoderModel, samples, cfg: ModelConfig, chunk_size=256):
+def decode_sequences(model: AutoEncoderModel, samples, chunk_size=256):
     """Decode sampled index sequences to graphs (eval mode, mode decode).
 
     Samples are grouped by node count and each group is decoded in
@@ -658,9 +655,9 @@ def generate_graphs(model: AutoEncoderModel, pmodel: PriorModel, cfg: ModelConfi
                     count, seed, step_times=None):
     """Sample index sequences from the prior and decode them."""
     samples = prior.generate(pmodel.params_, model.codebooks.codebooks, count, seed,
-                             n_max=cfg.n_max, step_times=step_times)
+                             step_times=step_times)
     idx_seqs = [s["indices"] for s in samples]
-    graphs_out = decode_sequences(model, idx_seqs, cfg)
+    graphs_out = decode_sequences(model, idx_seqs)
     truncated = sum(1 for s in samples if s["truncated"])
     return graphs_out, {"truncated": truncated}
 

@@ -13,6 +13,37 @@ from scipy.stats import wasserstein_distance
 from dgae.graphs import new_graph
 
 
+def graphs_equal(a, b):
+    return (a.directed == b.directed
+            and np.array_equal(a.node_attrs, b.node_attrs)
+            and np.array_equal(a.edge_attrs, b.edge_attrs))
+
+
+def is_isomorphic_small(a, b):
+    """Exact isomorphism test by permutation search; meant for n <= 8."""
+    if a.n != b.n:
+        return False
+    if a.n > 8:
+        raise ValueError("is_isomorphic_small is limited to n <= 8")
+    if (a.num_node_categories != b.num_node_categories
+            or a.num_edge_categories != b.num_edge_categories
+            or a.directed != b.directed):
+        return False
+    # cheap invariants first
+    da = np.sort(a.adjacency().sum(axis=1))
+    db = np.sort(b.adjacency().sum(axis=1))
+    if not np.array_equal(da, db):
+        return False
+    if not np.array_equal(np.sort(a.node_categories()), np.sort(b.node_categories())):
+        return False
+    for perm in itertools.permutations(range(a.n)):
+        p = np.array(perm)
+        if (np.array_equal(b.node_attrs, a.node_attrs[p])
+                and np.array_equal(b.edge_attrs, a.edge_attrs[p][:, p])):
+            return True
+    return False
+
+
 def random_adjacency(rng, n, p=0.5):
     adj = np.zeros((n, n), dtype=np.int64)
     for i in range(n):

@@ -281,7 +281,7 @@ def test_eval_report_columns_and_determinism(workspace, tmp_path, capsys):
 
     again = tmp_path / "again.csv"
     assert run(["eval", "--ref", workspace["data"], "--gen", workspace["samples"],
-                "--out", again, "--jobs", 2]) == 0
+                "--out", again]) == 0
     capsys.readouterr()
     assert again.read_bytes() == workspace["report"].read_bytes()
 
@@ -313,7 +313,7 @@ def test_truncated_checkpoint_is_one_error_line(workspace, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# ablation and benchmark commands
+# ablation commands
 
 def test_ablate_features_cli(tmp_path, capsys):
     data = tmp_path / "d.graphs"
@@ -361,24 +361,3 @@ def test_ablate_rejects_malformed_grid(tmp_path, capsys):
               "--grid", "16x2"])
     assert rc == 1
     assert "want m:C" in capsys.readouterr().err
-
-
-def test_bench_gen_cli(workspace, tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    assert run(["bench", "gen", "--ckpt", workspace["full_ckpt"],
-                "--count", 5, "--seed", 0, "--out", out]) == 0
-    capsys.readouterr()
-    bench = json.loads(out.read_text())
-    assert bench["count"] == 5
-    assert bench["total_seconds"] > 0
-    assert len(bench["step_times"]) == bench["steps"]
-
-
-def test_bench_gen_nmax_sweep(workspace, tmp_path, capsys):
-    out = tmp_path / "sweep.json"
-    assert run(["bench", "gen", "--ckpt", workspace["full_ckpt"], "--count", 4,
-                "--seed", 0, "--out", out, "--nmax-sweep", "6,10"]) == 0
-    capsys.readouterr()
-    sweep = json.loads(out.read_text())["sweep"]
-    assert [b["n_max"] for b in sweep] == [6, 10]
-    assert all(b["mean_step_seconds"] > 0 for b in sweep)

@@ -137,43 +137,61 @@ def test_build_inputs_partition_context():
 
 def test_attention_single_predecessor_returns_value():
     rng = np.random.default_rng(0)
-    T, C, dk = 2, 3, 4
-    q = Tensor(rng.normal(size=(T, C, dk)))
-    k = Tensor(rng.normal(size=(T, dk)))
-    v = Tensor(rng.normal(size=(T, dk)))
+    B, H, T, C, dk = 2, 3, 2, 3, 4
+    q = Tensor(rng.normal(size=(B, H, T, C, dk)))
+    k = Tensor(rng.normal(size=(B, H, T, dk)))
+    v = Tensor(rng.normal(size=(B, H, T, dk)))
     out = attention_2d(q, k, v)
-    assert out.shape == (T, C, dk)
-    np.testing.assert_array_equal(out.data[0], np.zeros((C, dk)))
+    assert out.shape == (B, H, T, C, dk)
+    np.testing.assert_array_equal(out.data[:, :, 0], np.zeros((B, H, C, dk)))
     for c in range(C):
-        np.testing.assert_allclose(out.data[1, c], v.data[0], atol=1e-12)
+        np.testing.assert_allclose(out.data[:, :, 1, c], v.data[:, :, 0], atol=1e-12)
 
 
 def test_attention_uniform_scores_give_mean():
     rng = np.random.default_rng(1)
-    T, C, dk = 5, 2, 4
-    q = Tensor(np.zeros((T, C, dk)))
-    k = Tensor(rng.normal(size=(T, dk)))
-    v = Tensor(rng.normal(size=(T, dk)))
+    B, H, T, C, dk = 2, 3, 5, 2, 4
+    q = Tensor(np.zeros((B, H, T, C, dk)))
+    k = Tensor(rng.normal(size=(B, H, T, dk)))
+    v = Tensor(rng.normal(size=(B, H, T, dk)))
     out = attention_2d(q, k, v).data
     for t in range(1, T):
-        want = v.data[:t].mean(axis=0)
+        want = v.data[:, :, :t].mean(axis=2)
         for c in range(C):
-            np.testing.assert_allclose(out[t, c], want, atol=1e-12)
+            np.testing.assert_allclose(out[:, :, t, c], want, atol=1e-12)
 
 
 def test_attention_ignores_future_and_present_keys():
     rng = np.random.default_rng(2)
-    T, C, dk = 6, 2, 4
-    q = Tensor(rng.normal(size=(T, C, dk)))
-    k0 = rng.normal(size=(T, dk))
-    v0 = rng.normal(size=(T, dk))
+    B, H, T, C, dk = 2, 3, 6, 2, 4
+    q = Tensor(rng.normal(size=(B, H, T, C, dk)))
+    k0 = rng.normal(size=(B, H, T, dk))
+    v0 = rng.normal(size=(B, H, T, dk))
     base = attention_2d(q, Tensor(k0), Tensor(v0)).data
     for t in range(T):
         k1, v1 = k0.copy(), v0.copy()
-        k1[t:] += rng.normal(size=(T - t, dk))
-        v1[t:] += rng.normal(size=(T - t, dk))
+        k1[:, :, t:] += rng.normal(size=(B, H, T - t, dk))
+        v1[:, :, t:] += rng.normal(size=(B, H, T - t, dk))
         got = attention_2d(q, Tensor(k1), Tensor(v1)).data
-        np.testing.assert_array_equal(got[:t + 1], base[:t + 1])
+        np.testing.assert_array_equal(got[:, :, :t + 1], base[:, :, :t + 1])
+
+
+def test_attention_over_key_prefix_matches_full_sequence():
+    """The sampler's step: the queries of position t alone, over the
+    keys and values of positions 0..t, give row t of the full result."""
+    rng = np.random.default_rng(4)
+    B, H, T, C, dk = 3, 2, 5, 3, 4
+    q = rng.normal(size=(B, H, T, C, dk))
+    k = rng.normal(size=(B, H, T, dk))
+    v = rng.normal(size=(B, H, T, dk))
+    full = attention_2d(Tensor(q), Tensor(k), Tensor(v)).data
+    for t in range(T):
+        got = attention_2d(Tensor(q[:, :, t:t + 1]), Tensor(k[:, :, :t + 1]),
+                           Tensor(v[:, :, :t + 1])).data
+        assert got.shape == (B, H, 1, C, dk)
+        np.testing.assert_allclose(got, full[:, :, t:t + 1], rtol=0, atol=1e-12)
+    first = attention_2d(Tensor(q[:, :, :1]), Tensor(k[:, :, :1]), Tensor(v[:, :, :1])).data
+    np.testing.assert_array_equal(first, np.zeros((B, H, 1, C, dk)))
 
 
 def test_attention_padding_keys_excluded():
@@ -200,7 +218,7 @@ def test_end_of_set_only_on_partition_zero():
     rng = np.random.default_rng(7)
     seqs = [random_sequence(rng, 3, params.C, params.d_part, params.m)]
     batch = batch_from(params, seqs)
-    probs = ad.softmax(prior_logits(params, batch, train=False), axis=-1).data
+    probs = ad.softmax(prior_logits(params, batch), axis=-1).data
     assert np.all(probs[:, :, 1:, params.m] == 0.0)
     # partition 0 keeps a usable end-of-set class
     assert probs[0, 3, 0, params.m] > 0.0
@@ -212,7 +230,7 @@ def test_order_violating_classes_have_zero_probability():
     idx = np.array([[1, 0], [3, 2], [3, 1]])
     cw = np.random.default_rng(9).normal(size=(3, C, dp))
     batch = batch_from(params, [IndexSequence(idx, cw)])
-    logits = prior_logits(params, batch, train=False)
+    logits = prior_logits(params, batch)
     probs = ad.softmax(logits, axis=-1).data[0]
     # row t on partition 0 forbids classes below the previous index
     assert np.all(probs[1, 0, :1] == 0.0)   # prev index 1
@@ -261,8 +279,8 @@ def test_nll_ignores_batch_ordering():
     rng = np.random.default_rng(13)
     seqs = [random_sequence(rng, t, params.C, params.d_part, params.m)
             for t in (2, 5, 3)]
-    a = prior_nll(params, batch_from(params, seqs), train=False).data
-    b = prior_nll(params, batch_from(params, seqs[::-1]), train=False).data
+    a = prior_nll(params, batch_from(params, seqs)).data
+    b = prior_nll(params, batch_from(params, seqs[::-1])).data
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -275,15 +293,14 @@ def test_causality_future_nodes_never_leak():
     rng = np.random.default_rng(15)
     T = 5
     base_seq = random_sequence(rng, T, params.C, params.d_part, params.m)
-    base = prior_logits(params, batch_from(params, [base_seq]), train=False).data
+    base = prior_logits(params, batch_from(params, [base_seq])).data
     for t in range(T):
         idx = base_seq.indices.copy()
         cw = base_seq.codewords.copy()
         idx[t] = (idx[t] + 1) % params.m
         cw[t] += rng.normal(size=cw[t].shape)
         got = prior_logits(
-            params, batch_from(params, [IndexSequence(idx, cw)]),
-            train=False).data
+            params, batch_from(params, [IndexSequence(idx, cw)])).data
         # rows before t see nothing of node t
         np.testing.assert_array_equal(got[0, :t], base[0, :t])
         # row t partition 0 conditions on nodes < t only
@@ -295,10 +312,8 @@ def test_causality_padding_never_leaks():
     rng = np.random.default_rng(17)
     short = random_sequence(rng, 2, params.C, params.d_part, params.m)
     long = random_sequence(rng, 6, params.C, params.d_part, params.m)
-    solo = prior_logits(params, pack_sequences([short], params.n_max),
-                        train=False).data
-    pair = prior_logits(params, pack_sequences([short, long], params.n_max),
-                        train=False).data
+    solo = prior_logits(params, pack_sequences([short], params.n_max)).data
+    pair = prior_logits(params, pack_sequences([short, long], params.n_max)).data
     np.testing.assert_allclose(pair[0, :3], solo[0, :3], atol=1e-9)
 
 
@@ -357,7 +372,7 @@ def test_generate_matches_teacher_forcing():
         T = idx.shape[0]
         cw = np.stack([books[c][idx[:, c]] for c in range(params.C)], axis=1)
         batch = pack_sequences([IndexSequence(idx, cw)], params.n_max)
-        tf = prior_logits(params, batch, train=False).data[0]
+        tf = prior_logits(params, batch).data[0]
         steps = rec["logits"]
         want = T * params.C + (0 if rec["truncated"] else 1)
         assert len(steps) == want
@@ -380,7 +395,7 @@ def test_generate_frequencies_match_model_distribution():
         cw = np.stack([books[c][idx_prefix[:, c]] for c in range(params.C)],
                       axis=1)
         batch = pack_sequences([IndexSequence(idx_prefix, cw)], params.n_max)
-        logits = prior_logits(params, batch, train=False).data[0, row, 0]
+        logits = prior_logits(params, batch).data[0, row, 0]
         e = np.exp(logits - logits.max())
         return e / e.sum()
 
@@ -426,6 +441,10 @@ def test_generate_step_times_track_active_counts():
     assert all(a > 0 for a in actives[:-1])
     assert all(b <= a for a, b in zip(actives, actives[1:]))
     assert all(sec >= 0.0 for _, sec, _ in times)
+    # no samples: no steps
+    times = []
+    assert generate(params, books, count=0, seed=3, step_times=times) == []
+    assert times == []
 
 
 # ---------------------------------------------------------------------------

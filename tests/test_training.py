@@ -7,7 +7,6 @@ import pytest
 
 from dgae.autodiff import Tensor
 from dgae import codec, prior, quantize
-from dgae.graphs import graphs_equal
 from dgae.training import (
     AdamState,
     AutoEncoderModel,
@@ -35,7 +34,7 @@ from dgae.training import (
     train_prior,
 )
 
-from oracles import graph_from_adjacency, random_adjacency
+from oracles import graph_from_adjacency, graphs_equal, random_adjacency
 
 
 def tiny_config(**overrides):
@@ -360,7 +359,7 @@ def test_prior_memorizes_single_sequence():
     adam = AdamState(params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     nll = None
     for step in range(1200):
-        loss = prior.prior_nll(pmodel.params_, batch, train=True)
+        loss = prior.prior_nll(pmodel.params_, batch)
         nll = float(loss.data)
         if nll < 1e-3:
             break
@@ -394,6 +393,7 @@ def test_full_pipeline_and_reload(tmp_path):
     for g in out:
         assert 1 <= g.n <= cfg.n_max
         np.testing.assert_array_equal(g.adjacency(), g.adjacency().T)
+    assert generate_graphs(model, pmodel, cfg, count=0, seed=11) == ([], {"truncated": 0})
 
     path = str(tmp_path / "ck.bin")
     save_checkpoint(path, cfg, full_state_arrays(model, pmodel), step=9,
@@ -442,10 +442,10 @@ def test_decode_sequences_keeps_input_order_across_size_buckets():
     model, rng = _decoder_with_codebooks(cfg, 21)
     sizes = rng.permutation([1, 1, 2, 3, 3, 3, 5, 5, 6, 8, 8, 8, 8, 4, 7])
     samples = [rng.integers(0, cfg.codebook_size, size=(n, cfg.partitions)) for n in sizes]
-    solo = decode_sequences(model, samples, cfg, chunk_size=1)
+    solo = decode_sequences(model, samples, chunk_size=1)
     assert [g.n for g in solo] == list(sizes)
     for chunk_size in (3, 256):
-        out = decode_sequences(model, samples, cfg, chunk_size=chunk_size)
+        out = decode_sequences(model, samples, chunk_size=chunk_size)
         assert all(graphs_equal(a, b) for a, b in zip(out, solo))
     # the same graphs as one decode of the whole padded batch
     z = np.zeros((len(samples), cfg.n_max, cfg.d_latent))
@@ -459,7 +459,7 @@ def test_decode_sequences_keeps_input_order_across_size_buckets():
     for b, (s, g) in enumerate(zip(samples, solo)):
         n = len(s)
         assert graphs_equal(codec.sample_graph(nl.data[b, :n], el.data[b, :n, :n]), g)
-    assert decode_sequences(model, [], cfg) == []
+    assert decode_sequences(model, []) == []
 
 
 def test_decode_sequences_memory_is_bounded():
@@ -469,7 +469,7 @@ def test_decode_sequences_memory_is_bounded():
                for _ in range(256)]
     tracemalloc.start()
     try:
-        out = decode_sequences(model, samples, cfg)
+        out = decode_sequences(model, samples)
         peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
