@@ -8,8 +8,14 @@ float32 arrays for speed, and runs inside no_grad(), which records no
 graph.
 
 Broadcasting is deliberately restricted: binary ops accept equal
-shapes, a python scalar, or a trailing-suffix shape (bias add). This
-keeps every backward rule explicit and easy to audit.
+shapes, a python scalar, or a trailing-suffix shape (bias add). The one
+explicit broadcast op is pair_sum, which adds per-node rows to every
+node pair. This keeps every backward rule explicit and easy to audit.
+
+Gradients are never written in place. A tensor keeps the first gradient
+it receives as is, though the same array may be another tensor's
+gradient too, and later ones are added out of place; code that scales
+or clips gradients must rebind .grad, not write into it.
 """
 
 from __future__ import annotations
@@ -53,11 +59,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g):
-        # callers always pass a gradient of exactly self.data.shape
+        # callers always pass a gradient of exactly self.data.shape; g may
+        # be shared with other tensors, so neither it nor self.grad is
+        # ever written into
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
+            self.grad = g
         else:
-            self.grad += g
+            self.grad = self.grad + g
 
     def zero_grad(self):
         self.grad = None
@@ -282,18 +290,49 @@ def slice_(a, key):
     return _node(out_data, (a,), bw)
 
 
-def tile(a, axis, reps):
-    """Repeat a size-1 axis. The explicit stand-in for broadcasting."""
-    a = _as_tensor(a)
-    if a.shape[axis] != 1:
-        raise ShapeError(f"tile needs size-1 axis, got {a.shape[axis]} at axis {axis}")
-    out_data = np.repeat(a.data, reps, axis=axis)
+def affine(x, w, b):
+    """x @ w + b for 2-D x (rows, fan_in), w (fan_in, fan_out) and b
+    (fan_out,), as one node: the bias is added in place into the
+    product, and one backward gives all three gradients.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or b.shape != w.shape[1:] or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"affine needs (r, i) @ (i, o) + (o,): {x.shape}, {w.shape}, {b.shape}")
+    out_data = x.data @ w.data
+    out_data += b.data
+
+    def bw(g):
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ g)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+
+    return _node(out_data, (x, w, b), bw)
+
+
+def pair_sum(a, c, e):
+    """out[b, i, j] = a[b, i] + c[b, j] + e[b, i, j] for a, c (B, n, d)
+    and e (B, n, n, d): per-node terms broadcast over every node pair.
+    """
+    a, c, e = _as_tensor(a), _as_tensor(c), _as_tensor(e)
+    B, n, d = a.shape
+    if c.shape != a.shape or e.shape != (B, n, n, d):
+        raise ShapeError(f"pair_sum needs (B, n, d) twice and (B, n, n, d): "
+                         f"{a.shape}, {c.shape}, {e.shape}")
+    out_data = e.data + a.data[:, :, None]
+    out_data += c.data[:, None]
 
     def bw(g):
         if a.requires_grad:
-            a._accumulate(g.sum(axis=axis, keepdims=True))
+            a._accumulate(g.sum(axis=2))
+        if c.requires_grad:
+            c._accumulate(g.sum(axis=1))
+        if e.requires_grad:
+            e._accumulate(g)
 
-    return _node(out_data, (a,), bw)
+    return _node(out_data, (a, c, e), bw)
 
 
 def sum_(a, axis=None):
@@ -321,13 +360,16 @@ def mean(a, axis=None):
 
 
 def relu(a):
+    """max(a, 0). NaN propagates (it is not mapped to 0), so a diverged
+    activation reaches the loss and adam_step's finiteness check. The
+    backward builds its mask from the output, so inference builds none.
+    """
     a = _as_tensor(a)
-    keep = a.data > 0
-    out_data = np.where(keep, a.data, 0.0)
+    out_data = np.maximum(a.data, 0.0)
 
     def bw(g):
         if a.requires_grad:
-            a._accumulate(g * keep)
+            a._accumulate(g * (out_data > 0))
 
     return _node(out_data, (a,), bw)
 

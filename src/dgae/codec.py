@@ -30,7 +30,7 @@ class Affine:
         self.b = Tensor(np.zeros(fan_out), requires_grad=True)
 
     def __call__(self, x):
-        return ad.add(ad.matmul(x, self.w), self.b)
+        return ad.affine(x, self.w, self.b)
 
     def params(self, prefix):
         return {prefix + ".w": self.w, prefix + ".b": self.b}
@@ -46,12 +46,13 @@ class Mlp:
             self.layers.append(Affine(rng, sizes[i], sizes[i + 1], gain))
 
     def __call__(self, x):
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < last:
-                x = ad.relu(x)
-        return x
+        return self.after_first(self.layers[0](x))
+
+    def after_first(self, h):
+        """The layers after the first, given the first one's output h."""
+        for layer in self.layers[1:]:
+            h = layer(ad.relu(h))
+        return h
 
     def params(self, prefix):
         out = {}
@@ -184,6 +185,28 @@ def prepare_batch(aug_graphs) -> GraphTensorBatch:
     return GraphTensorBatch(node_feats, edge_feats, neigh, mask, node_t, edge_t, sizes)
 
 
+def _pair_mlp(mlp, x, e):
+    """mlp([x_i, x_j, e_ij]) for every node pair: (B*n*n, out) rows.
+
+    x: Tensor (B, n, h); e: Tensor (B, n, n, h). The first layer's
+    (3h, w) weight splits by rows into W_i, W_j and W_e, so
+    [x_i, x_j, e] @ W = x_i @ W_i + x_j @ W_j + e @ W_e: the node terms
+    are computed on B*n rows, not B*n*n, and the wide input is never
+    built.
+    """
+    B, n, h = x.shape
+    first = mlp.layers[0]
+    w = first.w
+    width = w.shape[1]
+    x2 = ad.reshape(x, (B * n, h))
+    a = ad.affine(x2, ad.slice_(w, slice(0, h)), first.b)
+    c = ad.matmul(x2, ad.slice_(w, slice(h, 2 * h)))
+    ee = ad.matmul(ad.reshape(e, (B * n * n, h)), ad.slice_(w, slice(2 * h, 3 * h)))
+    pre = ad.pair_sum(ad.reshape(a, (B, n, width)), ad.reshape(c, (B, n, width)),
+                      ad.reshape(ee, (B, n, n, width)))
+    return mlp.after_first(ad.reshape(pre, (B * n * n, width)))
+
+
 def _mpnn_rounds(x, e, layers, neigh, node_mask, train):
     """Shared message-passing stack for encoder and decoder.
 
@@ -195,16 +218,11 @@ def _mpnn_rounds(x, e, layers, neigh, node_mask, train):
     node_rows = node_mask.reshape(-1)
     neigh_f = neigh[:, :, :, None].astype(np.float64)
     for layer in layers:
-        xi = ad.tile(ad.reshape(x, (B, n, 1, h)), 2, n)
-        xj = ad.tile(ad.reshape(x, (B, 1, n, h)), 1, n)
-        msg_in = ad.reshape(ad.concat([xi, xj, e], 3), (B * n * n, 3 * h))
-
-        e_new = batchnorm(layer.f_edge(msg_in), layer.bn_e, train, mask=pair_rows)
+        e_new = batchnorm(_pair_mlp(layer.f_edge, x, e), layer.bn_e, train, mask=pair_rows)
         e = ad.reshape(e_new, (B, n, n, h))
 
         # node messages read the updated edge states
-        msg_in = ad.reshape(ad.concat([xi, xj, e], 3), (B * n * n, 3 * h))
-        m = ad.reshape(layer.f_node(msg_in), (B, n, n, h))
+        m = ad.reshape(_pair_mlp(layer.f_node, x, e), (B, n, n, h))
         m = ad.mul(m, Tensor(np.broadcast_to(neigh_f, (B, n, n, h))))
         agg = ad.sum_(m, axis=2)
         x_new = ad.reshape(x + agg, (B * n, h))

@@ -333,8 +333,7 @@ def prior_nll(params: PriorParams, batch: SequenceBatch) -> Tensor:
 # over per-node key/value caches, off the tape
 
 @ad.no_grad()
-def generate(params: PriorParams, codebooks, count, seed, collect_logits=False,
-             step_times=None):
+def generate(params: PriorParams, codebooks, count, seed, step_times=None):
     """Sample `count` index sequences ancestrally.
 
     codebooks: list of C arrays (m, d_part) used to embed sampled
@@ -346,16 +345,13 @@ def generate(params: PriorParams, codebooks, count, seed, collect_logits=False,
     renormalizes end-of-set away so every set has at least one node.
 
     Returns a list of dicts: {"indices": (T, C) int64, "truncated":
-    bool, "logits": list of (m+1,) arrays if collect_logits}. The
-    recorded logits carry the structural masks but not the first-draw
-    end-of-set renormalization, so they match teacher forcing exactly.
-    step_times, if a list, collects (t, seconds, active) per node step.
+    bool}. step_times, if a list, collects (t, seconds, active) per node
+    step.
     """
     C, m, n_max = params.C, params.m, params.n_max
     indices = np.zeros((count, n_max, C), dtype=np.int64)
     lengths = np.full(count, n_max, dtype=np.int64)
     truncated = np.ones(count, dtype=bool)
-    logit_log = [[] for _ in range(count)] if collect_logits else None
     # one row per live sample, dropped when the sample ends: its index,
     # its uniforms (drawn up front: uniform t*C + c is the one its node
     # t, partition c would have drawn next, so truncating at end-of-set
@@ -385,9 +381,6 @@ def generate(params: PriorParams, codebooks, count, seed, collect_logits=False,
                 x = _block_forward(blk, x, Tensor(kv[l, 0, :, :, :t + 1]),
                                    Tensor(kv[l, 1, :, :, :t + 1]), (c,))
             logits = _logits(params, x, (c,), prev_k0).data[:, 0, 0]
-            if collect_logits:
-                for row, i in enumerate(active):
-                    logit_log[i].append(logits[row].copy())
             if c == 0 and t == 0:
                 logits[:, m] = MASK_VALUE  # every set has at least one node
             shifted = logits - logits.max(axis=1, keepdims=True)
@@ -422,14 +415,8 @@ def generate(params: PriorParams, codebooks, count, seed, collect_logits=False,
         prev = cur.reshape(active.size, 1, C * params.d_part)
         prev_k0 = indices[active, t, :1]
 
-    out = []
-    for i in range(count):
-        T = int(lengths[i])
-        rec = {"indices": indices[i, :T].copy(), "truncated": bool(truncated[i])}
-        if collect_logits:
-            rec["logits"] = logit_log[i]
-        out.append(rec)
-    return out
+    return [{"indices": indices[i, :lengths[i]].copy(), "truncated": bool(truncated[i])}
+            for i in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,14 @@ def load_checkpoint(path):
         version, blob_len = struct.unpack("<II", read_exact(f, 8, path, "header length"))
         if version != _CKPT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(read_exact(f, blob_len, path, "header"))
+        blob = read_exact(f, blob_len, path, "header")
+        try:
+            header = json.loads(blob)
+            cfg = config_from_dict(header["config"])
+            meta = {"step": header["step"], "rng_state": header["rng_state"],
+                    **header["extra"]}
+        except (ValueError, KeyError, TypeError) as e:
+            raise ValueError(f"{path}: bad checkpoint header: {e}") from e
         (count,) = struct.unpack("<I", read_exact(f, 4, path, "tensor count"))
         tensors = {}
         for i in range(count):
@@ -290,8 +297,6 @@ def load_checkpoint(path):
             tensors[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after {count} tensors")
-    cfg = config_from_dict(header["config"])
-    meta = {"step": header["step"], "rng_state": header["rng_state"], **header["extra"]}
     return cfg, tensors, meta
 
 
@@ -317,7 +322,7 @@ def clip_gradients(params, max_norm):
         scale = max_norm / norm
         for t in params.values():
             if t.grad is not None:
-                t.grad *= scale
+                t.grad = t.grad * scale
     return float(norm)
 
 

@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 from scipy.stats import wasserstein_distance
 
+from dgae import autodiff as ad
 from dgae.graphs import new_graph
 
 
@@ -256,3 +257,18 @@ def mmd_double_sum(hists_a, hists_b, sigma=1.0, bin_width=1.0):
     kbb = sum(kernel(x, y) for x in hists_b for y in hists_b) / (nb * nb)
     kab = sum(kernel(x, y) for x in hists_a for y in hists_b) / (na * nb)
     return kaa + kbb - 2.0 * kab
+
+
+def concat_pair_mlp(mlp, x, e):
+    """mlp([x_i, x_j, e_ij]) for every node pair, (B*n*n, out) rows, in
+    the unfactorised form: x_i and x_j are gathered into (B, n, n, h)
+    tensors and concatenated with e into one 3h-wide input.
+
+    x: Tensor (B, n, h); e: Tensor (B, n, n, h).
+    """
+    B, n, h = x.shape
+    rows = np.arange(B * n).reshape(B, n)
+    xf = ad.reshape(x, (B * n, h))
+    xi = ad.embedding(xf, np.broadcast_to(rows[:, :, None], (B, n, n)))
+    xj = ad.embedding(xf, np.broadcast_to(rows[:, None, :], (B, n, n)))
+    return mlp(ad.reshape(ad.concat([xi, xj, e], 3), (B * n * n, 3 * h)))

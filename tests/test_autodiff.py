@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,8 @@ def primitive_grad_cases(rng):
         ("mul_broadcast", lambda xs: wsum(ad.mul(xs[0], xs[1])), [t(a34), t(b4)]),
         ("neg", lambda xs: wsum(ad.neg(xs[0])), [t(a34)]),
         ("matmul", lambda xs: wsum(ad.matmul(xs[0], xs[1])), [t(a34), t(m45)]),
+        ("affine", lambda xs: wsum(ad.affine(xs[0], xs[1], xs[2])),
+         [t(a34), t(m45), t(rng.normal(size=(5,)))]),
         ("matmul_batched", lambda xs: wsum(ad.matmul(xs[0], xs[1])),
          [t(rng.normal(size=(2, 3, 4))), t(rng.normal(size=(2, 4, 2)))]),
         ("concat", lambda xs: wsum(ad.concat([xs[0], xs[1]], axis=1)),
@@ -45,8 +50,8 @@ def primitive_grad_cases(rng):
         ("transpose", lambda xs: wsum(ad.transpose(xs[0], (1, 2, 0))), [t(m234)]),
         ("slice", lambda xs: wsum(ad.slice_(xs[0], (slice(1, 3), slice(0, 2)))),
          [t(a34)]),
-        ("tile", lambda xs: wsum(ad.tile(xs[0], 1, 3)),
-         [t(rng.normal(size=(2, 1, 4)))]),
+        ("pair_sum", lambda xs: wsum(ad.pair_sum(xs[0], xs[1], xs[2])),
+         [t(m234), t(rng.normal(size=(2, 3, 4))), t(rng.normal(size=(2, 3, 3, 4)))]),
         ("sum_all", lambda xs: ad.sum_(xs[0]), [t(a34)]),
         ("sum_axis", lambda xs: wsum(ad.sum_(xs[0], axis=1)), [t(m234)]),
         ("mean_all", lambda xs: ad.mean(xs[0]), [t(a34)]),
@@ -67,6 +72,10 @@ def primitive_grad_cases(rng):
             xs[0], np.array([1, 0, 3]))), [t(a34)]),
         ("layernorm", lambda xs: wsum(layernorm(xs[0], xs[1], xs[2])),
          [t(a34), t(np.ones(4) + 0.1 * b4), t(0.1 * b4)]),
+        # the estimator is the true gradient where z_q - z_h does not
+        # depend on z_h; a gradient sent to z_q as well would double it
+        ("straight_through", lambda xs: wsum(straight_through(
+            xs[0], ad.add(xs[0], Tensor(b34)))), [t(a34)]),
     ]
     return cases
 
@@ -107,6 +116,27 @@ def run_primitive_grad_suite():
 def test_primitive_gradients():
     for name, err in run_primitive_grad_suite().items():
         assert err <= TOL, f"{name}: max relative error {err:.2e}"
+
+
+def test_every_primitive_has_a_gradient_case(monkeypatch):
+    """Each public autodiff function that records a node is run by a
+    case of the gradient suite, so no primitive lands without a check."""
+    primitives = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+                  if fn.__module__ == ad.__name__ and not name.startswith("_")
+                  and "_node(" in inspect.getsource(fn)}
+    recorded = set()
+    node = ad._node
+
+    def recording(data, parents, backward):
+        recorded.add(sys._getframe(1).f_code.co_name)
+        return node(data, parents, backward)
+
+    monkeypatch.setattr(ad, "_node", recording)
+    rng = np.random.default_rng(0)
+    for _, f, inputs in primitive_grad_cases(rng) + batchnorm_grad_cases(rng):
+        f(inputs)
+    assert "affine" in primitives and "pair_sum" in primitives
+    assert primitives - recorded == set()
 
 
 def test_relu_pointwise():

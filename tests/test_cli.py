@@ -312,6 +312,31 @@ def test_truncated_checkpoint_is_one_error_line(workspace, tmp_path, capsys):
         assert str(path) in err, (cut, err)
 
 
+def test_malformed_checkpoint_header_is_one_error_line(workspace, tmp_path, capsys):
+    raw = workspace["full_ckpt"].read_bytes()
+    blob_end = 12 + int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12:blob_end])
+
+    def renamed(key):
+        return {("old_" + k if k == key else k): v for k, v in header.items()}
+
+    # valid JSON, wrong shape: each once gave a traceback
+    cases = {"no-config": renamed("config"), "no-step": renamed("step"),
+             "no-extra": renamed("extra"), "array": [header],
+             "extra-array": {**header, "extra": [1]},
+             "n_max-string": {**header, "config": {**header["config"], "n_max": "20"}}}
+    for name, bad in cases.items():
+        blob = json.dumps(bad).encode()
+        path = tmp_path / f"{name}.ckpt"
+        path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[blob_end:])
+        capsys.readouterr()
+        rc = run(["generate", "--ckpt", path, "--count", 2, "--out", tmp_path / "g"])
+        err = capsys.readouterr().err
+        assert rc == 1, name
+        assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+        assert f"{path}: bad checkpoint header: " in err, (name, err)
+
+
 # ---------------------------------------------------------------------------
 # ablation commands
 

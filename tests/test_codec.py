@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,35 @@ def test_error_rates_counts_mistakes():
     node_err, edge_err = codec.error_rates(Tensor(nl), Tensor(el), batch)
     assert node_err == pytest.approx(0.0)
     assert edge_err == pytest.approx(2.0 / 6.0)  # both directions of one pair
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_factorised_pair_layer_matches_concat_oracle(monkeypatch, train):
+    """Splitting the first pair-MLP layer by rows reassociates one sum of
+    the concatenated [x_i, x_j, e] input: encoder and decoder outputs and
+    every parameter gradient of a padded batch match the concat form."""
+    rng = np.random.default_rng(9)
+    models = make_models(rng)
+    warm_up(*models, [random_graph(rng, 7) for _ in range(8)])
+    batch = codec.prepare_batch([augment(random_graph(rng, n), DET_CFG) for n in (3, 7, 5)])
+
+    def run(pair_mlp):
+        monkeypatch.setattr(codec, "_pair_mlp", pair_mlp)
+        enc, dec = copy.deepcopy(models)
+        z = codec.encode(batch, enc, train)
+        nl, el = codec.decode(z, batch.node_mask, dec, train)
+        loss = codec.recon_loss(nl, el, batch)
+        loss.backward()
+        grads = {k: p.grad for k, p in {**enc.params(), **dec.params()}.items()}
+        return (z.data, nl.data, el.data, loss.data), grads
+
+    outs, grads = run(codec._pair_mlp)
+    want_outs, want_grads = run(oracles.concat_pair_mlp)
+    for got, want in zip(outs, want_outs):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert grads.keys() == want_grads.keys()
+    for name, want in want_grads.items():
+        np.testing.assert_allclose(grads[name], want, rtol=0, atol=1e-10, err_msg=name)
 
 
 def test_decode_is_bit_identical_off_the_tape():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dgae.autodiff as ad
+from dgae import prior
 from dgae.autodiff import Tensor
 from dgae.prior import (
     IndexSequence,
@@ -362,18 +363,35 @@ def test_generate_sample_i_independent_of_batch_size():
         assert a["truncated"] == b["truncated"]
 
 
-def test_generate_matches_teacher_forcing():
+def test_generate_matches_teacher_forcing(monkeypatch):
     params = tiny_params(seed=24, num_blocks=2)
     rng = np.random.default_rng(25)
     books = rand_codebooks(rng, params.C, params.m, params.d_part)
-    out = generate(params, books, count=6, seed=13, collect_logits=True)
-    for rec in out:
+    # the sampler's logits, read where it calls prior._logits: one sample
+    # a call, so row 0 is that sample's (node, partition) step. They carry
+    # the structural masks but not the first-draw end-of-set
+    # renormalization, which the sampler applies afterwards in place
+    logits_fn = prior._logits
+    seen = []
+
+    def recording(*args):
+        logits = logits_fn(*args)
+        seen.append(logits.data[0, 0, 0].copy())
+        return logits
+
+    out = []
+    with monkeypatch.context() as mp:
+        mp.setattr(prior, "_logits", recording)
+        for seed in range(13, 19):
+            start = len(seen)
+            rec = generate(params, books, count=1, seed=seed)[0]
+            out.append((rec, seen[start:]))
+    for rec, steps in out:
         idx = rec["indices"]
         T = idx.shape[0]
         cw = np.stack([books[c][idx[:, c]] for c in range(params.C)], axis=1)
         batch = pack_sequences([IndexSequence(idx, cw)], params.n_max)
         tf = prior_logits(params, batch).data[0]
-        steps = rec["logits"]
         want = T * params.C + (0 if rec["truncated"] else 1)
         assert len(steps) == want
         for t in range(T):

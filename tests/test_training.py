@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dgae.autodiff import Tensor
-from dgae import codec, prior, quantize
+from dgae import autodiff as ad, codec, prior, quantize
 from dgae.training import (
     AdamState,
     AutoEncoderModel,
@@ -137,6 +137,20 @@ def test_clip_gradients_scales_to_max_norm():
     b.grad = np.zeros(4)
     clip_gradients({"a": a, "b": b}, max_norm=2.5)
     np.testing.assert_array_equal(a.grad, [0.1, 0.0, 0.0])
+
+
+def test_clip_gradients_scales_a_shared_gradient_once():
+    # add() hands one upstream gradient array to both operands, and the
+    # first gradient a tensor receives is kept without a copy
+    p = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+    q = Tensor(np.array([0.3, 0.0, 4.0]), requires_grad=True)
+    w = np.array([3.0, -1.0, 2.0])
+    ad.sum_(ad.mul(ad.add(p, q), Tensor(w))).backward()
+    assert p.grad is q.grad
+    norm = clip_gradients({"p": p, "q": q}, max_norm=0.5)
+    assert norm == pytest.approx(np.sqrt(2 * (w * w).sum()), rel=1e-15)
+    np.testing.assert_array_equal(p.grad, w * (0.5 / norm))
+    np.testing.assert_array_equal(q.grad, w * (0.5 / norm))
 
 
 def test_lr_decay_steps_at_interval():
