@@ -374,39 +374,6 @@ def relu(a):
     return _node(out_data, (a,), bw)
 
 
-def sigmoid(a):
-    a = _as_tensor(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data * (1.0 - out_data))
-
-    return _node(out_data, (a,), bw)
-
-
-def log(a):
-    a = _as_tensor(a)
-    out_data = np.log(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    return _node(out_data, (a,), bw)
-
-
-def exp(a):
-    a = _as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data)
-
-    return _node(out_data, (a,), bw)
-
-
 def softmax(a, axis=-1):
     a = _as_tensor(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)

@@ -221,9 +221,9 @@ def cmd_eval(args):
     ref, _ = load_dataset(args.ref)
     gen, _ = load_dataset(args.gen)
     cfg = resolve_config(args)
-    report = evaluation.mmd_report(ref, gen, cfg.mmd_sigma, cfg.clustering_bins)
     if _maybe_dry_run(args, cfg, [args.out]):
         return 0
+    report = evaluation.mmd_report(ref, gen, cfg.mmd_sigma, cfg.clustering_bins)
     evaluation.write_mmd_report(args.out, report)
     write_manifest(args, cfg, [args.out])
     print(f"mmd_degree={report['mmd_degree']:.6f} "

@@ -20,7 +20,7 @@ def primitive_grad_cases(rng):
     """(name, f, inputs) triples covering every differentiable primitive.
 
     Each f maps its Tensor list to a scalar; weights are kept away from
-    relu kinks and log/exp extremes so central differences are valid.
+    relu kinks so central differences are valid.
     """
     a34 = rng.normal(size=(3, 4))
     b34 = rng.normal(size=(3, 4))
@@ -57,9 +57,6 @@ def primitive_grad_cases(rng):
         ("mean_all", lambda xs: ad.mean(xs[0]), [t(a34)]),
         ("mean_axis", lambda xs: wsum(ad.mean(xs[0], axis=0)), [t(m234)]),
         ("relu", lambda xs: wsum(ad.relu(xs[0])), [t(a34 + 3.0)]),
-        ("sigmoid", lambda xs: wsum(ad.sigmoid(xs[0])), [t(a34)]),
-        ("log", lambda xs: wsum(ad.log(xs[0])), [t(np.abs(a34) + 0.5)]),
-        ("exp", lambda xs: wsum(ad.exp(xs[0])), [t(a34)]),
         ("softmax", lambda xs: wsum(ad.softmax(xs[0], axis=-1)), [t(a34)]),
         # small fill value: a -1e30 constant in the loss would swamp the
         # finite differences of every other coordinate

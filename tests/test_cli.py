@@ -162,6 +162,28 @@ def test_dry_run_prints_config_and_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "model.ckpt.manifest.json").exists()
 
 
+def test_eval_dry_run_computes_no_report(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "d.graphs"
+    run(["dataset", "gen", "--spec", "community-small", "--count", 4, "--out", data])
+    capsys.readouterr()
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("dry run computed the MMD report")
+
+    monkeypatch.setattr(cli.evaluation, "mmd_report", no_report)
+    out_path = tmp_path / "mmd.csv"
+    rc = run(["eval", "--ref", data, "--gen", data, "--out", out_path, "--dry-run"])
+    assert rc == 0
+    assert f"dry-run: would write {out_path}" in capsys.readouterr().out
+    assert not out_path.exists()
+    assert not (tmp_path / "mmd.csv.manifest.json").exists()
+    # the inputs are still read: a missing one is an error line, not a dry run
+    rc = run(["eval", "--ref", data, "--gen", tmp_path / "missing.graphs",
+              "--out", out_path, "--dry-run"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # dataset
 

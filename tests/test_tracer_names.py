@@ -10,7 +10,7 @@ import inspect
 import types
 from pathlib import Path
 
-from dgae import training
+from dgae import evaluation, training
 
 TRACER = Path(__file__).resolve().parents[1] / "dgaebench" / "tracer.py"
 
@@ -49,3 +49,16 @@ def test_generate_graphs_takes_step_times():
     # gave all six arguments by position
     params = list(inspect.signature(training.generate_graphs).parameters)
     assert params.index("step_times") == 5
+
+
+def test_eval_setup_can_reset_the_orbit_tables(monkeypatch):
+    # Eval.setup in dgaebench/run.py sets evaluation._ORBIT_TABLES to
+    # None, if it exists, and calls graphlet_orbit_tables() so that
+    # every set-up pays for building them; under another name the reset
+    # would be skipped without an error
+    assert hasattr(evaluation, "_ORBIT_TABLES")
+    assert inspect.isfunction(evaluation.graphlet_orbit_tables)
+    monkeypatch.setattr(evaluation, "_ORBIT_TABLES", None)
+    tables = evaluation.graphlet_orbit_tables()
+    assert tables is not None and evaluation._ORBIT_TABLES is tables
+    assert evaluation.graphlet_orbit_tables() is tables
