@@ -8,9 +8,10 @@ float32 arrays for speed, and runs inside no_grad(), which records no
 graph.
 
 Broadcasting is deliberately restricted: binary ops accept equal
-shapes, a python scalar, or a trailing-suffix shape (bias add). The one
-explicit broadcast op is pair_sum, which adds per-node rows to every
-node pair. This keeps every backward rule explicit and easy to audit.
+shapes, a python scalar, or a trailing-suffix shape (bias add). Rows
+move between a node table and a list of node pairs (a PairIndex) only
+through named ops: pair_gather, segment_sum, permute_rows and
+scatter_rows. This keeps every backward rule explicit and easy to audit.
 
 Gradients are never written in place. A tensor keeps the first gradient
 it receives as is, though the same array may be another tensor's
@@ -67,9 +68,6 @@ class Tensor:
         else:
             self.grad = self.grad + g
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar root, got shape %r" % (self.shape,))
@@ -97,23 +95,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __neg__(self):
-        return neg(self)
-
     def __sub__(self, other):
         return add(self, neg(_as_tensor(other)))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return slice_(self, key)
@@ -312,51 +301,112 @@ def affine(x, w, b):
     return _node(out_data, (x, w, b), bw)
 
 
-def pair_sum(a, c, e):
-    """out[b, i, j] = a[b, i] + c[b, j] + e[b, i, j] for a, c (B, n, d)
-    and e (B, n, n, d): per-node terms broadcast over every node pair.
+class PairIndex:
+    """A list of P pairs (i_k, j_k) of rows of an N-row node table,
+    sorted by i; the pairs with i_k = v form node v's segment, which
+    may be empty. t orders the pairs by j, stably, so in a symmetric
+    list, which holds (j, i) whenever it holds (i, j), t maps the row
+    of each pair (i, j) to the row of (j, i).
     """
-    a, c, e = _as_tensor(a), _as_tensor(c), _as_tensor(e)
-    B, n, d = a.shape
-    if c.shape != a.shape or e.shape != (B, n, n, d):
-        raise ShapeError(f"pair_sum needs (B, n, d) twice and (B, n, n, d): "
-                         f"{a.shape}, {c.shape}, {e.shape}")
-    out_data = e.data + a.data[:, :, None]
-    out_data += c.data[:, None]
+
+    def __init__(self, i, j, num_nodes):
+        self.i, self.j = np.asarray(i, np.int64), np.asarray(j, np.int64)
+        if np.any(np.diff(self.i) < 0):
+            raise ValueError("PairIndex rows must be sorted by i")
+        self.num_nodes, self.t = num_nodes, np.argsort(self.j, kind="stable")
+        self._by_i, self._by_j = self._segments(self.i), self._segments(self.j[self.t])
+
+    @staticmethod
+    def _segments(keys):
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        counts = np.diff(starts, append=len(keys))
+        rank = np.arange(len(keys)) - np.repeat(starts, counts)
+        return keys, rank, int(counts.max(initial=0))
+
+    def segment_sum(self, x, by_j=False):
+        """(N, ...) row sums of x (P, ...) by i or, for x in t order, by
+        j; a node with no pair sums to 0."""
+        keys, rank, width = self._by_j if by_j else self._by_i
+        out = np.zeros((self.num_nodes, width) + x.shape[1:], dtype=x.dtype)
+        out[keys, rank] = x
+        return out.sum(axis=1)
+
+
+def pair_gather(a, c, pairs, e=None):
+    """out[k] = a[i_k] + e[k] + c[j_k] for node rows a, c (N, d), a
+    PairIndex of P pairs and optional pair rows e (P, d): per-node terms
+    gathered to every listed pair.
+    """
+    a, c = _as_tensor(a), _as_tensor(c)
+    e = None if e is None else _as_tensor(e)
+    parents = (a, c) if e is None else (a, c, e)
+    shapes = [t.shape for t in parents]
+    want = [(pairs.num_nodes, a.shape[-1])] * 2 + [(len(pairs.i), a.shape[-1])]
+    if shapes != want[:len(shapes)]:
+        raise ShapeError(f"pair_gather needs (N, d), (N, d) and (P, d): {shapes} vs {want}")
+    out_data = a.data.take(pairs.i, axis=0)
+    if e is not None:
+        out_data += e.data
+    out_data += c.data.take(pairs.j, axis=0)
 
     def bw(g):
         if a.requires_grad:
-            a._accumulate(g.sum(axis=2))
+            a._accumulate(pairs.segment_sum(g))
         if c.requires_grad:
-            c._accumulate(g.sum(axis=1))
-        if e.requires_grad:
+            c._accumulate(pairs.segment_sum(g.take(pairs.t, axis=0), by_j=True))
+        if e is not None and e.requires_grad:
             e._accumulate(g)
 
-    return _node(out_data, (a, c, e), bw)
+    return _node(out_data, parents, bw)
 
 
-def sum_(a, axis=None):
+def segment_sum(x, pairs):
+    """out[v] = the sum of the pair rows x[k] with i_k = v: (N, ...)
+    from x (P, ...), 0 for a node with no pair."""
+    x = _as_tensor(x)
+
+    def bw(g):
+        if x.requires_grad:
+            x._accumulate(g.take(pairs.i, axis=0))
+
+    return _node(pairs.segment_sum(x.data), (x,), bw)
+
+
+def permute_rows(x, perm):
+    """out = x[perm] for a permutation perm of x's rows."""
+    x = _as_tensor(x)
+
+    def bw(g):
+        if x.requires_grad:
+            gx = np.empty_like(g)
+            gx[perm] = g
+            x._accumulate(gx)
+
+    return _node(x.data[perm], (x,), bw)
+
+
+def scatter_rows(x, rows, num_rows):
+    """(num_rows, ...) zeros with out[rows] = x, for distinct rows."""
+    x = _as_tensor(x)
+    out_data = np.zeros((num_rows,) + x.shape[1:], dtype=x.data.dtype)
+    out_data[rows] = x.data
+
+    def bw(g):
+        if x.requires_grad:
+            x._accumulate(g[rows])
+
+    return _node(out_data, (x,), bw)
+
+
+def sum_(a):
+    """The sum of all entries, as a scalar."""
     a = _as_tensor(a)
-    out_data = a.data.sum(axis=axis)
 
     def bw(g):
         if a.requires_grad:
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, a.shape).copy())
-            else:
-                a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
+            a._accumulate(np.broadcast_to(g, a.shape).copy())
 
-    return _node(out_data, (a,), bw)
-
-
-def mean(a, axis=None):
-    a = _as_tensor(a)
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = int(np.prod([a.shape[ax] for ax in axes]))
-    return mul(sum_(a, axis), 1.0 / count)
+    return _node(a.data.sum(), (a,), bw)
 
 
 def relu(a):
@@ -399,21 +449,6 @@ def masked_fill(a, mask, value):
             a._accumulate(np.where(mask, 0.0, g))
 
     return _node(out_data, (a,), bw)
-
-
-def embedding(table, idx):
-    """Row lookup: out[..., :] = table[idx[...], :]. Grad scatter-adds."""
-    table = _as_tensor(table)
-    idx = np.asarray(idx, dtype=np.int64)
-    out_data = table.data[idx]
-
-    def bw(g):
-        if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, idx, g)
-            table._accumulate(full)
-
-    return _node(out_data, (table,), bw)
 
 
 def straight_through(z_h, z_q):
@@ -502,11 +537,11 @@ def batchnorm(x, state, train, mask=None):
     """Batch normalization over rows of a 2-D tensor.
 
     In training mode the batch statistics are computed over rows where
-    `mask` is True (all rows if None); padding rows must be excluded by
-    the caller or they would pollute the statistics. Every row is
-    normalized with those statistics. Running buffers are updated in
-    place with momentum `state.momentum`. In eval mode the running
-    buffers are used and no state changes.
+    `mask` is True (all rows if None); padding rows must be left out,
+    by the mask or by not passing them, or they would pollute the
+    statistics. Every row is normalized with those statistics. Running
+    buffers are updated in place with momentum `state.momentum`. In
+    eval mode the running buffers are used and no state changes.
     """
     x = _as_tensor(x)
     if x.ndim != 2:
@@ -515,8 +550,8 @@ def batchnorm(x, state, train, mask=None):
 
     if not train:
         inv = 1.0 / np.sqrt(state.running_var + eps)
-        out_data = (x.data - state.running_mean) * inv * gamma.data + beta.data
         xhat = (x.data - state.running_mean) * inv
+        out_data = xhat * gamma.data + beta.data
 
         def bw_eval(g):
             if gamma.requires_grad:
@@ -528,16 +563,13 @@ def batchnorm(x, state, train, mask=None):
 
         return _node(out_data, (x, gamma, beta), bw_eval)
 
-    if mask is None:
-        sel = np.ones(x.shape[0], dtype=bool)
-    else:
-        sel = np.asarray(mask, dtype=bool)
-    m = int(sel.sum())
+    sel = None if mask is None else np.asarray(mask, dtype=bool)
+    m = x.shape[0] if sel is None else int(sel.sum())
     if m == 0:
         mu = np.zeros(x.shape[1])
         var = np.ones(x.shape[1])
     else:
-        rows = x.data[sel]
+        rows = x.data if sel is None else x.data[sel]
         mu = rows.mean(axis=0)
         var = ((rows - mu) ** 2).mean(axis=0)
         state.running_mean *= state.momentum
@@ -559,50 +591,10 @@ def batchnorm(x, state, train, mask=None):
                 x._accumulate(gx * inv)
             else:
                 # mu and var depend only on masked rows; all rows share them
-                dmu = -(gx * inv).sum(axis=0)
-                dvar = (gx * (x.data - mu)).sum(axis=0) * (-0.5) * inv ** 3
                 gi = gx * inv
-                corr = sel[:, None] * (dmu / m + dvar * 2.0 * (x.data - mu) / m)
-                x._accumulate(gi + corr)
+                dmu = -gi.sum(axis=0)
+                dvar = (gx * (x.data - mu)).sum(axis=0) * (-0.5) * inv ** 3
+                corr = dmu / m + dvar * 2.0 * (x.data - mu) / m
+                x._accumulate(gi + (corr if sel is None else sel[:, None] * corr))
 
     return _node(out_data, (x, gamma, beta), bw)
-
-
-def grad_check(f, inputs, eps=1e-5):
-    """Max relative error between backprop and central differences.
-
-    `f` maps the Tensor list to a scalar Tensor. Relative error per
-    coordinate is |analytic - fd| / max(|analytic|, |fd|, floor) with
-    floor = eps * (1 + |f|): below it a central difference is rounding
-    noise of f itself, so coordinates whose true gradient is exactly
-    zero would otherwise register spurious errors.
-    Non-finite values raise with the offending input and coordinate.
-    """
-    for t in inputs:
-        t.zero_grad()
-    out = f(inputs)
-    out.backward()
-    floor = eps * (1.0 + abs(float(out.data)))
-    analytic = []
-    for t in inputs:
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        analytic.append(g.copy())
-
-    worst = 0.0
-    for ti, t in enumerate(inputs):
-        flat = t.data.reshape(-1)
-        for ci in range(flat.size):
-            orig = flat[ci]
-            flat[ci] = orig + eps
-            hi = float(f(inputs).data)
-            flat[ci] = orig - eps
-            lo = float(f(inputs).data)
-            flat[ci] = orig
-            fd = (hi - lo) / (2.0 * eps)
-            an = analytic[ti].reshape(-1)[ci]
-            if not (np.isfinite(fd) and np.isfinite(an)):
-                raise FloatingPointError(
-                    f"non-finite gradient at input {ti} coord {ci}: analytic={an} fd={fd}")
-            rel = abs(an - fd) / max(abs(an), abs(fd), floor)
-            worst = max(worst, rel)
-    return worst

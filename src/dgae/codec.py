@@ -7,8 +7,12 @@ same style of network over the complete graph on the quantized
 embeddings and emits per-node category logits and per-pair edge
 logits, symmetrized by averaging with their transpose.
 
-Both directions operate on padded batches; batchnorm statistics are
-taken over valid slots only so padding never leaks into the model.
+Both directions take padded batches. Node states are (B*n, h) rows;
+edge states are (P, h) rows over one row-major list of the live pairs
+(b, i, j): the neighborhood pairs in the encoder, the valid pairs
+i != j in the decoder. No dead pair is ever computed, edge batchnorm
+averages over the listed pairs and node batchnorm over valid nodes,
+so padding never leaks into the model.
 """
 
 from __future__ import annotations
@@ -152,11 +156,25 @@ class GraphTensorBatch:
 
     @property
     def pair_mask(self):
-        m = self.node_mask
-        pm = m[:, :, None] & m[:, None, :]
-        idx = np.arange(m.shape[1])
-        pm[:, idx, idx] = False
-        return pm
+        return _valid_pairs(self.node_mask)
+
+
+def _valid_pairs(node_mask):
+    """(B, n, n) bool: the ordered pairs i != j of valid nodes."""
+    pm = node_mask[:, :, None] & node_mask[:, None, :]
+    idx = np.arange(node_mask.shape[1])
+    pm[:, idx, idx] = False
+    return pm
+
+
+def _pair_list(mask):
+    """The True entries of a (B, n, n) pair mask in row-major order: a
+    PairIndex over the B*n node rows, and their flat positions in mask.
+    """
+    n = mask.shape[1]
+    flat = np.flatnonzero(mask)
+    rows = flat // n  # b * n + i
+    return ad.PairIndex(rows, rows - rows % n + flat % n, mask.shape[0] * n), flat
 
 
 def prepare_batch(aug_graphs) -> GraphTensorBatch:
@@ -185,62 +203,54 @@ def prepare_batch(aug_graphs) -> GraphTensorBatch:
     return GraphTensorBatch(node_feats, edge_feats, neigh, mask, node_t, edge_t, sizes)
 
 
-def _pair_mlp(mlp, x, e):
-    """mlp([x_i, x_j, e_ij]) for every node pair: (B*n*n, out) rows.
+def _pair_mlp(mlp, x, e, pairs):
+    """mlp([x_i, x_j, e_ij]) for every listed pair: (P, out) rows.
 
-    x: Tensor (B, n, h); e: Tensor (B, n, n, h). The first layer's
-    (3h, w) weight splits by rows into W_i, W_j and W_e, so
-    [x_i, x_j, e] @ W = x_i @ W_i + x_j @ W_j + e @ W_e: the node terms
-    are computed on B*n rows, not B*n*n, and the wide input is never
-    built.
+    x: Tensor (B*n, h) node rows; e: Tensor (P, h), or None for an
+    all-zero edge state. The first layer's (3h, w) weight splits by
+    rows into W_i, W_j and W_e, so [x_i, x_j, e] @ W = x_i @ W_i +
+    x_j @ W_j + e @ W_e: the node terms are computed once per node and
+    gathered per pair, and the wide input is never built.
     """
-    B, n, h = x.shape
+    h = x.shape[1]
     first = mlp.layers[0]
     w = first.w
-    width = w.shape[1]
-    x2 = ad.reshape(x, (B * n, h))
-    a = ad.affine(x2, ad.slice_(w, slice(0, h)), first.b)
-    c = ad.matmul(x2, ad.slice_(w, slice(h, 2 * h)))
-    ee = ad.matmul(ad.reshape(e, (B * n * n, h)), ad.slice_(w, slice(2 * h, 3 * h)))
-    pre = ad.pair_sum(ad.reshape(a, (B, n, width)), ad.reshape(c, (B, n, width)),
-                      ad.reshape(ee, (B, n, n, width)))
-    return mlp.after_first(ad.reshape(pre, (B * n * n, width)))
+    a = ad.affine(x, ad.slice_(w, slice(0, h)), first.b)
+    c = ad.matmul(x, ad.slice_(w, slice(h, 2 * h)))
+    if e is not None:
+        e = ad.matmul(e, ad.slice_(w, slice(2 * h, 3 * h)))
+    return mlp.after_first(ad.pair_gather(a, c, pairs, e))
 
 
-def _mpnn_rounds(x, e, layers, neigh, node_mask, train):
+def _mpnn_rounds(x, e, layers, pairs, node_mask, train):
     """Shared message-passing stack for encoder and decoder.
 
-    x: Tensor (B, n, h); e: Tensor (B, n, n, h); neigh/node_mask numpy
-    bool. Returns final (x, e).
+    x: Tensor (B*n, h) node rows; e: Tensor (P, h) over the pairs of
+    the PairIndex `pairs`, or None for an all-zero start; node_mask:
+    (B*n,) bool. Returns final (x, e).
     """
-    B, n, h = x.shape
-    pair_rows = neigh.reshape(-1)
-    node_rows = node_mask.reshape(-1)
-    neigh_f = neigh[:, :, :, None].astype(np.float64)
     for layer in layers:
-        e_new = batchnorm(_pair_mlp(layer.f_edge, x, e), layer.bn_e, train, mask=pair_rows)
-        e = ad.reshape(e_new, (B, n, n, h))
-
+        e = batchnorm(_pair_mlp(layer.f_edge, x, e, pairs), layer.bn_e, train)
         # node messages read the updated edge states
-        m = ad.reshape(_pair_mlp(layer.f_node, x, e), (B, n, n, h))
-        m = ad.mul(m, Tensor(np.broadcast_to(neigh_f, (B, n, n, h))))
-        agg = ad.sum_(m, axis=2)
-        x_new = ad.reshape(x + agg, (B * n, h))
-        x = ad.reshape(batchnorm(x_new, layer.bn_x, train, mask=node_rows), (B, n, h))
+        m = _pair_mlp(layer.f_node, x, e, pairs)
+        x = batchnorm(x + ad.segment_sum(m, pairs), layer.bn_x, train, mask=node_mask)
     return x, e
 
 
 def encode(batch: GraphTensorBatch, enc: EncoderParams, train: bool) -> Tensor:
-    """Embed each graph's nodes: (B, n, d_latent). Padded slots are
-    computed but carry no meaning; mask with batch.node_mask.
+    """Embed each graph's nodes: (B, n, d_latent).
+
+    Messages run along the neighborhood pairs only. Padded node slots
+    receive none; their rows are computed but carry no meaning, so
+    mask with batch.node_mask.
     """
     B, n, fn = batch.node_feats.shape
-    h = enc.state_width
-    x = ad.reshape(enc.node_in(Tensor(batch.node_feats.reshape(B * n, fn))), (B, n, h))
     fe = batch.edge_feats.shape[-1]
-    e = ad.reshape(enc.edge_in(Tensor(batch.edge_feats.reshape(B * n * n, fe))), (B, n, n, h))
-    x, _ = _mpnn_rounds(x, e, enc.layers, batch.neighborhood, batch.node_mask, train)
-    z = enc.out(ad.reshape(x, (B * n, h)))
+    pairs, flat = _pair_list(batch.neighborhood)
+    x = enc.node_in(Tensor(batch.node_feats.reshape(B * n, fn)))
+    e = enc.edge_in(Tensor(batch.edge_feats.reshape(B * n * n, fe)[flat]))
+    x, _ = _mpnn_rounds(x, e, enc.layers, pairs, batch.node_mask.reshape(-1), train)
+    z = enc.out(x)
     return ad.reshape(z, (B, n, z.shape[-1]))
 
 
@@ -248,26 +258,22 @@ def decode(z, node_mask, dec: DecoderParams, train: bool):
     """Reconstruct logits from node embeddings over the complete graph.
 
     z: Tensor or ndarray (B, n, d_latent). Returns (node_logits
-    (B, n, R), edge_logits (B, n, n, S)); edge logits are exactly
-    symmetric. A 1-node graph simply has no valid pairs.
+    (B, n, R), edge_logits (B, n, n, S)). Edge logits are computed on
+    the valid pairs i != j only and are exactly symmetric; on the
+    diagonal and on padding they are exactly 0. A 1-node graph simply
+    has no pairs.
     """
     if not isinstance(z, Tensor):
         z = Tensor(np.asarray(z, dtype=np.float64))
     B, n, d = z.shape
-    h = dec.state_width
-    pair_mask = node_mask[:, :, None] & node_mask[:, None, :]
-    idx = np.arange(n)
-    pair_mask = pair_mask.copy()
-    pair_mask[:, idx, idx] = False
+    pairs, flat = _pair_list(_valid_pairs(node_mask))
+    x = dec.in_proj(ad.reshape(z, (B * n, d)))
+    x, e = _mpnn_rounds(x, None, dec.layers, pairs, node_mask.reshape(-1), train)
 
-    x = ad.reshape(dec.in_proj(ad.reshape(z, (B * n, d))), (B, n, h))
-    e = Tensor(np.zeros((B, n, n, h)))
-    x, e = _mpnn_rounds(x, e, dec.layers, pair_mask, node_mask, train)
-
-    node_logits = ad.reshape(dec.node_out(ad.reshape(x, (B * n, h))), (B, n, -1))
-    edge_flat = dec.edge_out(ad.reshape(e, (B * n * n, h)))
-    edge_logits = ad.reshape(edge_flat, (B, n, n, -1))
-    edge_logits = ad.mul(edge_logits + ad.transpose(edge_logits, (0, 2, 1, 3)), 0.5)
+    node_logits = ad.reshape(dec.node_out(x), (B, n, -1))
+    el = dec.edge_out(e)
+    el = ad.mul(el + ad.permute_rows(el, pairs.t), 0.5)
+    edge_logits = ad.reshape(ad.scatter_rows(el, flat, B * n * n), (B, n, n, -1))
     return node_logits, edge_logits
 
 

@@ -1,8 +1,9 @@
 """Brute-force reference implementations used to validate the library.
 
-Everything here is deliberately slow and simple: exhaustive enumeration
-or explicit double loops, no shared code with src/. Closed-form results
-in the package are checked against these.
+Everything here is deliberately slow and simple: exhaustive enumeration,
+explicit double loops or dense forms, and no code shared with src/
+beyond the autodiff primitives and the model's parameter objects.
+Closed-form results in the package are checked against these.
 """
 
 import itertools
@@ -11,6 +12,7 @@ import numpy as np
 from scipy.stats import wasserstein_distance
 
 from dgae import autodiff as ad
+from dgae.autodiff import Tensor, batchnorm
 from dgae.graphs import new_graph
 
 
@@ -259,16 +261,106 @@ def mmd_double_sum(hists_a, hists_b, sigma=1.0, bin_width=1.0):
     return kaa + kbb - 2.0 * kab
 
 
-def concat_pair_mlp(mlp, x, e):
+def grad_check(f, inputs, eps=1e-5):
+    """Max relative error between backprop and central differences.
+
+    `f` maps the Tensor list to a scalar Tensor. Relative error per
+    coordinate is |analytic - fd| / max(|analytic|, |fd|, floor) with
+    floor = eps * (1 + |f|): below it a central difference is rounding
+    noise of f itself, so coordinates whose true gradient is exactly
+    zero would otherwise register spurious errors.
+    Non-finite values raise with the offending input and coordinate.
+    """
+    for t in inputs:
+        t.grad = None
+    out = f(inputs)
+    out.backward()
+    floor = eps * (1.0 + abs(float(out.data)))
+    analytic = []
+    for t in inputs:
+        g = t.grad if t.grad is not None else np.zeros_like(t.data)
+        analytic.append(g.copy())
+
+    worst = 0.0
+    for ti, t in enumerate(inputs):
+        flat = t.data.reshape(-1)
+        for ci in range(flat.size):
+            orig = flat[ci]
+            flat[ci] = orig + eps
+            hi = float(f(inputs).data)
+            flat[ci] = orig - eps
+            lo = float(f(inputs).data)
+            flat[ci] = orig
+            fd = (hi - lo) / (2.0 * eps)
+            an = analytic[ti].reshape(-1)[ci]
+            if not (np.isfinite(fd) and np.isfinite(an)):
+                raise FloatingPointError(
+                    f"non-finite gradient at input {ti} coord {ci}: analytic={an} fd={fd}")
+            rel = abs(an - fd) / max(abs(an), abs(fd), floor)
+            worst = max(worst, rel)
+    return worst
+
+
+def _concat_pair_mlp(mlp, x, e):
     """mlp([x_i, x_j, e_ij]) for every node pair, (B*n*n, out) rows, in
-    the unfactorised form: x_i and x_j are gathered into (B, n, n, h)
-    tensors and concatenated with e into one 3h-wide input.
+    the unfactorised form: x_i and x_j are gathered by one-hot selection
+    matrices and concatenated with e into one 3h-wide input.
 
     x: Tensor (B, n, h); e: Tensor (B, n, n, h).
     """
     B, n, h = x.shape
     rows = np.arange(B * n).reshape(B, n)
+    eye = np.eye(B * n)
     xf = ad.reshape(x, (B * n, h))
-    xi = ad.embedding(xf, np.broadcast_to(rows[:, :, None], (B, n, n)))
-    xj = ad.embedding(xf, np.broadcast_to(rows[:, None, :], (B, n, n)))
-    return mlp(ad.reshape(ad.concat([xi, xj, e], 3), (B * n * n, 3 * h)))
+    xi = ad.matmul(Tensor(eye[np.repeat(rows.reshape(-1), n)]), xf)
+    xj = ad.matmul(Tensor(eye[np.repeat(rows, n, axis=0).reshape(-1)]), xf)
+    return mlp(ad.concat([xi, xj, ad.reshape(e, (B * n * n, h))], 1))
+
+
+def _dense_mpnn_rounds(x, e, layers, neigh, node_mask, train):
+    """The message-passing rounds over every node pair of a padded
+    batch: dead pairs are computed, their messages zeroed, and both
+    batchnorms take their statistics over live rows only.
+
+    x: Tensor (B, n, h); e: Tensor (B, n, n, h); neigh (B, n, n) and
+    node_mask (B, n) bool.
+    """
+    B, n, h = x.shape
+    neigh_f = Tensor(np.repeat(neigh.reshape(-1, 1), h, axis=1).astype(np.float64))
+    summing = Tensor(np.repeat(np.eye(B * n), n, axis=1))  # node row <- its n pair rows
+    for layer in layers:
+        e_new = batchnorm(_concat_pair_mlp(layer.f_edge, x, e), layer.bn_e, train,
+                          mask=neigh.reshape(-1))
+        e = ad.reshape(e_new, (B, n, n, h))
+        m = ad.mul(_concat_pair_mlp(layer.f_node, x, e), neigh_f)
+        x_new = ad.reshape(x, (B * n, h)) + ad.matmul(summing, m)
+        x = ad.reshape(batchnorm(x_new, layer.bn_x, train, mask=node_mask.reshape(-1)),
+                       (B, n, h))
+    return x, e
+
+
+def dense_encode(batch, enc, train):
+    """codec.encode over all B*n*n pair rows: (B, n, d_latent)."""
+    B, n, fn = batch.node_feats.shape
+    h = enc.state_width
+    fe = batch.edge_feats.shape[-1]
+    x = ad.reshape(enc.node_in(Tensor(batch.node_feats.reshape(B * n, fn))), (B, n, h))
+    e = ad.reshape(enc.edge_in(Tensor(batch.edge_feats.reshape(B * n * n, fe))),
+                   (B, n, n, h))
+    x, _ = _dense_mpnn_rounds(x, e, enc.layers, batch.neighborhood, batch.node_mask, train)
+    return ad.reshape(enc.out(ad.reshape(x, (B * n, h))), (B, n, -1))
+
+
+def dense_decode(z, node_mask, dec, train):
+    """codec.decode over all B*n*n pair rows, from an all-zero edge
+    state; edge logits off the valid pairs i != j carry no meaning.
+    """
+    B, n, d = z.shape
+    h = dec.state_width
+    live = node_mask[:, :, None] & node_mask[:, None, :] & ~np.eye(n, dtype=bool)
+    x = ad.reshape(dec.in_proj(ad.reshape(z, (B * n, d))), (B, n, h))
+    x, e = _dense_mpnn_rounds(x, Tensor(np.zeros((B, n, n, h))), dec.layers, live,
+                              node_mask, train)
+    node_logits = ad.reshape(dec.node_out(ad.reshape(x, (B * n, h))), (B, n, -1))
+    el = ad.reshape(dec.edge_out(ad.reshape(e, (B * n * n, h))), (B, n, n, -1))
+    return node_logits, ad.mul(el + ad.transpose(el, (0, 2, 1, 3)), 0.5)
