@@ -6,9 +6,9 @@ from .graphs import (Graph, DatasetSpec, build_dataset, gen_community_small,
                      load_dataset, new_graph, permute, save_dataset)
 from .features import (FeatureConfig, augment, cycle_counts, path_features,
                        random_features, spectral_features)
-from .training import (AutoEncoderModel, ModelConfig, PriorModel,
-                       load_checkpoint, save_checkpoint, train_autoencoder,
-                       train_prior)
+from .prior import PriorParams
+from .training import (AutoEncoderModel, ModelConfig, load_checkpoint,
+                       save_checkpoint, train_autoencoder, train_prior)
 
 __version__ = "0.1.0"
 
@@ -17,6 +17,6 @@ __all__ = [
     "load_dataset", "new_graph", "permute", "save_dataset", "FeatureConfig",
     "augment", "cycle_counts", "path_features", "random_features",
     "spectral_features",
-    "AutoEncoderModel", "ModelConfig", "PriorModel", "load_checkpoint",
+    "AutoEncoderModel", "ModelConfig", "PriorParams", "load_checkpoint",
     "save_checkpoint", "train_autoencoder", "train_prior", "__version__",
 ]

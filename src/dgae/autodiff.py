@@ -541,31 +541,21 @@ def batchnorm(x, state, train, mask=None):
     by the mask or by not passing them, or they would pollute the
     statistics. Every row is normalized with those statistics. Running
     buffers are updated in place with momentum `state.momentum`. In
-    eval mode the running buffers are used and no state changes.
+    eval mode the running buffers are the statistics, no state changes,
+    and the backward treats them as constants, as it does the default
+    statistics of an all-masked training batch.
     """
     x = _as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"batchnorm expects 2-D input, got {x.shape}")
     gamma, beta, eps = state.gamma, state.beta, state.eps
 
-    if not train:
-        inv = 1.0 / np.sqrt(state.running_var + eps)
-        xhat = (x.data - state.running_mean) * inv
-        out_data = xhat * gamma.data + beta.data
-
-        def bw_eval(g):
-            if gamma.requires_grad:
-                gamma._accumulate((g * xhat).sum(axis=0))
-            if beta.requires_grad:
-                beta._accumulate(g.sum(axis=0))
-            if x.requires_grad:
-                x._accumulate(g * gamma.data * inv)
-
-        return _node(out_data, (x, gamma, beta), bw_eval)
-
     sel = None if mask is None else np.asarray(mask, dtype=bool)
-    m = x.shape[0] if sel is None else int(sel.sum())
-    if m == 0:
+    # m counts the rows the statistics depend on: none in eval mode
+    m = (x.shape[0] if sel is None else int(sel.sum())) if train else 0
+    if not train:
+        mu, var = state.running_mean, state.running_var
+    elif m == 0:
         mu = np.zeros(x.shape[1])
         var = np.ones(x.shape[1])
     else:
@@ -587,14 +577,13 @@ def batchnorm(x, state, train, mask=None):
             beta._accumulate(g.sum(axis=0))
         if x.requires_grad:
             gx = g * gamma.data
-            if m == 0:
-                x._accumulate(gx * inv)
-            else:
+            gi = gx * inv
+            if m > 0:
                 # mu and var depend only on masked rows; all rows share them
-                gi = gx * inv
                 dmu = -gi.sum(axis=0)
                 dvar = (gx * (x.data - mu)).sum(axis=0) * (-0.5) * inv ** 3
                 corr = dmu / m + dvar * 2.0 * (x.data - mu) / m
-                x._accumulate(gi + (corr if sel is None else sel[:, None] * corr))
+                gi = gi + (corr if sel is None else sel[:, None] * corr)
+            x._accumulate(gi)
 
     return _node(out_data, (x, gamma, beta), bw)

@@ -108,13 +108,13 @@ def _load_models(path, need_prior):
     rng = np.random.default_rng(0)  # weights are overwritten by the load
     model = training.AutoEncoderModel(cfg, rng)
     training.load_ae_state(model, tensors, meta)
-    pmodel = None
+    pparams = None
     if need_prior:
         if meta.get("kind") != "full":
             raise ValueError(f"{path}: checkpoint has no prior; run train-prior first")
-        pmodel = training.PriorModel(cfg, rng)
-        training.load_prior_state(pmodel, tensors)
-    return cfg, model, pmodel, meta
+        pparams = training.init_prior(cfg, rng)
+        training.load_prior_state(pparams, tensors)
+    return cfg, model, pparams, meta
 
 
 def _sync_data_config(cfg: ModelConfig, graphs, header):
@@ -190,10 +190,10 @@ def cmd_train_prior(args):
         + ([args.cache] if args.cache else [])
     if _maybe_dry_run(args, cfg, outputs):
         return 0
-    pmodel, info = training.train_prior(model, graphs, cfg, metrics_path=args.metrics,
-                                        log=print if args.verbose else None,
-                                        cache_path=args.cache)
-    training.save_checkpoint(args.out, cfg, training.full_state_arrays(model, pmodel),
+    pparams, info = training.train_prior(model, graphs, cfg, metrics_path=args.metrics,
+                                         log=print if args.verbose else None,
+                                         cache_path=args.cache)
+    training.save_checkpoint(args.out, cfg, training.full_state_arrays(model, pparams),
                              info["step"], rng_state=info["rng_state"],
                              extra={"kind": "full", "cb_initialized": True})
     write_manifest(args, cfg, outputs)
@@ -203,10 +203,10 @@ def cmd_train_prior(args):
 
 
 def cmd_generate(args):
-    cfg, model, pmodel, _ = _load_models(args.ckpt, need_prior=True)
+    cfg, model, pparams, _ = _load_models(args.ckpt, need_prior=True)
     if _maybe_dry_run(args, cfg, [args.out]):
         return 0
-    graphs, info = training.generate_graphs(model, pmodel, cfg, args.count, args.seed)
+    graphs, info = training.generate_graphs(model, pparams, cfg, args.count, args.seed)
     save_dataset(args.out, graphs)
     write_manifest(args, cfg, [args.out],
                    {"count": args.count, "seed": args.seed,

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor, batchnorm
-from .features import AugmentedGraph
 from .graphs import Graph
 
 
@@ -72,7 +71,7 @@ def _bn_entries(prefix, bn):
 
 
 class GnnLayer:
-    """One round: e' = bn(f_edge([x_i, x_j, e])), x' = bn(x + sum_j f_node([x_i, x_j, e]))."""
+    """One round: e' = bn(f_edge([x_i, x_j, e])), x' = bn(x + sum_j f_node([x_i, x_j, e']))."""
 
     def __init__(self, rng, state_width, mlp_hidden):
         h, w = state_width, mlp_hidden
@@ -327,9 +326,3 @@ def sample_graph(node_logits, edge_logits) -> Graph:
     g.validate()
     return g
 
-
-def encode_graph(ag: AugmentedGraph, enc: EncoderParams, train=False):
-    """Single-graph convenience: (n, d_latent) numpy embedding."""
-    batch = prepare_batch([ag])
-    z = encode(batch, enc, train)
-    return z.data[0, :ag.n]

@@ -307,10 +307,10 @@ def ablation_codebook_report(graphs, base_cfg, out_path=None, grid=None,
                    "edge_err": hist[-1]["edge_err"],
                    "perplexity": hist[-1].get("perplexity", float("nan"))}
             if with_prior:
-                pmodel, _ = training.train_prior(model, graphs, cfg)
+                pparams, _ = training.train_prior(model, graphs, cfg)
                 _, val_idx = training.split_dataset(len(graphs), cfg)
                 ref = [graphs[i] for i in val_idx]
-                gen, _ = training.generate_graphs(model, pmodel, cfg, len(ref),
+                gen, _ = training.generate_graphs(model, pparams, cfg, len(ref),
                                                   seed=cfg.seed + 7000)
                 rep = mmd_report(ref, gen, cfg.mmd_sigma, cfg.clustering_bins)
                 row["mmd_avg"] = rep["mmd_avg"]

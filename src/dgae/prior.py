@@ -23,6 +23,7 @@ exactly as the teacher-forced causal mask does.
 
 from __future__ import annotations
 
+import os
 import struct
 import time
 from dataclasses import dataclass
@@ -383,9 +384,7 @@ def generate(params: PriorParams, codebooks, count, seed, step_times=None):
             logits = _logits(params, x, (c,), prev_k0).data[:, 0, 0]
             if c == 0 and t == 0:
                 logits[:, m] = MASK_VALUE  # every set has at least one node
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            p = np.exp(shifted)
-            p /= p.sum(axis=1, keepdims=True)
+            p = ad.softmax(logits, axis=1).data
             cdf = np.cumsum(p, axis=1)
             # inverse CDF, clamped to the last class with nonzero mass
             # in case rounding leaves the cdf's end below u
@@ -441,11 +440,12 @@ def _write_varint(f, value):
 
 def read_exact(f, size, path, field):
     """`size` bytes of the binary file `f`, or a ValueError naming the
-    file and the field it ends in when it is shorter."""
-    data = f.read(size)
-    if len(data) != size:
-        raise ValueError(f"{path}: truncated at {field}")
-    return data
+    file and the field when fewer are left, so a corrupt size field
+    fails before anything is read."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if size > left:
+        raise ValueError(f"{path}: truncated at {field} ({size} bytes wanted, {left} left)")
+    return f.read(size)
 
 
 def _read_varint(f, path, field):

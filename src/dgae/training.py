@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -194,18 +195,10 @@ class AutoEncoderModel:
         return out
 
 
-class PriorModel:
-    def __init__(self, cfg: ModelConfig, rng):
-        self.cfg = cfg
-        self.params_ = prior.PriorParams(rng, cfg.d_latent, cfg.partitions, cfg.codebook_size,
-                                         cfg.d_model, cfg.heads, cfg.blocks, cfg.n_max,
-                                         cfg.ffn_layers)
-
-    def params(self):
-        return self.params_.params()
-
-    def state_arrays(self):
-        return {name: t.data for name, t in self.params().items()}
+def init_prior(cfg: ModelConfig, rng) -> prior.PriorParams:
+    """Freshly initialized prior parameters for cfg."""
+    return prior.PriorParams(rng, cfg.d_latent, cfg.partitions, cfg.codebook_size,
+                             cfg.d_model, cfg.heads, cfg.blocks, cfg.n_max, cfg.ffn_layers)
 
 
 def _load_state(arrays, tensors, what):
@@ -226,9 +219,9 @@ def load_ae_state(model: AutoEncoderModel, tensors, meta):
     model.codebooks.initialized = bool(meta.get("cb_initialized", False))
 
 
-def load_prior_state(model: PriorModel, tensors):
-    _load_state(model.state_arrays(), {k: v for k, v in tensors.items()
-                                       if k.startswith("prior.")}, "prior")
+def load_prior_state(pparams: prior.PriorParams, tensors):
+    _load_state({name: t.data for name, t in pparams.params().items()},
+                {k: v for k, v in tensors.items() if k.startswith("prior.")}, "prior")
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +285,7 @@ def load_checkpoint(path):
                 raise ValueError(f"{path}: {field} has unknown dtype code {code}")
             shape = struct.unpack(f"<{rank}I", read_exact(f, 4 * rank, path, field))
             dtype = np.dtype(_DTYPES[code])
-            nbytes = int(np.prod(shape)) * dtype.itemsize if rank else dtype.itemsize
+            nbytes = math.prod(shape) * dtype.itemsize
             data = read_exact(f, nbytes, path, field)
             tensors[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
         if f.read(1):
@@ -357,6 +350,16 @@ def _lr_at(cfg: ModelConfig, step):
     return cfg.lr * (cfg.lr_decay ** (step // cfg.decay_interval))
 
 
+def _optimizer_step(loss, params, adam: AdamState, cfg: ModelConfig, step):
+    """Backpropagate a finite loss, clip the gradients to cfg.clip_norm
+    and take one Adam step at the step's learning rate."""
+    if not np.isfinite(loss.data):
+        raise TrainingDiverged(f"non-finite loss at step {step}")
+    loss.backward()
+    clip_gradients(params, cfg.clip_norm)
+    adam_step(params, adam, _lr_at(cfg, step))
+
+
 # ---------------------------------------------------------------------------
 # data plumbing
 
@@ -408,13 +411,25 @@ class MetricsWriter:
 # ---------------------------------------------------------------------------
 # stage 1: auto-encoder
 
-def _quantized_latent(model: AutoEncoderModel, z):
-    """Quantize encoder output; returns (indices, words, st_tensor)."""
+def _ae_pass(model: AutoEncoderModel, batch, train):
+    """Encode, quantize once the codebooks exist (straight-through,
+    with the commitment loss), decode and score one batch.
+
+    Returns (recon, commit, idx, z_parts, (node_logits, edge_logits));
+    commit, the code indices idx and the partitioned encoder output
+    z_parts are None while the codebooks are unset.
+    """
+    z = codec.encode(batch, model.encoder, train=train)
+    latent, commit, idx, z_parts = z, None, None, None
     cbs = model.codebooks
-    z_parts = quantize.partition(z.data, cbs.C)
-    idx, words = quantize.quantize(z_parts, cbs)
-    st = straight_through(z, Tensor(quantize.unpartition(words)))
-    return idx, words, st
+    if cbs.initialized:
+        z_parts = quantize.partition(z.data, cbs.C)
+        idx, words = quantize.quantize(z_parts, cbs)
+        latent = straight_through(z, Tensor(quantize.unpartition(words)))
+        commit = quantize.commitment_loss(quantize.partition(z, cbs.C), words,
+                                          mask=batch.node_mask)
+    logits = codec.decode(latent, batch.node_mask, model.decoder, train=train)
+    return codec.recon_loss(*logits, batch), commit, idx, z_parts, logits
 
 
 @ad.no_grad()
@@ -447,41 +462,37 @@ def _collect_embeddings(model: AutoEncoderModel, aug_train, cfg: ModelConfig):
 
 @ad.no_grad()
 def evaluate_autoencoder(model: AutoEncoderModel, aug_val, cfg: ModelConfig):
-    """Holdout metrics in eval mode; quantized path once codebooks exist."""
+    """Holdout metrics in eval mode; quantized path once codebooks exist.
+
+    Each metric pools over the whole holdout set, so none depends on
+    cfg.batch_size: loss_recon averages over graphs, loss_commit over
+    valid node x partition slots, node_err over valid nodes and
+    edge_err over ordered pairs i != j.
+    """
     if not aug_val:
         return {}
-    losses, commits, n_errs, e_errs = [], [], [], []
+    recon_sum = commit_sum = node_errs = pair_errs = nodes = pairs = 0
     hist = {}
     for chunk in _batches(np.arange(len(aug_val)), cfg.batch_size):
         batch = codec.prepare_batch([aug_val[i] for i in chunk])
-        z = codec.encode(batch, model.encoder, train=False)
-        if model.codebooks.initialized:
-            idx, words, st = _quantized_latent(model, z)
-            valid_idx = idx[batch.node_mask]
-            for key, cnt in quantize.tuple_histogram(valid_idx, cfg.partitions).items():
+        recon, commit, idx, _, logits = _ae_pass(model, batch, train=False)
+        recon_sum += float(recon.data) * len(chunk)
+        # a batch's rates times their denominators are counts, which pool
+        b_nodes = int(batch.sizes.sum())
+        b_pairs = int((batch.sizes * (batch.sizes - 1)).sum())
+        ne, ee = codec.error_rates(*logits, batch)
+        node_errs, nodes = node_errs + ne * b_nodes, nodes + b_nodes
+        pair_errs, pairs = pair_errs + ee * b_pairs, pairs + b_pairs
+        if commit is not None:
+            commit_sum += float(commit.data) * b_nodes * cfg.partitions
+            for key, cnt in quantize.tuple_histogram(idx[batch.node_mask],
+                                                     cfg.partitions).items():
                 hist[key] = hist.get(key, 0) + cnt
-            commit = quantize.commitment_loss(
-                quantize.partition(z, cfg.partitions), words,
-                mask=batch.node_mask)
-            commits.append(float(commit.data))
-            latent = st
-        else:
-            latent = z
-        node_logits, edge_logits = codec.decode(latent, batch.node_mask, model.decoder,
-                                                train=False)
-        losses.append(float(codec.recon_loss(node_logits, edge_logits, batch).data)
-                      * len(chunk))
-        ne, ee = codec.error_rates(node_logits, edge_logits, batch)
-        n_errs.append(ne * len(chunk))
-        e_errs.append(ee * len(chunk))
-    n = len(aug_val)
-    out = {"loss_recon": sum(losses) / n, "node_err": sum(n_errs) / n,
-           "edge_err": sum(e_errs) / n}
-    if commits:
-        out["loss_commit"] = sum(commits) / len(commits)
+    out = {"loss_recon": recon_sum / len(aug_val), "node_err": node_errs / nodes,
+           "edge_err": pair_errs / max(pairs, 1)}
     if hist:
-        M = cfg.codebook_size ** cfg.partitions
-        out["perplexity"] = quantize.perplexity(hist, M)
+        out["loss_commit"] = commit_sum / (nodes * cfg.partitions)
+        out["perplexity"] = quantize.perplexity(hist, cfg.codebook_size ** cfg.partitions)
     return out
 
 
@@ -506,42 +517,27 @@ def train_autoencoder(graphs, cfg: ModelConfig, metrics_path=None, log=None):
     adam = AdamState(params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     writer = MetricsWriter(metrics_path)
 
+    def seed_codebooks():
+        if not model.codebooks.initialized and step >= cfg.t_init:
+            samples = _collect_embeddings(model, aug_train, cfg)
+            quantize.init_codebooks(model.codebooks, samples, kmeans_rng)
+
     history = []
     step = 0
     try:
         for epoch in range(cfg.epochs_ae):
             order = shuffle_rng.permutation(len(aug_train))
             for chunk in _batches(order, cfg.batch_size):
-                if not model.codebooks.initialized and step >= cfg.t_init:
-                    samples = _collect_embeddings(model, aug_train, cfg)
-                    quantize.init_codebooks(model.codebooks, samples, kmeans_rng)
+                seed_codebooks()
                 batch = codec.prepare_batch([aug_train[i] for i in chunk])
-                z = codec.encode(batch, model.encoder, train=True)
-                if model.codebooks.initialized:
-                    cbs = model.codebooks
-                    z_parts_np = quantize.partition(z.data, cbs.C)
-                    idx, words = quantize.quantize(z_parts_np, cbs)
-                    latent = straight_through(z, Tensor(quantize.unpartition(words)))
-                    commit = quantize.commitment_loss(
-                        quantize.partition(z, cbs.C), words, mask=batch.node_mask)
-                else:
-                    latent, commit = z, None
-                node_logits, edge_logits = codec.decode(latent, batch.node_mask,
-                                                        model.decoder, train=True)
-                recon = codec.recon_loss(node_logits, edge_logits, batch)
+                recon, commit, idx, z_parts, _ = _ae_pass(model, batch, train=True)
                 loss = recon if commit is None else recon + cfg.gamma * cfg.beta * commit
-                if not np.isfinite(loss.data):
-                    raise TrainingDiverged(f"non-finite loss at step {step}")
-                loss.backward()
-                clip_gradients(params, cfg.clip_norm)
-                adam_step(params, adam, _lr_at(cfg, step))
-                if model.codebooks.initialized:
-                    quantize.ema_update(model.codebooks, z_parts_np[batch.node_mask],
+                _optimizer_step(loss, params, adam, cfg, step)
+                if commit is not None:
+                    quantize.ema_update(model.codebooks, z_parts[batch.node_mask],
                                         idx[batch.node_mask])
                 step += 1
-            metrics = evaluate_autoencoder(model, aug_val, cfg)
-            metrics["epoch"] = epoch
-            metrics["step"] = step
+            metrics = {**evaluate_autoencoder(model, aug_val, cfg), "epoch": epoch, "step": step}
             history.append(metrics)
             writer.row(step, loss_recon=metrics.get("loss_recon"),
                        loss_commit=metrics.get("loss_commit"),
@@ -552,9 +548,8 @@ def train_autoencoder(graphs, cfg: ModelConfig, metrics_path=None, log=None):
                     f"{k}={v:.5f}" for k, v in metrics.items() if k not in ("epoch", "step")))
     finally:
         writer.close()
-    if not model.codebooks.initialized and cfg.epochs_ae > 0 and step >= cfg.t_init:
-        samples = _collect_embeddings(model, aug_train, cfg)
-        quantize.init_codebooks(model.codebooks, samples, kmeans_rng)
+    if cfg.epochs_ae > 0:
+        seed_codebooks()
     rng_state = shuffle_rng.bit_generator.state
     return model, {"history": history, "step": step, "rng_state": rng_state}
 
@@ -581,7 +576,7 @@ def encode_sequences(model: AutoEncoderModel, aug_graphs, cfg: ModelConfig):
 
 def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
                 metrics_path=None, log=None, cache_path=None):
-    """Stage 2. Returns (prior_model, history)."""
+    """Stage 2. Returns (prior.PriorParams, history)."""
     cfg.validate()
     aug = featurize_all(graphs, cfg)
     train_idx, val_idx = split_dataset(len(graphs), cfg)
@@ -594,8 +589,8 @@ def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
 
     root = np.random.SeedSequence([cfg.seed, 0xF1])
     init_rng, shuffle_rng = [np.random.default_rng(s) for s in root.spawn(2)]
-    pmodel = PriorModel(cfg, init_rng)
-    params = pmodel.params()
+    pparams = init_prior(cfg, init_rng)
+    params = pparams.params()
     adam = AdamState(params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     writer = MetricsWriter(metrics_path)
 
@@ -606,18 +601,13 @@ def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
             order = shuffle_rng.permutation(len(train_seqs))
             for chunk in _batches(order, cfg.batch_size):
                 batch = prior.pack_sequences([train_seqs[i] for i in chunk], cfg.n_max)
-                nll = prior.prior_nll(pmodel.params_, batch)
-                if not np.isfinite(nll.data):
-                    raise TrainingDiverged(f"non-finite NLL at step {step}")
-                nll.backward()
-                clip_gradients(params, cfg.clip_norm)
-                adam_step(params, adam, _lr_at(cfg, step))
+                _optimizer_step(prior.prior_nll(pparams, batch), params, adam, cfg, step)
                 step += 1
             metrics = {"epoch": epoch, "step": step}
             if val_seqs:
                 with ad.no_grad():
                     metrics["nll"] = float(prior.prior_nll(
-                        pmodel.params_, prior.pack_sequences(val_seqs, cfg.n_max)).data)
+                        pparams, prior.pack_sequences(val_seqs, cfg.n_max)).data)
             history.append(metrics)
             writer.row(step, nll=metrics.get("nll"))
             if log and "nll" in metrics:
@@ -625,7 +615,7 @@ def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
     finally:
         writer.close()
     rng_state = shuffle_rng.bit_generator.state
-    return pmodel, {"history": history, "step": step, "rng_state": rng_state}
+    return pparams, {"history": history, "step": step, "rng_state": rng_state}
 
 
 # ---------------------------------------------------------------------------
@@ -656,19 +646,18 @@ def decode_sequences(model: AutoEncoderModel, samples, chunk_size=256):
     return graphs_out
 
 
-def generate_graphs(model: AutoEncoderModel, pmodel: PriorModel, cfg: ModelConfig,
+def generate_graphs(model: AutoEncoderModel, pparams: prior.PriorParams, cfg: ModelConfig,
                     count, seed, step_times=None):
-    """Sample index sequences from the prior and decode them."""
-    samples = prior.generate(pmodel.params_, model.codebooks.codebooks, count, seed,
+    """Sample index sequences from the prior parameters pparams and
+    decode them with the auto-encoder's codebooks and decoder."""
+    samples = prior.generate(pparams, model.codebooks.codebooks, count, seed,
                              step_times=step_times)
-    idx_seqs = [s["indices"] for s in samples]
-    graphs_out = decode_sequences(model, idx_seqs)
-    truncated = sum(1 for s in samples if s["truncated"])
-    return graphs_out, {"truncated": truncated}
+    graphs_out = decode_sequences(model, [s["indices"] for s in samples])
+    return graphs_out, {"truncated": sum(s["truncated"] for s in samples)}
 
 
-def full_state_arrays(model: AutoEncoderModel, pmodel: PriorModel | None = None):
+def full_state_arrays(model: AutoEncoderModel, pparams: prior.PriorParams | None = None):
     out = model.state_arrays()
-    if pmodel is not None:
-        out.update(pmodel.state_arrays())
+    if pparams is not None:
+        out.update({name: t.data for name, t in pparams.params().items()})
     return out

@@ -3,7 +3,9 @@
 Everything here is deliberately slow and simple: exhaustive enumeration,
 explicit double loops or dense forms, and no code shared with src/
 beyond the autodiff primitives and the model's parameter objects.
-Closed-form results in the package are checked against these.
+Closed-form results in the package are checked against these. Two
+helpers, grad_check and encode_graph, are not references: they drive
+the package's own code for the tests.
 """
 
 import itertools
@@ -12,6 +14,7 @@ import numpy as np
 from scipy.stats import wasserstein_distance
 
 from dgae import autodiff as ad
+from dgae import codec
 from dgae.autodiff import Tensor, batchnorm
 from dgae.graphs import new_graph
 
@@ -364,3 +367,10 @@ def dense_decode(z, node_mask, dec, train):
     node_logits = ad.reshape(dec.node_out(ad.reshape(x, (B * n, h))), (B, n, -1))
     el = ad.reshape(dec.edge_out(ad.reshape(e, (B * n * n, h))), (B, n, n, -1))
     return node_logits, ad.mul(el + ad.transpose(el, (0, 2, 1, 3)), 0.5)
+
+
+def encode_graph(ag, enc, train=False):
+    """The package encoder on one augmented graph: (n, d_latent) numpy
+    embedding."""
+    batch = codec.prepare_batch([ag])
+    return codec.encode(batch, enc, train).data[0, :ag.n]

@@ -110,8 +110,8 @@ def test_criterion_03_equivariance():
         pi = rng.permutation(g.n)
         a, b = augment(g, fc), augment(permute(g, pi), fc)
 
-        za = codec.encode_graph(a, model.encoder, train=False)
-        zb = codec.encode_graph(b, model.encoder, train=False)
+        za = oracles.encode_graph(a, model.encoder, train=False)
+        zb = oracles.encode_graph(b, model.encoder, train=False)
         worst = max(worst, float(np.abs(zb - za[pi]).max()))
 
         ia, wa = quantize.quantize(quantize.partition(za, cfg.partitions),
@@ -428,13 +428,13 @@ def _fresh_sampler(cfg, rng):
     end-of-set logit is pushed to -inf territory so every sequence runs
     to n_max and each sweep covers the full range of generated sizes.
     """
-    pmodel = training.PriorModel(cfg, rng)
-    for head in pmodel.params_.out:
+    pparams = training.init_prior(cfg, rng)
+    for head in pparams.out:
         head.b.data[cfg.codebook_size] -= 60.0
     d_part = cfg.d_latent // cfg.partitions
     cbs = [rng.standard_normal((cfg.codebook_size, d_part))
            for _ in range(cfg.partitions)]
-    return pmodel, cbs
+    return pparams, cbs
 
 
 def test_criterion_10_generation_speed():
@@ -453,9 +453,9 @@ def test_criterion_10_generation_speed():
     best = {}
     for r in range(repeats):
         for n_max in sizes:
-            pmodel, cbs = samplers[n_max]
+            pparams, cbs = samplers[n_max]
             st = []
-            samples = prior.generate(pmodel.params_, cbs, 1, seed=7000 + r, step_times=st)
+            samples = prior.generate(pparams, cbs, 1, seed=7000 + r, step_times=st)
             assert len(st) == n_max and len(samples) == 1
             dts = np.array([dt for _, dt, _ in st])
             best[n_max] = np.minimum(best[n_max], dts) if n_max in best else dts
@@ -478,9 +478,9 @@ def test_criterion_10_generation_speed():
     model.codebooks.codebooks = [rng.standard_normal((cfg.codebook_size, d_part))
                                  for _ in range(cfg.partitions)]
     model.codebooks.initialized = True
-    pmodel, _ = _fresh_sampler(cfg, rng)
+    pparams, _ = _fresh_sampler(cfg, rng)
     t_sample = time.perf_counter()
-    samples = prior.generate(pmodel.params_, model.codebooks.codebooks, 1000, seed=4)
+    samples = prior.generate(pparams, model.codebooks.codebooks, 1000, seed=4)
     t_decode = time.perf_counter()
     graphs = training.decode_sequences(model, [s["indices"] for s in samples])
     t_end = time.perf_counter()

@@ -112,8 +112,18 @@ def batchnorm_grad_cases(rng):
             return ad.sum_(ad.mul(out, Tensor(w)))
         return f
 
+    def evaluated(xs):
+        st = BatchNormState(3)
+        st.gamma, st.beta = xs[1], xs[2]
+        st.running_mean = np.array([0.5, -1.0, 2.0])
+        st.running_var = np.array([0.25, 3.0, 1.5])
+        out = batchnorm(xs[0], st, train=False)
+        w = np.linspace(0.5, 1.5, out.data.size).reshape(out.shape)
+        return ad.sum_(ad.mul(out, Tensor(w)))
+
     return [("batchnorm", make(False), [t(x), t(gamma), t(beta)]),
-            ("batchnorm_masked", make(True), [t(x), t(gamma), t(beta)])]
+            ("batchnorm_masked", make(True), [t(x), t(gamma), t(beta)]),
+            ("batchnorm_eval", evaluated, [t(x), t(gamma), t(beta)])]
 
 
 def run_primitive_grad_suite():

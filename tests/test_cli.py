@@ -309,12 +309,12 @@ def test_eval_report_columns_and_determinism(workspace, tmp_path, capsys):
 
 
 def test_checkpoints_reload_through_the_cli_loader(workspace):
-    cfg, model, pmodel, meta = cli._load_models(str(workspace["full_ckpt"]),
-                                                need_prior=True)
+    cfg, model, pparams, meta = cli._load_models(str(workspace["full_ckpt"]),
+                                                 need_prior=True)
     assert meta["kind"] == "full"
     assert cfg.codebook_size == 6 and cfg.partitions == 2
     assert model.codebooks.initialized
-    assert pmodel is not None
+    assert pparams is not None
 
 
 def test_truncated_checkpoint_is_one_error_line(workspace, tmp_path, capsys):
@@ -357,6 +357,29 @@ def test_malformed_checkpoint_header_is_one_error_line(workspace, tmp_path, caps
         assert rc == 1, name
         assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
         assert f"{path}: bad checkpoint header: " in err, (name, err)
+
+
+def test_corrupt_tensor_header_is_one_error_line(workspace, tmp_path, capsys):
+    # a flipped bit in a size field once asked f.read for terabytes
+    # (MemoryError) or more than a C ssize_t (OverflowError)
+    raw = workspace["full_ckpt"].read_bytes()
+    first = 12 + int.from_bytes(raw[8:12], "little") + 4  # the first tensor
+    name_len = int.from_bytes(raw[first:first + 2], "little")
+    rank = raw[first + 3 + name_len]
+    fields = list(range(first, first + 2)) + [first + 3 + name_len] \
+        + list(range(first + 4 + name_len, first + 4 + name_len + 4 * rank))
+    path = tmp_path / "flipped.ckpt"
+    for at in fields:
+        for bit in range(8):
+            bad = bytearray(raw)
+            bad[at] ^= 1 << bit
+            path.write_bytes(bytes(bad))
+            capsys.readouterr()
+            rc = run(["generate", "--ckpt", path, "--count", 2, "--out", tmp_path / "g",
+                      "--dry-run"])
+            err = capsys.readouterr().err
+            assert rc == 1, (at, bit)
+            assert err.startswith("error: ") and err.count("\n") == 1, (at, bit, err)
 
 
 # ---------------------------------------------------------------------------

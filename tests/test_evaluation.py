@@ -25,8 +25,8 @@ from dgae.evaluation import (
 from dgae.training import (
     AutoEncoderModel,
     ModelConfig,
-    PriorModel,
     generate_graphs,
+    init_prior,
     split_dataset,
 )
 
@@ -337,8 +337,8 @@ def fresh_models(cfg, seed=0):
         model.codebooks.codebooks[c][:] = rng.normal(
             size=model.codebooks.codebooks[c].shape)
     model.codebooks.initialized = True
-    pmodel = PriorModel(cfg, rng)
-    return model, pmodel
+    pparams = init_prior(cfg, rng)
+    return model, pparams
 
 
 BENCH_CFG = dict(n_max=8, feat_spectral=False, feat_random=False,
@@ -348,8 +348,8 @@ BENCH_CFG = dict(n_max=8, feat_spectral=False, feat_random=False,
 
 def test_benchmark_time_linear_in_count():
     cfg = ModelConfig(**BENCH_CFG)
-    model, pmodel = fresh_models(cfg)
-    generate_graphs(model, pmodel, cfg, count=50, seed=0)  # warm caches
+    model, pparams = fresh_models(cfg)
+    generate_graphs(model, pparams, cfg, count=50, seed=0)  # warm caches
     counts = np.array([100, 500, 1000], dtype=np.float64)
     # min over repeats removes scheduler noise from the tiny timings; the
     # repeats cycle through the counts so a drift in host speed during
@@ -358,7 +358,7 @@ def test_benchmark_time_linear_in_count():
     for _ in range(3):
         for k, c in enumerate(counts):
             start = time.perf_counter()
-            generate_graphs(model, pmodel, cfg, count=int(c), seed=1)
+            generate_graphs(model, pparams, cfg, count=int(c), seed=1)
             times[k] = min(times[k], time.perf_counter() - start)
     slope, intercept = np.polyfit(counts, times, 1)
     pred = slope * counts + intercept

@@ -13,7 +13,6 @@ from dgae.training import (
     ConfigError,
     MetricsWriter,
     ModelConfig,
-    PriorModel,
     TrainingDiverged,
     _lr_at,
     adam_step,
@@ -25,6 +24,7 @@ from dgae.training import (
     featurize_all,
     full_state_arrays,
     generate_graphs,
+    init_prior,
     load_ae_state,
     load_checkpoint,
     load_prior_state,
@@ -216,9 +216,9 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     cfg = tiny_config()
     rng = np.random.default_rng(0)
     model = AutoEncoderModel(cfg, rng)
-    pmodel = PriorModel(cfg, rng)
+    pparams = init_prior(cfg, rng)
     model.codebooks.initialized = True
-    arrays = full_state_arrays(model, pmodel)
+    arrays = full_state_arrays(model, pparams)
     path = str(tmp_path / "ck.bin")
     save_checkpoint(path, cfg, arrays, step=17,
                     rng_state={"note": "x"}, extra={"cb_initialized": True})
@@ -231,11 +231,11 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert tensors[name].dtype == arr.dtype
 
     model2 = AutoEncoderModel(cfg2, np.random.default_rng(99))
-    pmodel2 = PriorModel(cfg2, np.random.default_rng(98))
+    pparams2 = init_prior(cfg2, np.random.default_rng(98))
     load_ae_state(model2, tensors, meta)
-    load_prior_state(pmodel2, tensors)
+    load_prior_state(pparams2, tensors)
     assert model2.codebooks.initialized
-    for name, arr in full_state_arrays(model2, pmodel2).items():
+    for name, arr in full_state_arrays(model2, pparams2).items():
         np.testing.assert_array_equal(arr, arrays[name])
 
     save_checkpoint(str(tmp_path / "ck2.bin"), cfg, arrays, step=17,
@@ -363,17 +363,17 @@ def test_heldout_loss_trend_is_nonincreasing():
 def test_prior_memorizes_single_sequence():
     cfg = tiny_config()
     rng = np.random.default_rng(2)
-    pmodel = PriorModel(cfg, rng)
+    pparams = init_prior(cfg, rng)
     dp = cfg.d_latent // cfg.partitions
     books = [rng.normal(size=(cfg.codebook_size, dp)) for _ in range(cfg.partitions)]
     idx = np.array([[0, 2], [1, 1], [3, 0]])
     cw = np.stack([books[c][idx[:, c]] for c in range(cfg.partitions)], axis=1)
     batch = prior.pack_sequences([prior.IndexSequence(idx, cw)], cfg.n_max)
-    params = pmodel.params()
+    params = pparams.params()
     adam = AdamState(params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     nll = None
     for step in range(1200):
-        loss = prior.prior_nll(pmodel.params_, batch)
+        loss = prior.prior_nll(pparams, batch)
         nll = float(loss.data)
         if nll < 1e-3:
             break
@@ -389,7 +389,7 @@ def test_full_pipeline_and_reload(tmp_path):
     model, _ = train_autoencoder(graphs, cfg)
 
     cache = str(tmp_path / "seqs.bin")
-    pmodel, info = train_prior(model, graphs, cfg, cache_path=cache)
+    pparams, info = train_prior(model, graphs, cfg, cache_path=cache)
 
     # after one epoch the held-out fit must beat the uniform baseline
     assert info["history"][-1]["nll"] <= np.log(cfg.codebook_size + 1)
@@ -401,23 +401,23 @@ def test_full_pipeline_and_reload(tmp_path):
     for a, s in zip(cached, seqs):
         np.testing.assert_array_equal(a, s.indices)
 
-    out, stats = generate_graphs(model, pmodel, cfg, count=6, seed=11)
+    out, stats = generate_graphs(model, pparams, cfg, count=6, seed=11)
     assert len(out) == 6
     assert 0 <= stats["truncated"] <= 6
     for g in out:
         assert 1 <= g.n <= cfg.n_max
         np.testing.assert_array_equal(g.adjacency(), g.adjacency().T)
-    assert generate_graphs(model, pmodel, cfg, count=0, seed=11) == ([], {"truncated": 0})
+    assert generate_graphs(model, pparams, cfg, count=0, seed=11) == ([], {"truncated": 0})
 
     path = str(tmp_path / "ck.bin")
-    save_checkpoint(path, cfg, full_state_arrays(model, pmodel), step=9,
+    save_checkpoint(path, cfg, full_state_arrays(model, pparams), step=9,
                     extra={"cb_initialized": True})
     cfg2, tensors, meta = load_checkpoint(path)
     model2 = AutoEncoderModel(cfg2, np.random.default_rng(0))
-    pmodel2 = PriorModel(cfg2, np.random.default_rng(0))
+    pparams2 = init_prior(cfg2, np.random.default_rng(0))
     load_ae_state(model2, tensors, meta)
-    load_prior_state(pmodel2, tensors)
-    out2, _ = generate_graphs(model2, pmodel2, cfg2, count=6, seed=11)
+    load_prior_state(pparams2, tensors)
+    out2, _ = generate_graphs(model2, pparams2, cfg2, count=6, seed=11)
     for a, b in zip(out, out2):
         np.testing.assert_array_equal(a.node_attrs, b.node_attrs)
         np.testing.assert_array_equal(a.edge_attrs, b.edge_attrs)
@@ -434,6 +434,22 @@ def test_evaluate_reports_quantized_metrics():
     M = cfg.codebook_size ** cfg.partitions
     assert 1.0 / M <= out["perplexity"] <= 1.0
     assert evaluate_autoencoder(model, [], cfg) == {}
+
+
+def test_holdout_metrics_do_not_depend_on_batch_size():
+    # every metric pools over the whole set: batch means of the
+    # commitment loss once weighed a 1-graph batch like a full one
+    graphs = random_graphs(23, 40, n_lo=1, n_hi=8)
+    cfg = tiny_config(seed=4, epochs_ae=1)
+    model, _ = train_autoencoder(graphs, cfg)
+    aug = featurize_all(graphs, cfg)
+    runs = [evaluate_autoencoder(model, aug, tiny_config(seed=4, batch_size=b))
+            for b in (3, 7, len(aug))]
+    assert set(runs[0]) == {"loss_recon", "loss_commit", "node_err", "edge_err",
+                            "perplexity"}
+    for other in runs[1:]:
+        for key, val in runs[0].items():
+            assert other[key] == pytest.approx(val, rel=1e-9, abs=1e-12), key
 
 
 # ---------------------------------------------------------------------------
