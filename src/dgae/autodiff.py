@@ -332,21 +332,28 @@ class PairIndex:
         return out.sum(axis=1)
 
 
-def pair_gather(a, c, pairs, e=None):
-    """out[k] = a[i_k] + e[k] + c[j_k] for node rows a, c (N, d), a
-    PairIndex of P pairs and optional pair rows e (P, d): per-node terms
-    gathered to every listed pair.
+def pair_gather(a, c, pairs, e=None, w_e=None):
+    """out[k] = a[i_k] + e[k] @ w_e + c[j_k] for node rows a, c (N, d),
+    a PairIndex of P pairs and optional pair rows e (P, d_e) with their
+    weight w_e (d_e, d): per-node terms gathered to every listed pair.
+    The product e @ w_e is added into the output and not kept.
     """
     a, c = _as_tensor(a), _as_tensor(c)
-    e = None if e is None else _as_tensor(e)
-    parents = (a, c) if e is None else (a, c, e)
+    if (e is None) != (w_e is None):
+        raise ShapeError("pair_gather takes the pair rows e and their weight w_e together")
+    d = a.shape[-1]
+    parents, want = (a, c), [(pairs.num_nodes, d)] * 2
+    if e is not None:
+        e, w_e = _as_tensor(e), _as_tensor(w_e)
+        parents += (e, w_e)
+        want += [(len(pairs.i), w_e.shape[0]), (w_e.shape[0], d)]
     shapes = [t.shape for t in parents]
-    want = [(pairs.num_nodes, a.shape[-1])] * 2 + [(len(pairs.i), a.shape[-1])]
-    if shapes != want[:len(shapes)]:
-        raise ShapeError(f"pair_gather needs (N, d), (N, d) and (P, d): {shapes} vs {want}")
+    if shapes != want:
+        raise ShapeError(f"pair_gather needs (N, d), (N, d), (P, d_e) and (d_e, d): "
+                         f"{shapes} vs {want}")
     out_data = a.data.take(pairs.i, axis=0)
     if e is not None:
-        out_data += e.data
+        out_data += e.data @ w_e.data
     out_data += c.data.take(pairs.j, axis=0)
 
     def bw(g):
@@ -355,7 +362,9 @@ def pair_gather(a, c, pairs, e=None):
         if c.requires_grad:
             c._accumulate(pairs.segment_sum(g.take(pairs.t, axis=0), by_j=True))
         if e is not None and e.requires_grad:
-            e._accumulate(g)
+            e._accumulate(g @ np.swapaxes(w_e.data, -1, -2))
+        if e is not None and w_e.requires_grad:
+            w_e._accumulate(np.swapaxes(e.data, -1, -2) @ g)
 
     return _node(out_data, parents, bw)
 

@@ -209,16 +209,16 @@ def _pair_mlp(mlp, x, e, pairs):
     all-zero edge state. The first layer's (3h, w) weight splits by
     rows into W_i, W_j and W_e, so [x_i, x_j, e] @ W = x_i @ W_i +
     x_j @ W_j + e @ W_e: the node terms are computed once per node and
-    gathered per pair, and the wide input is never built.
+    gathered per pair, pair_gather adds e @ W_e into its output without
+    keeping it, and the wide input is never built.
     """
     h = x.shape[1]
     first = mlp.layers[0]
     w = first.w
     a = ad.affine(x, ad.slice_(w, slice(0, h)), first.b)
     c = ad.matmul(x, ad.slice_(w, slice(h, 2 * h)))
-    if e is not None:
-        e = ad.matmul(e, ad.slice_(w, slice(2 * h, 3 * h)))
-    return mlp.after_first(ad.pair_gather(a, c, pairs, e))
+    w_e = None if e is None else ad.slice_(w, slice(2 * h, 3 * h))
+    return mlp.after_first(ad.pair_gather(a, c, pairs, e, w_e))
 
 
 def _mpnn_rounds(x, e, layers, pairs, node_mask, train):

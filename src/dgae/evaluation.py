@@ -12,6 +12,11 @@ Orbit statistic convention: for every node we count its participation
 in connected induced subgraphs on 2 to 4 nodes (equivalently the sum
 of its graphlet orbit counts), and histogram those totals per graph.
 This reading is stated in every report this module writes.
+
+Statistics are computed a set at a time: graph_stats groups a set by
+node count and works on stacked (G, n, n) adjacency matrices in chunks
+of bounded size. Each set's EMD matrix against itself is symmetric with
+a zero diagonal, so only its upper triangle is computed.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import training
-from .graphs import Graph
 
 _REPORT_NOTES = [
     "# mmd: biased squared-MMD V-statistic (diagonal terms included), "
@@ -97,26 +101,47 @@ def _subsets(n, s):
     return combos, flat
 
 
-def node_orbit_counts(g: Graph):
-    """(n,) int64 per-node orbit totals: the number of connected induced
-    subgraphs on 2 to 4 nodes that contain each node, which is the sum
-    of its graphlet orbit counts."""
+@functools.lru_cache(maxsize=64)
+def _incidence(n, s):
+    """Read-only (C(n, s), n) 0/1 float32 matrix: row k marks the nodes
+    of the k-th s-subset of _subsets(n, s)."""
+    combos, _ = _subsets(n, s)
+    inc = np.zeros((len(combos), n), dtype=np.float32)
+    inc[np.arange(len(combos))[:, None], combos] = 1.0
+    inc.flags.writeable = False
+    return inc
+
+
+def node_orbit_counts(A):
+    """(G, n) int64 per-node orbit totals of a (G, n, n) stack of
+    adjacency matrices: the number of connected induced subgraphs on 2
+    to 4 nodes that contain each node, which is the sum of its graphlet
+    orbit counts.
+
+    Per s, every s-subset's edge-pattern code is built for all G graphs
+    at once, looked up in the connectedness table, and the connected
+    subsets are counted per node by one product with _incidence(n, s).
+    """
     tables = graphlet_orbit_tables()
-    A = g.adjacency().astype(bool).ravel()
-    n = g.n
-    totals = np.zeros(n, dtype=np.int64)
+    G, n, _ = A.shape
+    # (n*n, G): the pattern bits of a pair are one contiguous row
+    pair_rows = (A.reshape(G, n * n).T != 0).astype(np.uint8)
+    totals = np.zeros((G, n), dtype=np.int64)
     for s in (2, 3, 4):
         if n < s:
             continue
-        combos, flat = _subsets(n, s)
-        codes = A[flat] @ (1 << np.arange(flat.shape[1]))
-        ok = tables[s][codes]
-        totals += np.bincount(combos[ok].ravel(), minlength=n)
+        _, flat = _subsets(n, s)
+        codes = pair_rows[flat[:, 0]]
+        for b in range(1, flat.shape[1]):
+            codes |= pair_rows[flat[:, b]] << b
+        ok = tables[s].astype(np.float32)[codes]
+        # exact: every count is an integer below C(n - 1, s - 1) < 2**24
+        totals += (ok.T @ _incidence(n, s)).astype(np.int64)
     return totals
 
 
 # ---------------------------------------------------------------------------
-# per-graph statistics
+# per-graph statistics, computed a set at a time
 
 @dataclass
 class GraphStats:
@@ -125,22 +150,74 @@ class GraphStats:
     orbit_hist: np.ndarray       # raw counts of per-node orbit totals
 
 
-def clustering_coefficients(g: Graph):
-    A = g.adjacency()
-    deg = A.sum(axis=1)
-    tri = np.diagonal(A @ A @ A) // 2
+# byte budget of graph_stats' largest per-chunk temporary, the (C(n, 4), G)
+# float32 connectedness matrix of node_orbit_counts, so that its memory
+# does not grow with the set
+_STATS_CHUNK_BYTES = 1 << 21
+
+
+def clustering_coefficients(A):
+    """(G, n) local clustering coefficients of a (G, n, n) stack of 0/1
+    int64 adjacency matrices: 2 * triangles / (deg * (deg - 1)), 0 where
+    a node has fewer than two neighbours."""
+    deg = A.sum(axis=2)
+    Af = A.astype(np.float64)
+    # diag(A @ A @ A) without the third product; exact in float64
+    tri = np.rint(((Af @ Af) * Af.transpose(0, 2, 1)).sum(axis=2)).astype(np.int64) // 2
     denom = deg * (deg - 1)
     return np.where(denom > 0, 2.0 * tri / np.maximum(denom, 1), 0.0)
 
 
-def graph_stats(g: Graph, clustering_bins=100) -> GraphStats:
-    A = g.adjacency()
-    deg = A.sum(axis=1)
-    degree_hist = np.bincount(deg)
-    coef = clustering_coefficients(g)
-    clustering_hist = np.histogram(coef, bins=clustering_bins, range=(0.0, 1.0))[0]
-    orbit_hist = np.bincount(node_orbit_counts(g))
-    return GraphStats(degree_hist, clustering_hist, orbit_hist)
+def _uniform_histograms(x, bins):
+    """(G, bins) int64 counts of each row of x over [0, 1] in `bins` equal
+    bins, equal to np.histogram(row, bins, range=(0, 1))[0] per row: the
+    same index, last-edge fold and one-ulp corrections against the same
+    linspace edges; values outside [0, 1] are not counted."""
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    rows = np.broadcast_to(np.arange(len(x))[:, None], x.shape)
+    keep = (x >= 0.0) & (x <= 1.0)
+    x, rows = x[keep], rows[keep]
+    idx = (x * bins).astype(np.intp)
+    idx[idx == bins] -= 1
+    idx[x < edges[idx]] -= 1
+    idx[(x >= edges[idx + 1]) & (idx != bins - 1)] += 1
+    return np.bincount(rows * bins + idx, minlength=len(keep) * bins).reshape(-1, bins)
+
+
+def _row_bincounts(v):
+    """Per row of the (G, n) int64 array v, np.bincount(row)."""
+    G = len(v)
+    width = int(v.max()) + 1
+    counts = np.bincount((v + width * np.arange(G)[:, None]).ravel(),
+                         minlength=G * width).reshape(G, width)
+    # copies, so no row keeps the chunk's widest padding alive
+    return [row[:top + 1].copy() for row, top in zip(counts, v.max(axis=1))]
+
+
+def graph_stats(graphs, clustering_bins=100):
+    """One GraphStats per graph of a set, in input order.
+
+    Graphs are grouped by node count, and each group's adjacency
+    matrices are stacked and processed in chunks whose largest
+    temporary stays near _STATS_CHUNK_BYTES: degrees and triangles come
+    from batched sums and products, and each kind of histogram of a
+    chunk from one binning.
+    """
+    out = [None] * len(graphs)
+    by_n = {}
+    for k, g in enumerate(graphs):
+        by_n.setdefault(g.n, []).append(k)
+    for n, members in sorted(by_n.items()):
+        rows = max(1, _STATS_CHUNK_BYTES // (4 * max(1, math.comb(n, 4))))
+        for r in range(0, len(members), rows):
+            chunk = members[r:r + rows]
+            A = np.stack([graphs[k].adjacency() for k in chunk])
+            degree = _row_bincounts(A.sum(axis=2))
+            clustering = _uniform_histograms(clustering_coefficients(A), clustering_bins)
+            orbit = _row_bincounts(node_orbit_counts(A))
+            for k, d, c, o in zip(chunk, degree, clustering, orbit):
+                out[k] = GraphStats(d, c, o)
+    return out
 
 
 # byte budget of _emd_all_pairs' per-block temporary: small enough that
@@ -166,19 +243,29 @@ def _emd_all_pairs(Pa, Pb, bin_width):
     and constant from one such bin to the next, so only those bins U
     are compared, each weighted by the number of bins up to the next
     one (or to L). Rows of Pa go in blocks sized so the temporary stays
-    near _EMD_BLOCK_BYTES.
+    near _EMD_BLOCK_BYTES. Called with Pb is Pa, a block compares its
+    rows only with themselves and the rows after them, and the upper
+    triangle is mirrored into the lower one: the result is exactly
+    symmetric with a zero diagonal.
     """
+    same = Pb is Pa
     L = Pa.shape[1]
     U = np.flatnonzero(Pa.any(axis=0) | Pb.any(axis=0))
     gaps = np.diff(np.append(U, L)).astype(np.float64)
     Fa = np.cumsum(Pa, axis=1)[:, U]
-    Fb = np.cumsum(Pb, axis=1)[:, U]
+    Fb = Fa if same else np.cumsum(Pb, axis=1)[:, U]
     out = np.empty((len(Pa), len(Pb)))
-    rows = max(1, _EMD_BLOCK_BYTES // (8 * max(1, Fb.size)))
-    for r in range(0, len(Pa), rows):
-        d = Fa[r:r + rows, None, :] - Fb[None, :, :]
+    r = 0
+    while r < len(Pa):
+        first = r if same else 0  # first column this block compares with
+        rows = max(1, _EMD_BLOCK_BYTES // (8 * max(1, (len(Fb) - first) * len(U))))
+        d = Fa[r:r + rows, None, :] - Fb[None, first:, :]
         np.abs(d, out=d)
-        out[r:r + rows] = d @ gaps
+        out[r:r + rows, first:] = d @ gaps
+        r += rows
+    if same:
+        for i in range(len(Pa) - 1):
+            out[i + 1:, i] = out[i, i + 1:]
     return out * bin_width
 
 
@@ -196,6 +283,7 @@ def mmd(hists_a, hists_b, sigma=1.0, bin_width=1.0):
     Pa = _norm_pad(hists_a, L)
     Pb = _norm_pad(hists_b, L)
     s2 = 2.0 * sigma * sigma
+    # each set against itself: one triangle, mirrored
     kaa = np.exp(-_emd_all_pairs(Pa, Pa, bin_width) ** 2 / s2)
     kbb = np.exp(-_emd_all_pairs(Pb, Pb, bin_width) ** 2 / s2)
     kab = np.exp(-_emd_all_pairs(Pa, Pb, bin_width) ** 2 / s2)
@@ -208,9 +296,14 @@ def mmd(hists_a, hists_b, sigma=1.0, bin_width=1.0):
 
 
 def mmd_report(ref_graphs, gen_graphs, sigma=1.0, clustering_bins=100):
-    """All three statistics plus their average, as an ordered dict."""
-    ref = [graph_stats(g, clustering_bins) for g in ref_graphs]
-    gen = [graph_stats(g, clustering_bins) for g in gen_graphs]
+    """All three statistics plus their average, as an ordered dict.
+
+    One graph_stats pass per set gives every histogram; each of the
+    three MMDs then compares the two sets' histograms, computing the
+    EMD matrix of a set against itself over one triangle only.
+    """
+    ref = graph_stats(ref_graphs, clustering_bins)
+    gen = graph_stats(gen_graphs, clustering_bins)
     deg = mmd([s.degree_hist for s in ref], [s.degree_hist for s in gen], sigma, 1.0)
     clu = mmd([s.clustering_hist for s in ref], [s.clustering_hist for s in gen],
               sigma, 1.0 / clustering_bins)

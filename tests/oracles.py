@@ -5,7 +5,11 @@ explicit double loops or dense forms, and no code shared with src/
 beyond the autodiff primitives and the model's parameter objects.
 Closed-form results in the package are checked against these. Two
 helpers, grad_check and encode_graph, are not references: they drive
-the package's own code for the tests.
+the package's own code for the tests. The per-graph statistics
+(graph_stats, clustering_coefficients, node_orbit_counts) are the
+package's former one-graph-at-a-time definitions, kept to pin its
+set-level ones; node_orbit_counts reads the package's connectedness
+tables, which node_orbit_participation checks independently.
 """
 
 import itertools
@@ -14,7 +18,7 @@ import numpy as np
 from scipy.stats import wasserstein_distance
 
 from dgae import autodiff as ad
-from dgae import codec
+from dgae import codec, evaluation
 from dgae.autodiff import Tensor, batchnorm
 from dgae.graphs import new_graph
 
@@ -194,6 +198,43 @@ def node_orbit_participation(adj):
                 key = orbit_key(sub, local)
                 out[v][key] = out[v].get(key, 0) + 1
     return out
+
+
+def node_orbit_counts(g):
+    """(n,) int64 per-node orbit totals of one graph: the number of
+    connected induced subgraphs on 2 to 4 nodes that contain each node."""
+    tables = evaluation.graphlet_orbit_tables()
+    A = g.adjacency().astype(bool).ravel()
+    n = g.n
+    totals = np.zeros(n, dtype=np.int64)
+    for s in (2, 3, 4):
+        if n < s:
+            continue
+        combos, flat = evaluation._subsets(n, s)
+        codes = A[flat] @ (1 << np.arange(flat.shape[1]))
+        ok = tables[s][codes]
+        totals += np.bincount(combos[ok].ravel(), minlength=n)
+    return totals
+
+
+def clustering_coefficients(g):
+    A = g.adjacency()
+    deg = A.sum(axis=1)
+    tri = np.diagonal(A @ A @ A) // 2
+    denom = deg * (deg - 1)
+    return np.where(denom > 0, 2.0 * tri / np.maximum(denom, 1), 0.0)
+
+
+def graph_stats(g, clustering_bins=100):
+    """One graph's GraphStats: bincount of degrees, np.histogram of the
+    clustering coefficients over [0, 1], bincount of orbit totals."""
+    A = g.adjacency()
+    deg = A.sum(axis=1)
+    degree_hist = np.bincount(deg)
+    coef = clustering_coefficients(g)
+    clustering_hist = np.histogram(coef, bins=clustering_bins, range=(0.0, 1.0))[0]
+    orbit_hist = np.bincount(node_orbit_counts(g))
+    return evaluation.GraphStats(degree_hist, clustering_hist, orbit_hist)
 
 
 def _connected(adj):

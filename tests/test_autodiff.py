@@ -57,12 +57,15 @@ def primitive_grad_cases(rng):
         ("transpose", lambda xs: wsum(ad.transpose(xs[0], (1, 2, 0))), [t(m234)]),
         ("slice", lambda xs: wsum(ad.slice_(xs[0], (slice(1, 3), slice(0, 2)))),
          [t(a34)]),
-        ("pair_gather", lambda xs: wsum(ad.pair_gather(xs[0], xs[1], pairs, xs[2])),
-         [t(a64), t(rng.normal(size=(6, 4))), t(rng.normal(size=(6, 4)))]),
+        # pair rows of width 3 into node width 4: e @ w_e is not square
+        ("pair_gather", lambda xs: wsum(ad.pair_gather(xs[0], xs[1], pairs, xs[2], xs[3])),
+         [t(a64), t(rng.normal(size=(6, 4))), t(rng.normal(size=(6, 3))),
+          t(rng.normal(size=(3, 4)))]),
         ("pair_gather_no_edge", lambda xs: wsum(ad.pair_gather(xs[0], xs[1], pairs)),
          [t(a64), t(rng.normal(size=(6, 4)))]),
-        ("pair_gather_no_pairs", lambda xs: wsum(ad.pair_gather(xs[0], xs[1], no_pairs, xs[2])),
-         [t(a34), t(b34), t(np.zeros((0, 4)))]),
+        ("pair_gather_no_pairs",
+         lambda xs: wsum(ad.pair_gather(xs[0], xs[1], no_pairs, xs[2], xs[3])),
+         [t(a34), t(b34), t(np.zeros((0, 3))), t(rng.normal(size=(3, 4)))]),
         ("segment_sum", lambda xs: wsum(ad.segment_sum(xs[0], pairs)),
          [t(rng.normal(size=(6, 4)))]),
         ("segment_sum_no_pairs", lambda xs: wsum(ad.segment_sum(xs[0], no_pairs)),
@@ -268,6 +271,17 @@ def test_backward_accumulates_through_reuse():
 def test_matmul_shape_error():
     with pytest.raises(ShapeError):
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+
+
+def test_pair_gather_shape_errors():
+    pairs = PairIndex([0, 1], [1, 0], 2)
+    a, e, w = Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))
+    with pytest.raises(ShapeError):
+        ad.pair_gather(a, a, pairs, e)  # pair rows without their weight
+    with pytest.raises(ShapeError):
+        ad.pair_gather(a, a, pairs, e, Tensor(np.zeros((4, 4))))
+    with pytest.raises(ShapeError):
+        ad.pair_gather(a, a, PairIndex([0], [1], 2), e, w)
 
 
 def test_no_grad_records_no_tape_and_restores_the_mode():

@@ -382,6 +382,34 @@ def test_corrupt_tensor_header_is_one_error_line(workspace, tmp_path, capsys):
             assert err.startswith("error: ") and err.count("\n") == 1, (at, bit, err)
 
 
+def test_eval_dataset_bit_flips_are_clean_loads_or_one_error_line(tmp_path, capsys):
+    """Every single-bit flip of a small dataset either still evaluates
+    (exit 0) or fails with exit 1 and one error: line, never a traceback:
+    a flip can change a node count, an edge, a category or the header,
+    and the odd graph that results reaches the set-level statistics."""
+    ref = tmp_path / "ref.graphs"
+    ref.write_text('{"R": 1, "S": 2, "directed": false}\n'
+                   '{"n": 3, "nodes": [0, 0, 0], "edges": [[0, 1, 1], [1, 2, 1]]}\n'
+                   '{"n": 2, "nodes": [0, 0], "edges": [[0, 1, 1]]}\n')
+    raw = ref.read_bytes()
+    gen, out = tmp_path / "gen.graphs", tmp_path / "mmd.csv"
+    clean = 0
+    for at in range(len(raw)):
+        for bit in range(8):
+            bad = bytearray(raw)
+            bad[at] ^= 1 << bit
+            gen.write_bytes(bytes(bad))
+            capsys.readouterr()
+            rc = run(["eval", "--ref", ref, "--gen", gen, "--out", out])
+            err = capsys.readouterr().err
+            assert rc in (0, 1), (at, bit)
+            if rc == 1:
+                assert err.startswith("error: ") and err.count("\n") == 1, (at, bit, err)
+            clean += rc == 0
+    # flips inside JSON whitespace or a digit that stays in range load
+    assert 0 < clean < 8 * len(raw)
+
+
 # ---------------------------------------------------------------------------
 # ablation commands
 

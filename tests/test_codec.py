@@ -253,7 +253,7 @@ def test_ae_step_memory_is_bounded():
     traced allocation peak under 480 MB. Message passing holds (P, w)
     activations over the live pairs only: the encoder's are 37% of the
     B*n*n pair rows here and the decoder's 95%. The peak is about
-    377 MB, against 610 MB when every pair row is computed."""
+    350 MB, against 610 MB when every pair row is computed."""
     cfg = ModelConfig()
     model = AutoEncoderModel(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(11)

@@ -1,13 +1,16 @@
 """Graph statistics, EMD/MMD machinery, reports, generation timing, ablations."""
 
+import json
 import time
 import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dgae import evaluation
-from dgae.graphs import DatasetSpec, build_dataset, new_graph, permute
+from dgae.graphs import DatasetSpec, build_dataset, load_dataset, new_graph, permute
 from dgae.evaluation import (
     DEFAULT_CODEBOOK_GRID,
     FEATURE_CELLS,
@@ -30,6 +33,7 @@ from dgae.training import (
     split_dataset,
 )
 
+import oracles
 from oracles import (
     emd_reference,
     graph_from_adjacency,
@@ -41,8 +45,16 @@ from oracles import (
 networkx = pytest.importorskip("networkx")
 
 
+BENCH = Path(__file__).resolve().parents[1] / "dgaebench"
+
+
 def random_graph(rng, n, p=0.4):
     return graph_from_adjacency(random_adjacency(rng, n, p))
+
+
+def stack(g):
+    """One graph's adjacency as a (1, n, n) stack."""
+    return g.adjacency()[None]
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +63,9 @@ def random_graph(rng, n, p=0.4):
 
 def test_triangle_stats_frozen():
     g = new_graph(3, [(0, 1), (1, 2), (0, 2)])
-    s = graph_stats(g)
+    s, = graph_stats([g])
     np.testing.assert_array_equal(s.degree_hist, [0, 0, 3])
-    np.testing.assert_allclose(clustering_coefficients(g), [1.0, 1.0, 1.0])
+    np.testing.assert_allclose(clustering_coefficients(stack(g))[0], [1.0, 1.0, 1.0])
     # coefficient 1.0 lands in the last of the 100 bins
     assert s.clustering_hist[99] == 3 and s.clustering_hist.sum() == 3
     # each node: two edges plus one triangle = orbit total 3
@@ -62,9 +74,9 @@ def test_triangle_stats_frozen():
 
 def test_star_stats():
     g = new_graph(5, [(0, i) for i in range(1, 5)])
-    s = graph_stats(g)
+    s, = graph_stats([g])
     np.testing.assert_array_equal(s.degree_hist, [0, 4, 0, 0, 1])
-    np.testing.assert_array_equal(clustering_coefficients(g), np.zeros(5))
+    np.testing.assert_array_equal(clustering_coefficients(stack(g))[0], np.zeros(5))
     assert s.clustering_hist[0] == 5
     assert s.degree_hist.sum() == g.n
 
@@ -75,7 +87,7 @@ def test_clustering_matches_networkx():
         g = random_graph(rng, int(rng.integers(3, 10)))
         nxg = networkx.from_numpy_array(g.adjacency())
         want = [networkx.clustering(nxg, v) for v in range(g.n)]
-        np.testing.assert_allclose(clustering_coefficients(g), want, atol=1e-12)
+        np.testing.assert_allclose(clustering_coefficients(stack(g))[0], want, atol=1e-12)
 
 
 def test_orbit_tables_flag_the_connected_patterns():
@@ -92,7 +104,7 @@ def test_node_orbit_totals_match_bruteforce():
     for n in range(1, 11):
         for p in (0.3, 0.6):
             adj = random_adjacency(rng, n, p)
-            got = node_orbit_counts(graph_from_adjacency(adj))
+            got = node_orbit_counts(stack(graph_from_adjacency(adj)))[0]
             want = [sum(orbits.values()) for orbits in node_orbit_participation(adj)]
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
@@ -102,11 +114,100 @@ def test_orbit_counts_relabel_equivariant():
     rng = np.random.default_rng(9)
     g = random_graph(rng, 7, 0.5)
     perm = rng.permutation(7)
-    a = node_orbit_counts(g)
+    a = node_orbit_counts(stack(g))[0]
     assert a.shape == (7,)
     # permute places old node perm[i] at new index i
-    b = node_orbit_counts(permute(g, perm))
+    b = node_orbit_counts(stack(permute(g, perm)))[0]
     np.testing.assert_array_equal(b, a[perm])
+
+
+def edge_case_graphs():
+    """Graphs at the edges of the set-level statistics: one to three
+    nodes, empty and complete graphs, clustering coefficients exactly
+    0.5, 1.0 and 1/3 (bin edges at several bin counts) and 0.7, where
+    the index coef * bins needs np.histogram's corrections against the
+    linspace edges (down for 1/3 at 33 bins, up for 0.7 at 170), and a
+    directed graph whose coefficient 2.0 falls outside [0, 1]."""
+    k4_pendant = [(i, j) for i in range(4) for j in range(i + 1, 4)] + [(0, 4)]
+    return [
+        new_graph(1), new_graph(2), new_graph(2, [(0, 1)]), new_graph(3),
+        new_graph(3, [(0, 1)]), new_graph(3, [(0, 1), (1, 2)]),
+        new_graph(3, [(0, 1), (1, 2), (0, 2)]),
+        new_graph(6), new_graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)]),
+        new_graph(5, k4_pendant),                         # node 0: 0.5
+        new_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]),   # node 0: 1/3
+        new_graph(6, [(0, i) for i in range(1, 6)] + [(1, 2), (1, 3), (1, 4), (1, 5),
+                                                      (2, 3), (2, 4), (2, 5)]),  # 0.7
+        new_graph(5, [(0, 1), (0, 2), (1, 3), (3, 0), (1, 4), (4, 0), (2, 3), (2, 4)],
+                  directed=True),
+    ]
+
+
+def assert_stats_equal(got, want):
+    for name in ("degree_hist", "clustering_hist", "orbit_hist"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, (name, a, b)
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def test_set_stats_match_per_graph_oracle():
+    """The set-level pass gives every graph exactly the histograms of
+    the former one-graph-at-a-time definitions, whatever the mix of
+    sizes in the set and the position of a graph in it."""
+    rng = np.random.default_rng(31)
+    special = edge_case_graphs()
+    coefs = np.concatenate([oracles.clustering_coefficients(g) for g in special])
+    assert {0.5, 1.0, 1.0 / 3.0, 0.7, 2.0} <= set(coefs.tolist())
+    graphs = special + [random_graph(rng, int(rng.integers(1, 13)), float(rng.random()))
+                        for _ in range(300)]
+    order = rng.permutation(len(graphs))
+    graphs = [graphs[k] for k in order]
+    for bins in (100, 170, 33, 7, 6, 3, 1):
+        got = graph_stats(graphs, bins)
+        assert len(got) == len(graphs)
+        for g, s in zip(graphs, got):
+            assert_stats_equal(s, oracles.graph_stats(g, bins))
+    for g in special:
+        np.testing.assert_array_equal(clustering_coefficients(stack(g))[0],
+                                      oracles.clustering_coefficients(g))
+        np.testing.assert_array_equal(node_orbit_counts(stack(g))[0],
+                                      oracles.node_orbit_counts(g))
+    assert graph_stats([]) == []
+
+
+def test_set_stats_chunks_do_not_change_the_answer(monkeypatch):
+    rng = np.random.default_rng(32)
+    graphs = [random_graph(rng, int(rng.integers(4, 9)), 0.5) for _ in range(40)]
+    whole = graph_stats(graphs)
+    # one graph per chunk
+    monkeypatch.setattr(evaluation, "_STATS_CHUNK_BYTES", 1)
+    for a, b in zip(graph_stats(graphs), whole):
+        assert_stats_equal(a, b)
+
+
+def test_graph_stats_memory_is_bounded():
+    """graph_stats works through each node-count group in chunks, so
+    its working memory (the tracemalloc peak less the statistics it
+    returns) stays under one bound at 250 and at 2,000 graphs; stacking
+    a whole 2,000-graph set of 20 nodes would take about 80 MB."""
+    rng = np.random.default_rng(33)
+    distinct = [random_graph(rng, 20, 0.5) for _ in range(100)]
+    graphs = distinct * 20
+    graph_stats(distinct[:5])  # subset tables and caches outside the measurement
+    bound = 16 * 2**20
+    work = {}
+    for count in (250, 2000):
+        tracemalloc.start()
+        try:
+            stats = graph_stats(graphs[:count])
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(stats) == count
+        del stats
+        work[count] = peak - retained
+        assert work[count] <= bound, (count, work[count] / 2**20)
+    assert work[2000] <= 1.5 * work[250], {k: v / 2**20 for k, v in work.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +270,24 @@ def test_emd_all_pairs_matches_reference(monkeypatch):
         # no occupied bin at all
         Z = np.zeros((5, L))
         np.testing.assert_array_equal(_emd_all_pairs(Z, Z[:3], w), np.zeros((5, 3)))
+
+
+def test_emd_self_comparison_is_one_mirrored_triangle(monkeypatch):
+    """_emd_all_pairs(P, P) computes the upper triangle and mirrors it:
+    exactly symmetric, an exactly zero diagonal, and equal to the
+    rectangular path on a copy of the same rows."""
+    rng = np.random.default_rng(25)
+    P = sparse_rows(rng, 37, 30, [0, 5, 29])
+    for budget in (evaluation._EMD_BLOCK_BYTES, 3 * 8 * 37 * 27, 1):
+        monkeypatch.setattr(evaluation, "_EMD_BLOCK_BYTES", budget)
+        for w in (1.0, 0.01):
+            D = _emd_all_pairs(P, P, w)
+            R = _emd_all_pairs(P, P.copy(), w)
+            np.testing.assert_array_equal(D, D.T)
+            np.testing.assert_array_equal(np.diag(D), np.zeros(len(P)))
+            np.testing.assert_allclose(D, R, rtol=1e-15, atol=0.0)
+    hists = random_hists(rng, 40)
+    assert 0.0 <= mmd(hists, hists) <= 1e-12
 
 
 def test_mmd_memory_stays_bounded():
@@ -305,6 +424,36 @@ def test_mmd_report_structure_and_file(tmp_path):
     assert header[:4] == ["mmd_degree", "mmd_clustering", "mmd_orbit", "mmd_avg"]
     row = lines[3].split(",")
     np.testing.assert_allclose(float(row[3]), rep["mmd_avg"], rtol=1e-9)
+
+
+def load_bench_inputs():
+    """dgaebench/inputs.py as a module, executed from its source so that
+    importing it writes nothing next to it."""
+    path = BENCH / "inputs.py"
+    mod = types.ModuleType("dgaebench_inputs")
+    exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
+    return mod
+
+
+def test_mmd_report_matches_the_benchmark_reference(tmp_path):
+    """mmd_report answers the benchmark's eval inputs as recorded in
+    dgaebench/reference.json, at the benchmark's tolerance: every smoke
+    input seed (20 graphs a set) and two full-size ones (250)."""
+    inputs = load_bench_inputs()
+    answers = json.loads((BENCH / "reference.json").read_text())["answers"]["eval"]
+    cfg = ModelConfig()
+    cases = [("smoke", 20, k) for k in range(inputs.INPUT_SEEDS)] + \
+        [("full", 250, k) for k in (3, 10)]
+    for size, count, k in cases:
+        sets = []
+        for stream in (1, 2):
+            path = tmp_path / f"{size}{k}_{stream}.jsonl"
+            inputs.make_dataset(path, count, k, stream=stream)
+            sets.append(load_dataset(str(path))[0])
+        rep = mmd_report(*sets, cfg.mmd_sigma, cfg.clustering_bins)
+        got = [rep[key] for key in ("mmd_degree", "mmd_clustering", "mmd_orbit")]
+        np.testing.assert_allclose(got, answers[size][str(k)], rtol=1e-9, atol=0.0,
+                                   err_msg=f"{size} input seed {k}")
 
 
 def test_train_vs_test_floor_is_small():
