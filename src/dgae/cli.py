@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 from . import __version__, evaluation, training
+from .features import feature_widths
 from .graphs import DatasetSpec, build_dataset, load_dataset, save_dataset
 from .training import ConfigError, ModelConfig
 
@@ -146,18 +147,16 @@ def cmd_dataset_gen(args):
 def cmd_featurize(args):
     graphs, header = load_dataset(args.inp)
     cfg = _sync_data_config(resolve_config(args), graphs, header)
-    if args.report == "widths":
-        from .features import feature_widths
-        fn, fe = feature_widths(cfg.feature_config(), header["R"], header["S"])
-        aug = training.featurize_all(graphs, cfg)
-        real = sum(int(g.adjacency().sum()) for g in graphs)
-        neigh = sum(int(a.neighborhood.sum()) for a in aug)
-        print(f"graphs={len(graphs)}")
-        print(f"node_feature_width={fn}")
-        print(f"edge_feature_width={fe}")
-        print(f"real_edge_slots={real}")
-        print(f"neighborhood_slots={neigh}")
-        print(f"virtual_edge_slots={neigh - real}")
+    fn, fe = feature_widths(cfg.feature_config(), header["R"], header["S"])
+    aug = training.featurize_all(graphs, cfg)
+    real = sum(int(g.adjacency().sum()) for g in graphs)
+    neigh = sum(int(a.neighborhood.sum()) for a in aug)
+    print(f"graphs={len(graphs)}")
+    print(f"node_feature_width={fn}")
+    print(f"edge_feature_width={fe}")
+    print(f"real_edge_slots={real}")
+    print(f"neighborhood_slots={neigh}")
+    print(f"virtual_edge_slots={neigh - real}")
     return 0
 
 
@@ -309,7 +308,6 @@ def build_parser():
 
     f = sub.add_parser("featurize", help="feature diagnostics for a dataset")
     f.add_argument("--in", dest="inp", required=True)
-    f.add_argument("--report", choices=["widths"], default="widths")
     _add_config_args(f)
     f.set_defaults(func=cmd_featurize)
 

@@ -197,8 +197,8 @@ def prepare_batch(aug_graphs) -> GraphTensorBatch:
         edge_feats[b, :k, :k] = ag.edge_feats
         neigh[b, :k, :k] = ag.neighborhood
         mask[b, :k] = True
-        node_t[b, :k] = ag.base.node_categories()
-        edge_t[b, :k, :k] = ag.base.edge_categories()
+        node_t[b, :k] = ag.base.node_categories
+        edge_t[b, :k, :k] = ag.base.edge_categories
     return GraphTensorBatch(node_feats, edge_feats, neigh, mask, node_t, edge_t, sizes)
 
 
@@ -293,11 +293,10 @@ def recon_loss(node_logits, edge_logits, batch: GraphTensorBatch):
 
 
 def error_rates(node_logits, edge_logits, batch: GraphTensorBatch):
-    """Fraction of argmax mismatches over valid nodes and ordered pairs."""
-    nl = node_logits.data if isinstance(node_logits, Tensor) else node_logits
-    el = edge_logits.data if isinstance(edge_logits, Tensor) else edge_logits
-    node_pred = nl.argmax(axis=-1)
-    edge_pred = el.argmax(axis=-1)
+    """Fraction of argmax mismatches of the logit Tensors over valid
+    nodes and ordered pairs."""
+    node_pred = node_logits.data.argmax(axis=-1)
+    edge_pred = edge_logits.data.argmax(axis=-1)
     nm, pm = batch.node_mask, batch.pair_mask
     node_err = float(((node_pred != batch.node_targets) & nm).sum() / max(nm.sum(), 1))
     edge_err = float(((edge_pred != batch.edge_targets) & pm).sum() / max(pm.sum(), 1))
@@ -305,24 +304,14 @@ def error_rates(node_logits, edge_logits, batch: GraphTensorBatch):
 
 
 def sample_graph(node_logits, edge_logits) -> Graph:
-    """Mode decode of one graph: argmax per node and per pair, ties to
-    the lowest category. Edge logits are symmetrized first; category 0
-    means no edge.
+    """Mode decode of one graph from ndarrays node_logits (n, R) and
+    edge_logits (n, n, S): argmax per node and per pair, ties to the
+    lowest category. Edge logits are symmetrized first, so the edge
+    categories are symmetric; category 0 means no edge and the diagonal
+    is set to it.
     """
-    nl = node_logits.data if isinstance(node_logits, Tensor) else np.asarray(node_logits)
-    el = edge_logits.data if isinstance(edge_logits, Tensor) else np.asarray(edge_logits)
-    n, R = nl.shape
-    S = el.shape[-1]
-    el = 0.5 * (el + el.transpose(1, 0, 2))
-    node_cat = nl.argmax(axis=1)
+    el = 0.5 * (edge_logits + edge_logits.transpose(1, 0, 2))
     edge_cat = el.argmax(axis=2)
     np.fill_diagonal(edge_cat, 0)
-    node_attrs = np.zeros((n, R))
-    node_attrs[np.arange(n), node_cat] = 1.0
-    edge_attrs = np.zeros((n, n, S))
-    rows, cols = np.indices((n, n))
-    edge_attrs[rows, cols, edge_cat] = 1.0
-    g = Graph(node_attrs, edge_attrs)
-    g.validate()
-    return g
+    return Graph(node_logits.argmax(axis=1), edge_cat, node_logits.shape[1], el.shape[2])
 

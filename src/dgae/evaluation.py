@@ -252,8 +252,8 @@ def _emd_all_pairs(Pa, Pb, bin_width):
     L = Pa.shape[1]
     U = np.flatnonzero(Pa.any(axis=0) | Pb.any(axis=0))
     gaps = np.diff(np.append(U, L)).astype(np.float64)
-    Fa = np.cumsum(Pa, axis=1)[:, U]
-    Fb = Fa if same else np.cumsum(Pb, axis=1)[:, U]
+    Fa = np.cumsum(Pa[:, U], axis=1)
+    Fb = Fa if same else np.cumsum(Pb[:, U], axis=1)
     out = np.empty((len(Pa), len(Pb)))
     r = 0
     while r < len(Pa):

@@ -141,18 +141,20 @@ class AugmentedGraph:
 def augment(g: Graph, cfg: FeatureConfig, rng=None) -> AugmentedGraph:
     """Assemble model inputs for one graph.
 
-    Node feature blocks in fixed order: original categories, path
-    counts, spectral, cycles, random. Edge features are the original
-    one-hot categories on real edges (zeros on virtual edges, so the
-    two are distinguishable) plus path-count channels; everything
-    outside the neighborhood is zeroed. With all families disabled the
-    result is the raw graph with the real-edge neighborhood.
+    Node feature blocks in fixed order: one-hot node categories (R
+    wide), path counts, spectral, cycles, random. Edge features are the
+    one-hot edge categories (S wide) on real edges, zeros on virtual
+    edges so the two are distinguishable, plus path-count channels;
+    everything outside the neighborhood is zeroed. This is the one
+    place the categories are spelled one-hot. With all families
+    disabled the result is the one-hot graph with the real-edge
+    neighborhood.
     """
     n = g.n
     A = g.adjacency()
     real = A.astype(bool)
-    node_blocks = [g.node_attrs]
-    edge_blocks = [g.edge_attrs * real[:, :, None]]
+    node_blocks = [np.eye(g.num_node_categories)[g.node_categories]]
+    edge_blocks = [np.eye(g.num_edge_categories)[g.edge_categories] * real[:, :, None]]
     neigh = real.copy()
     if cfg.paths:
         node_pf, edge_pf, virtual = path_features(g, cfg.p)

@@ -1,65 +1,65 @@
-"""Dense attributed graphs, synthetic generators, and JSONL datasets.
+"""Attributed graphs, synthetic generators, and JSONL datasets.
 
-Graphs are stored densely: one-hot node categories (n, R) and one-hot
-edge categories (n, n, S) with category 0 reserved for "no edge". The
-dense layout caps out around n=64, which is the operating range here.
+A graph is what a dataset record holds: one category per node and an
+(n, n) matrix of edge categories, with category 0 reserved for "no
+edge". The matrix is symmetric with a zero diagonal: edges have no
+direction and there are no self loops. One-hot codes of the categories
+exist only as encoder input features (features.augment).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
 class Graph:
-    node_attrs: np.ndarray  # (n, R) one-hot float64
-    edge_attrs: np.ndarray  # (n, n, S) one-hot float64, channel 0 = no edge
-    directed: bool = False
+    node_categories: np.ndarray  # (n,) int64 in [0, R)
+    edge_categories: np.ndarray  # (n, n) int64 in [0, S), 0 = no edge
+    num_node_categories: int     # R
+    num_edge_categories: int     # S
 
     @property
     def n(self):
-        return self.node_attrs.shape[0]
-
-    @property
-    def num_node_categories(self):
-        return self.node_attrs.shape[1]
-
-    @property
-    def num_edge_categories(self):
-        return self.edge_attrs.shape[2]
+        return len(self.node_categories)
 
     def adjacency(self):
-        """0/1 matrix: any edge category other than 0, zero diagonal."""
-        a = 1 - self.edge_attrs[:, :, 0]
-        return np.round(a).astype(np.int64)
-
-    def node_categories(self):
-        return self.node_attrs.argmax(axis=1)
-
-    def edge_categories(self):
-        return self.edge_attrs.argmax(axis=2)
+        """0/1 int64 matrix: any edge category other than 0."""
+        return (self.edge_categories != 0).astype(np.int64)
 
     def validate(self):
-        n = self.n
-        if self.edge_attrs.shape[:2] != (n, n):
-            raise ValueError("edge_attrs must be (n, n, S)")
-        for name, arr in (("node_attrs", self.node_attrs), ("edge_attrs", self.edge_attrs)):
-            if not np.all((arr == 0) | (arr == 1)):
-                raise ValueError(f"{name} must be exactly one-hot")
-            if not np.all(arr.sum(axis=-1) == 1):
-                raise ValueError(f"{name} rows must sum to 1")
-        if not np.all(self.edge_attrs[np.arange(n), np.arange(n), 0] == 1):
+        """Raise ValueError unless the fields have the shapes above, hold
+        integer categories in range, and the edge matrix is symmetric with
+        a zero diagonal."""
+        V, E = self.node_categories, self.edge_categories
+        R, S = self.num_node_categories, self.num_edge_categories
+        if V.ndim != 1 or E.shape != (len(V), len(V)):
+            raise ValueError("edge_categories must be (n, n) for n node categories")
+        if R < 1 or S < 2:
+            raise ValueError(f"need R >= 1 and S >= 2 categories, got R={R}, S={S}")
+        for name, arr, k in (("node", V, R), ("edge", E, S)):
+            if arr.dtype.kind not in "iu":
+                raise ValueError(f"{name} categories must be integers")
+            if arr.size and (arr.min() < 0 or arr.max() >= k):
+                raise ValueError(f"{name} categories must lie in [0, {k})")
+        if np.any(np.diagonal(E)):
             raise ValueError("diagonal must be category 0 (no self loops)")
-        if not self.directed:
-            if not np.array_equal(self.edge_attrs, self.edge_attrs.transpose(1, 0, 2)):
-                raise ValueError("undirected graph has asymmetric edge_attrs")
+        if not np.array_equal(E, E.T):
+            raise ValueError("edge categories must be symmetric")
+
+
+def _int_array(values, what):
+    a = np.asarray(values)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers")
+    return a.astype(np.int64)
 
 
 def new_graph(n, edges=(), node_categories=None, num_node_categories=None,
-              num_edge_categories=2, directed=False):
+              num_edge_categories=2):
     """Build a validated graph from an edge list.
 
     edges: iterable of (i, j) or (i, j, category); category defaults
@@ -67,44 +67,26 @@ def new_graph(n, edges=(), node_categories=None, num_node_categories=None,
     """
     if n < 1:
         raise ValueError("graph needs at least one node")
-    if node_categories is None:
-        node_categories = [0] * n
-    node_categories = list(node_categories)
-    if len(node_categories) != n:
-        raise ValueError(f"expected {n} node categories, got {len(node_categories)}")
-    R = num_node_categories if num_node_categories is not None else max(node_categories) + 1
+    V = _int_array([0] * n if node_categories is None else node_categories, "node categories")
+    if V.shape != (n,):
+        raise ValueError(f"expected {n} node categories, got {V.size}")
+    R = int(V.max()) + 1 if num_node_categories is None else num_node_categories
     S = num_edge_categories
-    if S < 2:
-        raise ValueError("need at least 2 edge categories (category 0 is 'no edge')")
-
-    node_attrs = np.zeros((n, R))
-    for i, c in enumerate(node_categories):
-        if not 0 <= c < R:
-            raise ValueError(f"node {i} category {c} out of range [0, {R})")
-        node_attrs[i, c] = 1.0
-
-    cat = np.zeros((n, n), dtype=np.int64)
-    for e in edges:
-        if len(e) == 2:
-            i, j, c = e[0], e[1], 1
-        else:
-            i, j, c = e
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) index out of range for n={n}")
-        if i == j:
-            raise ValueError(f"self loop at node {i} not allowed")
-        if not 1 <= c < S:
-            raise ValueError(f"edge ({i}, {j}) category {c} out of range [1, {S})")
-        pairs = [(i, j)] if directed else [(i, j), (j, i)]
-        for (p, q) in pairs:
-            if cat[p, q] != 0 and cat[p, q] != c:
-                raise ValueError(f"conflicting categories for edge ({p}, {q})")
-            cat[p, q] = c
-
-    edge_attrs = np.zeros((n, n, S))
-    rows, cols = np.indices((n, n))
-    edge_attrs[rows, cols, cat] = 1.0
-    g = Graph(node_attrs, edge_attrs, directed)
+    triples = _int_array([e if len(e) == 3 else (*e, 1) for e in edges] or np.zeros((0, 3)),
+                         "edges")
+    if triples.ndim != 2 or triples.shape[1] != 3:
+        raise ValueError("edges must be (i, j) or (i, j, category)")
+    i, j, c = triples.T
+    bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j) | (c < 1) | (c >= S))
+    if len(bad):
+        raise ValueError(f"edge {triples[bad[0]].tolist()} needs 0 <= i != j < {n} "
+                         f"and 1 <= category < {S}")
+    E = np.zeros((n, n), dtype=np.int64)
+    E[i, j] = c
+    E[j, i] = c
+    if np.any(E[i, j] != c):  # a pair listed twice with two categories
+        raise ValueError("conflicting categories for one edge")
+    g = Graph(V, E, R, S)
     g.validate()
     return g
 
@@ -114,7 +96,8 @@ def permute(g: Graph, perm) -> Graph:
     perm = np.asarray(perm, dtype=np.int64)
     if sorted(perm.tolist()) != list(range(g.n)):
         raise ValueError("perm must be a bijection on range(n)")
-    return Graph(g.node_attrs[perm], g.edge_attrs[perm][:, perm], g.directed)
+    return Graph(g.node_categories[perm], g.edge_categories[np.ix_(perm, perm)],
+                 g.num_node_categories, g.num_edge_categories)
 
 
 def gen_community_small(rng) -> Graph:
@@ -152,7 +135,6 @@ class DatasetSpec:
     generator: str
     count: int
     seed: int
-    params: dict = field(default_factory=dict)
 
 
 def build_dataset(spec: DatasetSpec):
@@ -162,11 +144,12 @@ def build_dataset(spec: DatasetSpec):
                          f"known: {sorted(_GENERATORS)}")
     gen = _GENERATORS[spec.generator]
     rng = np.random.default_rng(spec.seed)
-    return [gen(rng, **spec.params) for _ in range(spec.count)]
+    return [gen(rng) for _ in range(spec.count)]
 
 
-def save_dataset(path, graphs, R=None, S=None, directed=False):
-    """Write graphs as JSONL: one header line, then one record per graph."""
+def save_dataset(path, graphs, R=None, S=None):
+    """Write graphs as JSONL: one header line, then one record per graph
+    listing each edge once, as [i, j, category] with i < j."""
     if graphs:
         R = graphs[0].num_node_categories if R is None else R
         S = graphs[0].num_edge_categories if S is None else S
@@ -174,18 +157,15 @@ def save_dataset(path, graphs, R=None, S=None, directed=False):
         R = 1 if R is None else R
         S = 2 if S is None else S
     with open(path, "w") as f:
-        f.write(json.dumps({"R": R, "S": S, "directed": directed}) + "\n")
+        # the format keeps its "directed" key; false is the only value read back
+        f.write(json.dumps({"R": R, "S": S, "directed": False}) + "\n")
         for g in graphs:
-            if (g.num_node_categories, g.num_edge_categories, g.directed) != (R, S, directed):
+            if (g.num_node_categories, g.num_edge_categories) != (R, S):
                 raise ValueError("graph category counts disagree with dataset header")
-            cats = g.edge_categories()
-            edges = []
-            for i in range(g.n):
-                lo = 0 if directed else i + 1
-                for j in range(lo, g.n):
-                    if i != j and cats[i, j] != 0:
-                        edges.append([i, j, int(cats[i, j])])
-            rec = {"n": g.n, "nodes": [int(c) for c in g.node_categories()], "edges": edges}
+            E = g.edge_categories
+            i, j = np.nonzero(np.triu(E, 1))
+            rec = {"n": g.n, "nodes": g.node_categories.tolist(),
+                   "edges": np.stack([i, j, E[i, j]], axis=1).tolist()}
             f.write(json.dumps(rec) + "\n")
 
 
@@ -196,22 +176,22 @@ def load_dataset(path):
         header_line = f.readline()
         if not header_line.strip():
             # zero-length file reads back as the empty dataset
-            return [], {"R": 1, "S": 2, "directed": False}
+            return [], {"R": 1, "S": 2}
         try:
             header = json.loads(header_line)
-            R, S, directed = header["R"], header["S"], header["directed"]
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+            R, S = header["R"], header["S"]
+            if header["directed"] is not False:
+                raise ValueError('only "directed": false is supported')
+        except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{path}: bad dataset header: {e}") from e
         for ln, line in enumerate(f, start=2):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-                g = new_graph(rec["n"], [tuple(e) for e in rec["edges"]],
-                              node_categories=rec["nodes"],
-                              num_node_categories=R, num_edge_categories=S,
-                              directed=directed)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+                g = new_graph(rec["n"], rec["edges"], node_categories=rec["nodes"],
+                              num_node_categories=R, num_edge_categories=S)
+            except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}:{ln}: bad graph record: {e}") from e
             graphs.append(g)
-    return graphs, {"R": R, "S": S, "directed": directed}
+    return graphs, {"R": R, "S": S}

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from . import autodiff as ad
 from . import codec, prior, quantize
 from .autodiff import Tensor, straight_through
 from .features import FeatureConfig, augment, feature_widths
-from .graphs import Graph
 from .prior import read_exact
 
 

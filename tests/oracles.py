@@ -3,9 +3,10 @@
 Everything here is deliberately slow and simple: exhaustive enumeration,
 explicit double loops or dense forms, and no code shared with src/
 beyond the autodiff primitives and the model's parameter objects.
-Closed-form results in the package are checked against these. Two
-helpers, grad_check and encode_graph, are not references: they drive
-the package's own code for the tests. The per-graph statistics
+Closed-form results in the package are checked against these. Three
+helpers, grad_check, encode_graph and load_bench_inputs, are not
+references: they drive the package's own code or load the benchmark's
+input writer for the tests. The per-graph statistics
 (graph_stats, clustering_coefficients, node_orbit_counts) are the
 package's former one-graph-at-a-time definitions, kept to pin its
 set-level ones; node_orbit_counts reads the package's connectedness
@@ -13,6 +14,8 @@ tables, which node_orbit_participation checks independently.
 """
 
 import itertools
+import types
+from pathlib import Path
 
 import numpy as np
 from scipy.stats import wasserstein_distance
@@ -24,9 +27,10 @@ from dgae.graphs import new_graph
 
 
 def graphs_equal(a, b):
-    return (a.directed == b.directed
-            and np.array_equal(a.node_attrs, b.node_attrs)
-            and np.array_equal(a.edge_attrs, b.edge_attrs))
+    return (a.num_node_categories == b.num_node_categories
+            and a.num_edge_categories == b.num_edge_categories
+            and np.array_equal(a.node_categories, b.node_categories)
+            and np.array_equal(a.edge_categories, b.edge_categories))
 
 
 def is_isomorphic_small(a, b):
@@ -36,20 +40,19 @@ def is_isomorphic_small(a, b):
     if a.n > 8:
         raise ValueError("is_isomorphic_small is limited to n <= 8")
     if (a.num_node_categories != b.num_node_categories
-            or a.num_edge_categories != b.num_edge_categories
-            or a.directed != b.directed):
+            or a.num_edge_categories != b.num_edge_categories):
         return False
     # cheap invariants first
     da = np.sort(a.adjacency().sum(axis=1))
     db = np.sort(b.adjacency().sum(axis=1))
     if not np.array_equal(da, db):
         return False
-    if not np.array_equal(np.sort(a.node_categories()), np.sort(b.node_categories())):
+    if not np.array_equal(np.sort(a.node_categories), np.sort(b.node_categories)):
         return False
     for perm in itertools.permutations(range(a.n)):
         p = np.array(perm)
-        if (np.array_equal(b.node_attrs, a.node_attrs[p])
-                and np.array_equal(b.edge_attrs, a.edge_attrs[p][:, p])):
+        if (np.array_equal(b.node_categories, a.node_categories[p])
+                and np.array_equal(b.edge_categories, a.edge_categories[p][:, p])):
             return True
     return False
 
@@ -415,3 +418,12 @@ def encode_graph(ag, enc, train=False):
     embedding."""
     batch = codec.prepare_batch([ag])
     return codec.encode(batch, enc, train).data[0, :ag.n]
+
+
+def load_bench_inputs():
+    """dgaebench/inputs.py as a module, executed from its source so that
+    importing it writes nothing next to it."""
+    path = Path(__file__).resolve().parents[1] / "dgaebench" / "inputs.py"
+    mod = types.ModuleType("dgaebench_inputs")
+    exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
+    return mod

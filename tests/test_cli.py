@@ -410,6 +410,22 @@ def test_eval_dataset_bit_flips_are_clean_loads_or_one_error_line(tmp_path, caps
     assert 0 < clean < 8 * len(raw)
 
 
+def test_eval_rejects_a_directed_dataset(tmp_path, capsys):
+    """Graphs are undirected throughout, so a header that says otherwise
+    fails the load instead of producing numbers with no meaning."""
+    ref = tmp_path / "ref.graphs"
+    ref.write_text('{"R": 1, "S": 2, "directed": false}\n'
+                   '{"n": 3, "nodes": [0, 0, 0], "edges": [[0, 1, 1], [1, 2, 1]]}\n')
+    gen = tmp_path / "gen.graphs"
+    gen.write_text(ref.read_text().replace("false", "true"))
+    capsys.readouterr()
+    rc = run(["eval", "--ref", ref, "--gen", gen, "--out", tmp_path / "mmd.csv"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "directed" in err
+
+
 # ---------------------------------------------------------------------------
 # ablation commands
 

@@ -3,14 +3,13 @@
 import json
 import time
 import tracemalloc
-import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dgae import evaluation
-from dgae.graphs import DatasetSpec, build_dataset, load_dataset, new_graph, permute
+from dgae.graphs import DatasetSpec, Graph, build_dataset, load_dataset, new_graph, permute
 from dgae.evaluation import (
     DEFAULT_CODEBOOK_GRID,
     FEATURE_CELLS,
@@ -37,6 +36,7 @@ import oracles
 from oracles import (
     emd_reference,
     graph_from_adjacency,
+    load_bench_inputs,
     mmd_double_sum,
     node_orbit_participation,
     random_adjacency,
@@ -126,9 +126,13 @@ def edge_case_graphs():
     nodes, empty and complete graphs, clustering coefficients exactly
     0.5, 1.0 and 1/3 (bin edges at several bin counts) and 0.7, where
     the index coef * bins needs np.histogram's corrections against the
-    linspace edges (down for 1/3 at 33 bins, up for 0.7 at 170), and a
-    directed graph whose coefficient 2.0 falls outside [0, 1]."""
+    linspace edges (down for 1/3 at 33 bins, up for 0.7 at 170), and an
+    asymmetric adjacency whose coefficient 2.0 falls outside [0, 1]. No
+    dataset can hold that last one, so it is built with the Graph
+    constructor, which does not validate."""
     k4_pendant = [(i, j) for i in range(4) for j in range(i + 1, 4)] + [(0, 4)]
+    arcs = np.zeros((5, 5), dtype=np.int64)
+    arcs[[0, 0, 1, 3, 1, 4, 2, 2], [1, 2, 3, 0, 4, 0, 3, 4]] = 1
     return [
         new_graph(1), new_graph(2), new_graph(2, [(0, 1)]), new_graph(3),
         new_graph(3, [(0, 1)]), new_graph(3, [(0, 1), (1, 2)]),
@@ -138,8 +142,7 @@ def edge_case_graphs():
         new_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]),   # node 0: 1/3
         new_graph(6, [(0, i) for i in range(1, 6)] + [(1, 2), (1, 3), (1, 4), (1, 5),
                                                       (2, 3), (2, 4), (2, 5)]),  # 0.7
-        new_graph(5, [(0, 1), (0, 2), (1, 3), (3, 0), (1, 4), (4, 0), (2, 3), (2, 4)],
-                  directed=True),
+        Graph(np.zeros(5, dtype=np.int64), arcs, 1, 2),
     ]
 
 
@@ -424,15 +427,6 @@ def test_mmd_report_structure_and_file(tmp_path):
     assert header[:4] == ["mmd_degree", "mmd_clustering", "mmd_orbit", "mmd_avg"]
     row = lines[3].split(",")
     np.testing.assert_allclose(float(row[3]), rep["mmd_avg"], rtol=1e-9)
-
-
-def load_bench_inputs():
-    """dgaebench/inputs.py as a module, executed from its source so that
-    importing it writes nothing next to it."""
-    path = BENCH / "inputs.py"
-    mod = types.ModuleType("dgaebench_inputs")
-    exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
-    return mod
 
 
 def test_mmd_report_matches_the_benchmark_reference(tmp_path):

@@ -196,18 +196,19 @@ def test_augment_all_off_is_identity():
     cfg = FeatureConfig(paths=False, spectral=False, cycles=False, random=False)
     g = path3()
     ag = augment(g, cfg)
-    assert np.array_equal(ag.node_feats, g.node_attrs)
+    # one node category (R=1): every node's one-hot is [1]
+    assert np.array_equal(ag.node_feats, np.ones((3, 1)))
     assert np.array_equal(ag.neighborhood, g.adjacency().astype(bool))
-    # original one-hots survive on real edges, zeros elsewhere
+    # category-1 one-hots on real edges, zeros elsewhere
     nb = ag.neighborhood
-    assert np.array_equal(ag.edge_feats[nb], g.edge_attrs[nb])
+    assert np.array_equal(ag.edge_feats[nb], np.tile([0.0, 1.0], (nb.sum(), 1)))
     assert np.all(ag.edge_feats[~nb] == 0)
 
 
 def test_augment_paths_only_widths():
     cfg = FeatureConfig(paths=True, spectral=False, cycles=False, random=False)
     ag = augment(triangle(), cfg)
-    S = triangle().edge_attrs.shape[-1]
+    S = triangle().num_edge_categories
     assert ag.edge_feats.shape[-1] == S + 3
     fn, fe = feature_widths(cfg, R=1, S=S)
     assert ag.node_feats.shape[-1] == fn

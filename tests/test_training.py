@@ -419,8 +419,8 @@ def test_full_pipeline_and_reload(tmp_path):
     load_prior_state(pparams2, tensors)
     out2, _ = generate_graphs(model2, pparams2, cfg2, count=6, seed=11)
     for a, b in zip(out, out2):
-        np.testing.assert_array_equal(a.node_attrs, b.node_attrs)
-        np.testing.assert_array_equal(a.edge_attrs, b.edge_attrs)
+        np.testing.assert_array_equal(a.node_categories, b.node_categories)
+        np.testing.assert_array_equal(a.edge_categories, b.edge_categories)
 
 
 def test_evaluate_reports_quantized_metrics():
