@@ -8,10 +8,12 @@ float32 arrays for speed, and runs inside no_grad(), which records no
 graph.
 
 Broadcasting is deliberately restricted: binary ops accept equal
-shapes, a python scalar, or a trailing-suffix shape (bias add). Rows
-move between a node table and a list of node pairs (a PairIndex) only
-through named ops: pair_gather, segment_sum, permute_rows and
-scatter_rows. This keeps every backward rule explicit and easy to audit.
+shapes, a python scalar, or a trailing-suffix shape (bias add), and no
+op permutes axes. Rows move between a node table and a list of node
+pairs (a PairIndex) only through named ops: pair_gather, segment_sum,
+permute_rows and scatter_rows. Masked softmax attention is one named
+op, causal_attention, which moves the head axis off the tape. This
+keeps every backward rule explicit and easy to audit.
 
 Gradients are never written in place. A tensor keeps the first gradient
 it receives as is, though the same array may be another tensor's
@@ -153,36 +155,23 @@ def _suffix_axes(big, small):
 
 
 def add(a, b):
+    """a + b for equal shapes or, bias-style, b broadcast over the
+    leading axes of a."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape == b.shape:
-        out_data = a.data + b.data
+    axes = _suffix_axes(a.shape, b.shape)
 
-        def bw(g):
-            if a.requires_grad:
-                a._accumulate(g)
-            if b.requires_grad:
-                b._accumulate(g)
+    def bw(g):
+        if a.requires_grad:
+            a._accumulate(g)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=axes) if axes else g)
 
-    else:
-        # bias-style add: b broadcasts over leading axes of a
-        axes = _suffix_axes(a.shape, b.shape)
-        out_data = a.data + b.data
-
-        def bw(g):
-            if a.requires_grad:
-                a._accumulate(g)
-            if b.requires_grad:
-                b._accumulate(g.sum(axis=axes) if axes else g)
-
-    return _node(out_data, (a, b), bw)
+    return _node(a.data + b.data, (a, b), bw)
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        axes = _suffix_axes(a.shape, b.shape)
-    else:
-        axes = None
+    axes = _suffix_axes(a.shape, b.shape)
     out_data = a.data * b.data
 
     def bw(g):
@@ -248,19 +237,6 @@ def reshape(a, shape):
     def bw(g):
         if a.requires_grad:
             a._accumulate(g.reshape(a.shape))
-
-    return _node(out_data, (a,), bw)
-
-
-def transpose(a, axes):
-    a = _as_tensor(a)
-    axes = tuple(axes)
-    inv = np.argsort(axes)
-    out_data = np.transpose(a.data, axes)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(np.transpose(g, inv))
 
     return _node(out_data, (a,), bw)
 
@@ -433,18 +409,58 @@ def relu(a):
     return _node(out_data, (a,), bw)
 
 
+def _softmax(x, axis):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(p, g, axis):
+    """The gradient at x of p = softmax(x) from the gradient g at p."""
+    return p * (g - (g * p).sum(axis=axis, keepdims=True))
+
+
 def softmax(a, axis=-1):
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = _softmax(a.data, axis)
 
     def bw(g):
         if a.requires_grad:
-            dot = (g * out_data).sum(axis=axis, keepdims=True)
-            a._accumulate(out_data * (g - dot))
+            a._accumulate(_softmax_grad(out_data, g, axis))
 
     return _node(out_data, (a,), bw)
+
+
+def causal_attention(q, k, v, allowed):
+    """Masked softmax attention as one node. q is (B, R, H, d_k), k and
+    v are (B, S, H, d_k), and the bool mask `allowed` broadcasts to
+    (B, H, R, S). Per head, row r of the output (B, R, H, d_k) is the
+    softmax over the allowed keys s of q[r] . k[s] / sqrt(d_k),
+    applied to the values; a row with no allowed key is zeros. The
+    head axis moves ahead of the rows off the tape, and the backward
+    reuses the forward's probabilities.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 4 or k.shape != v.shape \
+            or k.shape[:1] + k.shape[2:] != q.shape[:1] + q.shape[2:]:
+        raise ShapeError(f"causal_attention needs q (B, R, H, d) and k, v (B, S, H, d): "
+                         f"{q.shape}, {k.shape}, {v.shape}")
+    qh, kh, vh = (np.swapaxes(t.data, 1, 2) for t in (q, k, v))  # (B, H, ., d_k)
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    p = _softmax(np.where(allowed, (qh @ np.swapaxes(kh, 2, 3)) * scale, MASK_VALUE), -1)
+    p *= allowed  # a row with no allowed key softmaxes to uniform
+
+    def bw(g):
+        gh = np.swapaxes(g, 1, 2)
+        if v.requires_grad:
+            v._accumulate(np.swapaxes(np.swapaxes(p, 2, 3) @ gh, 1, 2))
+        if q.requires_grad or k.requires_grad:
+            ds = _softmax_grad(p, gh @ np.swapaxes(vh, 2, 3), -1) * scale
+            if q.requires_grad:
+                q._accumulate(np.swapaxes(ds @ kh, 1, 2))
+            if k.requires_grad:
+                k._accumulate(np.swapaxes(np.swapaxes(ds, 2, 3) @ qh, 1, 2))
+
+    return _node(np.swapaxes(p @ vh, 1, 2), (q, k, v), bw)
 
 
 def masked_fill(a, mask, value):

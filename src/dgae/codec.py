@@ -305,13 +305,12 @@ def error_rates(node_logits, edge_logits, batch: GraphTensorBatch):
 
 def sample_graph(node_logits, edge_logits) -> Graph:
     """Mode decode of one graph from ndarrays node_logits (n, R) and
-    edge_logits (n, n, S): argmax per node and per pair, ties to the
-    lowest category. Edge logits are symmetrized first, so the edge
-    categories are symmetric; category 0 means no edge and the diagonal
-    is set to it.
+    the decoder's symmetric edge_logits (n, n, S): argmax per node and
+    per pair, ties to the lowest category, which gives symmetric edge
+    categories. Category 0 means no edge and the diagonal is set to it.
     """
-    el = 0.5 * (edge_logits + edge_logits.transpose(1, 0, 2))
-    edge_cat = el.argmax(axis=2)
+    edge_cat = edge_logits.argmax(axis=2)
     np.fill_diagonal(edge_cat, 0)
-    return Graph(node_logits.argmax(axis=1), edge_cat, node_logits.shape[1], el.shape[2])
+    return Graph(node_logits.argmax(axis=1), edge_cat, node_logits.shape[1],
+                 edge_logits.shape[2])
 

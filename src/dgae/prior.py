@@ -14,6 +14,11 @@ once per node. End-of-set is an extra class (index m) that only the
 partition-0 head may emit. A structural order mask zeroes the
 probability of breaking the sorted-order invariant on partition 0.
 
+Attention needs no padding mask. Row t attends only to the nodes
+s < t, and every row the loss reads has t at most the set's length, so
+every key it sees belongs to a real node or the start node. The keys of
+padded slots reach only padded rows, which the loss mask drops.
+
 Teacher forcing and sampling share one forward definition. The sampler
 runs the same input projection, block and masked output head one
 (t, c) at a time: the queries of node t, partition c attend over a
@@ -196,37 +201,21 @@ def build_inputs(params: PriorParams, batch: SequenceBatch) -> Tensor:
     return ad.concat([_input_column(params, c, prev, cur, pos) for c in range(C)], 2)
 
 
-def attention_2d(q, k, v, kv_valid=None):
-    """Causal set attention: queries at (t, c) average values over
-    strictly earlier node positions s < t; rows with no predecessor
+def attention_2d(q, k, v):
+    """Causal set attention: the queries at (t, c) average the values of
+    the strictly earlier node positions s < t; rows with no predecessor
     (t = 0) return zeros.
 
-    q: Tensor (B, H, T, C, d_k), the last T of the S node positions
-    k: Tensor (B, H, S, d_k), S >= T
-    v: Tensor (B, H, S, d_v)
-    kv_valid: optional (B, S) bool marking real (non-padding) keys.
+    q: Tensor (B, T, C, H, d_k), the last T of the S node positions
+    k, v: Tensors (B, S, H, d_k), S >= T
+    Returns (B, T, C, H, d_k).
     """
-    B, H, T, C, dk = q.shape
-    S = k.shape[2]
-    dv = v.shape[-1]
-    qf = ad.reshape(q, (B, H, T * C, dk))
-    scores = ad.matmul(qf, ad.transpose(k, (0, 1, 3, 2)))
-    scores = ad.mul(scores, 1.0 / np.sqrt(dk))
-
+    B, T, C, H, dk = q.shape
+    S = k.shape[1]
     t_of_row = np.repeat(np.arange(S - T, S), C)
-    allowed = np.arange(S)[None, :] < t_of_row[:, None]  # (T*C, S)
-    if kv_valid is not None:
-        allowed = allowed[None, :, :] & np.asarray(kv_valid, dtype=bool)[:, None, :]
-        allowed = allowed[:, None, :, :]  # (B, 1, T*C, S)
-    else:
-        allowed = allowed[None, None, :, :]
-    scores = ad.masked_fill(scores, ~np.broadcast_to(allowed, (B, H, T * C, S)), MASK_VALUE)
-    probs = ad.softmax(scores, axis=-1)
-    # a fully masked row softmaxes to uniform; the t=0 convention is zeros
-    row_live = (t_of_row > 0).astype(np.float64)[None, None, :, None]
-    probs = ad.mul(probs, Tensor(np.broadcast_to(row_live, (B, H, T * C, S))))
-    out = ad.matmul(probs, v)
-    return ad.reshape(out, (B, H, T, C, dv))
+    allowed = np.arange(S) < t_of_row[:, None]  # (T*C, S)
+    out = ad.causal_attention(ad.reshape(q, (B, T * C, H, dk)), k, v, allowed)
+    return ad.reshape(out, q.shape)
 
 
 def _by_partition(maps, x: Tensor, parts) -> Tensor:
@@ -241,24 +230,21 @@ def _by_partition(maps, x: Tensor, parts) -> Tensor:
 
 
 def _keys_values(blk: PriorBlock, x0: Tensor):
-    """Keys and values (B, H, S, d_k) of partition-0 rows x0 (B, S, d_model)."""
+    """Keys and values (B, S, H, d_k) of partition-0 rows x0 (B, S, d_model)."""
     B, S, dm = x0.shape
     x0 = ad.reshape(x0, (B * S, dm))
-    k = ad.transpose(ad.reshape(blk.wk(x0), (B, S, blk.heads, blk.d_k)), (0, 2, 1, 3))
-    v = ad.transpose(ad.reshape(blk.wv(x0), (B, S, blk.heads, blk.d_k)), (0, 2, 1, 3))
-    return k, v
+    heads = (B, S, blk.heads, blk.d_k)
+    return ad.reshape(blk.wk(x0), heads), ad.reshape(blk.wv(x0), heads)
 
 
-def _block_forward(blk: PriorBlock, x: Tensor, k: Tensor, v: Tensor, parts, kv_valid=None):
+def _block_forward(blk: PriorBlock, x: Tensor, k: Tensor, v: Tensor, parts):
     """x: (B, T, P, d_model) -> same shape. Column j of x holds
     partition parts[j] at the last T of the S node positions whose
-    keys and values k, v (B, H, S, d_k) it attends over.
+    keys and values k, v (B, S, H, d_k) it attends over.
     """
     B, T, P, dm = x.shape
-    H, dk = blk.heads, blk.d_k
-    q = ad.reshape(_by_partition(blk.wq, x, parts), (B, T, P, H, dk))
-    a = attention_2d(ad.transpose(q, (0, 3, 1, 2, 4)), k, v, kv_valid)  # (B, H, T, P, dk)
-    a = ad.reshape(ad.transpose(a, (0, 2, 3, 1, 4)), (B, T, P, dm))
+    q = ad.reshape(_by_partition(blk.wq, x, parts), (B, T, P, blk.heads, blk.d_k))
+    a = ad.reshape(attention_2d(q, k, v), (B, T, P, dm))
     h = ad.layernorm(x + a, blk.ln1.gamma, blk.ln1.beta)
     f = ad.reshape(blk.f_z(ad.reshape(h, (B * T * P, dm))), (B, T, P, dm))
     return ad.layernorm(h + f, blk.ln2.gamma, blk.ln2.beta)
@@ -289,10 +275,9 @@ def prior_logits(params: PriorParams, batch: SequenceBatch) -> Tensor:
     """
     B, T, C = batch.indices.shape
     x = build_inputs(params, batch)
-    kv_valid = np.arange(T + 1)[None, :] < batch.lengths[:, None]
     for blk in params.blocks:
         k, v = _keys_values(blk, x[:, :, 0])
-        x = _block_forward(blk, x, k, v, range(C), kv_valid)
+        x = _block_forward(blk, x, k, v, range(C))
     prev_k0 = np.zeros((B, T + 1), dtype=np.int64)
     prev_k0[:, 1:] = batch.indices[:, :, 0]
     return _logits(params, x, range(C), prev_k0)
@@ -365,7 +350,7 @@ def generate(params: PriorParams, codebooks, count, seed, step_times=None):
     uniforms = uniforms.reshape(count, n_max * C)
     prev = np.zeros((count, 1, params.d_latent))
     prev_k0 = np.zeros((count, 1), dtype=np.int64)
-    kv = np.zeros((len(params.blocks), 2, count, params.heads, n_max,
+    kv = np.zeros((len(params.blocks), 2, count, n_max, params.heads,
                    params.d_model // params.heads))
 
     for t in range(n_max):
@@ -378,9 +363,9 @@ def generate(params: PriorParams, codebooks, count, seed, step_times=None):
             for l, blk in enumerate(params.blocks):
                 if c == 0:
                     k, v = _keys_values(blk, x[:, :, 0])
-                    kv[l, 0, :, :, t:t + 1], kv[l, 1, :, :, t:t + 1] = k.data, v.data
-                x = _block_forward(blk, x, Tensor(kv[l, 0, :, :, :t + 1]),
-                                   Tensor(kv[l, 1, :, :, :t + 1]), (c,))
+                    kv[l, 0, :, t:t + 1], kv[l, 1, :, t:t + 1] = k.data, v.data
+                x = _block_forward(blk, x, Tensor(kv[l, 0, :, :t + 1]),
+                                   Tensor(kv[l, 1, :, :t + 1]), (c,))
             logits = _logits(params, x, (c,), prev_k0).data[:, 0, 0]
             if c == 0 and t == 0:
                 logits[:, m] = MASK_VALUE  # every set has at least one node
@@ -461,6 +446,8 @@ def _read_varint(f, path, field):
 
 def write_sequences(path, m, C, sequences):
     """sequences: iterable of (T, C) int arrays."""
+    if m < 1 or C < 1:
+        raise ValueError(f"codebook size {m} and partitions {C} must be positive")
     with open(path, "wb") as f:
         f.write(_SEQ_MAGIC)
         f.write(struct.pack("<III", 1, m, C))
@@ -485,6 +472,8 @@ def read_sequences(path):
         version, m, C = struct.unpack("<III", read_exact(f, 12, path, "header"))
         if version != 1:
             raise ValueError(f"{path}: unsupported sequence cache version {version}")
+        if m < 1 or C < 1:
+            raise ValueError(f"{path}: codebook size {m} and partitions {C} must be positive")
         (count,) = struct.unpack("<Q", read_exact(f, 8, path, "sequence count"))
         seqs = []
         for i in range(count):
@@ -492,6 +481,8 @@ def read_sequences(path):
             T = _read_varint(f, path, field)
             flat = np.array([_read_varint(f, path, field) for _ in range(T * C)],
                             dtype=np.int64)
+            if flat.size and flat.max() >= m:
+                raise ValueError(f"{path}: {field} has an index outside [0, {m})")
             seqs.append(flat.reshape(T, C))
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after {count} sequences")

@@ -46,9 +46,7 @@ def partition(z, C):
 
 
 def unpartition(z_parts):
-    """Inverse of partition: (..., C, d/C) -> (..., d)."""
-    if isinstance(z_parts, Tensor):
-        return ad.reshape(z_parts, z_parts.shape[:-2] + (z_parts.shape[-2] * z_parts.shape[-1],))
+    """Inverse of partition on arrays: (..., C, d/C) -> (..., d)."""
     z = np.asarray(z_parts)
     return z.reshape(z.shape[:-2] + (z.shape[-2] * z.shape[-1],))
 
@@ -163,29 +161,23 @@ def ema_update(cbs: CodebookSet, z_parts, indices):
         cbs.codebooks[c] = cbs.ema_sums[c] / denom[:, None]
 
 
-def commitment_loss(z_parts: Tensor, codewords, mask=None):
+def commitment_loss(z_parts: Tensor, codewords, mask):
     """Mean squared distance pulling encoder outputs toward their
     (stop-gradient) codewords: sum over partition width, mean over the
     node x partition grid. Gradient reaches only the encoder.
 
-    mask, if given, is a bool array over the leading axes before the
-    (C, d_part) pair; masked-out slots (padding) contribute nothing
-    and do not count toward the mean.
+    mask is a bool array over the leading axes before the (C, d_part)
+    pair; masked-out slots (padding) contribute nothing and do not
+    count toward the mean.
     """
     codewords = np.asarray(codewords)
     if z_parts.shape != codewords.shape:
         raise ad.ShapeError(f"commitment shapes differ: {z_parts.shape} vs {codewords.shape}")
-    diff = z_parts - Tensor(codewords)
-    C = z_parts.shape[-2]
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        sel = np.broadcast_to(mask[..., None, None], z_parts.shape).astype(np.float64)
-        diff = ad.mul(diff, Tensor(sel))
-        grid = int(mask.sum()) * C
-    else:
-        grid = int(np.prod(z_parts.shape[:-1]))
-    sq = ad.mul(diff, diff)
-    return ad.mul(ad.sum_(sq), 1.0 / max(grid, 1))
+    mask = np.asarray(mask, dtype=bool)
+    sel = np.broadcast_to(mask[..., None, None], z_parts.shape).astype(np.float64)
+    diff = ad.mul(z_parts - Tensor(codewords), Tensor(sel))
+    grid = int(mask.sum()) * z_parts.shape[-2]
+    return ad.mul(ad.sum_(ad.mul(diff, diff)), 1.0 / max(grid, 1))
 
 
 def tuple_histogram(indices, C):

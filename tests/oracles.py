@@ -409,8 +409,25 @@ def dense_decode(z, node_mask, dec, train):
     x, e = _dense_mpnn_rounds(x, Tensor(np.zeros((B, n, n, h))), dec.layers, live,
                               node_mask, train)
     node_logits = ad.reshape(dec.node_out(ad.reshape(x, (B * n, h))), (B, n, -1))
-    el = ad.reshape(dec.edge_out(ad.reshape(e, (B * n * n, h))), (B, n, n, -1))
-    return node_logits, ad.mul(el + ad.transpose(el, (0, 2, 1, 3)), 0.5)
+    el = dec.edge_out(ad.reshape(e, (B * n * n, h)))
+    # row (b, i, j) of the mirror is row (b, j, i) of el
+    mirror = np.arange(B * n * n).reshape(B, n, n).transpose(0, 2, 1).reshape(-1)
+    el = ad.mul(el + ad.permute_rows(el, mirror), 0.5)
+    return node_logits, ad.reshape(el, (B, n, n, -1))
+
+
+def attention_chain(q, k_t, v, allowed):
+    """ad.causal_attention as the chain of taped ops it replaced, in
+    head-major layout: q (B, H, R, d), k_t (B, H, d, S), v (B, H, S, d)
+    and a bool mask `allowed` that broadcasts to (B, H, R, S). Returns
+    (B, H, R, d).
+    """
+    scores = ad.mul(ad.matmul(q, k_t), 1.0 / np.sqrt(q.shape[-1]))
+    allowed = np.broadcast_to(allowed, scores.shape)
+    probs = ad.softmax(ad.masked_fill(scores, ~allowed, ad.MASK_VALUE), axis=-1)
+    # a fully masked row softmaxes to uniform; its output is zeros
+    live = np.broadcast_to(allowed.any(axis=-1, keepdims=True), scores.shape)
+    return ad.matmul(ad.mul(probs, Tensor(live.astype(np.float64))), v)
 
 
 def encode_graph(ag, enc, train=False):

@@ -8,7 +8,7 @@ from dgae import autodiff as ad
 from dgae.autodiff import (BatchNormState, MASK_VALUE, PairIndex, ShapeError, Tensor,
                            batchnorm, cross_entropy_with_logits, layernorm,
                            straight_through)
-from oracles import grad_check
+from oracles import attention_chain, grad_check
 
 TOL = 1e-4
 
@@ -27,7 +27,8 @@ def primitive_grad_cases(rng):
     b34 = rng.normal(size=(3, 4))
     b4 = rng.normal(size=(4,))
     m45 = rng.normal(size=(4, 5))
-    m234 = rng.normal(size=(2, 3, 4))
+    # one mask per batch row, broadcast over the heads
+    per_batch = rng.random((2, 1, 2, 3)) < 0.6
     a64 = rng.normal(size=(6, 4))
     # pairs over two padded graphs of three node rows each: not
     # symmetric, and node row 5 (padding) is in no pair, so both of
@@ -54,7 +55,16 @@ def primitive_grad_cases(rng):
         ("concat", lambda xs: wsum(ad.concat([xs[0], xs[1]], axis=1)),
          [t(a34), t(b34)]),
         ("reshape", lambda xs: wsum(ad.reshape(xs[0], (4, 3))), [t(a34)]),
-        ("transpose", lambda xs: wsum(ad.transpose(xs[0], (1, 2, 0))), [t(m234)]),
+        # query row 0 has no allowed key, and there are more keys than
+        # queries
+        ("causal_attention", lambda xs: wsum(ad.causal_attention(
+            xs[0], xs[1], xs[2], np.arange(4) < np.array([[0], [2], [3]]))),
+         [t(rng.normal(size=(2, 3, 2, 3))), t(rng.normal(size=(2, 4, 2, 3))),
+          t(rng.normal(size=(2, 4, 2, 3)))]),
+        ("causal_attention_per_batch_mask", lambda xs: wsum(ad.causal_attention(
+            xs[0], xs[1], xs[2], per_batch)),
+         [t(rng.normal(size=(2, 2, 3, 2))), t(rng.normal(size=(2, 3, 3, 2))),
+          t(rng.normal(size=(2, 3, 3, 2)))]),
         ("slice", lambda xs: wsum(ad.slice_(xs[0], (slice(1, 3), slice(0, 2)))),
          [t(a34)]),
         # pair rows of width 3 into node width 4: e @ w_e is not square
@@ -184,6 +194,34 @@ def test_softmax_all_masked_row_is_finite():
     p = ad.softmax(row, axis=-1)
     assert np.all(np.isfinite(p.data))
     assert np.allclose(p.data, 0.25)
+
+
+@pytest.mark.parametrize("mask_shape", [(3, 5), (2, 1, 3, 5), (2, 4, 3, 5)])
+def test_causal_attention_matches_the_taped_chain(mask_shape):
+    """Forward and all three gradients against oracles.attention_chain,
+    with more keys than queries and a query row with no allowed key."""
+    rng = np.random.default_rng(11)
+    B, R, S, H, d = 2, 3, 5, 4, 3
+    q, k, v = (rng.normal(size=(B, n, H, d)) for n in (R, S, S))
+    allowed = rng.random(mask_shape) < 0.5
+    allowed[..., 0, :] = False
+    g = rng.normal(size=(B, R, H, d))
+
+    ts = [t(a) for a in (q, k, v)]
+    out = ad.causal_attention(*ts, allowed)
+    ad.sum_(ad.mul(out, Tensor(g))).backward()
+
+    head_major = [t(np.swapaxes(q, 1, 2)), t(k.transpose(0, 2, 3, 1)), t(np.swapaxes(v, 1, 2))]
+    want = attention_chain(*head_major, allowed)
+    ad.sum_(ad.mul(want, Tensor(np.swapaxes(g, 1, 2)))).backward()
+
+    np.testing.assert_array_equal(out.data[:, 0], 0.0)
+    np.testing.assert_allclose(out.data, np.swapaxes(want.data, 1, 2), rtol=0, atol=1e-12)
+    for got, ref in zip((ts[0].grad, ts[1].grad, ts[2].grad),
+                        (np.swapaxes(head_major[0].grad, 1, 2),
+                         head_major[1].grad.transpose(0, 3, 1, 2),
+                         np.swapaxes(head_major[2].grad, 1, 2))):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
 def test_sum_of_squares_gradient():

@@ -139,42 +139,42 @@ def test_build_inputs_partition_context():
 def test_attention_single_predecessor_returns_value():
     rng = np.random.default_rng(0)
     B, H, T, C, dk = 2, 3, 2, 3, 4
-    q = Tensor(rng.normal(size=(B, H, T, C, dk)))
-    k = Tensor(rng.normal(size=(B, H, T, dk)))
-    v = Tensor(rng.normal(size=(B, H, T, dk)))
+    q = Tensor(rng.normal(size=(B, T, C, H, dk)))
+    k = Tensor(rng.normal(size=(B, T, H, dk)))
+    v = Tensor(rng.normal(size=(B, T, H, dk)))
     out = attention_2d(q, k, v)
-    assert out.shape == (B, H, T, C, dk)
-    np.testing.assert_array_equal(out.data[:, :, 0], np.zeros((B, H, C, dk)))
+    assert out.shape == (B, T, C, H, dk)
+    np.testing.assert_array_equal(out.data[:, 0], np.zeros((B, C, H, dk)))
     for c in range(C):
-        np.testing.assert_allclose(out.data[:, :, 1, c], v.data[:, :, 0], atol=1e-12)
+        np.testing.assert_allclose(out.data[:, 1, c], v.data[:, 0], atol=1e-12)
 
 
 def test_attention_uniform_scores_give_mean():
     rng = np.random.default_rng(1)
     B, H, T, C, dk = 2, 3, 5, 2, 4
-    q = Tensor(np.zeros((B, H, T, C, dk)))
-    k = Tensor(rng.normal(size=(B, H, T, dk)))
-    v = Tensor(rng.normal(size=(B, H, T, dk)))
+    q = Tensor(np.zeros((B, T, C, H, dk)))
+    k = Tensor(rng.normal(size=(B, T, H, dk)))
+    v = Tensor(rng.normal(size=(B, T, H, dk)))
     out = attention_2d(q, k, v).data
     for t in range(1, T):
-        want = v.data[:, :, :t].mean(axis=2)
+        want = v.data[:, :t].mean(axis=1)
         for c in range(C):
-            np.testing.assert_allclose(out[:, :, t, c], want, atol=1e-12)
+            np.testing.assert_allclose(out[:, t, c], want, atol=1e-12)
 
 
 def test_attention_ignores_future_and_present_keys():
     rng = np.random.default_rng(2)
     B, H, T, C, dk = 2, 3, 6, 2, 4
-    q = Tensor(rng.normal(size=(B, H, T, C, dk)))
-    k0 = rng.normal(size=(B, H, T, dk))
-    v0 = rng.normal(size=(B, H, T, dk))
+    q = Tensor(rng.normal(size=(B, T, C, H, dk)))
+    k0 = rng.normal(size=(B, T, H, dk))
+    v0 = rng.normal(size=(B, T, H, dk))
     base = attention_2d(q, Tensor(k0), Tensor(v0)).data
     for t in range(T):
         k1, v1 = k0.copy(), v0.copy()
-        k1[:, :, t:] += rng.normal(size=(B, H, T - t, dk))
-        v1[:, :, t:] += rng.normal(size=(B, H, T - t, dk))
+        k1[:, t:] += rng.normal(size=(B, T - t, H, dk))
+        v1[:, t:] += rng.normal(size=(B, T - t, H, dk))
         got = attention_2d(q, Tensor(k1), Tensor(v1)).data
-        np.testing.assert_array_equal(got[:, :, :t + 1], base[:, :, :t + 1])
+        np.testing.assert_array_equal(got[:, :t + 1], base[:, :t + 1])
 
 
 def test_attention_over_key_prefix_matches_full_sequence():
@@ -182,32 +182,47 @@ def test_attention_over_key_prefix_matches_full_sequence():
     keys and values of positions 0..t, give row t of the full result."""
     rng = np.random.default_rng(4)
     B, H, T, C, dk = 3, 2, 5, 3, 4
-    q = rng.normal(size=(B, H, T, C, dk))
-    k = rng.normal(size=(B, H, T, dk))
-    v = rng.normal(size=(B, H, T, dk))
+    q = rng.normal(size=(B, T, C, H, dk))
+    k = rng.normal(size=(B, T, H, dk))
+    v = rng.normal(size=(B, T, H, dk))
     full = attention_2d(Tensor(q), Tensor(k), Tensor(v)).data
     for t in range(T):
-        got = attention_2d(Tensor(q[:, :, t:t + 1]), Tensor(k[:, :, :t + 1]),
-                           Tensor(v[:, :, :t + 1])).data
-        assert got.shape == (B, H, 1, C, dk)
-        np.testing.assert_allclose(got, full[:, :, t:t + 1], rtol=0, atol=1e-12)
-    first = attention_2d(Tensor(q[:, :, :1]), Tensor(k[:, :, :1]), Tensor(v[:, :, :1])).data
-    np.testing.assert_array_equal(first, np.zeros((B, H, 1, C, dk)))
+        got = attention_2d(Tensor(q[:, t:t + 1]), Tensor(k[:, :t + 1]),
+                           Tensor(v[:, :t + 1])).data
+        assert got.shape == (B, 1, C, H, dk)
+        np.testing.assert_allclose(got, full[:, t:t + 1], rtol=0, atol=1e-12)
+    first = attention_2d(Tensor(q[:, :1]), Tensor(k[:, :1]), Tensor(v[:, :1])).data
+    np.testing.assert_array_equal(first, np.zeros((B, 1, C, H, dk)))
 
 
-def test_attention_padding_keys_excluded():
-    rng = np.random.default_rng(3)
-    B, H, T, C, dk = 2, 2, 4, 2, 3
-    q = Tensor(rng.normal(size=(B, H, T, C, dk)))
-    k = rng.normal(size=(B, H, T, dk))
-    v = rng.normal(size=(B, H, T, dk))
-    kv_valid = np.array([[True, True, False, False]] * B)
-    base = attention_2d(q, Tensor(k), Tensor(v), kv_valid).data
-    k2, v2 = k.copy(), v.copy()
-    k2[:, :, 2:] = 99.0
-    v2[:, :, 2:] = -99.0
-    got = attention_2d(q, Tensor(k2), Tensor(v2), kv_valid).data
-    np.testing.assert_array_equal(got, base)
+def test_padding_slots_never_reach_the_loss():
+    """Row t attends only to nodes s < t, so the keys of padded slots
+    reach only padded rows, which the loss mask drops: garbage in the
+    padded index and codeword slots leaves the loss and every gradient
+    bit-identical."""
+    params = tiny_params(seed=3)
+    rng = np.random.default_rng(5)
+    seqs = [random_sequence(rng, T, params.C, params.d_part, params.m) for T in (2, 5, 3)]
+
+    def loss_and_grads(batch):
+        for p in params.params().values():
+            p.grad = None
+        loss = prior_nll(params, batch)
+        loss.backward()
+        return loss.data, [p.grad for p in params.params().values()]
+
+    clean = batch_from(params, seqs)
+    dirty = batch_from(params, seqs)
+    pad = np.arange(dirty.indices.shape[1]) >= dirty.lengths[:, None]
+    dirty.indices[pad] = rng.integers(0, params.m, size=(pad.sum(), params.C))
+    dirty.codewords[pad] = 50.0 * rng.normal(size=(pad.sum(), params.C, params.d_part))
+    # the garbage does reach the logits of the padded rows
+    assert not np.array_equal(prior_logits(params, dirty).data,
+                              prior_logits(params, clean).data)
+    (want, want_grads), (got, got_grads) = loss_and_grads(clean), loss_and_grads(dirty)
+    assert got == want
+    for a, b in zip(got_grads, want_grads):
+        np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -501,3 +516,29 @@ def test_sequence_file_rejects_corruption(tmp_path):
         write_sequences(tmp_path / "bad.bin", 5, 2, [np.full((2, 2), 5)])
     with pytest.raises(ValueError, match="incompatible"):
         write_sequences(tmp_path / "bad2.bin", 5, 2, [np.zeros((2, 3), dtype=int)])
+    with pytest.raises(ValueError, match="must be positive"):
+        write_sequences(tmp_path / "bad3.bin", 0, 2, [np.zeros((0, 2), dtype=int)])
+
+
+def test_sequence_file_bit_flips_load_valid_caches_or_raise(tmp_path):
+    """Every single-bit flip of a small cache either raises a ValueError
+    naming the file or loads sequences that write_sequences accepts."""
+    rng = np.random.default_rng(32)
+    path = tmp_path / "seqs.bin"
+    write_sequences(path, 5, 2, [rng.integers(0, 5, size=(t, 2)) for t in (3, 1, 4, 2)])
+    raw = path.read_bytes()
+    flipped = tmp_path / "flipped.bin"
+    loaded = 0
+    for bit in range(8 * len(raw)):
+        data = bytearray(raw)
+        data[bit // 8] ^= 1 << (bit % 8)
+        flipped.write_bytes(bytes(data))
+        try:
+            m, C, seqs = read_sequences(flipped)
+        except ValueError as err:
+            assert str(err).startswith(f"{flipped}: "), err
+            continue
+        write_sequences(tmp_path / "again.bin", m, C, seqs)
+        loaded += 1
+    # flips of an index that stays in range load cleanly
+    assert 0 < loaded < 8 * len(raw)

@@ -31,9 +31,9 @@ def test_partition_roundtrip():
 
 def test_partition_tensor_roundtrip():
     z = Tensor(np.arange(12, dtype=np.float64).reshape(3, 4), requires_grad=True)
-    back = unpartition(partition(z, 2))
-    assert np.array_equal(back.data, z.data)
-    ad.sum_(back).backward()
+    parts = partition(z, 2)
+    assert np.array_equal(unpartition(parts.data), z.data)
+    ad.sum_(parts).backward()
     assert np.array_equal(z.grad, np.ones((3, 4)))
 
 
@@ -180,13 +180,13 @@ def test_init_codebooks_seeds_accumulators():
 
 def test_commitment_zero_when_equal():
     z = Tensor(np.ones((2, 1, 3)), requires_grad=True)
-    loss = commitment_loss(z, np.ones((2, 1, 3)))
+    loss = commitment_loss(z, np.ones((2, 1, 3)), np.ones(2, dtype=bool))
     assert float(loss.data) == 0.0
 
 
 def test_commitment_single_node_value():
     z = Tensor(np.array([[[1.0, 0.0]]]), requires_grad=True)
-    loss = commitment_loss(z, np.zeros((1, 1, 2)))
+    loss = commitment_loss(z, np.zeros((1, 1, 2)), np.ones(1, dtype=bool))
     assert float(loss.data) == pytest.approx(1.0)
     loss.backward()
     assert np.allclose(z.grad, [[[2.0, 0.0]]])
@@ -195,7 +195,7 @@ def test_commitment_single_node_value():
 def test_commitment_codewords_receive_no_gradient():
     z = Tensor(np.random.default_rng(6).normal(size=(4, 2, 3)), requires_grad=True)
     words = Tensor(np.zeros((4, 2, 3)), requires_grad=True)
-    loss = commitment_loss(z, words.data)
+    loss = commitment_loss(z, words.data, np.ones(4, dtype=bool))
     loss.backward()
     assert z.grad is not None
     assert words.grad is None  # only the detached array ever enters the graph
@@ -209,7 +209,7 @@ def test_commitment_mask_excludes_padding():
     words = np.zeros((1, 4, 1, 4))
     mask = np.array([[True, True, False, False]])
     masked = commitment_loss(z, words, mask=mask)
-    bare = commitment_loss(Tensor(real), words[:, :2])
+    bare = commitment_loss(Tensor(real), words[:, :2], np.ones((1, 2), dtype=bool))
     assert float(masked.data) == pytest.approx(float(bare.data))
     masked.backward()
     assert np.all(z.grad[0, 2:] == 0)
