@@ -10,8 +10,8 @@ graph.
 Broadcasting is deliberately restricted: binary ops accept equal
 shapes, a python scalar, or a trailing-suffix shape (bias add), and no
 op permutes axes. Rows move between a node table and a list of node
-pairs (a PairIndex) only through named ops: pair_gather, segment_sum,
-permute_rows and scatter_rows. Masked softmax attention is one named
+pairs (a PairIndex) only through named ops: pair_gather, segment_sum
+and permute_rows. Masked softmax attention is one named
 op, causal_attention, which moves the head axis off the tape. This
 keeps every backward rule explicit and easy to audit.
 
@@ -103,9 +103,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
     def __getitem__(self, key):
         return slice_(self, key)
 
@@ -182,16 +179,6 @@ def mul(a, b):
             b._accumulate(gb.sum(axis=axes) if axes else gb)
 
     return _node(out_data, (a, b), bw)
-
-
-def neg(a):
-    a = _as_tensor(a)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(-g)
-
-    return _node(-a.data, (a,), bw)
 
 
 def matmul(a, b):
@@ -370,19 +357,6 @@ def permute_rows(x, perm):
     return _node(x.data[perm], (x,), bw)
 
 
-def scatter_rows(x, rows, num_rows):
-    """(num_rows, ...) zeros with out[rows] = x, for distinct rows."""
-    x = _as_tensor(x)
-    out_data = np.zeros((num_rows,) + x.shape[1:], dtype=x.data.dtype)
-    out_data[rows] = x.data
-
-    def bw(g):
-        if x.requires_grad:
-            x._accumulate(g[rows])
-
-    return _node(out_data, (x,), bw)
-
-
 def sum_(a):
     """The sum of all entries, as a scalar."""
     a = _as_tensor(a)
@@ -558,35 +532,31 @@ class BatchNormState:
         self.eps = eps
 
 
-def batchnorm(x, state, train, mask=None):
-    """Batch normalization over rows of a 2-D tensor.
+def batchnorm(x, state, train):
+    """Batch normalization over the rows of a 2-D tensor.
 
-    In training mode the batch statistics are computed over rows where
-    `mask` is True (all rows if None); padding rows must be left out,
-    by the mask or by not passing them, or they would pollute the
-    statistics. Every row is normalized with those statistics. Running
+    In training mode the statistics are the mean and variance over all
+    rows, so a caller passes only the rows that belong in them. Running
     buffers are updated in place with momentum `state.momentum`. In
     eval mode the running buffers are the statistics, no state changes,
     and the backward treats them as constants, as it does the default
-    statistics of an all-masked training batch.
+    statistics (mean 0, variance 1) of a training batch with no rows.
     """
     x = _as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"batchnorm expects 2-D input, got {x.shape}")
     gamma, beta, eps = state.gamma, state.beta, state.eps
 
-    sel = None if mask is None else np.asarray(mask, dtype=bool)
     # m counts the rows the statistics depend on: none in eval mode
-    m = (x.shape[0] if sel is None else int(sel.sum())) if train else 0
+    m = x.shape[0] if train else 0
     if not train:
         mu, var = state.running_mean, state.running_var
     elif m == 0:
         mu = np.zeros(x.shape[1])
         var = np.ones(x.shape[1])
     else:
-        rows = x.data if sel is None else x.data[sel]
-        mu = rows.mean(axis=0)
-        var = ((rows - mu) ** 2).mean(axis=0)
+        mu = x.data.mean(axis=0)
+        var = ((x.data - mu) ** 2).mean(axis=0)
         state.running_mean *= state.momentum
         state.running_mean += (1.0 - state.momentum) * mu
         state.running_var *= state.momentum
@@ -604,11 +574,9 @@ def batchnorm(x, state, train, mask=None):
             gx = g * gamma.data
             gi = gx * inv
             if m > 0:
-                # mu and var depend only on masked rows; all rows share them
                 dmu = -gi.sum(axis=0)
                 dvar = (gx * (x.data - mu)).sum(axis=0) * (-0.5) * inv ** 3
-                corr = dmu / m + dvar * 2.0 * (x.data - mu) / m
-                gi = gi + (corr if sel is None else sel[:, None] * corr)
+                gi = gi + (dmu / m + dvar * 2.0 * (x.data - mu) / m)
             x._accumulate(gi)
 
     return _node(out_data, (x, gamma, beta), bw)

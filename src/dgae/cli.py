@@ -129,10 +129,16 @@ def _sync_data_config(cfg: ModelConfig, graphs, header):
     return cfg
 
 
+def _check_count(count):
+    if count < 0:
+        raise ConfigError(f"--count must be >= 0, got {count}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_dataset_gen(args):
+    _check_count(args.count)
     spec = DatasetSpec(args.spec, args.count, args.seed)
     graphs = build_dataset(spec)
     if _maybe_dry_run(args, ModelConfig(seed=args.seed), [args.out]):
@@ -202,6 +208,7 @@ def cmd_train_prior(args):
 
 
 def cmd_generate(args):
+    _check_count(args.count)
     cfg, model, pparams, _ = _load_models(args.ckpt, need_prior=True)
     if _maybe_dry_run(args, cfg, [args.out]):
         return 0
@@ -210,9 +217,9 @@ def cmd_generate(args):
     write_manifest(args, cfg, [args.out],
                    {"count": args.count, "seed": args.seed,
                     "truncated": info["truncated"]})
-    sizes = [g.n for g in graphs]
+    mean_nodes = sum(g.n for g in graphs) / max(len(graphs), 1)
     print(f"wrote {len(graphs)} graphs to {args.out} "
-          f"(mean nodes {np.mean(sizes):.2f}, truncated {info['truncated']})")
+          f"(mean nodes {mean_nodes:.2f}, truncated {info['truncated']})")
     return 0
 
 

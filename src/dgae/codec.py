@@ -7,12 +7,13 @@ same style of network over the complete graph on the quantized
 embeddings and emits per-node category logits and per-pair edge
 logits, symmetrized by averaging with their transpose.
 
-Both directions take padded batches. Node states are (B*n, h) rows;
-edge states are (P, h) rows over one row-major list of the live pairs
-(b, i, j): the neighborhood pairs in the encoder, the valid pairs
-i != j in the decoder. No dead pair is ever computed, edge batchnorm
-averages over the listed pairs and node batchnorm over valid nodes,
-so padding never leaks into the model.
+A batch is its live rows. Node states are (N, h) rows, one per node
+of the batch's graphs, graph by graph; edge states are (P, h) rows over
+one row-major list of the live pairs (b, i, j): the neighborhood pairs
+in the encoder, the pairs i != j in the decoder. No padded slot is ever
+computed, so batchnorm averages over real nodes and pairs only. Rows
+come in graph order, so callers split them by graph size; only this
+module maps them to padded (G, n) slots (_pair_list).
 """
 
 from __future__ import annotations
@@ -145,67 +146,52 @@ class DecoderParams:
 
 @dataclass
 class GraphTensorBatch:
-    node_feats: np.ndarray    # (B, n, F_n)
-    edge_feats: np.ndarray    # (B, n, n, F_e)
-    neighborhood: np.ndarray  # (B, n, n) bool
-    node_mask: np.ndarray     # (B, n) bool
-    node_targets: np.ndarray  # (B, n) int64
-    edge_targets: np.ndarray  # (B, n, n) int64
-    sizes: np.ndarray         # (B,) int64
-
-    @property
-    def pair_mask(self):
-        return _valid_pairs(self.node_mask)
+    """G graphs as one table of their N = sum(sizes) node rows, graph by
+    graph, and row-major lists of their pairs (b, i, j)."""
+    node_feats: np.ndarray       # (N, F_n)
+    node_targets: np.ndarray     # (N,) int64
+    neighborhood: ad.PairIndex   # the neighborhood pairs over the N rows
+    edge_feats: np.ndarray       # (P, F_e) on the neighborhood pairs
+    edge_targets: np.ndarray     # (sum n(n-1),) int64 on the pairs i != j
+    sizes: np.ndarray            # (G,) int64
+    node_mask: np.ndarray        # (G, n) bool: the slots of graph b's nodes
 
 
-def _valid_pairs(node_mask):
-    """(B, n, n) bool: the ordered pairs i != j of valid nodes."""
-    pm = node_mask[:, :, None] & node_mask[:, None, :]
-    idx = np.arange(node_mask.shape[1])
-    pm[:, idx, idx] = False
-    return pm
-
-
-def _pair_list(mask):
-    """The True entries of a (B, n, n) pair mask in row-major order: a
-    PairIndex over the B*n node rows, and their flat positions in mask.
-    """
-    n = mask.shape[1]
+def _pair_list(mask, node_mask):
+    """The True entries of a (G, n, n) pair mask in row-major order, as
+    a PairIndex over the live node rows of node_mask (G, n)."""
+    n = node_mask.shape[1]
+    row = np.cumsum(node_mask.reshape(-1)) - 1  # slot b * n + i -> its row
     flat = np.flatnonzero(mask)
-    rows = flat // n  # b * n + i
-    return ad.PairIndex(rows, rows - rows % n + flat % n, mask.shape[0] * n), flat
+    slot = flat // n
+    return ad.PairIndex(row[slot], row[slot - slot % n + flat % n],
+                        int(node_mask.sum()))
 
 
 def prepare_batch(aug_graphs) -> GraphTensorBatch:
-    """Pad a list of augmented graphs into one dense batch."""
+    """Stack a list of augmented graphs into one batch of live rows."""
     if not aug_graphs:
         raise ValueError("empty batch")
     sizes = np.array([ag.n for ag in aug_graphs], dtype=np.int64)
     n = int(sizes.max())
-    B = len(aug_graphs)
-    fn = aug_graphs[0].node_feats.shape[1]
-    fe = aug_graphs[0].edge_feats.shape[2]
-    node_feats = np.zeros((B, n, fn))
-    edge_feats = np.zeros((B, n, n, fe))
-    neigh = np.zeros((B, n, n), dtype=bool)
-    mask = np.zeros((B, n), dtype=bool)
-    node_t = np.zeros((B, n), dtype=np.int64)
-    edge_t = np.zeros((B, n, n), dtype=np.int64)
+    neigh = np.zeros((len(aug_graphs), n, n), dtype=bool)
     for b, ag in enumerate(aug_graphs):
-        k = ag.n
-        node_feats[b, :k] = ag.node_feats
-        edge_feats[b, :k, :k] = ag.edge_feats
-        neigh[b, :k, :k] = ag.neighborhood
-        mask[b, :k] = True
-        node_t[b, :k] = ag.base.node_categories
-        edge_t[b, :k, :k] = ag.base.edge_categories
-    return GraphTensorBatch(node_feats, edge_feats, neigh, mask, node_t, edge_t, sizes)
+        neigh[b, :ag.n, :ag.n] = ag.neighborhood
+    mask = np.arange(n) < sizes[:, None]
+    return GraphTensorBatch(
+        np.concatenate([ag.node_feats for ag in aug_graphs]),
+        np.concatenate([ag.base.node_categories for ag in aug_graphs]),
+        _pair_list(neigh, mask),
+        np.concatenate([ag.edge_feats[ag.neighborhood] for ag in aug_graphs]),
+        np.concatenate([ag.base.edge_categories[~np.eye(ag.n, dtype=bool)]
+                        for ag in aug_graphs]),
+        sizes, mask)
 
 
 def _pair_mlp(mlp, x, e, pairs):
     """mlp([x_i, x_j, e_ij]) for every listed pair: (P, out) rows.
 
-    x: Tensor (B*n, h) node rows; e: Tensor (P, h), or None for an
+    x: Tensor (N, h) node rows; e: Tensor (P, h), or None for an
     all-zero edge state. The first layer's (3h, w) weight splits by
     rows into W_i, W_j and W_e, so [x_i, x_j, e] @ W = x_i @ W_i +
     x_j @ W_j + e @ W_e: the node terms are computed once per node and
@@ -221,59 +207,48 @@ def _pair_mlp(mlp, x, e, pairs):
     return mlp.after_first(ad.pair_gather(a, c, pairs, e, w_e))
 
 
-def _mpnn_rounds(x, e, layers, pairs, node_mask, train):
+def _mpnn_rounds(x, e, layers, pairs, train):
     """Shared message-passing stack for encoder and decoder.
 
-    x: Tensor (B*n, h) node rows; e: Tensor (P, h) over the pairs of
-    the PairIndex `pairs`, or None for an all-zero start; node_mask:
-    (B*n,) bool. Returns final (x, e).
+    x: Tensor (N, h) node rows; e: Tensor (P, h) over the pairs of the
+    PairIndex `pairs`, or None for an all-zero start. Returns final
+    (x, e).
     """
     for layer in layers:
         e = batchnorm(_pair_mlp(layer.f_edge, x, e, pairs), layer.bn_e, train)
         # node messages read the updated edge states
         m = _pair_mlp(layer.f_node, x, e, pairs)
-        x = batchnorm(x + ad.segment_sum(m, pairs), layer.bn_x, train, mask=node_mask)
+        x = batchnorm(x + ad.segment_sum(m, pairs), layer.bn_x, train)
     return x, e
 
 
 def encode(batch: GraphTensorBatch, enc: EncoderParams, train: bool) -> Tensor:
-    """Embed each graph's nodes: (B, n, d_latent).
-
-    Messages run along the neighborhood pairs only. Padded node slots
-    receive none; their rows are computed but carry no meaning, so
-    mask with batch.node_mask.
-    """
-    B, n, fn = batch.node_feats.shape
-    fe = batch.edge_feats.shape[-1]
-    pairs, flat = _pair_list(batch.neighborhood)
-    x = enc.node_in(Tensor(batch.node_feats.reshape(B * n, fn)))
-    e = enc.edge_in(Tensor(batch.edge_feats.reshape(B * n * n, fe)[flat]))
-    x, _ = _mpnn_rounds(x, e, enc.layers, pairs, batch.node_mask.reshape(-1), train)
-    z = enc.out(x)
-    return ad.reshape(z, (B, n, z.shape[-1]))
+    """Embed each graph's nodes: (N, d_latent), one row per node of the
+    batch. Messages run along the neighborhood pairs only."""
+    x = enc.node_in(Tensor(batch.node_feats))
+    e = enc.edge_in(Tensor(batch.edge_feats))
+    x, _ = _mpnn_rounds(x, e, enc.layers, batch.neighborhood, train)
+    return enc.out(x)
 
 
 def decode(z, node_mask, dec: DecoderParams, train: bool):
     """Reconstruct logits from node embeddings over the complete graph.
 
-    z: Tensor or ndarray (B, n, d_latent). Returns (node_logits
-    (B, n, R), edge_logits (B, n, n, S)). Edge logits are computed on
-    the valid pairs i != j only and are exactly symmetric; on the
-    diagonal and on padding they are exactly 0. A 1-node graph simply
-    has no pairs.
+    z: Tensor or ndarray (N, d_latent), the rows of the nodes that
+    node_mask (G, n) marks, graph by graph. Returns (node_logits (N, R),
+    edge_logits (P, S)) with one edge row per ordered pair i != j of
+    each graph, row-major, as in GraphTensorBatch.edge_targets; the
+    edge logits of (i, j) and (j, i) are exactly equal. A 1-node graph
+    simply has no pairs.
     """
     if not isinstance(z, Tensor):
         z = Tensor(np.asarray(z, dtype=np.float64))
-    B, n, d = z.shape
-    pairs, flat = _pair_list(_valid_pairs(node_mask))
-    x = dec.in_proj(ad.reshape(z, (B * n, d)))
-    x, e = _mpnn_rounds(x, None, dec.layers, pairs, node_mask.reshape(-1), train)
-
-    node_logits = ad.reshape(dec.node_out(x), (B, n, -1))
+    n = node_mask.shape[1]
+    valid = node_mask[:, :, None] & node_mask[:, None, :] & ~np.eye(n, dtype=bool)
+    pairs = _pair_list(valid, node_mask)
+    x, e = _mpnn_rounds(dec.in_proj(z), None, dec.layers, pairs, train)
     el = dec.edge_out(e)
-    el = ad.mul(el + ad.permute_rows(el, pairs.t), 0.5)
-    edge_logits = ad.reshape(ad.scatter_rows(el, flat, B * n * n), (B, n, n, -1))
-    return node_logits, edge_logits
+    return dec.node_out(x), ad.mul(el + ad.permute_rows(el, pairs.t), 0.5)
 
 
 def recon_loss(node_logits, edge_logits, batch: GraphTensorBatch):
@@ -282,35 +257,32 @@ def recon_loss(node_logits, edge_logits, batch: GraphTensorBatch):
     Each graph is weighted by 1 / (n + n^2); node terms run over its n
     nodes and edge terms over all ordered pairs i != j.
     """
-    sizes = batch.sizes.astype(np.float64)
+    sizes = batch.sizes
     w = 1.0 / (sizes + sizes ** 2)
-    node_w = batch.node_mask * w[:, None]
-    pair_w = batch.pair_mask * w[:, None, None]
     ce_n = ad.cross_entropy_with_logits(node_logits, batch.node_targets)
     ce_e = ad.cross_entropy_with_logits(edge_logits, batch.edge_targets)
-    total = ad.sum_(ad.mul(ce_n, Tensor(node_w))) + ad.sum_(ad.mul(ce_e, Tensor(pair_w)))
+    total = ad.sum_(ad.mul(ce_n, Tensor(np.repeat(w, sizes)))) \
+        + ad.sum_(ad.mul(ce_e, Tensor(np.repeat(w, sizes * (sizes - 1)))))
     return ad.mul(total, 1.0 / len(sizes))
 
 
-def error_rates(node_logits, edge_logits, batch: GraphTensorBatch):
-    """Fraction of argmax mismatches of the logit Tensors over valid
-    nodes and ordered pairs."""
-    node_pred = node_logits.data.argmax(axis=-1)
-    edge_pred = edge_logits.data.argmax(axis=-1)
-    nm, pm = batch.node_mask, batch.pair_mask
-    node_err = float(((node_pred != batch.node_targets) & nm).sum() / max(nm.sum(), 1))
-    edge_err = float(((edge_pred != batch.edge_targets) & pm).sum() / max(pm.sum(), 1))
-    return node_err, edge_err
+def error_counts(node_logits, edge_logits, batch: GraphTensorBatch):
+    """Argmax mismatches of the logit Tensors: (node errors, ordered
+    pair errors)."""
+    node_err = node_logits.data.argmax(axis=-1) != batch.node_targets
+    edge_err = edge_logits.data.argmax(axis=-1) != batch.edge_targets
+    return int(node_err.sum()), int(edge_err.sum())
 
 
 def sample_graph(node_logits, edge_logits) -> Graph:
-    """Mode decode of one graph from ndarrays node_logits (n, R) and
-    the decoder's symmetric edge_logits (n, n, S): argmax per node and
-    per pair, ties to the lowest category, which gives symmetric edge
-    categories. Category 0 means no edge and the diagonal is set to it.
+    """Mode decode of one graph from ndarrays node_logits (n, R) and the
+    decoder's symmetric edge_logits (n(n-1), S) on its ordered pairs
+    i != j, row-major: argmax per node and per pair, ties to the lowest
+    category, which gives symmetric edge categories. Category 0 means
+    no edge and the diagonal is set to it.
     """
-    edge_cat = edge_logits.argmax(axis=2)
-    np.fill_diagonal(edge_cat, 0)
+    n = node_logits.shape[0]
+    edge_cat = np.zeros((n, n), dtype=np.int64)
+    edge_cat[~np.eye(n, dtype=bool)] = edge_logits.argmax(axis=1)
     return Graph(node_logits.argmax(axis=1), edge_cat, node_logits.shape[1],
-                 edge_logits.shape[2])
-
+                 edge_logits.shape[1])

@@ -161,22 +161,16 @@ def ema_update(cbs: CodebookSet, z_parts, indices):
         cbs.codebooks[c] = cbs.ema_sums[c] / denom[:, None]
 
 
-def commitment_loss(z_parts: Tensor, codewords, mask):
+def commitment_loss(z_parts: Tensor, codewords):
     """Mean squared distance pulling encoder outputs toward their
     (stop-gradient) codewords: sum over partition width, mean over the
     node x partition grid. Gradient reaches only the encoder.
-
-    mask is a bool array over the leading axes before the (C, d_part)
-    pair; masked-out slots (padding) contribute nothing and do not
-    count toward the mean.
     """
     codewords = np.asarray(codewords)
     if z_parts.shape != codewords.shape:
         raise ad.ShapeError(f"commitment shapes differ: {z_parts.shape} vs {codewords.shape}")
-    mask = np.asarray(mask, dtype=bool)
-    sel = np.broadcast_to(mask[..., None, None], z_parts.shape).astype(np.float64)
-    diff = ad.mul(z_parts - Tensor(codewords), Tensor(sel))
-    grid = int(mask.sum()) * z_parts.shape[-2]
+    diff = z_parts + Tensor(-codewords)
+    grid = codewords.size // codewords.shape[-1]
     return ad.mul(ad.sum_(ad.mul(diff, diff)), 1.0 / max(grid, 1))
 
 

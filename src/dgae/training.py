@@ -425,15 +425,14 @@ def _ae_pass(model: AutoEncoderModel, batch, train):
         z_parts = quantize.partition(z.data, cbs.C)
         idx, words = quantize.quantize(z_parts, cbs)
         latent = straight_through(z, Tensor(quantize.unpartition(words)))
-        commit = quantize.commitment_loss(quantize.partition(z, cbs.C), words,
-                                          mask=batch.node_mask)
+        commit = quantize.commitment_loss(quantize.partition(z, cbs.C), words)
     logits = codec.decode(latent, batch.node_mask, model.decoder, train=train)
     return codec.recon_loss(*logits, batch), commit, idx, z_parts, logits
 
 
 @ad.no_grad()
 def _collect_embeddings(model: AutoEncoderModel, aug_train, cfg: ModelConfig):
-    """Up to cfg.kmeans_samples valid node embeddings.
+    """Up to cfg.kmeans_samples node embeddings.
 
     Uses batch statistics (the running buffers are untrained when the
     codebooks are seeded) and restores the buffers afterwards, so
@@ -446,10 +445,9 @@ def _collect_embeddings(model: AutoEncoderModel, aug_train, cfg: ModelConfig):
         total = 0
         for chunk in _batches(np.arange(len(aug_train)), cfg.batch_size):
             batch = codec.prepare_batch([aug_train[i] for i in chunk])
-            z = codec.encode(batch, model.encoder, train=True)
-            valid = z.data[batch.node_mask]
-            rows.append(valid)
-            total += valid.shape[0]
+            z = codec.encode(batch, model.encoder, train=True).data
+            rows.append(z)
+            total += z.shape[0]
             if total >= cfg.kmeans_samples:
                 break
     finally:
@@ -465,8 +463,8 @@ def evaluate_autoencoder(model: AutoEncoderModel, aug_val, cfg: ModelConfig):
 
     Each metric pools over the whole holdout set, so none depends on
     cfg.batch_size: loss_recon averages over graphs, loss_commit over
-    valid node x partition slots, node_err over valid nodes and
-    edge_err over ordered pairs i != j.
+    node x partition slots, node_err over nodes and edge_err over
+    ordered pairs i != j.
     """
     if not aug_val:
         return {}
@@ -476,16 +474,13 @@ def evaluate_autoencoder(model: AutoEncoderModel, aug_val, cfg: ModelConfig):
         batch = codec.prepare_batch([aug_val[i] for i in chunk])
         recon, commit, idx, _, logits = _ae_pass(model, batch, train=False)
         recon_sum += float(recon.data) * len(chunk)
-        # a batch's rates times their denominators are counts, which pool
-        b_nodes = int(batch.sizes.sum())
-        b_pairs = int((batch.sizes * (batch.sizes - 1)).sum())
-        ne, ee = codec.error_rates(*logits, batch)
-        node_errs, nodes = node_errs + ne * b_nodes, nodes + b_nodes
-        pair_errs, pairs = pair_errs + ee * b_pairs, pairs + b_pairs
+        b_nodes = len(batch.node_targets)
+        ne, ee = codec.error_counts(*logits, batch)
+        node_errs, nodes = node_errs + ne, nodes + b_nodes
+        pair_errs, pairs = pair_errs + ee, pairs + len(batch.edge_targets)
         if commit is not None:
             commit_sum += float(commit.data) * b_nodes * cfg.partitions
-            for key, cnt in quantize.tuple_histogram(idx[batch.node_mask],
-                                                     cfg.partitions).items():
+            for key, cnt in quantize.tuple_histogram(idx, cfg.partitions).items():
                 hist[key] = hist.get(key, 0) + cnt
     out = {"loss_recon": recon_sum / len(aug_val), "node_err": node_errs / nodes,
            "edge_err": pair_errs / max(pairs, 1)}
@@ -533,8 +528,7 @@ def train_autoencoder(graphs, cfg: ModelConfig, metrics_path=None, log=None):
                 loss = recon if commit is None else recon + cfg.gamma * cfg.beta * commit
                 _optimizer_step(loss, params, adam, cfg, step)
                 if commit is not None:
-                    quantize.ema_update(model.codebooks, z_parts[batch.node_mask],
-                                        idx[batch.node_mask])
+                    quantize.ema_update(model.codebooks, z_parts, idx)
                 step += 1
             metrics = {**evaluate_autoencoder(model, aug_val, cfg), "epoch": epoch, "step": step}
             history.append(metrics)
@@ -567,9 +561,9 @@ def encode_sequences(model: AutoEncoderModel, aug_graphs, cfg: ModelConfig):
         z = codec.encode(batch, model.encoder, train=False)
         z_parts = quantize.partition(z.data, cfg.partitions)
         idx, words = quantize.quantize(z_parts, model.codebooks)
-        for row, gi in enumerate(chunk):
-            n = aug_graphs[gi].n
-            seqs.append(prior.sort_set(idx[row, :n], words[row, :n]))
+        ends = np.cumsum(batch.sizes)
+        seqs += [prior.sort_set(idx[hi - n:hi], words[hi - n:hi])
+                 for n, hi in zip(batch.sizes, ends)]
     return seqs
 
 
@@ -635,13 +629,15 @@ def decode_sequences(model: AutoEncoderModel, samples, chunk_size=256):
         group = np.flatnonzero(sizes == n)
         for lo in range(0, len(group), chunk_size):
             part = group[lo:lo + chunk_size]
-            idx = np.stack([samples[i] for i in part])  # (B, n, C)
-            words = np.stack([cbs.codebooks[c][idx[:, :, c]] for c in range(cbs.C)], axis=2)
+            idx = np.concatenate([samples[i] for i in part])  # (B * n, C)
+            words = np.stack([cbs.codebooks[c][idx[:, c]] for c in range(cbs.C)], axis=1)
             mask = np.ones((len(part), n), dtype=bool)
             node_logits, edge_logits = codec.decode(quantize.unpartition(words), mask,
                                                     model.decoder, train=False)
+            node_rows = node_logits.data.reshape(len(part), n, -1)
+            pair_rows = edge_logits.data.reshape(len(part), n * (n - 1), edge_logits.shape[1])
             for b, i in enumerate(part):
-                graphs_out[i] = codec.sample_graph(node_logits.data[b], edge_logits.data[b])
+                graphs_out[i] = codec.sample_graph(node_rows[b], pair_rows[b])
     return graphs_out
 
 

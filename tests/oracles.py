@@ -3,10 +3,11 @@
 Everything here is deliberately slow and simple: exhaustive enumeration,
 explicit double loops or dense forms, and no code shared with src/
 beyond the autodiff primitives and the model's parameter objects.
-Closed-form results in the package are checked against these. Three
-helpers, grad_check, encode_graph and load_bench_inputs, are not
-references: they drive the package's own code or load the benchmark's
-input writer for the tests. The per-graph statistics
+Closed-form results in the package are checked against these. Four
+helpers, grad_check, pair_matrix, encode_graph and load_bench_inputs,
+are not references: they drive the package's own code, lay out its
+pair rows as a matrix or load the benchmark's input writer for the
+tests. The per-graph statistics
 (graph_stats, clustering_coefficients, node_orbit_counts) are the
 package's former one-graph-at-a-time definitions, kept to pin its
 set-level ones; node_orbit_counts reads the package's connectedness
@@ -364,6 +365,14 @@ def _concat_pair_mlp(mlp, x, e):
     return mlp(ad.concat([xi, xj, ad.reshape(e, (B * n * n, h))], 1))
 
 
+def _live_batchnorm(x, live, state, train):
+    """Batchnorm of the rows x (K, h) that the bool mask live (K,)
+    marks, with statistics over those rows only: one-hot selection
+    matmuls gather them and scatter the result back, zeros elsewhere."""
+    pick = np.eye(len(live))[live]
+    return ad.matmul(Tensor(pick.T), batchnorm(ad.matmul(Tensor(pick), x), state, train))
+
+
 def _dense_mpnn_rounds(x, e, layers, neigh, node_mask, train):
     """The message-passing rounds over every node pair of a padded
     batch: dead pairs are computed, their messages zeroed, and both
@@ -376,44 +385,60 @@ def _dense_mpnn_rounds(x, e, layers, neigh, node_mask, train):
     neigh_f = Tensor(np.repeat(neigh.reshape(-1, 1), h, axis=1).astype(np.float64))
     summing = Tensor(np.repeat(np.eye(B * n), n, axis=1))  # node row <- its n pair rows
     for layer in layers:
-        e_new = batchnorm(_concat_pair_mlp(layer.f_edge, x, e), layer.bn_e, train,
-                          mask=neigh.reshape(-1))
+        e_new = _live_batchnorm(_concat_pair_mlp(layer.f_edge, x, e), neigh.reshape(-1),
+                                layer.bn_e, train)
         e = ad.reshape(e_new, (B, n, n, h))
         m = ad.mul(_concat_pair_mlp(layer.f_node, x, e), neigh_f)
         x_new = ad.reshape(x, (B * n, h)) + ad.matmul(summing, m)
-        x = ad.reshape(batchnorm(x_new, layer.bn_x, train, mask=node_mask.reshape(-1)),
+        x = ad.reshape(_live_batchnorm(x_new, node_mask.reshape(-1), layer.bn_x, train),
                        (B, n, h))
     return x, e
 
 
+def _slots(node_mask):
+    """(N, B*n) one-hot matrix: node row r -> its padded slot b*n + i."""
+    return np.eye(node_mask.size)[node_mask.reshape(-1)]
+
+
 def dense_encode(batch, enc, train):
-    """codec.encode over all B*n*n pair rows: (B, n, d_latent)."""
-    B, n, fn = batch.node_feats.shape
+    """codec.encode over all B*n*n pair rows of the padded batch:
+    (N, d_latent) rows of the live nodes."""
+    mask = batch.node_mask
+    B, n = mask.shape
     h = enc.state_width
-    fe = batch.edge_feats.shape[-1]
-    x = ad.reshape(enc.node_in(Tensor(batch.node_feats.reshape(B * n, fn))), (B, n, h))
-    e = ad.reshape(enc.edge_in(Tensor(batch.edge_feats.reshape(B * n * n, fe))),
-                   (B, n, n, h))
-    x, _ = _dense_mpnn_rounds(x, e, enc.layers, batch.neighborhood, batch.node_mask, train)
-    return ad.reshape(enc.out(ad.reshape(x, (B * n, h))), (B, n, -1))
+    slots = _slots(mask)
+    # the neighborhood pairs and their features at their slots (b, i, j)
+    slot = np.flatnonzero(mask)
+    flat = slot[batch.neighborhood.i] * n + slot[batch.neighborhood.j] % n
+    neigh = np.zeros(B * n * n, dtype=bool)
+    neigh[flat] = True
+    edge_feats = np.zeros((B * n * n, batch.edge_feats.shape[1]))
+    edge_feats[flat] = batch.edge_feats
+    x = ad.matmul(Tensor(slots.T), enc.node_in(Tensor(batch.node_feats)))
+    e = enc.edge_in(Tensor(edge_feats))
+    x, _ = _dense_mpnn_rounds(ad.reshape(x, (B, n, h)), ad.reshape(e, (B, n, n, h)),
+                              enc.layers, neigh.reshape(B, n, n), mask, train)
+    return ad.matmul(Tensor(slots), enc.out(ad.reshape(x, (B * n, h))))
 
 
 def dense_decode(z, node_mask, dec, train):
-    """codec.decode over all B*n*n pair rows, from an all-zero edge
-    state; edge logits off the valid pairs i != j carry no meaning.
+    """codec.decode over all B*n*n pair rows of the padded batch, from
+    an all-zero edge state: node logits of the live nodes and edge
+    logits of the valid pairs i != j, row-major.
     """
-    B, n, d = z.shape
+    B, n = node_mask.shape
     h = dec.state_width
+    slots = _slots(node_mask)
     live = node_mask[:, :, None] & node_mask[:, None, :] & ~np.eye(n, dtype=bool)
-    x = ad.reshape(dec.in_proj(ad.reshape(z, (B * n, d))), (B, n, h))
-    x, e = _dense_mpnn_rounds(x, Tensor(np.zeros((B, n, n, h))), dec.layers, live,
-                              node_mask, train)
-    node_logits = ad.reshape(dec.node_out(ad.reshape(x, (B * n, h))), (B, n, -1))
+    x = ad.matmul(Tensor(slots.T), dec.in_proj(z))
+    x, e = _dense_mpnn_rounds(ad.reshape(x, (B, n, h)), Tensor(np.zeros((B, n, n, h))),
+                              dec.layers, live, node_mask, train)
+    node_logits = ad.matmul(Tensor(slots), dec.node_out(ad.reshape(x, (B * n, h))))
     el = dec.edge_out(ad.reshape(e, (B * n * n, h)))
     # row (b, i, j) of the mirror is row (b, j, i) of el
     mirror = np.arange(B * n * n).reshape(B, n, n).transpose(0, 2, 1).reshape(-1)
     el = ad.mul(el + ad.permute_rows(el, mirror), 0.5)
-    return node_logits, ad.reshape(el, (B, n, n, -1))
+    return node_logits, ad.matmul(Tensor(np.eye(B * n * n)[live.reshape(-1)]), el)
 
 
 def attention_chain(q, k_t, v, allowed):
@@ -430,11 +455,18 @@ def attention_chain(q, k_t, v, allowed):
     return ad.matmul(ad.mul(probs, Tensor(live.astype(np.float64))), v)
 
 
+def pair_matrix(rows, n):
+    """(n, n, S) from the pair rows (n(n-1), S) of one graph, listed
+    row-major over the ordered pairs i != j; the diagonal is 0."""
+    out = np.zeros((n, n, rows.shape[1]), dtype=rows.dtype)
+    out[~np.eye(n, dtype=bool)] = rows
+    return out
+
+
 def encode_graph(ag, enc, train=False):
     """The package encoder on one augmented graph: (n, d_latent) numpy
     embedding."""
-    batch = codec.prepare_batch([ag])
-    return codec.encode(batch, enc, train).data[0, :ag.n]
+    return codec.encode(codec.prepare_batch([ag]), enc, train).data
 
 
 def load_bench_inputs():

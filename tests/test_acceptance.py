@@ -121,13 +121,14 @@ def test_criterion_03_equivariance():
         assert np.array_equal(ib, ia[pi])
 
         mask = np.ones((1, g.n), dtype=bool)
-        na, ea = codec.decode(quantize.unpartition(wa)[None], mask,
+        na, ea = codec.decode(quantize.unpartition(wa), mask,
                               model.decoder, train=False)
-        nb, eb = codec.decode(quantize.unpartition(wb)[None], mask,
+        nb, eb = codec.decode(quantize.unpartition(wb), mask,
                               model.decoder, train=False)
-        worst = max(worst, float(np.abs(nb.data[0] - na.data[0][pi]).max()))
-        worst = max(worst, float(np.abs(
-            eb.data[0] - ea.data[0][np.ix_(pi, pi)]).max()))
+        worst = max(worst, float(np.abs(nb.data - na.data[pi]).max()))
+        worst = max(worst, float(np.abs(oracles.pair_matrix(eb.data, g.n)
+                                        - oracles.pair_matrix(ea.data, g.n)[np.ix_(pi, pi)]
+                                        ).max()))
         pairs += 1
     dt = time.perf_counter() - t0
     ok = worst <= 1e-6 and dt < 60
@@ -176,8 +177,7 @@ def _stage1_fd_setup():
         z_parts = quantize.partition(z.data, cfg.partitions)
         idx, words = quantize.quantize(z_parts, model.codebooks)
         st = straight_through(z, Tensor(quantize.unpartition(words)))
-        commit = quantize.commitment_loss(
-            quantize.partition(z, cfg.partitions), words, mask=batch.node_mask)
+        commit = quantize.commitment_loss(quantize.partition(z, cfg.partitions), words)
         node_logits, edge_logits = codec.decode(st, batch.node_mask,
                                                 model.decoder, train=True)
         recon = codec.recon_loss(node_logits, edge_logits, batch)
@@ -193,8 +193,7 @@ def _stage1_fd_setup():
         z = codec.encode(batch, model.encoder, train=True)
         _, words = quantize.quantize(quantize.partition(z.data, cfg.partitions),
                                      model.codebooks)
-        return quantize.commitment_loss(
-            quantize.partition(z, cfg.partitions), words, mask=batch.node_mask)
+        return quantize.commitment_loss(quantize.partition(z, cfg.partitions), words)
 
     enc_params = list(model.encoder.params().values())
     dec_params = list(model.decoder.params().values())

@@ -46,7 +46,6 @@ def primitive_grad_cases(rng):
         ("add_broadcast", lambda xs: wsum(ad.add(xs[0], xs[1])), [t(a34), t(b4)]),
         ("mul", lambda xs: wsum(ad.mul(xs[0], xs[1])), [t(a34), t(b34)]),
         ("mul_broadcast", lambda xs: wsum(ad.mul(xs[0], xs[1])), [t(a34), t(b4)]),
-        ("neg", lambda xs: wsum(ad.neg(xs[0])), [t(a34)]),
         ("matmul", lambda xs: wsum(ad.matmul(xs[0], xs[1])), [t(a34), t(m45)]),
         ("affine", lambda xs: wsum(ad.affine(xs[0], xs[1], xs[2])),
          [t(a34), t(m45), t(rng.normal(size=(5,)))]),
@@ -82,8 +81,6 @@ def primitive_grad_cases(rng):
          [t(np.zeros((0, 4)))]),
         ("permute_rows", lambda xs: wsum(ad.permute_rows(xs[0], pairs.t)),
          [t(rng.normal(size=(6, 4)))]),
-        ("scatter_rows", lambda xs: wsum(ad.scatter_rows(xs[0], np.array([5, 0, 3]), 7)),
-         [t(a34)]),
         ("sum_all", lambda xs: ad.sum_(xs[0]), [t(a34)]),
         ("relu", lambda xs: wsum(ad.relu(xs[0])), [t(a34 + 3.0)]),
         ("softmax", lambda xs: wsum(ad.softmax(xs[0], axis=-1)), [t(a34)]),
@@ -111,19 +108,14 @@ def batchnorm_grad_cases(rng):
     x = rng.normal(size=(6, 3)) * 2 + 1
     gamma = 1.0 + 0.1 * rng.normal(size=(3,))
     beta = 0.1 * rng.normal(size=(3,))
-    mask = np.array([True, True, False, True, True, False])
 
-    def make(masked):
-        def f(xs):
-            st = BatchNormState(3)
-            st.gamma = xs[1]
-            st.beta = xs[2]
-            out = batchnorm(xs[0], st, train=True, mask=mask if masked else None)
-            w = np.linspace(0.5, 1.5, out.data.size).reshape(out.shape)
-            if masked:
-                w = w * mask[:, None]
-            return ad.sum_(ad.mul(out, Tensor(w)))
-        return f
+    def trained(xs):
+        st = BatchNormState(3)
+        st.gamma = xs[1]
+        st.beta = xs[2]
+        out = batchnorm(xs[0], st, train=True)
+        w = np.linspace(0.5, 1.5, out.data.size).reshape(out.shape)
+        return ad.sum_(ad.mul(out, Tensor(w)))
 
     def evaluated(xs):
         st = BatchNormState(3)
@@ -134,8 +126,7 @@ def batchnorm_grad_cases(rng):
         w = np.linspace(0.5, 1.5, out.data.size).reshape(out.shape)
         return ad.sum_(ad.mul(out, Tensor(w)))
 
-    return [("batchnorm", make(False), [t(x), t(gamma), t(beta)]),
-            ("batchnorm_masked", make(True), [t(x), t(gamma), t(beta)]),
+    return [("batchnorm", trained, [t(x), t(gamma), t(beta)]),
             ("batchnorm_eval", evaluated, [t(x), t(gamma), t(beta)])]
 
 
@@ -283,20 +274,6 @@ def test_batchnorm_eval_is_fixed_affine():
     crowd = batchnorm(Tensor(np.vstack([row, rng.normal(size=(7, 3)) * 10])),
                       st, train=False).data
     assert np.array_equal(alone[0], crowd[0])
-
-
-def test_batchnorm_masked_rows_do_not_affect_stats():
-    st1 = BatchNormState(2)
-    st2 = BatchNormState(2)
-    rng = np.random.default_rng(2)
-    rows = rng.normal(size=(4, 2))
-    junk = np.vstack([rows, 1e6 * np.ones((2, 2))])
-    mask = np.array([True] * 4 + [False] * 2)
-    out_clean = batchnorm(Tensor(rows), st1, train=True).data
-    out_masked = batchnorm(Tensor(junk), st2, train=True, mask=mask).data
-    assert np.allclose(out_clean, out_masked[:4], atol=1e-12)
-    assert np.allclose(st1.running_mean, st2.running_mean)
-    assert np.allclose(st1.running_var, st2.running_var)
 
 
 def test_backward_accumulates_through_reuse():

@@ -6,6 +6,7 @@ in the seconds range.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +288,29 @@ def test_generate_requires_a_prior_checkpoint(workspace, tmp_path, capsys):
               "--seed", 0, "--out", tmp_path / "x.graphs"])
     assert rc == 1
     assert "no prior" in capsys.readouterr().err
+
+
+def test_negative_count_is_one_error_line(workspace, tmp_path, capsys):
+    out = tmp_path / "x.graphs"
+    for argv in (["generate", "--ckpt", workspace["full_ckpt"], "--count", -2, "--out", out],
+                 ["dataset", "gen", "--spec", "community-small", "--count", -3,
+                  "--out", out]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "--count" in err[0]
+        assert not out.exists()
+
+
+def test_generate_zero_count_prints_no_warning_or_nan(workspace, tmp_path, capsys):
+    out = tmp_path / "empty.graphs"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["generate", "--ckpt", workspace["full_ckpt"], "--count", 0,
+                    "--out", out]) == 0
+    printed = capsys.readouterr()
+    assert caught == []
+    assert "nan" not in printed.out + printed.err
+    assert load_dataset(out)[0] == []
 
 
 def test_eval_report_columns_and_determinism(workspace, tmp_path, capsys):

@@ -54,11 +54,11 @@ def test_encode_decode_equivariance():
         z_p = oracles.encode_graph(ag_p, enc)
         assert np.allclose(z_p, z[perm], atol=1e-6)
 
-        nl, el = codec.decode(z[None], np.ones((1, n), dtype=bool), dec, train=False)
-        nl_p, el_p = codec.decode(z[perm][None], np.ones((1, n), dtype=bool),
-                                  dec, train=False)
-        assert np.allclose(nl_p.data[0], nl.data[0][perm], atol=1e-6)
-        assert np.allclose(el_p.data[0], el.data[0][np.ix_(perm, perm)], atol=1e-6)
+        nl, el = codec.decode(z, np.ones((1, n), dtype=bool), dec, train=False)
+        nl_p, el_p = codec.decode(z[perm], np.ones((1, n), dtype=bool), dec, train=False)
+        assert np.allclose(nl_p.data, nl.data[perm], atol=1e-6)
+        assert np.allclose(oracles.pair_matrix(el_p.data, n),
+                           oracles.pair_matrix(el.data, n)[np.ix_(perm, perm)], atol=1e-6)
 
 
 def test_quantized_pipeline_equivariance():
@@ -109,36 +109,38 @@ def test_padded_batch_matches_solo_eval():
     batch = codec.prepare_batch(ags)
     z_batch = codec.encode(batch, enc, train=False).data
     z_solo = oracles.encode_graph(ags[0], enc)
-    assert np.allclose(z_batch[0, :4], z_solo, atol=1e-10)
+    assert np.allclose(z_batch[:4], z_solo, atol=1e-10)
 
 
 def test_edge_logits_exactly_symmetric():
     rng = np.random.default_rng(5)
     _, dec = make_models(rng)
-    z = rng.normal(size=(2, 6, 6))
+    z = rng.normal(size=(2 * 6, 6))
     mask = np.ones((2, 6), dtype=bool)
     _, el = codec.decode(z, mask, dec, train=False)
-    assert np.array_equal(el.data, np.transpose(el.data, (0, 2, 1, 3)))
+    for rows in np.split(el.data, 2):
+        el_b = oracles.pair_matrix(rows, 6)
+        assert np.array_equal(el_b, np.transpose(el_b, (1, 0, 2)))
 
 
 def test_single_node_graph():
     rng = np.random.default_rng(6)
     _, dec = make_models(rng)
-    z = rng.normal(size=(1, 1, 6))
+    z = rng.normal(size=(1, 6))
     nl, el = codec.decode(z, np.ones((1, 1), dtype=bool), dec, train=False)
-    assert nl.shape == (1, 1, 1)
-    g = codec.sample_graph(nl.data[0], el.data[0])
+    assert nl.shape == (1, 1) and el.shape == (0, 2)
+    g = codec.sample_graph(nl.data, el.data)
     assert g.n == 1
     g.validate()
 
 
 def test_sample_graph_rules():
     nl = np.zeros((2, 1))
-    el = np.zeros((2, 2, 3))
-    el[0, 1] = el[1, 0] = [5.0, -1.0, -1.0]
+    el = np.zeros((2, 3))  # the pairs (0, 1) and (1, 0)
+    el[0] = el[1] = [5.0, -1.0, -1.0]
     g = codec.sample_graph(nl, np.copy(el))
     assert g.adjacency()[0, 1] == 0  # dominant "no edge" wins
-    el[0, 1] = el[1, 0] = [1.0, 1.0, 1.0]  # exact tie -> category 0
+    el[0] = el[1] = [1.0, 1.0, 1.0]  # exact tie -> category 0
     g = codec.sample_graph(nl, el)
     assert g.adjacency()[0, 1] == 0
 
@@ -150,15 +152,15 @@ def test_sample_graph_recovers_one_hot_triangle():
     el[..., 0] = 10.0
     for i, j in [(0, 1), (1, 2), (0, 2)]:
         el[i, j] = el[j, i] = [0.0, 10.0]
-    g = codec.sample_graph(nl, el)
+    g = codec.sample_graph(nl, el[~np.eye(3, dtype=bool)])
     assert np.array_equal(g.adjacency(), want.adjacency())
 
 
 def test_recon_loss_uniform_edges_is_ln2_per_pair():
     g = new_graph(3, [(0, 1), (1, 2), (0, 2)])
     batch = codec.prepare_batch([augment(g, DET_CFG)])
-    nl = Tensor(np.zeros((1, 3, 1)))
-    el = Tensor(np.zeros((1, 3, 3, 2)))
+    nl = Tensor(np.zeros((3, 1)))
+    el = Tensor(np.zeros((6, 2)))
     loss = codec.recon_loss(nl, el, batch)
     n = 3
     want = (n * (n - 1)) * np.log(2.0) / (n + n * n)
@@ -168,12 +170,12 @@ def test_recon_loss_uniform_edges_is_ln2_per_pair():
 def test_recon_loss_perfect_prediction_near_zero():
     g = new_graph(3, [(0, 1), (1, 2)])
     batch = codec.prepare_batch([augment(g, DET_CFG)])
-    nl = Tensor(np.zeros((1, 3, 1)))
-    el_data = np.zeros((1, 3, 3, 2))
+    nl = Tensor(np.zeros((3, 1)))
+    el_data = np.zeros((3, 3, 2))
     el_data[..., 0] = 100.0
     adj = g.adjacency().astype(bool)
-    el_data[0, adj] = [0.0, 100.0]
-    loss = codec.recon_loss(nl, Tensor(el_data), batch)
+    el_data[adj] = [0.0, 100.0]
+    loss = codec.recon_loss(nl, Tensor(el_data[~np.eye(3, dtype=bool)]), batch)
     assert float(loss.data) < 1e-6
 
 
@@ -182,30 +184,61 @@ def test_recon_loss_batch_is_mean_of_singles():
     gs = [random_graph(rng, 4), random_graph(rng, 7)]
     ags = [augment(g, DET_CFG) for g in gs]
     batch = codec.prepare_batch(ags)
-    B, n = 2, batch.node_feats.shape[1]
-    nl = Tensor(rng.normal(size=(B, n, 1)))
-    el_raw = rng.normal(size=(B, n, n, 2))
-    el = Tensor(el_raw + np.transpose(el_raw, (0, 2, 1, 3)))
+    nl = Tensor(rng.normal(size=(4 + 7, 1)))
+    el = Tensor(rng.normal(size=(4 * 3 + 7 * 6, 2)))
     whole = float(codec.recon_loss(nl, el, batch).data)
     singles = []
-    for i, ag in enumerate(ags):
-        solo = codec.prepare_batch([ag])
-        k = solo.node_feats.shape[1]
+    for nodes, pairs, ag in zip(np.split(nl.data, [4]), np.split(el.data, [4 * 3]), ags):
         singles.append(float(codec.recon_loss(
-            Tensor(nl.data[i:i + 1, :k]), Tensor(el.data[i:i + 1, :k, :k]),
-            solo).data))
+            Tensor(nodes), Tensor(pairs), codec.prepare_batch([ag])).data))
     assert whole == pytest.approx(np.mean(singles), rel=1e-12)
 
 
 def test_error_rates_counts_mistakes():
     g = new_graph(3, [(0, 1)])
     batch = codec.prepare_batch([augment(g, DET_CFG)])
-    nl = np.zeros((1, 3, 1))
-    el = np.zeros((1, 3, 3, 2))
+    nl = np.zeros((3, 1))
+    el = np.zeros((6, 2))
     el[..., 0] = 5.0  # predicts "no edge" everywhere: misses (0,1)
-    node_err, edge_err = codec.error_rates(Tensor(nl), Tensor(el), batch)
-    assert node_err == pytest.approx(0.0)
-    assert edge_err == pytest.approx(2.0 / 6.0)  # both directions of one pair
+    node_err, edge_err = codec.error_counts(Tensor(nl), Tensor(el), batch)
+    assert node_err == 0
+    assert edge_err == 2  # both directions of one pair, of 6 ordered pairs
+
+
+def test_prepare_batch_rows_follow_the_graphs():
+    """Node rows are the graphs' nodes in graph order, the neighborhood
+    pairs are each graph's own shifted by its first row, and the edge
+    targets list each graph's pairs i != j row-major, so sample_graph
+    rebuilds every graph from one-hot rows of its targets."""
+    rng = np.random.default_rng(10)
+    graphs = []
+    for n in (4, 1, 6, 3):
+        edges = [(i, j, int(rng.integers(1, 3))) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.5]
+        graphs.append(new_graph(n, edges, rng.integers(0, 2, size=n), 2, 3))
+    ags = [augment(g, DET_CFG) for g in graphs]
+    batch = codec.prepare_batch(ags)
+    first = np.cumsum([0] + [g.n for g in graphs])
+    np.testing.assert_array_equal(batch.sizes, [4, 1, 6, 3])
+    np.testing.assert_array_equal(batch.node_mask.sum(axis=1), batch.sizes)
+    np.testing.assert_array_equal(batch.node_feats, np.concatenate([ag.node_feats for ag in ags]))
+    np.testing.assert_array_equal(batch.node_targets,
+                                  np.concatenate([g.node_categories for g in graphs]))
+    pairs = batch.neighborhood
+    want = np.concatenate([np.stack(np.nonzero(ag.neighborhood)) + lo
+                           for ag, lo in zip(ags, first)], axis=1)
+    np.testing.assert_array_equal(np.stack([pairs.i, pairs.j]), want)
+    assert pairs.num_nodes == first[-1]
+    for k, (i, j) in enumerate(zip(pairs.i, pairs.j)):
+        b = np.searchsorted(first, i, side="right") - 1
+        assert np.array_equal(batch.edge_feats[k], ags[b].edge_feats[i - first[b], j - first[b]])
+    np.testing.assert_array_equal(batch.edge_targets, np.concatenate(
+        [g.edge_categories[~np.eye(g.n, dtype=bool)] for g in graphs]))
+    nodes = np.split(np.eye(2)[batch.node_targets], first[1:-1])
+    pair_rows = np.split(np.eye(3)[batch.edge_targets],
+                         np.cumsum([g.n * (g.n - 1) for g in graphs])[:-1])
+    for g, nl, el in zip(graphs, nodes, pair_rows):
+        assert oracles.graphs_equal(codec.sample_graph(nl, el), g)
 
 
 @pytest.mark.parametrize("train", [True, False])
@@ -214,15 +247,16 @@ def test_pair_list_mpnn_matches_dense_oracle(train):
     the dense form over all B*n*n pair rows computes: on a padded batch
     with an isolated node and a 1-node graph, z and node logits on valid
     nodes, edge logits on valid pairs, the loss, every parameter
-    gradient and every batchnorm buffer match, and edge logits are
-    exactly 0 off the valid pairs."""
+    gradient and every batchnorm buffer match, and there is one edge
+    logit row per valid pair."""
     rng = np.random.default_rng(9)
     models = make_models(rng)
     warm_up(*models, [random_graph(rng, 7) for _ in range(8)])
     graphs = [random_graph(rng, n) for n in (3, 7, 5)]
     graphs += [new_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)]), new_graph(1, [])]
     batch = codec.prepare_batch([augment(g, DET_CFG) for g in graphs])
-    assert not batch.neighborhood[3, 5].any()  # the isolated node has no pair
+    isolated = 3 + 7 + 5 + 5  # the row of node 5 of the fourth graph
+    assert isolated not in batch.neighborhood.i and isolated not in batch.neighborhood.j
 
     def run(encode, decode):
         enc, dec = copy.deepcopy(models)
@@ -232,12 +266,11 @@ def test_pair_list_mpnn_matches_dense_oracle(train):
         loss.backward()
         grads = {k: p.grad for k, p in {**enc.params(), **dec.params()}.items()}
         buffers = {**enc.buffers(), **dec.buffers()}
-        nm, pm = batch.node_mask, batch.pair_mask
-        return (z.data[nm], nl.data[nm], el.data[pm], loss.data), grads, buffers, el.data
+        return (z.data, nl.data, el.data, loss.data), grads, buffers
 
-    outs, grads, buffers, el = run(codec.encode, codec.decode)
-    want_outs, want_grads, want_buffers, _ = run(oracles.dense_encode, oracles.dense_decode)
-    assert np.all(el[~batch.pair_mask] == 0.0)
+    outs, grads, buffers = run(codec.encode, codec.decode)
+    want_outs, want_grads, want_buffers = run(oracles.dense_encode, oracles.dense_decode)
+    assert outs[2].shape[0] == (batch.sizes * (batch.sizes - 1)).sum() == len(batch.edge_targets)
     for got, want in zip(outs, want_outs):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     for name, want in want_buffers.items():
@@ -252,8 +285,10 @@ def test_ae_step_memory_is_bounded():
     B = 32 on sparse 20-node graphs with the default model keeps its
     traced allocation peak under 480 MB. Message passing holds (P, w)
     activations over the live pairs only: the encoder's are 37% of the
-    B*n*n pair rows here and the decoder's 95%. The peak is about
-    350 MB, against 610 MB when every pair row is computed."""
+    B*n*n pair rows here and the decoder's 95%. The graphs have no
+    padded node slot, so the peak is about 349 MB, as it was (350 MB)
+    when batches were padded, against 610 MB when every pair row is
+    computed."""
     cfg = ModelConfig()
     model = AutoEncoderModel(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(11)
@@ -275,9 +310,9 @@ def test_decode_is_bit_identical_off_the_tape():
     rng = np.random.default_rng(8)
     enc, dec = make_models(rng)
     warm_up(enc, dec, [random_graph(rng, 6) for _ in range(8)])
-    z = rng.normal(size=(3, 7, 6))
     mask = np.ones((3, 7), dtype=bool)
     mask[1, 5:] = False
+    z = rng.normal(size=(mask.sum(), 6))
     taped = codec.decode(z, mask, dec, train=False)
     with ad.no_grad():
         free = codec.decode(z, mask, dec, train=False)

@@ -180,13 +180,13 @@ def test_init_codebooks_seeds_accumulators():
 
 def test_commitment_zero_when_equal():
     z = Tensor(np.ones((2, 1, 3)), requires_grad=True)
-    loss = commitment_loss(z, np.ones((2, 1, 3)), np.ones(2, dtype=bool))
+    loss = commitment_loss(z, np.ones((2, 1, 3)))
     assert float(loss.data) == 0.0
 
 
 def test_commitment_single_node_value():
     z = Tensor(np.array([[[1.0, 0.0]]]), requires_grad=True)
-    loss = commitment_loss(z, np.zeros((1, 1, 2)), np.ones(1, dtype=bool))
+    loss = commitment_loss(z, np.zeros((1, 1, 2)))
     assert float(loss.data) == pytest.approx(1.0)
     loss.backward()
     assert np.allclose(z.grad, [[[2.0, 0.0]]])
@@ -195,24 +195,10 @@ def test_commitment_single_node_value():
 def test_commitment_codewords_receive_no_gradient():
     z = Tensor(np.random.default_rng(6).normal(size=(4, 2, 3)), requires_grad=True)
     words = Tensor(np.zeros((4, 2, 3)), requires_grad=True)
-    loss = commitment_loss(z, words.data, np.ones(4, dtype=bool))
+    loss = commitment_loss(z, words.data)
     loss.backward()
     assert z.grad is not None
     assert words.grad is None  # only the detached array ever enters the graph
-
-
-def test_commitment_mask_excludes_padding():
-    rng = np.random.default_rng(7)
-    real = rng.normal(size=(1, 2, 1, 4))
-    z = Tensor(np.concatenate([real, 100 * np.ones((1, 2, 1, 4))], axis=1),
-               requires_grad=True)
-    words = np.zeros((1, 4, 1, 4))
-    mask = np.array([[True, True, False, False]])
-    masked = commitment_loss(z, words, mask=mask)
-    bare = commitment_loss(Tensor(real), words[:, :2], np.ones((1, 2), dtype=bool))
-    assert float(masked.data) == pytest.approx(float(bare.data))
-    masked.backward()
-    assert np.all(z.grad[0, 2:] == 0)
 
 
 def test_tuple_histogram_and_perplexity():

@@ -10,7 +10,9 @@ import inspect
 import types
 from pathlib import Path
 
-from dgae import evaluation, training
+import numpy as np
+
+from dgae import codec, evaluation, training
 
 TRACER = Path(__file__).resolve().parents[1] / "dgaebench" / "tracer.py"
 
@@ -62,3 +64,30 @@ def test_eval_setup_can_reset_the_orbit_tables(monkeypatch):
     tables = evaluation.graphlet_orbit_tables()
     assert tables is not None and evaluation._ORBIT_TABLES is tables
     assert evaluation.graphlet_orbit_tables() is tables
+
+
+def test_tracer_reads_the_node_mask_of_decode(monkeypatch):
+    # the tracer's pad ratio reads the (G, n) node mask as decode's
+    # second positional argument on every decode span
+    assert list(inspect.signature(codec.decode).parameters)[:2] == ["z", "node_mask"]
+    cfg = training.ModelConfig(gnn_layers=1, state_width=4, mlp_hidden=4, d_latent=4,
+                               partitions=2, codebook_size=3)
+    rng = np.random.default_rng(0)
+    model = training.AutoEncoderModel(cfg, rng)
+    for cb in model.codebooks.codebooks:
+        cb[...] = rng.standard_normal(cb.shape)
+    model.codebooks.initialized = True
+    calls = []
+    decode = codec.decode
+
+    def capturing(*args, **kwargs):
+        calls.append((args, kwargs))
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(codec, "decode", capturing)
+    samples = [rng.integers(0, 3, size=(n, 2)) for n in (3, 1, 3, 5)]
+    assert len(training.decode_sequences(model, samples)) == len(samples)
+    assert len(calls) == 3  # one exact-size bucket per node count
+    tracer = load_tracer()
+    for args, kwargs in calls:
+        assert tracer._pad_ratio(args, kwargs) == {"pad_ratio": 1.0}

@@ -477,18 +477,16 @@ def test_decode_sequences_keeps_input_order_across_size_buckets():
     for chunk_size in (3, 256):
         out = decode_sequences(model, samples, chunk_size=chunk_size)
         assert all(graphs_equal(a, b) for a, b in zip(out, solo))
-    # the same graphs as one decode of the whole padded batch
-    z = np.zeros((len(samples), cfg.n_max, cfg.d_latent))
-    mask = np.zeros((len(samples), cfg.n_max), dtype=bool)
-    for b, s in enumerate(samples):
-        words = np.stack([model.codebooks.codebooks[c][s[:, c]]
-                          for c in range(cfg.partitions)], axis=1)
-        z[b, :len(s)] = quantize.unpartition(words)
-        mask[b, :len(s)] = True
+    # the same graphs as one decode of the whole batch of mixed sizes
+    idx = np.concatenate(samples)
+    z = quantize.unpartition(np.stack([model.codebooks.codebooks[c][idx[:, c]]
+                                       for c in range(cfg.partitions)], axis=1))
+    mask = np.arange(cfg.n_max) < sizes[:, None]
     nl, el = codec.decode(z, mask, model.decoder, train=False)
-    for b, (s, g) in enumerate(zip(samples, solo)):
-        n = len(s)
-        assert graphs_equal(codec.sample_graph(nl.data[b, :n], el.data[b, :n, :n]), g)
+    nodes = np.split(nl.data, np.cumsum(sizes)[:-1])
+    pairs = np.split(el.data, np.cumsum(sizes * (sizes - 1))[:-1])
+    for node_rows, pair_rows, g in zip(nodes, pairs, solo):
+        assert graphs_equal(codec.sample_graph(node_rows, pair_rows), g)
     assert decode_sequences(model, []) == []
 
 
