@@ -3,9 +3,9 @@
 A Tensor wraps an ndarray and remembers how it was produced. Calling
 backward() on a scalar root walks the recorded graph in reverse
 topological order and accumulates gradients into every Tensor that
-requires them. Training runs in float64; inference code may pass
-float32 arrays for speed, and runs inside no_grad(), which records no
-graph.
+requires them. Training and inference both run in float64: ops cast
+plain array operands to it, and so does codec.decode its latent input.
+Inference runs inside no_grad(), which records no graph.
 
 Broadcasting is deliberately restricted: binary ops accept equal
 shapes, a python scalar, or a trailing-suffix shape (bias add), and no
@@ -495,12 +495,21 @@ def cross_entropy_with_logits(logits, targets):
     return _node(out_data, (logits,), bw)
 
 
-def layernorm(x, gamma, beta, eps=1e-5):
-    """Normalize the last axis, then scale and shift."""
+def _normalize(x, gamma, beta, axis, eps, stats=None):
+    """(x - mean) / sqrt(var + eps) * gamma + beta, with the mean and
+    variance of x over `axis` (batch statistics, taped), or the fixed
+    statistics stats = (mean, var), which the backward treats as
+    constants. gamma and beta scale the last axis. Returns the output
+    and the (mean, var) used.
+    """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    if stats is None:
+        mu = x.data.mean(axis=axis, keepdims=True)
+        xc = x.data - mu
+        var = (xc * xc).mean(axis=axis, keepdims=True)
+    else:
+        mu, var = stats
+        xc = x.data - mu
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out_data = xhat * gamma.data + beta.data
@@ -513,11 +522,18 @@ def layernorm(x, gamma, beta, eps=1e-5):
             beta._accumulate(g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             gx = g * gamma.data
-            t1 = gx.mean(axis=-1, keepdims=True)
-            t2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * (gx - t1 - xhat * t2))
+            if stats is None:
+                t1 = gx.mean(axis=axis, keepdims=True)
+                t2 = (gx * xhat).mean(axis=axis, keepdims=True)
+                gx = gx - t1 - xhat * t2
+            x._accumulate(inv * gx)
 
-    return _node(out_data, (x, gamma, beta), bw)
+    return _node(out_data, (x, gamma, beta), bw), mu, var
+
+
+def layernorm(x, gamma, beta, eps=1e-5):
+    """Normalize the last axis, then scale and shift."""
+    return _normalize(x, gamma, beta, -1, eps)[0]
 
 
 class BatchNormState:
@@ -545,38 +561,15 @@ def batchnorm(x, state, train):
     x = _as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"batchnorm expects 2-D input, got {x.shape}")
-    gamma, beta, eps = state.gamma, state.beta, state.eps
-
-    # m counts the rows the statistics depend on: none in eval mode
-    m = x.shape[0] if train else 0
+    stats = None
     if not train:
-        mu, var = state.running_mean, state.running_var
-    elif m == 0:
-        mu = np.zeros(x.shape[1])
-        var = np.ones(x.shape[1])
-    else:
-        mu = x.data.mean(axis=0)
-        var = ((x.data - mu) ** 2).mean(axis=0)
+        stats = state.running_mean, state.running_var
+    elif x.shape[0] == 0:
+        stats = np.zeros(x.shape[1]), np.ones(x.shape[1])
+    out, mu, var = _normalize(x, state.gamma, state.beta, 0, state.eps, stats)
+    if stats is None:
         state.running_mean *= state.momentum
-        state.running_mean += (1.0 - state.momentum) * mu
+        state.running_mean += (1.0 - state.momentum) * mu[0]
         state.running_var *= state.momentum
-        state.running_var += (1.0 - state.momentum) * var
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out_data = xhat * gamma.data + beta.data
-
-    def bw(g):
-        if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=0))
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=0))
-        if x.requires_grad:
-            gx = g * gamma.data
-            gi = gx * inv
-            if m > 0:
-                dmu = -gi.sum(axis=0)
-                dvar = (gx * (x.data - mu)).sum(axis=0) * (-0.5) * inv ** 3
-                gi = gi + (dmu / m + dvar * 2.0 * (x.data - mu) / m)
-            x._accumulate(gi)
-
-    return _node(out_data, (x, gamma, beta), bw)
+        state.running_var += (1.0 - state.momentum) * var[0]
+    return out

@@ -180,6 +180,9 @@ def load_dataset(path):
         try:
             header = json.loads(header_line)
             R, S = header["R"], header["S"]
+            for key, low in (("R", 1), ("S", 2)):
+                if type(header[key]) is not int or header[key] < low:
+                    raise ValueError(f"{key} must be an integer >= {low}, got {header[key]!r}")
             if header["directed"] is not False:
                 raise ValueError('only "directed": false is supported')
         except (KeyError, TypeError, ValueError) as e:

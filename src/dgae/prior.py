@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import quantize
 from .autodiff import MASK_VALUE, Tensor
 from .codec import Affine, Mlp
 
@@ -122,26 +123,12 @@ class PriorParams:
         return out
 
 
-@dataclass
-class IndexSequence:
-    """One graph's sorted latent: indices (T, C) with aligned codewords."""
-    indices: np.ndarray    # (T, C) int64
-    codewords: np.ndarray  # (T, C, d_part) float64
-
-    @property
-    def length(self):
-        return self.indices.shape[0]
-
-
-def sort_set(indices, codewords) -> IndexSequence:
-    """Canonical order: lexicographic by index tuple, partition 0 most
-    significant. Stable, so equal tuples keep their relative order.
+def sort_set(indices):
+    """Canonical order (T, C): lexicographic by index tuple, partition 0
+    most significant. Stable, so equal tuples keep their relative order.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    codewords = np.asarray(codewords, dtype=np.float64)
-    C = indices.shape[1]
-    order = np.lexsort(tuple(indices[:, c] for c in reversed(range(C))))
-    return IndexSequence(indices[order].copy(), codewords[order].copy())
+    return indices[np.lexsort(indices.T[::-1])]
 
 
 @dataclass
@@ -151,21 +138,20 @@ class SequenceBatch:
     lengths: np.ndarray    # (B,) int64
 
 
-def pack_sequences(seqs, n_max) -> SequenceBatch:
-    lengths = np.array([s.length for s in seqs], dtype=np.int64)
+def pack_sequences(seqs, n_max, codebooks) -> SequenceBatch:
+    """Pad sorted index sequences (T, C) to one batch and look up their
+    codewords in the stacked codebooks (C, m, d_part)."""
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
     if lengths.min() < 1:
         raise ValueError("sequences must have at least one node")
     if lengths.max() > n_max:
         raise ValueError(f"sequence of length {lengths.max()} exceeds n_max={n_max}")
-    T = int(lengths.max())
-    C = seqs[0].indices.shape[1]
-    dp = seqs[0].codewords.shape[2]
-    idx = np.zeros((len(seqs), T, C), dtype=np.int64)
-    cw = np.zeros((len(seqs), T, C, dp))
+    idx = np.zeros((len(seqs), int(lengths.max()), codebooks.shape[0]), dtype=np.int64)
     for b, s in enumerate(seqs):
-        idx[b, :s.length] = s.indices
-        cw[b, :s.length] = s.codewords
-    return SequenceBatch(idx, cw, lengths)
+        idx[b, :len(s)] = s
+    codewords = quantize.lookup(codebooks, idx)
+    codewords[np.arange(idx.shape[1]) >= lengths[:, None]] = 0.0
+    return SequenceBatch(idx, codewords, lengths)
 
 
 def _input_column(params: PriorParams, c, prev, cur, pos) -> Tensor:
@@ -322,7 +308,7 @@ def prior_nll(params: PriorParams, batch: SequenceBatch) -> Tensor:
 def generate(params: PriorParams, codebooks, count, seed, step_times=None):
     """Sample `count` index sequences ancestrally.
 
-    codebooks: list of C arrays (m, d_part) used to embed sampled
+    codebooks: stacked codebooks (C, m, d_part) used to embed sampled
     indices back into codeword space for conditioning.
 
     Each sample draws from its own spawned RNG stream, so sample i is
@@ -357,8 +343,9 @@ def generate(params: PriorParams, codebooks, count, seed, step_times=None):
         if active.size == 0:
             break
         t0 = time.perf_counter()
-        cur = np.zeros((active.size, 1, C, params.d_part))
         for c in range(C):
+            # the current node's codewords; its partitions below c are drawn
+            cur = quantize.lookup(codebooks, indices[active, t:t + 1])
             x = _input_column(params, c, prev, cur, params.pos_table[t:t + 1])
             for l, blk in enumerate(params.blocks):
                 if c == 0:
@@ -384,19 +371,19 @@ def generate(params: PriorParams, codebooks, count, seed, step_times=None):
                     # first n move into the ended rows before it
                     n = active.size - int(ended.sum())
                     holes, movers = np.flatnonzero(ended[:n]), n + np.flatnonzero(~ended[n:])
-                    live = (active, uniforms, prev, cur, draws)
+                    live = (active, uniforms, prev, draws)
                     for a in live:
                         a[holes] = a[movers]
                     kv[:, :, holes] = kv[:, :, movers]
-                    active, uniforms, prev, cur, draws = (a[:n] for a in live)
+                    active, uniforms, prev, draws = (a[:n] for a in live)
                     kv = kv[:, :, :n]
                     if n == 0:
                         break
             indices[active, t, c] = draws
-            cur[:, 0, c] = codebooks[c][draws]
         if step_times is not None:
             step_times.append((t, time.perf_counter() - t0, int(active.size)))
-        prev = cur.reshape(active.size, 1, C * params.d_part)
+        prev = quantize.lookup(codebooks, indices[active, t:t + 1]).reshape(
+            active.size, 1, C * params.d_part)
         prev_k0 = indices[active, t, :1]
 
     return [{"indices": indices[i, :lengths[i]].copy(), "truncated": bool(truncated[i])}

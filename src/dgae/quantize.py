@@ -19,7 +19,8 @@ from .autodiff import Tensor
 
 
 class CodebookSet:
-    """C codebooks of shape (m, d_latent / C) plus EMA accumulators."""
+    """C stacked codebooks (C, m, d_latent / C) plus EMA accumulators:
+    counts (C, m) and sums (C, m, d_latent / C)."""
 
     def __init__(self, num_partitions, codebook_size, d_latent, decay=0.99, eps=1e-5):
         if d_latent % num_partitions != 0:
@@ -29,9 +30,9 @@ class CodebookSet:
         self.d_part = d_latent // num_partitions
         self.decay = decay
         self.eps = eps
-        self.codebooks = [np.zeros((self.m, self.d_part)) for _ in range(self.C)]
-        self.ema_counts = [np.zeros(self.m) for _ in range(self.C)]
-        self.ema_sums = [np.zeros((self.m, self.d_part)) for _ in range(self.C)]
+        self.codebooks = np.zeros((self.C, self.m, self.d_part))
+        self.ema_counts = np.zeros((self.C, self.m))
+        self.ema_sums = np.zeros((self.C, self.m, self.d_part))
         self.initialized = False
 
 
@@ -51,27 +52,30 @@ def unpartition(z_parts):
     return z.reshape(z.shape[:-2] + (z.shape[-2] * z.shape[-1],))
 
 
+def nearest(z, H):
+    """Index of the codeword of H nearest to each vector of z, ties to
+    the lowest index: z (..., d) against H (m, d), or z (..., C, d)
+    against the stacked codebooks H (C, m, d) partition by partition.
+    """
+    return ((z[..., None, :] - H) ** 2).sum(axis=-1).argmin(axis=-1)
+
+
+def lookup(codebooks, idx):
+    """Codewords (..., C, d_part) of the index tuples idx (..., C) in
+    the stacked codebooks (C, m, d_part)."""
+    return codebooks[np.arange(codebooks.shape[0]), idx]
+
+
 def quantize(z_parts, cbs: CodebookSet):
-    """Nearest-codeword assignment per partition (ties: lowest index).
+    """Nearest-codeword assignment per partition.
 
     z_parts: numpy array (..., C, d_part).
     Returns (indices (..., C) int64, codewords (..., C, d_part)).
     """
     if not cbs.initialized:
         raise RuntimeError("codebooks are not initialized; run k-means++ first")
-    z_parts = np.asarray(z_parts)
-    lead = z_parts.shape[:-2]
-    flat = z_parts.reshape(-1, cbs.C, cbs.d_part)
-    indices = np.empty((flat.shape[0], cbs.C), dtype=np.int64)
-    words = np.empty_like(flat)
-    for c in range(cbs.C):
-        zc = flat[:, c, :]
-        H = cbs.codebooks[c]
-        d2 = (zc * zc).sum(axis=1, keepdims=True) - 2.0 * zc @ H.T + (H * H).sum(axis=1)
-        idx = np.argmin(d2, axis=1)
-        indices[:, c] = idx
-        words[:, c, :] = H[idx]
-    return indices.reshape(lead + (cbs.C,)), words.reshape(lead + (cbs.C, cbs.d_part))
+    indices = nearest(np.asarray(z_parts), cbs.codebooks)
+    return indices, lookup(cbs.codebooks, indices)
 
 
 def kmeanspp_init(samples, m, rng, iters=100, tol=1e-6):
@@ -90,12 +94,10 @@ def kmeanspp_init(samples, m, rng, iters=100, tol=1e-6):
         warnings.warn(f"only {distinct} distinct samples for {m} codewords; "
                       "some codewords will coincide")
     centers = np.empty((m, samples.shape[1]))
-    first = int(rng.integers(0, N))
-    centers[0] = samples[first]
-    d2 = ((samples - centers[0]) ** 2).sum(axis=1)
-    for k in range(1, m):
+    d2 = np.full(N, np.inf)  # squared distance to the nearest center so far
+    for k in range(m):
         total = d2.sum()
-        if total <= 0:
+        if not 0 < total < np.inf:  # the first center, or every sample is one
             centers[k] = samples[int(rng.integers(0, N))]
         else:
             r = rng.random() * total
@@ -105,8 +107,7 @@ def kmeanspp_init(samples, m, rng, iters=100, tol=1e-6):
         d2 = np.minimum(d2, ((samples - centers[k]) ** 2).sum(axis=1))
 
     for _ in range(iters):
-        dist = ((samples[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assign = dist.argmin(axis=1)
+        assign = nearest(samples, centers)
         new_centers = centers.copy()
         for k in range(m):
             sel = assign == k
@@ -119,22 +120,25 @@ def kmeanspp_init(samples, m, rng, iters=100, tol=1e-6):
     return centers
 
 
+def _usage(cbs: CodebookSet, indices):
+    """Flat codeword slots c*m + k of index tuples (..., C), row by row,
+    and how many tuples use each codeword: counts (C, m)."""
+    slots = (np.asarray(indices).reshape(-1, cbs.C) + cbs.m * np.arange(cbs.C)).ravel()
+    return slots, np.bincount(slots, minlength=cbs.C * cbs.m).reshape(cbs.C, cbs.m)
+
+
 def init_codebooks(cbs: CodebookSet, z_parts, rng):
     """Initialize every partition's codebook by k-means++ on the given
     embeddings and seed the EMA accumulators from the cluster masses.
     """
     z_parts = np.asarray(z_parts).reshape(-1, cbs.C, cbs.d_part)
-    for c in range(cbs.C):
-        centers = kmeanspp_init(z_parts[:, c, :], cbs.m, rng)
-        cbs.codebooks[c] = centers
-        d2 = ((z_parts[:, c, :, None] - centers.T[None]) ** 2).sum(axis=1)
-        assign = d2.argmin(axis=1)
-        counts = np.bincount(assign, minlength=cbs.m).astype(np.float64)
-        # a cluster that owns no samples still needs mass, or the first
-        # moving-average step would snap its codeword to the origin
-        counts = np.maximum(counts, 1.0)
-        cbs.ema_counts[c] = counts
-        cbs.ema_sums[c] = centers * counts[:, None]
+    cbs.codebooks = np.stack([kmeanspp_init(z_parts[:, c, :], cbs.m, rng)
+                              for c in range(cbs.C)])
+    _, counts = _usage(cbs, nearest(z_parts, cbs.codebooks))
+    # a cluster that owns no samples still needs mass, or the first
+    # moving-average step would snap its codeword to the origin
+    cbs.ema_counts = np.maximum(counts, 1.0)
+    cbs.ema_sums = cbs.codebooks * cbs.ema_counts[..., None]
     cbs.initialized = True
 
 
@@ -148,17 +152,13 @@ def ema_update(cbs: CodebookSet, z_parts, indices):
     The count floor keeps never-assigned codewords exactly where they
     are instead of dividing by a vanishing denominator.
     """
-    z_parts = np.asarray(z_parts).reshape(-1, cbs.C, cbs.d_part)
-    indices = np.asarray(indices).reshape(-1, cbs.C)
+    slots, counts = _usage(cbs, indices)
+    sums = np.zeros((cbs.C * cbs.m, cbs.d_part))
+    np.add.at(sums, slots, np.asarray(z_parts).reshape(-1, cbs.d_part))
     g = cbs.decay
-    for c in range(cbs.C):
-        counts = np.bincount(indices[:, c], minlength=cbs.m).astype(np.float64)
-        sums = np.zeros((cbs.m, cbs.d_part))
-        np.add.at(sums, indices[:, c], z_parts[:, c, :])
-        cbs.ema_counts[c] = g * cbs.ema_counts[c] + (1.0 - g) * counts
-        cbs.ema_sums[c] = g * cbs.ema_sums[c] + (1.0 - g) * sums
-        denom = np.maximum(cbs.ema_counts[c], cbs.eps)
-        cbs.codebooks[c] = cbs.ema_sums[c] / denom[:, None]
+    cbs.ema_counts = g * cbs.ema_counts + (1.0 - g) * counts
+    cbs.ema_sums = g * cbs.ema_sums + (1.0 - g) * sums.reshape(cbs.ema_sums.shape)
+    cbs.codebooks = cbs.ema_sums / np.maximum(cbs.ema_counts, cbs.eps)[..., None]
 
 
 def commitment_loss(z_parts: Tensor, codewords):
@@ -174,27 +174,14 @@ def commitment_loss(z_parts: Tensor, codewords):
     return ad.mul(ad.sum_(ad.mul(diff, diff)), 1.0 / max(grid, 1))
 
 
-def tuple_histogram(indices, C):
-    """Counts of distinct index tuples. Returns dict tuple -> count."""
-    indices = np.asarray(indices).reshape(-1, C)
-    hist = {}
-    for row in indices:
-        key = tuple(int(x) for x in row)
-        hist[key] = hist.get(key, 0) + 1
-    return hist
-
-
-def perplexity(hist, M):
-    """exp(entropy) of the tuple usage distribution, normalized by the
-    dictionary size M. 1.0 means uniform usage; 1/M means collapse to
-    a single tuple.
+def perplexity(indices, M):
+    """exp(entropy) of the usage distribution of the index tuples
+    (N, C), normalized by the dictionary size M. 1.0 means uniform
+    usage; 1/M means collapse to a single tuple.
     """
-    total = float(sum(hist.values()))
-    if total == 0 or M <= 0:
-        raise ValueError("perplexity needs a nonempty histogram and M > 0")
-    h = 0.0
-    for count in hist.values():
-        p = count / total
-        if p > 0:
-            h -= p * np.log(p)
-    return float(np.exp(h)) / M
+    indices = np.asarray(indices)
+    if indices.shape[0] == 0 or M <= 0:
+        raise ValueError("perplexity needs at least one index tuple and M > 0")
+    _, counts = np.unique(indices, axis=0, return_counts=True)
+    p = counts / counts.sum()
+    return float(np.exp(-(p * np.log(p)).sum())) / M

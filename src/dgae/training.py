@@ -186,6 +186,7 @@ class AutoEncoderModel:
         out = {name: t.data for name, t in self.params().items()}
         out.update(self.encoder.buffers())
         out.update(self.decoder.buffers())
+        # one checkpoint entry per partition: views of the stacked arrays
         cbs = self.codebooks
         for c in range(cbs.C):
             out[f"quant.cb{c}"] = cbs.codebooks[c]
@@ -469,7 +470,7 @@ def evaluate_autoencoder(model: AutoEncoderModel, aug_val, cfg: ModelConfig):
     if not aug_val:
         return {}
     recon_sum = commit_sum = node_errs = pair_errs = nodes = pairs = 0
-    hist = {}
+    codes = []
     for chunk in _batches(np.arange(len(aug_val)), cfg.batch_size):
         batch = codec.prepare_batch([aug_val[i] for i in chunk])
         recon, commit, idx, _, logits = _ae_pass(model, batch, train=False)
@@ -480,13 +481,13 @@ def evaluate_autoencoder(model: AutoEncoderModel, aug_val, cfg: ModelConfig):
         pair_errs, pairs = pair_errs + ee, pairs + len(batch.edge_targets)
         if commit is not None:
             commit_sum += float(commit.data) * b_nodes * cfg.partitions
-            for key, cnt in quantize.tuple_histogram(idx, cfg.partitions).items():
-                hist[key] = hist.get(key, 0) + cnt
+            codes.append(idx)
     out = {"loss_recon": recon_sum / len(aug_val), "node_err": node_errs / nodes,
            "edge_err": pair_errs / max(pairs, 1)}
-    if hist:
+    if codes:
         out["loss_commit"] = commit_sum / (nodes * cfg.partitions)
-        out["perplexity"] = quantize.perplexity(hist, cfg.codebook_size ** cfg.partitions)
+        out["perplexity"] = quantize.perplexity(np.concatenate(codes),
+                                                cfg.codebook_size ** cfg.partitions)
     return out
 
 
@@ -560,10 +561,8 @@ def encode_sequences(model: AutoEncoderModel, aug_graphs, cfg: ModelConfig):
         batch = codec.prepare_batch([aug_graphs[i] for i in chunk])
         z = codec.encode(batch, model.encoder, train=False)
         z_parts = quantize.partition(z.data, cfg.partitions)
-        idx, words = quantize.quantize(z_parts, model.codebooks)
-        ends = np.cumsum(batch.sizes)
-        seqs += [prior.sort_set(idx[hi - n:hi], words[hi - n:hi])
-                 for n, hi in zip(batch.sizes, ends)]
+        idx, _ = quantize.quantize(z_parts, model.codebooks)
+        seqs += [prior.sort_set(s) for s in np.split(idx, np.cumsum(batch.sizes)[:-1])]
     return seqs
 
 
@@ -575,14 +574,14 @@ def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
     train_idx, val_idx = split_dataset(len(graphs), cfg)
     seqs = encode_sequences(model, aug, cfg)
     if cache_path:
-        prior.write_sequences(cache_path, cfg.codebook_size, cfg.partitions,
-                              [s.indices for s in seqs])
+        prior.write_sequences(cache_path, cfg.codebook_size, cfg.partitions, seqs)
     train_seqs = [seqs[i] for i in train_idx]
     val_seqs = [seqs[i] for i in val_idx]
 
     root = np.random.SeedSequence([cfg.seed, 0xF1])
     init_rng, shuffle_rng = [np.random.default_rng(s) for s in root.spawn(2)]
     pparams = init_prior(cfg, init_rng)
+    codebooks = model.codebooks.codebooks
     params = pparams.params()
     adam = AdamState(params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     writer = MetricsWriter(metrics_path)
@@ -593,14 +592,15 @@ def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
         for epoch in range(cfg.epochs_prior):
             order = shuffle_rng.permutation(len(train_seqs))
             for chunk in _batches(order, cfg.batch_size):
-                batch = prior.pack_sequences([train_seqs[i] for i in chunk], cfg.n_max)
+                batch = prior.pack_sequences([train_seqs[i] for i in chunk], cfg.n_max,
+                                             codebooks)
                 _optimizer_step(prior.prior_nll(pparams, batch), params, adam, cfg, step)
                 step += 1
             metrics = {"epoch": epoch, "step": step}
             if val_seqs:
                 with ad.no_grad():
                     metrics["nll"] = float(prior.prior_nll(
-                        pparams, prior.pack_sequences(val_seqs, cfg.n_max)).data)
+                        pparams, prior.pack_sequences(val_seqs, cfg.n_max, codebooks)).data)
             history.append(metrics)
             writer.row(step, nll=metrics.get("nll"))
             if log and "nll" in metrics:
@@ -622,7 +622,6 @@ def decode_sequences(model: AutoEncoderModel, samples, chunk_size=256):
     chunks of at most chunk_size, so no chunk carries padding. Graphs
     come back in input order.
     """
-    cbs = model.codebooks
     sizes = np.array([s.shape[0] for s in samples], dtype=np.int64)
     graphs_out = [None] * len(samples)
     for n in np.unique(sizes):
@@ -630,7 +629,7 @@ def decode_sequences(model: AutoEncoderModel, samples, chunk_size=256):
         for lo in range(0, len(group), chunk_size):
             part = group[lo:lo + chunk_size]
             idx = np.concatenate([samples[i] for i in part])  # (B * n, C)
-            words = np.stack([cbs.codebooks[c][idx[:, c]] for c in range(cbs.C)], axis=1)
+            words = quantize.lookup(model.codebooks.codebooks, idx)
             mask = np.ones((len(part), n), dtype=bool)
             node_logits, edge_logits = codec.decode(quantize.unpartition(words), mask,
                                                     model.decoder, train=False)

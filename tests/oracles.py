@@ -12,6 +12,9 @@ tests. The per-graph statistics
 package's former one-graph-at-a-time definitions, kept to pin its
 set-level ones; node_orbit_counts reads the package's connectedness
 tables, which node_orbit_participation checks independently.
+ema_update_per_partition and perplexity_from_histogram are the
+package's former partition-by-partition EMA step and dict-counted
+perplexity.
 """
 
 import itertools
@@ -476,3 +479,36 @@ def load_bench_inputs():
     mod = types.ModuleType("dgaebench_inputs")
     exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
     return mod
+
+
+def ema_update_per_partition(state, z_parts, indices, decay, eps):
+    """One EMA codebook step, one partition at a time. state maps
+    codebooks (C, m, d), ema_counts (C, m) and ema_sums (C, m, d) to
+    arrays; returns the next state as new arrays."""
+    books, counts_all, sums_all = (state[k].copy()
+                                   for k in ("codebooks", "ema_counts", "ema_sums"))
+    C, m, d = books.shape
+    z_parts = np.asarray(z_parts).reshape(-1, C, d)
+    indices = np.asarray(indices).reshape(-1, C)
+    for c in range(C):
+        counts = np.bincount(indices[:, c], minlength=m).astype(np.float64)
+        sums = np.zeros((m, d))
+        np.add.at(sums, indices[:, c], z_parts[:, c, :])
+        counts_all[c] = decay * counts_all[c] + (1.0 - decay) * counts
+        sums_all[c] = decay * sums_all[c] + (1.0 - decay) * sums
+        books[c] = sums_all[c] / np.maximum(counts_all[c], eps)[:, None]
+    return {"codebooks": books, "ema_counts": counts_all, "ema_sums": sums_all}
+
+
+def perplexity_from_histogram(indices, M):
+    """exp(entropy) / M of the index tuples' usage, counted in a dict."""
+    hist = {}
+    for row in np.asarray(indices):
+        key = tuple(int(x) for x in row)
+        hist[key] = hist.get(key, 0) + 1
+    total = float(sum(hist.values()))
+    h = 0.0
+    for count in hist.values():
+        p = count / total
+        h -= p * np.log(p)
+    return float(np.exp(h)) / M

@@ -25,7 +25,7 @@ from dgae import cli, codec, evaluation, features, prior, quantize, training
 from dgae.autodiff import Tensor, straight_through
 from dgae.features import FeatureConfig, augment
 from dgae.graphs import DatasetSpec, build_dataset, permute
-from dgae.prior import IndexSequence, pack_sequences, prior_logits, prior_nll
+from dgae.prior import pack_sequences, prior_logits, prior_nll
 from dgae.training import ModelConfig
 
 
@@ -204,13 +204,9 @@ def _stage2_fd_setup():
     rng = np.random.default_rng(405)
     params = prior.PriorParams(rng, d_latent=4, C=2, m=3, d_model=8, heads=2,
                                num_blocks=1, n_max=5)
-    cbs = [rng.standard_normal((3, 2)) for _ in range(2)]
-    seqs = []
-    for T in (2, 4, 3):
-        idx = np.sort(rng.integers(0, 3, size=(T, 2)), axis=0)
-        cw = np.stack([cbs[c][idx[:, c]] for c in range(2)], axis=1)
-        seqs.append(IndexSequence(idx, cw))
-    batch = pack_sequences(seqs, params.n_max)
+    cbs = rng.standard_normal((2, 3, 2))
+    seqs = [np.sort(rng.integers(0, 3, size=(T, 2)), axis=0) for T in (2, 4, 3)]
+    batch = pack_sequences(seqs, params.n_max, cbs)
 
     def loss(_):
         return prior_nll(params, batch)
@@ -296,12 +292,10 @@ def test_criterion_06_causality_and_masking():
     rng = np.random.default_rng(606)
     params = prior.PriorParams(rng, d_latent=4, C=2, m=4, d_model=8, heads=2,
                                num_blocks=2, n_max=8)
-    cbs = [rng.standard_normal((params.m, params.d_part))
-           for _ in range(params.C)]
+    cbs = rng.standard_normal((params.C, params.m, params.d_part))
 
     def batch_of(idx):
-        cw = np.stack([cbs[c][idx[:, c]] for c in range(params.C)], axis=1)
-        return pack_sequences([IndexSequence(idx, cw)], params.n_max)
+        return pack_sequences([idx], params.n_max, cbs)
 
     T = 6
     base_idx = _rand_sequence(rng, params, T)
@@ -431,9 +425,7 @@ def _fresh_sampler(cfg, rng):
     for head in pparams.out:
         head.b.data[cfg.codebook_size] -= 60.0
     d_part = cfg.d_latent // cfg.partitions
-    cbs = [rng.standard_normal((cfg.codebook_size, d_part))
-           for _ in range(cfg.partitions)]
-    return pparams, cbs
+    return pparams, rng.standard_normal((cfg.partitions, cfg.codebook_size, d_part))
 
 
 def test_criterion_10_generation_speed():
@@ -481,8 +473,8 @@ def test_criterion_10_generation_speed():
     rng = np.random.default_rng(77)
     model = training.AutoEncoderModel(cfg, rng)
     d_part = cfg.d_latent // cfg.partitions
-    model.codebooks.codebooks = [rng.standard_normal((cfg.codebook_size, d_part))
-                                 for _ in range(cfg.partitions)]
+    model.codebooks.codebooks = rng.standard_normal((cfg.partitions, cfg.codebook_size,
+                                                     d_part))
     model.codebooks.initialized = True
     pparams, _ = _fresh_sampler(cfg, rng)
     t_sample = time.perf_counter()

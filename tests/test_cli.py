@@ -450,6 +450,34 @@ def test_eval_rejects_a_directed_dataset(tmp_path, capsys):
     assert "directed" in err
 
 
+ONE_RECORD = '{"n": 2, "nodes": [0, 0], "edges": [[0, 1, 1]]}\n'
+
+
+@pytest.mark.parametrize("header,records,command", [
+    ('{"R": "a", "S": 2, "directed": false}', "", "train-ae"),
+    ('{"R": "a", "S": 2, "directed": false}', "", "featurize"),
+    ('{"R": 1, "S": null, "directed": false}', "", "train-ae"),
+    ('{"R": 1, "S": null, "directed": false}', "", "featurize"),
+    ('{"R": 1.5, "S": 2, "directed": false}', ONE_RECORD, "featurize"),
+    ('{"R": true, "S": 2, "directed": false}', ONE_RECORD, "featurize"),
+    ('{"R": 0, "S": 2, "directed": false}', ONE_RECORD, "featurize"),
+    ('{"R": 1, "S": 1, "directed": false}', ONE_RECORD, "featurize"),
+])
+def test_bad_category_counts_in_a_dataset_header_are_one_error_line(
+        tmp_path, capsys, header, records, command):
+    """R and S must be integers, not bools, with R >= 1 and S >= 2."""
+    data = tmp_path / "d.graphs"
+    data.write_text(header + "\n" + records)
+    argv = {"train-ae": ["train-ae", "--data", data, "--out", tmp_path / "ae.ckpt"],
+            "featurize": ["featurize", "--in", data]}[command]
+    capsys.readouterr()
+    rc = run(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "bad dataset header" in err
+
+
 # ---------------------------------------------------------------------------
 # ablation commands
 

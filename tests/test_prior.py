@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import dgae.autodiff as ad
-from dgae import prior
+from dgae import prior, quantize
 from dgae.autodiff import Tensor
 from dgae.prior import (
-    IndexSequence,
     PriorParams,
     SequenceBatch,
     attention_2d,
@@ -32,18 +31,18 @@ def tiny_params(seed=0, d_latent=8, C=2, m=4, d_model=16, heads=2,
     return PriorParams(rng, d_latent, C, m, d_model, heads, num_blocks, n_max)
 
 
-def random_sequence(rng, T, C, d_part, m):
-    idx = rng.integers(0, m, size=(T, C))
-    cw = rng.normal(size=(T, C, d_part))
-    return sort_set(idx, cw)
-
-
-def batch_from(params, seqs):
-    return pack_sequences(seqs, params.n_max)
+def random_sequence(rng, T, C, m):
+    return sort_set(rng.integers(0, m, size=(T, C)))
 
 
 def rand_codebooks(rng, C, m, d_part):
-    return [rng.normal(size=(m, d_part)) for _ in range(C)]
+    return rng.normal(size=(C, m, d_part))
+
+
+def batch_from(params, seqs):
+    """Batch of seqs with a fixed set of random codebooks for params."""
+    books = rand_codebooks(np.random.default_rng(99), params.C, params.m, params.d_part)
+    return pack_sequences(seqs, params.n_max, books)
 
 
 # ---------------------------------------------------------------------------
@@ -52,46 +51,52 @@ def rand_codebooks(rng, C, m, d_part):
 
 def test_sort_set_example():
     idx = np.array([[3, 1], [1, 2], [1, 1]])
-    cw = np.arange(3 * 2 * 2, dtype=np.float64).reshape(3, 2, 2)
-    s = sort_set(idx, cw)
-    assert s.indices.tolist() == [[1, 1], [1, 2], [3, 1]]
-    # codewords travel with their rows
-    np.testing.assert_array_equal(s.codewords[2], cw[0])
-    np.testing.assert_array_equal(s.codewords[0], cw[2])
+    s = sort_set(idx)
+    assert s.dtype == np.int64
+    assert s.tolist() == [[1, 1], [1, 2], [3, 1]]
+    assert idx.tolist() == [[3, 1], [1, 2], [1, 1]]  # the input is not sorted in place
 
 
 def test_sort_set_input_order_irrelevant():
     rng = np.random.default_rng(3)
     idx = rng.integers(0, 5, size=(9, 3))
-    cw = rng.normal(size=(9, 3, 2))
-    base = sort_set(idx, cw)
+    base = sort_set(idx)
     for _ in range(10):
         perm = rng.permutation(9)
-        s = sort_set(idx[perm], cw[perm])
-        np.testing.assert_array_equal(s.indices, base.indices)
-        # rows with equal index tuples are interchangeable, so compare
-        # the codeword multiset per tuple
-        np.testing.assert_allclose(
-            np.sort(s.codewords.reshape(9, -1), axis=0),
-            np.sort(base.codewords.reshape(9, -1), axis=0))
+        np.testing.assert_array_equal(sort_set(idx[perm]), base)
 
 
 def test_sort_set_partition_zero_most_significant():
     idx = np.array([[2, 0], [1, 9], [2, 1]])
-    cw = np.zeros((3, 2, 1))
-    s = sort_set(idx, cw)
-    assert s.indices[:, 0].tolist() == [1, 2, 2]
-    assert s.indices.tolist() == [[1, 9], [2, 0], [2, 1]]
+    s = sort_set(idx)
+    assert s[:, 0].tolist() == [1, 2, 2]
+    assert s.tolist() == [[1, 9], [2, 0], [2, 1]]
 
 
 def test_pack_sequences_rejects_bad_lengths():
     rng = np.random.default_rng(0)
-    good = random_sequence(rng, 3, 2, 2, 4)
-    empty = IndexSequence(np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2, 2)))
+    books = rand_codebooks(rng, 2, 4, 2)
+    good = random_sequence(rng, 3, 2, 4)
+    empty = np.zeros((0, 2), dtype=np.int64)
     with pytest.raises(ValueError):
-        pack_sequences([good, empty], n_max=8)
+        pack_sequences([good, empty], 8, books)
     with pytest.raises(ValueError):
-        pack_sequences([good], n_max=2)
+        pack_sequences([good], 2, books)
+
+
+def test_pack_sequences_looks_up_live_rows_and_zeroes_padding():
+    rng = np.random.default_rng(1)
+    books = rand_codebooks(rng, 3, 5, 2)
+    seqs = [random_sequence(rng, T, 3, 5) for T in (2, 4, 1)]
+    batch = pack_sequences(seqs, 8, books)
+    assert batch.codewords.shape == (3, 4, 3, 2)
+    np.testing.assert_array_equal(batch.lengths, [2, 4, 1])
+    for b, s in enumerate(seqs):
+        T = len(s)
+        np.testing.assert_array_equal(batch.indices[b, :T], s)
+        np.testing.assert_array_equal(batch.codewords[b, :T], quantize.lookup(books, s))
+        assert not batch.indices[b, T:].any()
+        assert not batch.codewords[b, T:].any()
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +106,7 @@ def test_pack_sequences_rejects_bad_lengths():
 def test_build_inputs_virtual_start_row():
     params = tiny_params(seed=1)
     rng = np.random.default_rng(2)
-    seqs = [random_sequence(rng, 4, params.C, params.d_part, params.m)]
+    seqs = [random_sequence(rng, 4, params.C, params.m)]
     x = build_inputs(params, batch_from(params, seqs))
     assert x.shape == (1, 5, params.C, params.d_model)
     # row 0 has no previous node: projection of zeros is the bias, plus
@@ -121,11 +126,11 @@ def test_build_inputs_partition_context():
     """Partition c at row t sees node t-1 fully and node t only below c."""
     params = tiny_params(seed=4)
     rng = np.random.default_rng(5)
-    s = random_sequence(rng, 3, params.C, params.d_part, params.m)
+    s = random_sequence(rng, 3, params.C, params.m)
     base = build_inputs(params, batch_from(params, [s])).data
-    bumped = IndexSequence(s.indices.copy(), s.codewords.copy())
-    bumped.codewords[1, 1] += 1.0  # node 1, partition 1
-    got = build_inputs(params, batch_from(params, [bumped])).data
+    bumped = batch_from(params, [s])
+    bumped.codewords[0, 1, 1] += 1.0  # node 1, partition 1
+    got = build_inputs(params, bumped).data
     # row 1 partition 0 and partition 1 depend only on node 0 and on
     # node 1's partitions below each slot, so both are unchanged
     np.testing.assert_array_equal(got[0, 1], base[0, 1])
@@ -202,7 +207,7 @@ def test_padding_slots_never_reach_the_loss():
     bit-identical."""
     params = tiny_params(seed=3)
     rng = np.random.default_rng(5)
-    seqs = [random_sequence(rng, T, params.C, params.d_part, params.m) for T in (2, 5, 3)]
+    seqs = [random_sequence(rng, T, params.C, params.m) for T in (2, 5, 3)]
 
     def loss_and_grads(batch):
         for p in params.params().values():
@@ -232,7 +237,7 @@ def test_padding_slots_never_reach_the_loss():
 def test_end_of_set_only_on_partition_zero():
     params = tiny_params(seed=6)
     rng = np.random.default_rng(7)
-    seqs = [random_sequence(rng, 3, params.C, params.d_part, params.m)]
+    seqs = [random_sequence(rng, 3, params.C, params.m)]
     batch = batch_from(params, seqs)
     probs = ad.softmax(prior_logits(params, batch), axis=-1).data
     assert np.all(probs[:, :, 1:, params.m] == 0.0)
@@ -242,10 +247,9 @@ def test_end_of_set_only_on_partition_zero():
 
 def test_order_violating_classes_have_zero_probability():
     params = tiny_params(seed=8)
-    m, C, dp = params.m, params.C, params.d_part
+    m = params.m
     idx = np.array([[1, 0], [3, 2], [3, 1]])
-    cw = np.random.default_rng(9).normal(size=(3, C, dp))
-    batch = batch_from(params, [IndexSequence(idx, cw)])
+    batch = batch_from(params, [idx])
     logits = prior_logits(params, batch)
     probs = ad.softmax(logits, axis=-1).data[0]
     # row t on partition 0 forbids classes below the previous index
@@ -266,8 +270,8 @@ def test_order_violating_classes_have_zero_probability():
 def test_sequence_targets_places_end_of_set():
     params = tiny_params(seed=10)
     rng = np.random.default_rng(11)
-    seqs = [random_sequence(rng, 2, params.C, params.d_part, params.m),
-            random_sequence(rng, 4, params.C, params.d_part, params.m)]
+    seqs = [random_sequence(rng, 2, params.C, params.m),
+            random_sequence(rng, 4, params.C, params.m)]
     batch = batch_from(params, seqs)
     targets, loss_mask = sequence_targets(params, batch)
     assert targets.shape == (2, 5, params.C)
@@ -293,7 +297,7 @@ def test_nll_from_logits_confident_and_uniform():
 def test_nll_ignores_batch_ordering():
     params = tiny_params(seed=12)
     rng = np.random.default_rng(13)
-    seqs = [random_sequence(rng, t, params.C, params.d_part, params.m)
+    seqs = [random_sequence(rng, t, params.C, params.m)
             for t in (2, 5, 3)]
     a = prior_nll(params, batch_from(params, seqs)).data
     b = prior_nll(params, batch_from(params, seqs[::-1])).data
@@ -308,15 +312,14 @@ def test_causality_future_nodes_never_leak():
     params = tiny_params(seed=14, num_blocks=1, d_model=8, heads=2)
     rng = np.random.default_rng(15)
     T = 5
-    base_seq = random_sequence(rng, T, params.C, params.d_part, params.m)
+    base_seq = random_sequence(rng, T, params.C, params.m)
     base = prior_logits(params, batch_from(params, [base_seq])).data
     for t in range(T):
-        idx = base_seq.indices.copy()
-        cw = base_seq.codewords.copy()
+        idx = base_seq.copy()
         idx[t] = (idx[t] + 1) % params.m
-        cw[t] += rng.normal(size=cw[t].shape)
-        got = prior_logits(
-            params, batch_from(params, [IndexSequence(idx, cw)])).data
+        batch = batch_from(params, [idx])
+        batch.codewords[0, t] += rng.normal(size=batch.codewords[0, t].shape)
+        got = prior_logits(params, batch).data
         # rows before t see nothing of node t
         np.testing.assert_array_equal(got[0, :t], base[0, :t])
         # row t partition 0 conditions on nodes < t only
@@ -326,10 +329,10 @@ def test_causality_future_nodes_never_leak():
 def test_causality_padding_never_leaks():
     params = tiny_params(seed=16)
     rng = np.random.default_rng(17)
-    short = random_sequence(rng, 2, params.C, params.d_part, params.m)
-    long = random_sequence(rng, 6, params.C, params.d_part, params.m)
-    solo = prior_logits(params, pack_sequences([short], params.n_max)).data
-    pair = prior_logits(params, pack_sequences([short, long], params.n_max)).data
+    short = random_sequence(rng, 2, params.C, params.m)
+    long = random_sequence(rng, 6, params.C, params.m)
+    solo = prior_logits(params, batch_from(params, [short])).data
+    pair = prior_logits(params, batch_from(params, [short, long])).data
     np.testing.assert_allclose(pair[0, :3], solo[0, :3], atol=1e-9)
 
 
@@ -404,8 +407,7 @@ def test_generate_matches_teacher_forcing(monkeypatch):
     for rec, steps in out:
         idx = rec["indices"]
         T = idx.shape[0]
-        cw = np.stack([books[c][idx[:, c]] for c in range(params.C)], axis=1)
-        batch = pack_sequences([IndexSequence(idx, cw)], params.n_max)
+        batch = pack_sequences([idx], params.n_max, books)
         tf = prior_logits(params, batch).data[0]
         want = T * params.C + (0 if rec["truncated"] else 1)
         assert len(steps) == want
@@ -425,9 +427,7 @@ def test_generate_frequencies_match_model_distribution():
     m = params.m
 
     def row_probs(idx_prefix, row):
-        cw = np.stack([books[c][idx_prefix[:, c]] for c in range(params.C)],
-                      axis=1)
-        batch = pack_sequences([IndexSequence(idx_prefix, cw)], params.n_max)
+        batch = pack_sequences([idx_prefix], params.n_max, books)
         logits = prior_logits(params, batch).data[0, row, 0]
         e = np.exp(logits - logits.max())
         return e / e.sum()

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "dgae"
 
 # only tests read the sequence cache back; the cache stays until its
-# removal is agreed (ROADMAP item 5)
+# removal is agreed (ROADMAP item 7)
 ALLOWED = {"prior.read_sequences"}
 
 

@@ -4,8 +4,10 @@ import pytest
 from dgae import autodiff as ad
 from dgae.autodiff import Tensor
 from dgae.quantize import (CodebookSet, commitment_loss, ema_update,
-                           init_codebooks, kmeanspp_init, partition,
-                           perplexity, quantize, tuple_histogram, unpartition)
+                           init_codebooks, kmeanspp_init, lookup, nearest,
+                           partition, perplexity, quantize, unpartition)
+
+from oracles import ema_update_per_partition, perplexity_from_histogram
 
 
 def make_cbs(C=1, m=2, d_latent=2, **kw):
@@ -57,6 +59,57 @@ def test_quantize_tie_takes_lower_index():
     set_codewords(cbs, [np.array([[1.0, 0.0], [-1.0, 0.0]])])
     idx, _ = quantize(np.array([[[0.0, 5.0]]]), cbs)
     assert idx[0, 0] == 0
+
+
+def test_exact_ties_resolve_to_the_lowest_index_everywhere():
+    # quantize: the query is equidistant from codewords 1 and 2
+    cbs = make_cbs(m=3)
+    set_codewords(cbs, [np.array([[9.0, 9.0], [1.0, 0.0], [-1.0, 0.0]])])
+    idx, _ = quantize(np.array([[[0.0, 0.0]]]), cbs)
+    assert idx.tolist() == [[1]]
+    # init_codebooks: one distinct sample, so both codewords coincide
+    # and every sample ties; the lower codeword takes them all
+    cbs = CodebookSet(2, 2, 4)
+    with pytest.warns(UserWarning):
+        init_codebooks(cbs, np.full((6, 2, 2), 3.0), np.random.default_rng(0))
+    np.testing.assert_array_equal(cbs.ema_counts, [[6.0, 1.0], [6.0, 1.0]])
+    # Lloyd: seeded at -1 and +1 (in either order), the midpoint 0 ties
+    # and joins center 0, which moves to -k/(k+1) or k/(k+1) and keeps it
+    k = 20
+    samples = np.array([[-1.0]] * k + [[1.0]] * k + [[0.0]])
+    centers = kmeanspp_init(samples, 2, np.random.default_rng(1))
+    np.testing.assert_allclose(np.abs(centers[:, 0]), [k / (k + 1), 1.0], rtol=1e-12)
+
+
+def test_nearest_is_per_partition_and_lookup_inverts_it():
+    rng = np.random.default_rng(7)
+    books = rng.normal(size=(3, 5, 2))
+    z = rng.normal(size=(4, 6, 3, 2))
+    idx = nearest(z, books)
+    assert idx.shape == (4, 6, 3)
+    for c in range(3):
+        d2 = ((z[:, :, c, None, :] - books[c]) ** 2).sum(axis=-1)
+        np.testing.assert_array_equal(idx[..., c], d2.argmin(axis=-1))
+    words = lookup(books, idx)
+    assert words.shape == (4, 6, 3, 2)
+    for c in range(3):
+        np.testing.assert_array_equal(words[..., c, :], books[c][idx[..., c]])
+    np.testing.assert_array_equal(nearest(words, books), idx)
+
+
+def test_ema_update_matches_per_partition_oracle():
+    rng = np.random.default_rng(8)
+    z = rng.normal(size=(300, 3, 4))
+    cbs = CodebookSet(3, 6, 12, decay=0.9)
+    init_codebooks(cbs, z[:100], rng)
+    want = {k: getattr(cbs, k).copy() for k in ("codebooks", "ema_counts", "ema_sums")}
+    for step in range(5):
+        batch = z[60 * step:60 * step + 60]
+        idx, _ = quantize(batch, cbs)
+        ema_update(cbs, batch, idx)
+        want = ema_update_per_partition(want, batch, idx, cbs.decay, cbs.eps)
+        for key, arr in want.items():
+            np.testing.assert_array_equal(getattr(cbs, key), arr)
 
 
 def test_quantize_idempotent_on_codewords():
@@ -156,10 +209,10 @@ def test_ema_contraction_after_burn_in():
     init_codebooks(cbs, z, rng)
     moves = []
     for _ in range(200):
-        before = np.concatenate([c.ravel() for c in cbs.codebooks])
+        before = cbs.codebooks.copy()
         idx, _ = quantize(z, cbs)
         ema_update(cbs, z, idx)
-        after = np.concatenate([c.ravel() for c in cbs.codebooks])
+        after = cbs.codebooks
         moves.append(np.linalg.norm(after - before))
     burned = moves[20:]
     assert all(b <= a * (1 + 1e-9) for a, b in zip(burned, burned[1:]))
@@ -201,18 +254,20 @@ def test_commitment_codewords_receive_no_gradient():
     assert words.grad is None  # only the detached array ever enters the graph
 
 
-def test_tuple_histogram_and_perplexity():
-    idx = np.array([[0, 1], [0, 1], [2, 0]])
-    hist = tuple_histogram(idx, C=2)
-    assert hist[(0, 1)] == 2 and hist[(2, 0)] == 1
+def test_perplexity_counts_index_tuples():
     M = 9
-    uniform = {(i, j): 1 for i in range(3) for j in range(3)}
+    uniform = np.array([[i, j] for i in range(3) for j in range(3)])
     assert perplexity(uniform, M) == pytest.approx(1.0)
-    assert perplexity({(0, 0): 42}, M) == pytest.approx(1.0 / M)
-    half = {(0, j): 2 for j in range(3)}
+    assert perplexity(np.zeros((42, 2), dtype=np.int64), M) == pytest.approx(1.0 / M)
+    half = np.repeat([[0, j] for j in range(3)], 2, axis=0)
     assert perplexity(half, 6) == pytest.approx(0.5)
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        idx = rng.integers(0, 4, size=(int(rng.integers(1, 60)), 2))
+        assert perplexity(idx, 16) == pytest.approx(perplexity_from_histogram(idx, 16),
+                                                   rel=1e-12)
 
 
 def test_perplexity_rejects_empty():
     with pytest.raises(ValueError):
-        perplexity({}, 4)
+        perplexity(np.zeros((0, 2), dtype=np.int64), 4)

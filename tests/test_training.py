@@ -365,10 +365,9 @@ def test_prior_memorizes_single_sequence():
     rng = np.random.default_rng(2)
     pparams = init_prior(cfg, rng)
     dp = cfg.d_latent // cfg.partitions
-    books = [rng.normal(size=(cfg.codebook_size, dp)) for _ in range(cfg.partitions)]
+    books = rng.normal(size=(cfg.partitions, cfg.codebook_size, dp))
     idx = np.array([[0, 2], [1, 1], [3, 0]])
-    cw = np.stack([books[c][idx[:, c]] for c in range(cfg.partitions)], axis=1)
-    batch = prior.pack_sequences([prior.IndexSequence(idx, cw)], cfg.n_max)
+    batch = prior.pack_sequences([idx], cfg.n_max, books)
     params = pparams.params()
     adam = AdamState(params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     nll = None
@@ -399,7 +398,7 @@ def test_full_pipeline_and_reload(tmp_path):
     seqs = encode_sequences(model, featurize_all(graphs, cfg), cfg)
     assert len(cached) == len(seqs)
     for a, s in zip(cached, seqs):
-        np.testing.assert_array_equal(a, s.indices)
+        np.testing.assert_array_equal(a, s)
 
     out, stats = generate_graphs(model, pparams, cfg, count=6, seed=11)
     assert len(out) == 6
@@ -461,8 +460,8 @@ def _decoder_with_codebooks(cfg, seed):
     rng = np.random.default_rng(seed)
     model = AutoEncoderModel(cfg, rng)
     d_part = cfg.d_latent // cfg.partitions
-    model.codebooks.codebooks = [rng.standard_normal((cfg.codebook_size, d_part))
-                                 for _ in range(cfg.partitions)]
+    model.codebooks.codebooks = rng.standard_normal((cfg.partitions, cfg.codebook_size,
+                                                     d_part))
     model.codebooks.initialized = True
     return model, rng
 
