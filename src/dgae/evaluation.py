@@ -3,10 +3,11 @@
 Three per-graph statistics are compared between a reference set and a
 generated set: the degree histogram, the clustering-coefficient
 histogram, and a small-subgraph (graphlet) orbit histogram. Each
-statistic is turned into a normalized histogram per graph, histograms
-are compared with 1-D earth mover's distance, and sets are compared
-with a biased squared-MMD V-statistic (diagonal terms included) under
-a Gaussian-of-EMD kernel.
+histogram counts per-node values, so it is a distribution on the line,
+and two are compared with 1-D earth mover's distance: the L1 distance
+between their CDFs or, equally, between their quantile functions. Sets
+are compared with a biased squared-MMD V-statistic (diagonal terms
+included) under a Gaussian-of-EMD kernel.
 
 Orbit statistic convention: for every node we count its participation
 in connected induced subgraphs on 2 to 4 nodes (equivalently the sum
@@ -15,8 +16,11 @@ This reading is stated in every report this module writes.
 
 Statistics are computed a set at a time: graph_stats groups a set by
 node count and works on stacked (G, n, n) adjacency matrices in chunks
-of bounded size. Each set's EMD matrix against itself is symmetric with
-a zero diagonal, so only its upper triangle is computed.
+of bounded size. mmd puts both sets in one table, whichever is
+narrower: CDFs on the bins occupied in any histogram, or, for integer
+counts, quantile functions on the merged grid of shares k/n over every
+histogram total n. Each set's EMD matrix against itself is symmetric
+with a zero diagonal, so only its upper triangle is computed.
 """
 
 from __future__ import annotations
@@ -221,52 +225,77 @@ def graph_stats(graphs, clustering_bins=100):
 
 
 # byte budget of _emd_all_pairs' per-block temporary: small enough that
-# the block and the CDF rows it is made from stay in a core's L2 cache;
+# the block and the table rows it is made from stay in a core's L2 cache;
 # on 250 x 250 orbit histograms budgets of 128 KB to 1 MB ran alike,
 # 16 MB about 40% and 64 MB about 140% slower
 _EMD_BLOCK_BYTES = 1 << 19
 
 
-def _norm_pad(hists, length):
-    M = np.zeros((len(hists), length))
+def _cdf_table(M):
+    """(F, weights) of the (N, L) histograms M: each normalized row's CDF
+    at the bins U nonzero in any row, weighted by the number of bins up
+    to the next one (or to L), over which every CDF stays constant."""
+    U = np.flatnonzero(M.any(axis=0))
+    F = np.cumsum(M[:, U] / np.maximum(M.sum(axis=1, keepdims=True), 1e-300), axis=1)
+    return F, np.diff(np.append(U, M.shape[1])).astype(np.float64)
+
+
+def _quantile_table(M, limit):
+    """(F, weights) of the (N, L) histograms M by their quantile functions
+    on the reduced fractions a/b = k/n, 0 < k <= n, of every nonzero row
+    total n, each weighted by the gap to the fraction before; None unless
+    M holds nonnegative integer counts and the grid has under `limit`
+    columns. At a/b a row of total n reads the bin of its ceil(a n / b)-th
+    count, and an all-zero row reads L, as its all-zero CDF does."""
+    if not np.all((M >= 0) & (M == np.floor(M))):
+        return None
+    n = M.sum(axis=1).astype(np.int64)
+    base = int(n.max()) + 1
+    # k/T, k = 1..T, are T distinct columns: no k past limit is needed
+    k, t = np.arange(1, min(base, limit + 1))[:, None], np.unique(n[n > 0])
+    keys = np.unique(((k * base + t) // np.gcd(k, t))[k <= t])  # a * base + b
+    if len(keys) >= limit:
+        return None
+    a, b = np.divmod(keys[np.argsort(keys // base / (keys % base))], base)
+    # one search over all rows' running count, each row's ranks offset by
+    # the counts before it; an all-zero row's rank 1 lands later: L
+    rank = np.maximum((a * n[:, None] + b - 1) // b, 1) + (np.cumsum(n) - n)[:, None]
+    at = np.searchsorted(np.cumsum(M.ravel()), rank.ravel()).reshape(rank.shape)
+    L = M.shape[1]
+    Q = np.minimum(at - np.arange(len(M))[:, None] * L, L)
+    return Q.astype(np.float64), np.diff(a / b, prepend=0.0)
+
+
+def _emd_table(hists):
+    """(F, weights) of histograms padded to one length: the quantile
+    table where it is narrower than the CDF table, else the CDF table."""
+    M = np.zeros((len(hists), max(len(h) for h in hists)))
     for i, h in enumerate(hists):
         M[i, :len(h)] = h
-    return M / np.maximum(M.sum(axis=1, keepdims=True), 1e-300)
+    return _quantile_table(M, np.count_nonzero(M.any(axis=0))) or _cdf_table(M)
 
 
-def _emd_all_pairs(Pa, Pb, bin_width):
-    """(Na, Nb) 1-D EMD between every row of Pa and every row of Pb,
-    normalized histograms padded to one length L: the total absolute
-    difference of their CDFs times the bin width.
+def _emd_all_pairs(Fa, Fb, weights):
+    """(Na, Nb) 1-D EMD between every row of Fa and every row of Fb, rows
+    of one _emd_table: |Fa[i] - Fb[j]| @ weights.
 
-    Both CDFs are zero before the first bin that is nonzero in any row
-    and constant from one such bin to the next, so only those bins U
-    are compared, each weighted by the number of bins up to the next
-    one (or to L). Rows of Pa go in blocks sized so the temporary stays
-    near _EMD_BLOCK_BYTES. Called with Pb is Pa, a block compares its
-    rows only with themselves and the rows after them, and the upper
-    triangle is mirrored into the lower one: the result is exactly
-    symmetric with a zero diagonal.
+    Rows of Fa go in blocks sized so the temporary stays near
+    _EMD_BLOCK_BYTES. Called with Fb is Fa, a block compares its rows
+    only with themselves and the rows after them, and the upper triangle
+    is mirrored into the lower one: the result is exactly symmetric with
+    a zero diagonal.
     """
-    same = Pb is Pa
-    L = Pa.shape[1]
-    U = np.flatnonzero(Pa.any(axis=0) | Pb.any(axis=0))
-    gaps = np.diff(np.append(U, L)).astype(np.float64)
-    Fa = np.cumsum(Pa[:, U], axis=1)
-    Fb = Fa if same else np.cumsum(Pb[:, U], axis=1)
-    out = np.empty((len(Pa), len(Pb)))
+    same = Fb is Fa
+    out = np.empty((len(Fa), len(Fb)))
     r = 0
-    while r < len(Pa):
+    while r < len(Fa):
         first = r if same else 0  # first column this block compares with
-        rows = max(1, _EMD_BLOCK_BYTES // (8 * max(1, (len(Fb) - first) * len(U))))
+        rows = max(1, _EMD_BLOCK_BYTES // (8 * max(1, (len(Fb) - first) * len(weights))))
         d = Fa[r:r + rows, None, :] - Fb[None, first:, :]
         np.abs(d, out=d)
-        out[r:r + rows, first:] = d @ gaps
+        out[r:r + rows, first:] = d @ weights
         r += rows
-    if same:
-        for i in range(len(Pa) - 1):
-            out[i + 1:, i] = out[i, i + 1:]
-    return out * bin_width
+    return np.triu(out) + np.triu(out, 1).T if same else out
 
 
 def mmd(hists_a, hists_b, sigma=1.0, bin_width=1.0):
@@ -276,17 +305,21 @@ def mmd(hists_a, hists_b, sigma=1.0, bin_width=1.0):
     on spread ones (1-D EMD is an L1 distance between CDFs, and L1 is not
     Hilbertian), so the value is not a squared RKHS norm there and can be
     genuinely negative; such values are returned as they are.
+
+    The EMD compares rows of _emd_table: CDFs, or for integer counts
+    quantile functions (Vallender 1973), whichever table has fewer
+    columns. An all-zero histogram is a point mass at the padded length.
     """
     if not hists_a or not hists_b:
         raise ValueError("mmd needs nonempty sets")
-    L = max(max(len(h) for h in hists_a), max(len(h) for h in hists_b))
-    Pa = _norm_pad(hists_a, L)
-    Pb = _norm_pad(hists_b, L)
+    F, weights = _emd_table(list(hists_a) + list(hists_b))
+    Fa, Fb = F[:len(hists_a)], F[len(hists_a):]
+    weights = weights * bin_width
     s2 = 2.0 * sigma * sigma
     # each set against itself: one triangle, mirrored
-    kaa = np.exp(-_emd_all_pairs(Pa, Pa, bin_width) ** 2 / s2)
-    kbb = np.exp(-_emd_all_pairs(Pb, Pb, bin_width) ** 2 / s2)
-    kab = np.exp(-_emd_all_pairs(Pa, Pb, bin_width) ** 2 / s2)
+    kaa = np.exp(-_emd_all_pairs(Fa, Fa, weights) ** 2 / s2)
+    kbb = np.exp(-_emd_all_pairs(Fb, Fb, weights) ** 2 / s2)
+    kab = np.exp(-_emd_all_pairs(Fa, Fb, weights) ** 2 / s2)
     val = float(kaa.mean() + kbb.mean() - 2.0 * kab.mean())
     # the floor absorbs rounding only; a value past it comes from the
     # kernel not being PSD on spread histograms and is reported as is

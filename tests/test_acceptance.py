@@ -366,16 +366,16 @@ def test_criterion_07_mmd_correctness():
     cnd = {}
     for pick, width in _STAT_WIDTHS:
         hs = [getattr(s, pick) for s in stats[:n]]
-        P = evaluation._norm_pad(hs, max(len(h) for h in hs))
-        D = evaluation._emd_all_pairs(P, P, width)
+        F, weights = evaluation._emd_table(hs)
+        D = evaluation._emd_all_pairs(F, F, weights * width)
         cnd[pick] = float(np.linalg.eigvalsh(-J @ D @ J).min())
     cnd_worst = min(cnd.values())
 
     # diagnostic only: the Gaussian-of-EMD kernel is not PSD on spread
     # histograms, because L1 is not a Hilbertian metric, so exp(-emd^2)
     # may have negative eigenvalues however sound the implementation
-    P = evaluation._norm_pad(ha, max(len(h) for h in ha))
-    K = np.exp(-evaluation._emd_all_pairs(P, P, 1.0) ** 2 / 2.0)
+    F, weights = evaluation._emd_table(ha)
+    K = np.exp(-evaluation._emd_all_pairs(F, F, weights) ** 2 / 2.0)
     gauss_min_eig = float(np.linalg.eigvalsh(K).min())
 
     # control: on point-mass histograms the kernel reduces to a scalar
@@ -385,8 +385,8 @@ def test_criterion_07_mmd_correctness():
         h = np.zeros(12)
         h[v] = 1.0
         deltas.append(h)
-    Pd = evaluation._norm_pad(deltas, 12)
-    Kd = np.exp(-evaluation._emd_all_pairs(Pd, Pd, 1.0) ** 2 / 2.0)
+    Fd, weights = evaluation._emd_table(deltas)
+    Kd = np.exp(-evaluation._emd_all_pairs(Fd, Fd, weights) ** 2 / 2.0)
     min_eig_delta = float(np.linalg.eigvalsh(Kd).min())
 
     ok = (oracle_worst <= 1e-10 and self_val <= 1e-12

@@ -1,6 +1,7 @@
 """Graph statistics, EMD/MMD machinery, reports, generation timing, ablations."""
 
 import json
+import math
 import time
 import tracemalloc
 from pathlib import Path
@@ -13,7 +14,10 @@ from dgae.graphs import DatasetSpec, Graph, build_dataset, load_dataset, new_gra
 from dgae.evaluation import (
     DEFAULT_CODEBOOK_GRID,
     FEATURE_CELLS,
+    _cdf_table,
     _emd_all_pairs,
+    _emd_table,
+    _quantile_table,
     ablation_codebook_report,
     ablation_feature_report,
     clustering_coefficients,
@@ -219,8 +223,21 @@ def test_graph_stats_memory_is_bounded():
 
 def emd(p, q, bin_width=1.0):
     """EMD of one pair of same-length histograms, as a single-row call."""
-    return float(_emd_all_pairs(np.asarray(p, dtype=np.float64)[None],
-                                np.asarray(q, dtype=np.float64)[None], bin_width)[0, 0])
+    F, weights = _emd_table([np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)])
+    return float(_emd_all_pairs(F[:1], F[1:], weights * bin_width)[0, 0])
+
+
+def emd_matrix(A, B, bin_width, table=_cdf_table):
+    """_emd_all_pairs over one table of the rows of A and B; called with
+    B is A, the self comparison."""
+    F, weights = table(np.vstack([A, B]))
+    Fa = F[:len(A)]
+    return _emd_all_pairs(Fa, Fa if B is A else F[len(A):], weights * bin_width)
+
+
+def quantile_table(M):
+    """The quantile table of integer counts M, with no column limit."""
+    return _quantile_table(M, math.inf)
 
 
 def test_emd_examples():
@@ -267,12 +284,12 @@ def test_emd_all_pairs_matches_reference(monkeypatch):
     monkeypatch.setattr(evaluation, "_EMD_BLOCK_BYTES", 3 * 8 * len(Pb) * occupied)
     for w in (1.0, 0.01):
         for A, B in ((Pa, Pb), (Pa, Pa), (Pb, Pa)):
-            got = _emd_all_pairs(A, B, w)
+            got = emd_matrix(A, B, w)
             want = np.array([[emd_reference(x, y, w) for y in B] for x in A])
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
         # no occupied bin at all
         Z = np.zeros((5, L))
-        np.testing.assert_array_equal(_emd_all_pairs(Z, Z[:3], w), np.zeros((5, 3)))
+        np.testing.assert_array_equal(emd_matrix(Z, Z[:3], w), np.zeros((5, 3)))
 
 
 def test_emd_self_comparison_is_one_mirrored_triangle(monkeypatch):
@@ -284,13 +301,118 @@ def test_emd_self_comparison_is_one_mirrored_triangle(monkeypatch):
     for budget in (evaluation._EMD_BLOCK_BYTES, 3 * 8 * 37 * 27, 1):
         monkeypatch.setattr(evaluation, "_EMD_BLOCK_BYTES", budget)
         for w in (1.0, 0.01):
-            D = _emd_all_pairs(P, P, w)
-            R = _emd_all_pairs(P, P.copy(), w)
+            F, weights = _cdf_table(P)
+            D = _emd_all_pairs(F, F, weights * w)
+            R = _emd_all_pairs(F, F.copy(), weights * w)
             np.testing.assert_array_equal(D, D.T)
             np.testing.assert_array_equal(np.diag(D), np.zeros(len(P)))
             np.testing.assert_allclose(D, R, rtol=1e-15, atol=0.0)
     hists = random_hists(rng, 40)
     assert 0.0 <= mmd(hists, hists) <= 1e-12
+
+
+def count_rows(rows):
+    """Integer-count histograms padded to one length, as float rows."""
+    M = np.zeros((len(rows), max(len(h) for h in rows)))
+    for i, h in enumerate(rows):
+        M[i, :len(h)] = h
+    return M
+
+
+def integer_count_sets():
+    """Count histograms of every statistic of the edge-case graphs and
+    random ones: mixed totals, a clustering total below the node count
+    (the value 2.0 of the asymmetric graph is dropped) and length-1
+    histograms (the one-node graph's degree and orbit counts)."""
+    rng = np.random.default_rng(26)
+    special = edge_case_graphs()
+    graphs = special + [random_graph(rng, int(rng.integers(2, 12)), float(rng.random()))
+                        for _ in range(30)]
+    stats = graph_stats(graphs, 10)
+    dropped = stats[len(special) - 1].clustering_hist
+    assert dropped.sum() < special[-1].n
+    assert len(stats[0].degree_hist) == 1 and len(stats[0].orbit_hist) == 1
+    return {name: [getattr(st, name) for st in stats]
+            for name in ("degree_hist", "clustering_hist", "orbit_hist")}
+
+
+def test_quantile_table_matches_cdf_table_and_reference(monkeypatch):
+    """On integer counts both tables give one EMD matrix, and both match
+    the transport solver, with row blocks that do not divide the row
+    count. Length-1 histograms meet longer ones, so the padding is
+    compared too."""
+    for name, hists in integer_count_sets().items():
+        M = count_rows(hists + [np.array([1])])
+        A, B = M[:25], M[25:]
+        for w in (1.0, 0.1):
+            want = np.array([[emd_reference(x, y, w) for y in B] for x in A])
+            got = {}
+            for table in (quantile_table, _cdf_table):
+                # A's 25 rows against B in blocks of 4: six of 4, one of 1
+                cols = table(M)[0].shape[1]
+                monkeypatch.setattr(evaluation, "_EMD_BLOCK_BYTES", 4 * 8 * len(B) * cols)
+                got[table] = [emd_matrix(X, Y, w, table) for X, Y in ((A, B), (A, A), (B, A))]
+                np.testing.assert_allclose(got[table][0], want, rtol=1e-12, atol=1e-15,
+                                           err_msg=name)
+            for q, c in zip(got[quantile_table], got[_cdf_table]):
+                np.testing.assert_allclose(q, c, rtol=1e-12, atol=1e-15, err_msg=name)
+
+
+def test_quantile_self_comparison_is_one_mirrored_triangle(monkeypatch):
+    """The quantile table's self comparison is exactly symmetric with an
+    exactly zero diagonal, whatever the row blocks."""
+    hists = integer_count_sets()["orbit_hist"]
+    F, weights = quantile_table(count_rows(hists))
+    for budget in (evaluation._EMD_BLOCK_BYTES, 3 * 8 * len(F) * F.shape[1], 1):
+        monkeypatch.setattr(evaluation, "_EMD_BLOCK_BYTES", budget)
+        D = _emd_all_pairs(F, F, weights)
+        np.testing.assert_array_equal(D, D.T)
+        np.testing.assert_array_equal(np.diag(D), np.zeros(len(F)))
+        np.testing.assert_allclose(D, _emd_all_pairs(F, F.copy(), weights),
+                                   rtol=1e-15, atol=0.0)
+
+
+def test_all_zero_histogram_is_a_point_mass_past_the_end():
+    """An all-zero histogram (a 0-node graph, or every value dropped)
+    is a point mass at L, the padded length: its EMD to a histogram of
+    mean m is L - m in both tables. oracles.emd_reference returns 0.0
+    for such degenerate inputs instead, so the convention is pinned
+    against the CDF table and the closed form, not against it."""
+    rows = [np.array([0, 0]), np.array([2, 1, 0, 1]), np.array([0]), np.array([0, 0, 0, 3]),
+            np.array([1, 1, 1])]
+    M = count_rows(rows)
+    L = M.shape[1]
+    q = emd_matrix(M, M, 1.0, quantile_table)
+    np.testing.assert_allclose(q, emd_matrix(M, M, 1.0), rtol=1e-12, atol=1e-15)
+    means = (M * np.arange(L)).sum(axis=1) / np.maximum(M.sum(axis=1), 1)
+    for i, j in ((0, 1), (0, 3), (2, 4)):
+        assert q[i, j] == pytest.approx(L - means[j], rel=1e-12)
+    assert q[0, 2] == 0.0
+    # every row empty: no grid column and no occupied bin, EMD 0
+    F, weights = _emd_table([np.zeros(3), np.zeros(1)])
+    assert F.shape == (2, 0)
+    np.testing.assert_array_equal(_emd_all_pairs(F, F, weights), np.zeros((2, 2)))
+
+
+def test_emd_table_is_the_narrower_one():
+    """_emd_table takes the quantile table only for nonnegative integer
+    counts whose merged grid has fewer columns than the occupied
+    support; it compares the same rows either way."""
+    sets = integer_count_sets()
+    for hists in sets.values():
+        M = count_rows(hists)
+        width = min(_cdf_table(M)[0].shape[1], quantile_table(M)[0].shape[1])
+        assert _emd_table(hists)[0].shape[1] == width
+    # orbit totals spread over many bins: the grid is the narrower
+    orbit = count_rows(sets["orbit_hist"])
+    assert quantile_table(orbit)[0].shape[1] < _cdf_table(orbit)[0].shape[1]
+    # a limit at the grid's width or below gives no table
+    width = quantile_table(orbit)[0].shape[1]
+    assert _quantile_table(orbit, width) is None
+    assert _quantile_table(orbit, width + 1)[0].shape[1] == width
+    # the same rows scaled off the integers keep the CDF table
+    halves = [h / 2.0 for h in sets["orbit_hist"] if h.sum() % 2]
+    assert _emd_table(halves)[0].shape[1] == _cdf_table(count_rows(halves))[0].shape[1]
 
 
 def test_mmd_memory_stays_bounded():
@@ -299,6 +421,24 @@ def test_mmd_memory_stays_bounded():
     rng = np.random.default_rng(24)
     a = list(rng.random((300, 256)))
     b = list(rng.random((300, 256)))
+    tracemalloc.start()
+    try:
+        mmd(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20, peak / 2**20
+
+
+def test_mmd_memory_stays_bounded_on_integer_counts():
+    """The quantile table of integer counts runs in the same row blocks
+    under the same bound: 300 x 300 histograms of 12 to 20 node values
+    spread over 300 bins, where the merged grid is the narrower table."""
+    rng = np.random.default_rng(27)
+    a, b = ([np.bincount(rng.integers(0, 300, size=int(rng.integers(12, 21))), minlength=300)
+             for _ in range(300)] for _ in range(2))
+    F, _ = _emd_table(a + b)
+    assert F.shape[1] < _cdf_table(count_rows(a + b))[0].shape[1]
     tracemalloc.start()
     try:
         mmd(a, b)
