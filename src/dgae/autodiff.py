@@ -4,16 +4,19 @@ A Tensor wraps an ndarray and remembers how it was produced. Calling
 backward() on a scalar root walks the recorded graph in reverse
 topological order and accumulates gradients into every Tensor that
 requires them. Training and inference both run in float64: ops cast
-plain array operands to it, and so does codec.decode its latent input.
-Inference runs inside no_grad(), which records no graph.
+plain array operands to it. Inference runs inside no_grad(), which
+records no graph.
 
-Broadcasting is deliberately restricted: binary ops accept equal
-shapes, a python scalar, or a trailing-suffix shape (bias add), and no
-op permutes axes. Rows move between a node table and a list of node
-pairs (a PairIndex) only through named ops: pair_gather, segment_sum
-and permute_rows. Masked softmax attention is one named
-op, causal_attention, which moves the head axis off the tape. This
-keeps every backward rule explicit and easy to audit.
+Every op is a model layer: add, mul, relu, sum_, affine, pair_affine,
+segment_sum, permute_rows, softmax, causal_attention, masked_fill,
+straight_through, cross_entropy_with_logits, layernorm and batchnorm.
+None only moves data; reshapes, head splits and row gathers happen
+inside an op, off the tape. Broadcasting is deliberately restricted:
+binary ops accept equal shapes, a python scalar, or a trailing-suffix
+shape (bias add). Rows move between a node table and a list of node
+pairs (a PairIndex) only through pair_affine, segment_sum and
+permute_rows. This keeps every backward rule explicit and easy to
+audit.
 
 Gradients are never written in place. A tensor keeps the first gradient
 it receives as is, though the same array may be another tensor's
@@ -103,9 +106,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __getitem__(self, key):
-        return slice_(self, key)
-
 
 def _as_tensor(x):
     if isinstance(x, Tensor):
@@ -181,87 +181,29 @@ def mul(a, b):
     return _node(out_data, (a, b), bw)
 
 
-def matmul(a, b):
-    """Matrix product. 2-D or batched with identical leading dims."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul needs >=2-D operands")
-    if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul leading dims must match exactly: {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
-
-    return _node(out_data, (a, b), bw)
-
-
-def concat(tensors, axis):
-    tensors = [_as_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
-
-    return _node(out_data, tuple(tensors), bw)
-
-
-def reshape(a, shape):
-    a = _as_tensor(a)
-    out_data = a.data.reshape(shape)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.shape))
-
-    return _node(out_data, (a,), bw)
-
-
-def slice_(a, key):
-    """Basic slicing (ints/slices). Backward scatters into a zero tensor."""
-    a = _as_tensor(a)
-    out_data = a.data[key]
-
-    def bw(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[key] = g
-            a._accumulate(full)
-
-    return _node(out_data, (a,), bw)
-
-
 def affine(x, w, b):
-    """x @ w + b for 2-D x (rows, fan_in), w (fan_in, fan_out) and b
-    (fan_out,), as one node: the bias is added in place into the
-    product, and one backward gives all three gradients.
+    """x @ w + b for x (..., fan_in), w (fan_in, fan_out) and b
+    (fan_out,), as one node: the leading axes of x become rows off the
+    tape, the bias is added in place into the product, and one backward
+    gives all three gradients.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.ndim != 2 or w.ndim != 2 or b.shape != w.shape[1:] or x.shape[1] != w.shape[0]:
-        raise ShapeError(f"affine needs (r, i) @ (i, o) + (o,): {x.shape}, {w.shape}, {b.shape}")
-    out_data = x.data @ w.data
+    if x.ndim < 1 or w.ndim != 2 or b.shape != w.shape[1:] or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"affine needs (..., i) @ (i, o) + (o,): {x.shape}, {w.shape}, {b.shape}")
+    rows = x.data.reshape(-1, w.shape[0])
+    out_data = rows @ w.data
     out_data += b.data
 
     def bw(g):
+        g = g.reshape(-1, w.shape[1])
         if x.requires_grad:
-            x._accumulate(g @ w.data.T)
+            x._accumulate((g @ w.data.T).reshape(x.shape))
         if w.requires_grad:
-            w._accumulate(x.data.T @ g)
+            w._accumulate(rows.T @ g)
         if b.requires_grad:
             b._accumulate(g.sum(axis=0))
 
-    return _node(out_data, (x, w, b), bw)
+    return _node(out_data.reshape(x.shape[:-1] + w.shape[1:]), (x, w, b), bw)
 
 
 class PairIndex:
@@ -295,39 +237,42 @@ class PairIndex:
         return out.sum(axis=1)
 
 
-def pair_gather(a, c, pairs, e=None, w_e=None):
-    """out[k] = a[i_k] + e[k] @ w_e + c[j_k] for node rows a, c (N, d),
-    a PairIndex of P pairs and optional pair rows e (P, d_e) with their
-    weight w_e (d_e, d): per-node terms gathered to every listed pair.
-    The product e @ w_e is added into the output and not kept.
+def pair_affine(x, w, b, pairs, e=None):
+    """[x_i, x_j, e_k] @ w + b for every pair k = (i, j) of a PairIndex:
+    (P, d) rows from node rows x (N, h), pair rows e (P, h) or None for
+    zeros, and w (3h, d), which splits by rows into W_i, W_j and W_e.
+    x @ W_i + b and x @ W_j are computed once per node and gathered per
+    pair, and e @ W_e is added into the output and not kept, so the wide
+    input is never built. Without e, W_e gets an exact zero gradient.
     """
-    a, c = _as_tensor(a), _as_tensor(c)
-    if (e is None) != (w_e is None):
-        raise ShapeError("pair_gather takes the pair rows e and their weight w_e together")
-    d = a.shape[-1]
-    parents, want = (a, c), [(pairs.num_nodes, d)] * 2
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    e = e if e is None else _as_tensor(e)
+    parents = (x, w, b) + (() if e is None else (e,))
+    h = x.shape[-1]
+    want = [(pairs.num_nodes, h), (3 * h,) + w.shape[1:], w.shape[1:], (len(pairs.i), h)]
+    if w.ndim != 2 or [t.shape for t in parents] != want[:len(parents)]:
+        raise ShapeError(f"pair_affine needs x (N, h), w (3h, d), b (d,) and e (P, h): "
+                         f"{[t.shape for t in parents]} vs {want}")
+    w_i, w_j, w_e = np.split(w.data, 3)
+    a = x.data @ w_i
+    a += b.data
+    out_data = a.take(pairs.i, axis=0)
     if e is not None:
-        e, w_e = _as_tensor(e), _as_tensor(w_e)
-        parents += (e, w_e)
-        want += [(len(pairs.i), w_e.shape[0]), (w_e.shape[0], d)]
-    shapes = [t.shape for t in parents]
-    if shapes != want:
-        raise ShapeError(f"pair_gather needs (N, d), (N, d), (P, d_e) and (d_e, d): "
-                         f"{shapes} vs {want}")
-    out_data = a.data.take(pairs.i, axis=0)
-    if e is not None:
-        out_data += e.data @ w_e.data
-    out_data += c.data.take(pairs.j, axis=0)
+        out_data += e.data @ w_e
+    out_data += (x.data @ w_j).take(pairs.j, axis=0)
 
     def bw(g):
-        if a.requires_grad:
-            a._accumulate(pairs.segment_sum(g))
-        if c.requires_grad:
-            c._accumulate(pairs.segment_sum(g.take(pairs.t, axis=0), by_j=True))
+        g_i = pairs.segment_sum(g)
+        g_j = pairs.segment_sum(g.take(pairs.t, axis=0), by_j=True)
+        if x.requires_grad:
+            x._accumulate(g_i @ w_i.T + g_j @ w_j.T)
+        if w.requires_grad:
+            g_e = np.zeros_like(w_e) if e is None else e.data.T @ g
+            w._accumulate(np.concatenate([x.data.T @ g_i, x.data.T @ g_j, g_e]))
+        if b.requires_grad:
+            b._accumulate(g_i.sum(axis=0))
         if e is not None and e.requires_grad:
-            e._accumulate(g @ np.swapaxes(w_e.data, -1, -2))
-        if e is not None and w_e.requires_grad:
-            w_e._accumulate(np.swapaxes(e.data, -1, -2) @ g)
+            e._accumulate(g @ w_e.T)
 
     return _node(out_data, parents, bw)
 
@@ -404,37 +349,45 @@ def softmax(a, axis=-1):
     return _node(out_data, (a,), bw)
 
 
-def causal_attention(q, k, v, allowed):
-    """Masked softmax attention as one node. q is (B, R, H, d_k), k and
-    v are (B, S, H, d_k), and the bool mask `allowed` broadcasts to
-    (B, H, R, S). Per head, row r of the output (B, R, H, d_k) is the
-    softmax over the allowed keys s of q[r] . k[s] / sqrt(d_k),
-    applied to the values; a row with no allowed key is zeros. The
-    head axis moves ahead of the rows off the tape, and the backward
-    reuses the forward's probabilities.
+def causal_attention(q, k, v, allowed, heads):
+    """Masked softmax attention with `heads` heads as one node. q is
+    (B, R, d), k and v are (B, S, d), and the bool mask `allowed`
+    broadcasts to (B, heads, R, S). Per head, row r of the output
+    (B, R, d) is the softmax over the allowed keys s of
+    q[r] . k[s] / sqrt(d_k), applied to the values; a row with no
+    allowed key is zeros. The heads split and merge off the tape, and
+    the backward reuses the forward's probabilities.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.ndim != 4 or k.shape != v.shape \
-            or k.shape[:1] + k.shape[2:] != q.shape[:1] + q.shape[2:]:
-        raise ShapeError(f"causal_attention needs q (B, R, H, d) and k, v (B, S, H, d): "
-                         f"{q.shape}, {k.shape}, {v.shape}")
-    qh, kh, vh = (np.swapaxes(t.data, 1, 2) for t in (q, k, v))  # (B, H, ., d_k)
-    scale = 1.0 / np.sqrt(q.shape[-1])
+    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape or k.shape[::2] != q.shape[::2] \
+            or q.shape[2] % heads:
+        raise ShapeError(f"causal_attention needs q (B, R, d) and k, v (B, S, d), d divisible "
+                         f"by {heads} heads: {q.shape}, {k.shape}, {v.shape}")
+
+    def split(a):  # (B, ., d) -> (B, H, ., d_k)
+        return np.swapaxes(a.reshape(a.shape[:2] + (heads, -1)), 1, 2)
+
+    def merge(a):  # (B, H, ., d_k) -> (B, ., d)
+        a = np.swapaxes(a, 1, 2)
+        return a.reshape(a.shape[:2] + (-1,))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / np.sqrt(qh.shape[-1])
     p = _softmax(np.where(allowed, (qh @ np.swapaxes(kh, 2, 3)) * scale, MASK_VALUE), -1)
     p *= allowed  # a row with no allowed key softmaxes to uniform
 
     def bw(g):
-        gh = np.swapaxes(g, 1, 2)
+        gh = split(g)
         if v.requires_grad:
-            v._accumulate(np.swapaxes(np.swapaxes(p, 2, 3) @ gh, 1, 2))
+            v._accumulate(merge(np.swapaxes(p, 2, 3) @ gh))
         if q.requires_grad or k.requires_grad:
             ds = _softmax_grad(p, gh @ np.swapaxes(vh, 2, 3), -1) * scale
             if q.requires_grad:
-                q._accumulate(np.swapaxes(ds @ kh, 1, 2))
+                q._accumulate(merge(ds @ kh))
             if k.requires_grad:
-                k._accumulate(np.swapaxes(np.swapaxes(ds, 2, 3) @ qh, 1, 2))
+                k._accumulate(merge(np.swapaxes(ds, 2, 3) @ qh))
 
-    return _node(np.swapaxes(p @ vh, 1, 2), (q, k, v), bw)
+    return _node(merge(p @ vh), (q, k, v), bw)
 
 
 def masked_fill(a, mask, value):

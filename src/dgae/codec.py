@@ -192,19 +192,11 @@ def _pair_mlp(mlp, x, e, pairs):
     """mlp([x_i, x_j, e_ij]) for every listed pair: (P, out) rows.
 
     x: Tensor (N, h) node rows; e: Tensor (P, h), or None for an
-    all-zero edge state. The first layer's (3h, w) weight splits by
-    rows into W_i, W_j and W_e, so [x_i, x_j, e] @ W = x_i @ W_i +
-    x_j @ W_j + e @ W_e: the node terms are computed once per node and
-    gathered per pair, pair_gather adds e @ W_e into its output without
-    keeping it, and the wide input is never built.
+    all-zero edge state. The first layer is one pair_affine, which never
+    builds the wide input.
     """
-    h = x.shape[1]
     first = mlp.layers[0]
-    w = first.w
-    a = ad.affine(x, ad.slice_(w, slice(0, h)), first.b)
-    c = ad.matmul(x, ad.slice_(w, slice(h, 2 * h)))
-    w_e = None if e is None else ad.slice_(w, slice(2 * h, 3 * h))
-    return mlp.after_first(ad.pair_gather(a, c, pairs, e, w_e))
+    return mlp.after_first(ad.pair_affine(x, first.w, first.b, pairs, e))
 
 
 def _mpnn_rounds(x, e, layers, pairs, train):
@@ -241,8 +233,6 @@ def decode(z, node_mask, dec: DecoderParams, train: bool):
     edge logits of (i, j) and (j, i) are exactly equal. A 1-node graph
     simply has no pairs.
     """
-    if not isinstance(z, Tensor):
-        z = Tensor(np.asarray(z, dtype=np.float64))
     n = node_mask.shape[1]
     valid = node_mask[:, :, None] & node_mask[:, None, :] & ~np.eye(n, dtype=bool)
     pairs = _pair_list(valid, node_mask)

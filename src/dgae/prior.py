@@ -8,9 +8,12 @@ position t is one node; its C partitions are predicted left to right,
 conditioned on all earlier nodes through attention and on the current
 node's earlier partitions through the input projections.
 
-Attention keys and values are computed from the partition-0 stream
-only, so the per-node state that later positions attend to is built
-once per node. End-of-set is an extra class (index m) that only the
+The activations are C partition columns, column c a (B, T+1, d_model)
+Tensor holding partition c at every position. Each partition has its
+own input projection, queries and output head, and every column
+attends with the same causal mask over the keys and values of column
+0, so the per-node state that later positions attend to is built once
+per node. End-of-set is an extra class (index m) that only the
 partition-0 head may emit. A structural order mask zeroes the
 probability of breaking the sorted-order invariant on partition 0.
 
@@ -21,9 +24,10 @@ padded slots reach only padded rows, which the loss mask drops.
 
 Teacher forcing and sampling share one forward definition. The sampler
 runs the same input projection, block and masked output head one
-(t, c) at a time: the queries of node t, partition c attend over a
-cache of the keys and values of nodes 0..t, which hides row t itself
-exactly as the teacher-forced causal mask does.
+(t, c) at a time on a one-row column: the queries of node t,
+partition c attend over a cache (blocks, 2, N, n_max, d_model) of the
+keys and values of the N live samples' nodes 0..t, which hides row t
+itself exactly as the teacher-forced causal mask does.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ class PriorBlock:
 
     def __init__(self, rng, d_model, heads, C, ffn_layers=4):
         self.heads = heads
-        self.d_k = d_model // heads
         self.wq = [Affine(rng, d_model, d_model) for _ in range(C)]
         self.wk = Affine(rng, d_model, d_model)
         self.wv = Affine(rng, d_model, d_model)
@@ -155,7 +158,7 @@ def pack_sequences(seqs, n_max, codebooks) -> SequenceBatch:
 
 
 def _input_column(params: PriorParams, c, prev, cur, pos) -> Tensor:
-    """Partition c's block input (B, T, 1, d_model) at T positions:
+    """Partition c's block input (B, T, d_model) at T positions:
     in_proj[c] of the previous node's codewords prev (B, T, d_latent)
     and the current node's partitions 0..c-1 from cur (B, T, >=c,
     d_part), plus the position rows pos (T, d_model).
@@ -164,13 +167,12 @@ def _input_column(params: PriorParams, c, prev, cur, pos) -> Tensor:
     inp = prev
     if c > 0:
         inp = np.concatenate([prev, cur[:, :, :c].reshape(B, T, -1)], axis=2)
-    x = params.in_proj[c](Tensor(inp.reshape(B * T, -1)))
-    x = ad.reshape(x, (B, T, params.d_model)) + Tensor(pos)
-    return ad.reshape(x, (B, T, 1, params.d_model))
+    return params.in_proj[c](inp) + Tensor(pos)
 
 
-def build_inputs(params: PriorParams, batch: SequenceBatch) -> Tensor:
-    """Project codeword context to the model width: (B, T+1, C, d_model).
+def build_inputs(params: PriorParams, batch: SequenceBatch):
+    """Project codeword context to the model width: C columns, column c
+    (B, T+1, d_model) for partition c.
 
     Position t, partition c sees the previous node's full codeword
     vector (zeros for t=0: the virtual start node) and the current
@@ -184,89 +186,53 @@ def build_inputs(params: PriorParams, batch: SequenceBatch) -> Tensor:
     cur = np.zeros((B, Tp, C, dp))
     cur[:, :T] = batch.codewords
     pos = params.pos_table[:Tp]
-    return ad.concat([_input_column(params, c, prev, cur, pos) for c in range(C)], 2)
-
-
-def attention_2d(q, k, v):
-    """Causal set attention: the queries at (t, c) average the values of
-    the strictly earlier node positions s < t; rows with no predecessor
-    (t = 0) return zeros.
-
-    q: Tensor (B, T, C, H, d_k), the last T of the S node positions
-    k, v: Tensors (B, S, H, d_k), S >= T
-    Returns (B, T, C, H, d_k).
-    """
-    B, T, C, H, dk = q.shape
-    S = k.shape[1]
-    t_of_row = np.repeat(np.arange(S - T, S), C)
-    allowed = np.arange(S) < t_of_row[:, None]  # (T*C, S)
-    out = ad.causal_attention(ad.reshape(q, (B, T * C, H, dk)), k, v, allowed)
-    return ad.reshape(out, q.shape)
-
-
-def _by_partition(maps, x: Tensor, parts) -> Tensor:
-    """maps[c] applied to column j of x (B, T, P, d) for each (j, c)
-    in enumerate(parts): (B, T, P, d_out)."""
-    B, T, P, d = x.shape
-    cols = []
-    for j, c in enumerate(parts):
-        y = maps[c](ad.reshape(x[:, :, j, :], (B * T, d)))
-        cols.append(ad.reshape(y, (B, T, 1, y.shape[-1])))
-    return ad.concat(cols, 2)
+    return [_input_column(params, c, prev, cur, pos) for c in range(C)]
 
 
 def _keys_values(blk: PriorBlock, x0: Tensor):
-    """Keys and values (B, S, H, d_k) of partition-0 rows x0 (B, S, d_model)."""
-    B, S, dm = x0.shape
-    x0 = ad.reshape(x0, (B * S, dm))
-    heads = (B, S, blk.heads, blk.d_k)
-    return ad.reshape(blk.wk(x0), heads), ad.reshape(blk.wv(x0), heads)
+    """Keys and values (B, S, d_model) of partition-0 rows x0 (B, S, d_model)."""
+    return blk.wk(x0), blk.wv(x0)
 
 
-def _block_forward(blk: PriorBlock, x: Tensor, k: Tensor, v: Tensor, parts):
-    """x: (B, T, P, d_model) -> same shape. Column j of x holds
-    partition parts[j] at the last T of the S node positions whose
-    keys and values k, v (B, S, H, d_k) it attends over.
+def _block_forward(blk: PriorBlock, x: Tensor, k: Tensor, v: Tensor, c):
+    """Partition c's column x (B, T, d_model) -> same shape. Its rows
+    are the last T of the S node positions whose keys and values k, v
+    (B, S, d_model) it attends over: the queries at position t average
+    the values of the strictly earlier positions s < t, and row t = 0
+    gets zeros. The mask depends on t only, so every column shares it.
     """
-    B, T, P, dm = x.shape
-    q = ad.reshape(_by_partition(blk.wq, x, parts), (B, T, P, blk.heads, blk.d_k))
-    a = ad.reshape(attention_2d(q, k, v), (B, T, P, dm))
+    T, S = x.shape[1], k.shape[1]
+    allowed = np.arange(S) < np.arange(S - T, S)[:, None]  # (T, S)
+    a = ad.causal_attention(blk.wq[c](x), k, v, allowed, blk.heads)
     h = ad.layernorm(x + a, blk.ln1.gamma, blk.ln1.beta)
-    f = ad.reshape(blk.f_z(ad.reshape(h, (B * T * P, dm))), (B, T, P, dm))
-    return ad.layernorm(h + f, blk.ln2.gamma, blk.ln2.beta)
+    return ad.layernorm(h + blk.f_z(h), blk.ln2.gamma, blk.ln2.beta)
 
 
-def _logits(params: PriorParams, x: Tensor, parts, prev_k0) -> Tensor:
-    """Masked logits (B, T, P, m+1) of block output x (B, T, P, d_model)
-    whose column j holds partition parts[j]. End-of-set (class m) is
-    only available on partition 0, where classes below the previous
-    node's partition-0 index prev_k0 (B, T; 0 at the start node) are
-    forbidden to keep the set sorted.
+def _logits(params: PriorParams, x: Tensor, c, prev_k0) -> Tensor:
+    """Masked logits (B, T, m+1) of partition c's block output x
+    (B, T, d_model). End-of-set (class m) is only available on
+    partition 0, where classes below the previous node's partition-0
+    index prev_k0 (B, T; 0 at the start node) are forbidden to keep the
+    set sorted.
     """
-    logits = _by_partition(params.out, x, parts)
     classes = np.arange(params.m + 1)
-    mask = np.zeros(logits.shape, dtype=bool)
-    for j, c in enumerate(parts):
-        if c == 0:
-            mask[:, :, j] = classes < prev_k0[:, :, None]
-        else:
-            mask[:, :, j, params.m] = True
-    return ad.masked_fill(logits, mask, MASK_VALUE)
+    mask = classes < prev_k0[:, :, None] if c == 0 else classes == params.m
+    return ad.masked_fill(params.out[c](x), mask, MASK_VALUE)
 
 
-def prior_logits(params: PriorParams, batch: SequenceBatch) -> Tensor:
-    """Teacher-forced masked logits (B, T+1, C, m+1). Logits at padded
-    positions are meaningless; the loss mask of sequence_targets
-    ignores them.
+def prior_logits(params: PriorParams, batch: SequenceBatch):
+    """Teacher-forced masked logits: C columns, column c (B, T+1, m+1)
+    for partition c. Logits at padded positions are meaningless; the
+    loss mask of sequence_targets ignores them.
     """
     B, T, C = batch.indices.shape
     x = build_inputs(params, batch)
     for blk in params.blocks:
-        k, v = _keys_values(blk, x[:, :, 0])
-        x = _block_forward(blk, x, k, v, range(C))
+        k, v = _keys_values(blk, x[0])
+        x = [_block_forward(blk, col, k, v, c) for c, col in enumerate(x)]
     prev_k0 = np.zeros((B, T + 1), dtype=np.int64)
     prev_k0[:, 1:] = batch.indices[:, :, 0]
-    return _logits(params, x, range(C), prev_k0)
+    return [_logits(params, col, c, prev_k0) for c, col in enumerate(x)]
 
 
 def sequence_targets(params: PriorParams, batch: SequenceBatch):
@@ -285,13 +251,15 @@ def sequence_targets(params: PriorParams, batch: SequenceBatch):
     return targets, loss_mask
 
 
-def nll_from_logits(logits: Tensor, targets, loss_mask) -> Tensor:
+def nll_from_logits(logits, targets, loss_mask) -> Tensor:
     """Mean cross-entropy over unmasked positions (nodes plus the
-    end-of-set slot), pooled across the batch.
+    end-of-set slot), pooled across the batch and the C logit columns
+    (B, T+1, m+1); targets and loss_mask are (B, T+1, C).
     """
-    ce = ad.cross_entropy_with_logits(logits, targets)
     w = np.asarray(loss_mask, dtype=np.float64)
-    return ad.mul(ad.sum_(ad.mul(ce, Tensor(w))), 1.0 / w.sum())
+    parts = [ad.sum_(ad.mul(ad.cross_entropy_with_logits(col, targets[..., c]), Tensor(w[..., c])))
+             for c, col in enumerate(logits)]
+    return ad.mul(sum(parts[1:], parts[0]), 1.0 / w.sum())
 
 
 def prior_nll(params: PriorParams, batch: SequenceBatch) -> Tensor:
@@ -336,8 +304,7 @@ def generate(params: PriorParams, codebooks, count, seed, step_times=None):
     uniforms = uniforms.reshape(count, n_max * C)
     prev = np.zeros((count, 1, params.d_latent))
     prev_k0 = np.zeros((count, 1), dtype=np.int64)
-    kv = np.zeros((len(params.blocks), 2, count, n_max, params.heads,
-                   params.d_model // params.heads))
+    kv = np.zeros((len(params.blocks), 2, count, n_max, params.d_model))
 
     for t in range(n_max):
         if active.size == 0:
@@ -349,11 +316,11 @@ def generate(params: PriorParams, codebooks, count, seed, step_times=None):
             x = _input_column(params, c, prev, cur, params.pos_table[t:t + 1])
             for l, blk in enumerate(params.blocks):
                 if c == 0:
-                    k, v = _keys_values(blk, x[:, :, 0])
+                    k, v = _keys_values(blk, x)
                     kv[l, 0, :, t:t + 1], kv[l, 1, :, t:t + 1] = k.data, v.data
                 x = _block_forward(blk, x, Tensor(kv[l, 0, :, :t + 1]),
-                                   Tensor(kv[l, 1, :, :t + 1]), (c,))
-            logits = _logits(params, x, (c,), prev_k0).data[:, 0, 0]
+                                   Tensor(kv[l, 1, :, :t + 1]), c)
+            logits = _logits(params, x, c, prev_k0).data[:, 0]
             if c == 0 and t == 0:
                 logits[:, m] = MASK_VALUE  # every set has at least one node
             p = ad.softmax(logits, axis=1).data

@@ -41,8 +41,6 @@ def partition(z, C):
     d = z.shape[-1]
     if d % C != 0:
         raise ValueError(f"latent width {d} not divisible by {C} partitions")
-    if isinstance(z, Tensor):
-        return ad.reshape(z, z.shape[:-1] + (C, d // C))
     return np.asarray(z).reshape(z.shape[:-1] + (C, d // C))
 
 
@@ -161,17 +159,17 @@ def ema_update(cbs: CodebookSet, z_parts, indices):
     cbs.codebooks = cbs.ema_sums / np.maximum(cbs.ema_counts, cbs.eps)[..., None]
 
 
-def commitment_loss(z_parts: Tensor, codewords):
-    """Mean squared distance pulling encoder outputs toward their
-    (stop-gradient) codewords: sum over partition width, mean over the
-    node x partition grid. Gradient reaches only the encoder.
+def commitment_loss(z: Tensor, words):
+    """Mean squared distance pulling the encoder rows z (N, d_latent)
+    toward their (stop-gradient) codewords words (N, C, d_part): sum
+    over partition width, mean over the node x partition grid. Gradient
+    reaches only the encoder.
     """
-    codewords = np.asarray(codewords)
-    if z_parts.shape != codewords.shape:
-        raise ad.ShapeError(f"commitment shapes differ: {z_parts.shape} vs {codewords.shape}")
-    diff = z_parts + Tensor(-codewords)
-    grid = codewords.size // codewords.shape[-1]
-    return ad.mul(ad.sum_(ad.mul(diff, diff)), 1.0 / max(grid, 1))
+    words = np.asarray(words)
+    if words.ndim != 3 or z.shape != (words.shape[0], words.shape[1] * words.shape[2]):
+        raise ad.ShapeError(f"commitment shapes differ: {z.shape} vs {words.shape}")
+    diff = z + Tensor(-unpartition(words))
+    return ad.mul(ad.sum_(ad.mul(diff, diff)), 1.0 / max(words.shape[0] * words.shape[1], 1))
 
 
 def perplexity(indices, M):

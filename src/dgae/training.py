@@ -426,7 +426,7 @@ def _ae_pass(model: AutoEncoderModel, batch, train):
         z_parts = quantize.partition(z.data, cbs.C)
         idx, words = quantize.quantize(z_parts, cbs)
         latent = straight_through(z, Tensor(quantize.unpartition(words)))
-        commit = quantize.commitment_loss(quantize.partition(z, cbs.C), words)
+        commit = quantize.commitment_loss(z, words)
     logits = codec.decode(latent, batch.node_mask, model.decoder, train=train)
     return codec.recon_loss(*logits, batch), commit, idx, z_parts, logits
 

@@ -14,7 +14,9 @@ set-level ones; node_orbit_counts reads the package's connectedness
 tables, which node_orbit_participation checks independently.
 ema_update_per_partition and perplexity_from_histogram are the
 package's former partition-by-partition EMA step and dict-counted
-perplexity.
+perplexity. matmul, concat and reshape are taped ops the package no
+longer needs: the dense message-passing and attention oracles build
+their unfactorised forms from them.
 """
 
 import itertools
@@ -352,6 +354,53 @@ def grad_check(f, inputs, eps=1e-5):
     return worst
 
 
+def matmul(a, b):
+    """Matrix product. 2-D or batched with identical leading dims."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ad.ShapeError("matmul needs >=2-D operands")
+    if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ad.ShapeError(f"matmul leading dims must match exactly: {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ad.ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
+    out_data = a.data @ b.data
+
+    def bw(g):
+        if a.requires_grad:
+            a._accumulate(g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
+
+    return ad._node(out_data, (a, b), bw)
+
+
+def concat(tensors, axis):
+    tensors = [ad._as_tensor(t) for t in tensors]
+    sizes = [t.shape[axis] for t in tensors]
+    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    offsets = np.cumsum([0] + sizes)
+
+    def bw(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(lo, hi)
+                t._accumulate(g[tuple(idx)])
+
+    return ad._node(out_data, tuple(tensors), bw)
+
+
+def reshape(a, shape):
+    a = ad._as_tensor(a)
+    out_data = a.data.reshape(shape)
+
+    def bw(g):
+        if a.requires_grad:
+            a._accumulate(g.reshape(a.shape))
+
+    return ad._node(out_data, (a,), bw)
+
+
 def _concat_pair_mlp(mlp, x, e):
     """mlp([x_i, x_j, e_ij]) for every node pair, (B*n*n, out) rows, in
     the unfactorised form: x_i and x_j are gathered by one-hot selection
@@ -362,10 +411,10 @@ def _concat_pair_mlp(mlp, x, e):
     B, n, h = x.shape
     rows = np.arange(B * n).reshape(B, n)
     eye = np.eye(B * n)
-    xf = ad.reshape(x, (B * n, h))
-    xi = ad.matmul(Tensor(eye[np.repeat(rows.reshape(-1), n)]), xf)
-    xj = ad.matmul(Tensor(eye[np.repeat(rows, n, axis=0).reshape(-1)]), xf)
-    return mlp(ad.concat([xi, xj, ad.reshape(e, (B * n * n, h))], 1))
+    xf = reshape(x, (B * n, h))
+    xi = matmul(Tensor(eye[np.repeat(rows.reshape(-1), n)]), xf)
+    xj = matmul(Tensor(eye[np.repeat(rows, n, axis=0).reshape(-1)]), xf)
+    return mlp(concat([xi, xj, reshape(e, (B * n * n, h))], 1))
 
 
 def _live_batchnorm(x, live, state, train):
@@ -373,7 +422,7 @@ def _live_batchnorm(x, live, state, train):
     marks, with statistics over those rows only: one-hot selection
     matmuls gather them and scatter the result back, zeros elsewhere."""
     pick = np.eye(len(live))[live]
-    return ad.matmul(Tensor(pick.T), batchnorm(ad.matmul(Tensor(pick), x), state, train))
+    return matmul(Tensor(pick.T), batchnorm(matmul(Tensor(pick), x), state, train))
 
 
 def _dense_mpnn_rounds(x, e, layers, neigh, node_mask, train):
@@ -390,11 +439,11 @@ def _dense_mpnn_rounds(x, e, layers, neigh, node_mask, train):
     for layer in layers:
         e_new = _live_batchnorm(_concat_pair_mlp(layer.f_edge, x, e), neigh.reshape(-1),
                                 layer.bn_e, train)
-        e = ad.reshape(e_new, (B, n, n, h))
+        e = reshape(e_new, (B, n, n, h))
         m = ad.mul(_concat_pair_mlp(layer.f_node, x, e), neigh_f)
-        x_new = ad.reshape(x, (B * n, h)) + ad.matmul(summing, m)
-        x = ad.reshape(_live_batchnorm(x_new, node_mask.reshape(-1), layer.bn_x, train),
-                       (B, n, h))
+        x_new = reshape(x, (B * n, h)) + matmul(summing, m)
+        x = reshape(_live_batchnorm(x_new, node_mask.reshape(-1), layer.bn_x, train),
+                    (B, n, h))
     return x, e
 
 
@@ -417,11 +466,11 @@ def dense_encode(batch, enc, train):
     neigh[flat] = True
     edge_feats = np.zeros((B * n * n, batch.edge_feats.shape[1]))
     edge_feats[flat] = batch.edge_feats
-    x = ad.matmul(Tensor(slots.T), enc.node_in(Tensor(batch.node_feats)))
+    x = matmul(Tensor(slots.T), enc.node_in(Tensor(batch.node_feats)))
     e = enc.edge_in(Tensor(edge_feats))
-    x, _ = _dense_mpnn_rounds(ad.reshape(x, (B, n, h)), ad.reshape(e, (B, n, n, h)),
+    x, _ = _dense_mpnn_rounds(reshape(x, (B, n, h)), reshape(e, (B, n, n, h)),
                               enc.layers, neigh.reshape(B, n, n), mask, train)
-    return ad.matmul(Tensor(slots), enc.out(ad.reshape(x, (B * n, h))))
+    return matmul(Tensor(slots), enc.out(reshape(x, (B * n, h))))
 
 
 def dense_decode(z, node_mask, dec, train):
@@ -433,15 +482,15 @@ def dense_decode(z, node_mask, dec, train):
     h = dec.state_width
     slots = _slots(node_mask)
     live = node_mask[:, :, None] & node_mask[:, None, :] & ~np.eye(n, dtype=bool)
-    x = ad.matmul(Tensor(slots.T), dec.in_proj(z))
-    x, e = _dense_mpnn_rounds(ad.reshape(x, (B, n, h)), Tensor(np.zeros((B, n, n, h))),
+    x = matmul(Tensor(slots.T), dec.in_proj(z))
+    x, e = _dense_mpnn_rounds(reshape(x, (B, n, h)), Tensor(np.zeros((B, n, n, h))),
                               dec.layers, live, node_mask, train)
-    node_logits = ad.matmul(Tensor(slots), dec.node_out(ad.reshape(x, (B * n, h))))
-    el = dec.edge_out(ad.reshape(e, (B * n * n, h)))
+    node_logits = matmul(Tensor(slots), dec.node_out(reshape(x, (B * n, h))))
+    el = dec.edge_out(reshape(e, (B * n * n, h)))
     # row (b, i, j) of the mirror is row (b, j, i) of el
     mirror = np.arange(B * n * n).reshape(B, n, n).transpose(0, 2, 1).reshape(-1)
     el = ad.mul(el + ad.permute_rows(el, mirror), 0.5)
-    return node_logits, ad.matmul(Tensor(np.eye(B * n * n)[live.reshape(-1)]), el)
+    return node_logits, matmul(Tensor(np.eye(B * n * n)[live.reshape(-1)]), el)
 
 
 def attention_chain(q, k_t, v, allowed):
@@ -450,12 +499,12 @@ def attention_chain(q, k_t, v, allowed):
     and a bool mask `allowed` that broadcasts to (B, H, R, S). Returns
     (B, H, R, d).
     """
-    scores = ad.mul(ad.matmul(q, k_t), 1.0 / np.sqrt(q.shape[-1]))
+    scores = ad.mul(matmul(q, k_t), 1.0 / np.sqrt(q.shape[-1]))
     allowed = np.broadcast_to(allowed, scores.shape)
     probs = ad.softmax(ad.masked_fill(scores, ~allowed, ad.MASK_VALUE), axis=-1)
     # a fully masked row softmaxes to uniform; its output is zeros
     live = np.broadcast_to(allowed.any(axis=-1, keepdims=True), scores.shape)
-    return ad.matmul(ad.mul(probs, Tensor(live.astype(np.float64))), v)
+    return matmul(ad.mul(probs, Tensor(live.astype(np.float64))), v)
 
 
 def pair_matrix(rows, n):

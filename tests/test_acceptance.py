@@ -177,7 +177,7 @@ def _stage1_fd_setup():
         z_parts = quantize.partition(z.data, cfg.partitions)
         idx, words = quantize.quantize(z_parts, model.codebooks)
         st = straight_through(z, Tensor(quantize.unpartition(words)))
-        commit = quantize.commitment_loss(quantize.partition(z, cfg.partitions), words)
+        commit = quantize.commitment_loss(z, words)
         node_logits, edge_logits = codec.decode(st, batch.node_mask,
                                                 model.decoder, train=True)
         recon = codec.recon_loss(node_logits, edge_logits, batch)
@@ -193,7 +193,7 @@ def _stage1_fd_setup():
         z = codec.encode(batch, model.encoder, train=True)
         _, words = quantize.quantize(quantize.partition(z.data, cfg.partitions),
                                      model.codebooks)
-        return quantize.commitment_loss(quantize.partition(z, cfg.partitions), words)
+        return quantize.commitment_loss(z, words)
 
     enc_params = list(model.encoder.params().values())
     dec_params = list(model.decoder.params().values())
@@ -297,15 +297,18 @@ def test_criterion_06_causality_and_masking():
     def batch_of(idx):
         return pack_sequences([idx], params.n_max, cbs)
 
+    def logits_of(idx):  # (1, T+1, C, m+1) from the C logit columns
+        return np.stack([col.data for col in prior_logits(params, batch_of(idx))], axis=2)
+
     T = 6
     base_idx = _rand_sequence(rng, params, T)
-    base = prior_logits(params, batch_of(base_idx)).data
+    base = logits_of(base_idx)
     raster = [(t, c) for t in range(T) for c in range(params.C)]
     violations = 0
     for p_i, (t, c) in enumerate(raster):
         idx = base_idx.copy()
         idx[t, c] = (idx[t, c] + 1) % params.m
-        got = prior_logits(params, batch_of(idx)).data
+        got = logits_of(idx)
         for (t2, c2) in raster[:p_i + 1]:
             if not np.array_equal(got[0, t2, c2], base[0, t2, c2]):
                 violations += 1
@@ -314,8 +317,7 @@ def test_criterion_06_causality_and_masking():
     mask_bad = 0
     for _ in range(25):
         idx = _rand_sequence(rng, params, int(rng.integers(2, 7)))
-        probs = ad.softmax(prior_logits(params, batch_of(idx)),
-                           axis=-1).data[0]
+        probs = ad.softmax(Tensor(logits_of(idx)), axis=-1).data[0]
         if np.any(probs[:, 1:, params.m] != 0.0):
             mask_bad += 1
         for t in range(1, idx.shape[0] + 1):

@@ -8,7 +8,7 @@ from dgae import autodiff as ad
 from dgae.autodiff import (BatchNormState, MASK_VALUE, PairIndex, ShapeError, Tensor,
                            batchnorm, cross_entropy_with_logits, layernorm,
                            straight_through)
-from oracles import attention_chain, grad_check
+from oracles import attention_chain, concat, grad_check, matmul, reshape
 
 TOL = 1e-4
 
@@ -30,6 +30,8 @@ def primitive_grad_cases(rng):
     # one mask per batch row, broadcast over the heads
     per_batch = rng.random((2, 1, 2, 3)) < 0.6
     a64 = rng.normal(size=(6, 4))
+    w125 = rng.normal(size=(12, 5))
+    b5 = rng.normal(size=(5,))
     # pairs over two padded graphs of three node rows each: not
     # symmetric, and node row 5 (padding) is in no pair, so both of
     # its segments are empty
@@ -46,35 +48,40 @@ def primitive_grad_cases(rng):
         ("add_broadcast", lambda xs: wsum(ad.add(xs[0], xs[1])), [t(a34), t(b4)]),
         ("mul", lambda xs: wsum(ad.mul(xs[0], xs[1])), [t(a34), t(b34)]),
         ("mul_broadcast", lambda xs: wsum(ad.mul(xs[0], xs[1])), [t(a34), t(b4)]),
-        ("matmul", lambda xs: wsum(ad.matmul(xs[0], xs[1])), [t(a34), t(m45)]),
+        # matmul, concat and reshape live in the oracles, which build
+        # the dense references from them
+        ("matmul", lambda xs: wsum(matmul(xs[0], xs[1])), [t(a34), t(m45)]),
         ("affine", lambda xs: wsum(ad.affine(xs[0], xs[1], xs[2])),
          [t(a34), t(m45), t(rng.normal(size=(5,)))]),
-        ("matmul_batched", lambda xs: wsum(ad.matmul(xs[0], xs[1])),
+        ("affine_3d", lambda xs: wsum(ad.affine(xs[0], xs[1], xs[2])),
+         [t(rng.normal(size=(2, 3, 4))), t(m45), t(rng.normal(size=(5,)))]),
+        ("matmul_batched", lambda xs: wsum(matmul(xs[0], xs[1])),
          [t(rng.normal(size=(2, 3, 4))), t(rng.normal(size=(2, 4, 2)))]),
-        ("concat", lambda xs: wsum(ad.concat([xs[0], xs[1]], axis=1)),
+        ("concat", lambda xs: wsum(concat([xs[0], xs[1]], axis=1)),
          [t(a34), t(b34)]),
-        ("reshape", lambda xs: wsum(ad.reshape(xs[0], (4, 3))), [t(a34)]),
-        # query row 0 has no allowed key, and there are more keys than
-        # queries
+        ("reshape", lambda xs: wsum(reshape(xs[0], (4, 3))), [t(a34)]),
+        # two heads of width 3; query row 0 has no allowed key, and there
+        # are more keys than queries
         ("causal_attention", lambda xs: wsum(ad.causal_attention(
-            xs[0], xs[1], xs[2], np.arange(4) < np.array([[0], [2], [3]]))),
-         [t(rng.normal(size=(2, 3, 2, 3))), t(rng.normal(size=(2, 4, 2, 3))),
-          t(rng.normal(size=(2, 4, 2, 3)))]),
+            xs[0], xs[1], xs[2], np.arange(4) < np.array([[0], [2], [3]]), 2)),
+         [t(rng.normal(size=(2, 3, 6))), t(rng.normal(size=(2, 4, 6))),
+          t(rng.normal(size=(2, 4, 6)))]),
+        ("causal_attention_one_head", lambda xs: wsum(ad.causal_attention(
+            xs[0], xs[1], xs[2], np.arange(3) < np.array([[1], [3]]), 1)),
+         [t(rng.normal(size=(2, 2, 3))), t(rng.normal(size=(2, 3, 3))),
+          t(rng.normal(size=(2, 3, 3)))]),
         ("causal_attention_per_batch_mask", lambda xs: wsum(ad.causal_attention(
-            xs[0], xs[1], xs[2], per_batch)),
-         [t(rng.normal(size=(2, 2, 3, 2))), t(rng.normal(size=(2, 3, 3, 2))),
-          t(rng.normal(size=(2, 3, 3, 2)))]),
-        ("slice", lambda xs: wsum(ad.slice_(xs[0], (slice(1, 3), slice(0, 2)))),
-         [t(a34)]),
-        # pair rows of width 3 into node width 4: e @ w_e is not square
-        ("pair_gather", lambda xs: wsum(ad.pair_gather(xs[0], xs[1], pairs, xs[2], xs[3])),
-         [t(a64), t(rng.normal(size=(6, 4))), t(rng.normal(size=(6, 3))),
-          t(rng.normal(size=(3, 4)))]),
-        ("pair_gather_no_edge", lambda xs: wsum(ad.pair_gather(xs[0], xs[1], pairs)),
-         [t(a64), t(rng.normal(size=(6, 4)))]),
-        ("pair_gather_no_pairs",
-         lambda xs: wsum(ad.pair_gather(xs[0], xs[1], no_pairs, xs[2], xs[3])),
-         [t(a34), t(b34), t(np.zeros((0, 3))), t(rng.normal(size=(3, 4)))]),
+            xs[0], xs[1], xs[2], per_batch, 3)),
+         [t(rng.normal(size=(2, 2, 6))), t(rng.normal(size=(2, 3, 6))),
+          t(rng.normal(size=(2, 3, 6)))]),
+        # node width 4 into 5 outputs: every block of w is non-square
+        ("pair_affine", lambda xs: wsum(ad.pair_affine(xs[0], xs[1], xs[2], pairs, xs[3])),
+         [t(a64), t(w125), t(b5), t(rng.normal(size=(6, 4)))]),
+        ("pair_affine_no_edge", lambda xs: wsum(ad.pair_affine(xs[0], xs[1], xs[2], pairs)),
+         [t(a64), t(w125), t(b5)]),
+        ("pair_affine_no_pairs",
+         lambda xs: wsum(ad.pair_affine(xs[0], xs[1], xs[2], no_pairs, xs[3])),
+         [t(a34), t(w125), t(b5), t(np.zeros((0, 4)))]),
         ("segment_sum", lambda xs: wsum(ad.segment_sum(xs[0], pairs)),
          [t(rng.normal(size=(6, 4)))]),
         ("segment_sum_no_pairs", lambda xs: wsum(ad.segment_sum(xs[0], no_pairs)),
@@ -160,7 +167,7 @@ def test_every_primitive_has_a_gradient_case(monkeypatch):
     rng = np.random.default_rng(0)
     for _, f, inputs in primitive_grad_cases(rng) + batchnorm_grad_cases(rng):
         f(inputs)
-    assert "affine" in primitives and "pair_gather" in primitives
+    assert "affine" in primitives and "pair_affine" in primitives
     assert primitives - recorded == set()
 
 
@@ -193,25 +200,31 @@ def test_causal_attention_matches_the_taped_chain(mask_shape):
     with more keys than queries and a query row with no allowed key."""
     rng = np.random.default_rng(11)
     B, R, S, H, d = 2, 3, 5, 4, 3
-    q, k, v = (rng.normal(size=(B, n, H, d)) for n in (R, S, S))
+    q, k, v = (rng.normal(size=(B, n, H * d)) for n in (R, S, S))
     allowed = rng.random(mask_shape) < 0.5
     allowed[..., 0, :] = False
-    g = rng.normal(size=(B, R, H, d))
+    g = rng.normal(size=(B, R, H * d))
 
     ts = [t(a) for a in (q, k, v)]
-    out = ad.causal_attention(*ts, allowed)
+    out = ad.causal_attention(*ts, allowed, H)
     ad.sum_(ad.mul(out, Tensor(g))).backward()
 
-    head_major = [t(np.swapaxes(q, 1, 2)), t(k.transpose(0, 2, 3, 1)), t(np.swapaxes(v, 1, 2))]
+    def heads(a):  # (B, n, H*d) -> (B, H, n, d)
+        return np.swapaxes(a.reshape(B, -1, H, d), 1, 2)
+
+    def merged(a):  # (B, H, n, d) -> (B, n, H*d)
+        return np.swapaxes(a, 1, 2).reshape(B, -1, H * d)
+
+    head_major = [t(heads(q)), t(np.swapaxes(heads(k), 2, 3)), t(heads(v))]
     want = attention_chain(*head_major, allowed)
-    ad.sum_(ad.mul(want, Tensor(np.swapaxes(g, 1, 2)))).backward()
+    ad.sum_(ad.mul(want, Tensor(heads(g)))).backward()
 
     np.testing.assert_array_equal(out.data[:, 0], 0.0)
-    np.testing.assert_allclose(out.data, np.swapaxes(want.data, 1, 2), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.data, merged(want.data), rtol=0, atol=1e-12)
     for got, ref in zip((ts[0].grad, ts[1].grad, ts[2].grad),
-                        (np.swapaxes(head_major[0].grad, 1, 2),
-                         head_major[1].grad.transpose(0, 3, 1, 2),
-                         np.swapaxes(head_major[2].grad, 1, 2))):
+                        (merged(head_major[0].grad),
+                         merged(np.swapaxes(head_major[1].grad, 2, 3)),
+                         merged(head_major[2].grad))):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
@@ -285,37 +298,56 @@ def test_backward_accumulates_through_reuse():
 
 def test_matmul_shape_error():
     with pytest.raises(ShapeError):
-        ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
 
-def test_pair_gather_shape_errors():
+def test_pair_affine_shape_errors():
     pairs = PairIndex([0, 1], [1, 0], 2)
-    a, e, w = Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))
+    x, w, b, e = (Tensor(np.zeros(s)) for s in ((2, 4), (12, 5), (5,), (2, 4)))
+    ad.pair_affine(x, w, b, pairs, e)
     with pytest.raises(ShapeError):
-        ad.pair_gather(a, a, pairs, e)  # pair rows without their weight
+        ad.pair_affine(x, Tensor(np.zeros((8, 5))), b, pairs)  # w without its W_e block
     with pytest.raises(ShapeError):
-        ad.pair_gather(a, a, pairs, e, Tensor(np.zeros((4, 4))))
+        ad.pair_affine(x, w, Tensor(np.zeros(4)), pairs, e)
     with pytest.raises(ShapeError):
-        ad.pair_gather(a, a, PairIndex([0], [1], 2), e, w)
+        ad.pair_affine(x, w, b, pairs, Tensor(np.zeros((2, 3))))
+    with pytest.raises(ShapeError):
+        ad.pair_affine(x, w, b, PairIndex([0], [1], 2), e)
+    with pytest.raises(ShapeError):
+        ad.pair_affine(x, w, b, PairIndex([0, 1], [1, 0], 3), e)
+
+
+def test_pair_affine_without_pair_rows_gives_w_e_an_exact_zero_gradient():
+    rng = np.random.default_rng(3)
+    pairs = PairIndex([0, 0, 1, 2], [1, 2, 0, 1], 3)
+    x, w, b = t(rng.normal(size=(3, 4))), t(rng.normal(size=(12, 5))), t(rng.normal(size=5))
+    out = ad.pair_affine(x, w, b, pairs)
+    want = np.concatenate([x.data[pairs.i], x.data[pairs.j], np.zeros((4, 4))], 1) @ w.data
+    np.testing.assert_allclose(out.data, want + b.data, rtol=0, atol=1e-12)
+    ad.sum_(out).backward()
+    assert w.grad.shape == (12, 5) and not w.grad[8:].any()
+    assert w.grad[:8].all()
 
 
 def test_no_grad_records_no_tape_and_restores_the_mode():
     w = Tensor(np.ones((3, 2)), requires_grad=True)
     x = Tensor(np.arange(6.0).reshape(2, 3))
 
+    b = Tensor(np.zeros(2))
+
     def recorded():
-        y = ad.relu(ad.matmul(x, w))
+        y = ad.relu(ad.affine(x, w, b))
         return y.requires_grad and y._parents != () and y._backward is not None
 
     def untaped(y):
         return not y.requires_grad and y._parents == () and y._backward is None
 
     with ad.no_grad():
-        assert untaped(ad.relu(ad.matmul(x, w)))
+        assert untaped(ad.relu(ad.affine(x, w, b)))
         with ad.no_grad():
             assert untaped(ad.layernorm(x, Tensor(np.ones(3), requires_grad=True),
                                         Tensor(np.zeros(3), requires_grad=True)))
-        assert untaped(ad.matmul(x, w))  # the inner exit keeps the outer mode
+        assert untaped(ad.affine(x, w, b))  # the inner exit keeps the outer mode
     assert recorded()
     with pytest.raises(KeyError):
         with ad.no_grad():

@@ -11,7 +11,6 @@ from dgae.autodiff import Tensor
 from dgae.prior import (
     PriorParams,
     SequenceBatch,
-    attention_2d,
     build_inputs,
     generate,
     nll_from_logits,
@@ -37,6 +36,16 @@ def random_sequence(rng, T, C, m):
 
 def rand_codebooks(rng, C, m, d_part):
     return rng.normal(size=(C, m, d_part))
+
+
+def stacked(cols):
+    """C Tensor columns (B, T+1, w) as one array (B, T+1, C, w)."""
+    return np.stack([col.data for col in cols], axis=2)
+
+
+def probabilities(params, batch):
+    """Teacher-forced class probabilities (B, T+1, C, m+1)."""
+    return stacked(ad.softmax(col, axis=-1) for col in prior_logits(params, batch))
 
 
 def batch_from(params, seqs):
@@ -108,11 +117,11 @@ def test_build_inputs_virtual_start_row():
     rng = np.random.default_rng(2)
     seqs = [random_sequence(rng, 4, params.C, params.m)]
     x = build_inputs(params, batch_from(params, seqs))
-    assert x.shape == (1, 5, params.C, params.d_model)
+    assert [col.shape for col in x] == [(1, 5, params.d_model)] * params.C
     # row 0 has no previous node: projection of zeros is the bias, plus
     # the position encoding for slot 0
     want0 = params.in_proj[0].b.data + params.pos_table[0]
-    np.testing.assert_allclose(x.data[0, 0, 0], want0, atol=1e-12)
+    np.testing.assert_allclose(x[0].data[0, 0], want0, atol=1e-12)
 
 
 def test_build_inputs_projection_widths():
@@ -127,10 +136,10 @@ def test_build_inputs_partition_context():
     params = tiny_params(seed=4)
     rng = np.random.default_rng(5)
     s = random_sequence(rng, 3, params.C, params.m)
-    base = build_inputs(params, batch_from(params, [s])).data
+    base = stacked(build_inputs(params, batch_from(params, [s])))
     bumped = batch_from(params, [s])
     bumped.codewords[0, 1, 1] += 1.0  # node 1, partition 1
-    got = build_inputs(params, bumped).data
+    got = stacked(build_inputs(params, bumped))
     # row 1 partition 0 and partition 1 depend only on node 0 and on
     # node 1's partitions below each slot, so both are unchanged
     np.testing.assert_array_equal(got[0, 1], base[0, 1])
@@ -141,44 +150,58 @@ def test_build_inputs_partition_context():
 # set attention
 
 
+def block_attention(q, k, v, heads):
+    """The attention inside prior._block_forward for the queries q
+    (B, T, d) of partition 0 over the keys and values k, v (B, S, d):
+    the output of the block's own causal_attention call, with its own
+    mask, when the block's query map is the identity."""
+    d = q.shape[-1]
+    blk = prior.PriorBlock(np.random.default_rng(0), d, heads, 1)
+    blk.wq[0].w.data[...] = np.eye(d)
+    blk.wq[0].b.data[...] = 0.0
+    seen = []
+    attention = ad.causal_attention
+
+    def recording(*args):
+        seen.append(attention(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "causal_attention", recording)
+        prior._block_forward(blk, Tensor(q), Tensor(k), Tensor(v), 0)
+    assert len(seen) == 1
+    return seen[0].data
+
+
 def test_attention_single_predecessor_returns_value():
     rng = np.random.default_rng(0)
-    B, H, T, C, dk = 2, 3, 2, 3, 4
-    q = Tensor(rng.normal(size=(B, T, C, H, dk)))
-    k = Tensor(rng.normal(size=(B, T, H, dk)))
-    v = Tensor(rng.normal(size=(B, T, H, dk)))
-    out = attention_2d(q, k, v)
-    assert out.shape == (B, T, C, H, dk)
-    np.testing.assert_array_equal(out.data[:, 0], np.zeros((B, C, H, dk)))
-    for c in range(C):
-        np.testing.assert_allclose(out.data[:, 1, c], v.data[:, 0], atol=1e-12)
+    B, H, T, d = 2, 3, 2, 12
+    q, k, v = (rng.normal(size=(B, T, d)) for _ in range(3))
+    out = block_attention(q, k, v, H)
+    assert out.shape == (B, T, d)
+    np.testing.assert_array_equal(out[:, 0], np.zeros((B, d)))
+    np.testing.assert_allclose(out[:, 1], v[:, 0], atol=1e-12)
 
 
 def test_attention_uniform_scores_give_mean():
     rng = np.random.default_rng(1)
-    B, H, T, C, dk = 2, 3, 5, 2, 4
-    q = Tensor(np.zeros((B, T, C, H, dk)))
-    k = Tensor(rng.normal(size=(B, T, H, dk)))
-    v = Tensor(rng.normal(size=(B, T, H, dk)))
-    out = attention_2d(q, k, v).data
+    B, H, T, d = 2, 3, 5, 12
+    k, v = (rng.normal(size=(B, T, d)) for _ in range(2))
+    out = block_attention(np.zeros((B, T, d)), k, v, H)
     for t in range(1, T):
-        want = v.data[:, :t].mean(axis=1)
-        for c in range(C):
-            np.testing.assert_allclose(out[:, t, c], want, atol=1e-12)
+        np.testing.assert_allclose(out[:, t], v[:, :t].mean(axis=1), atol=1e-12)
 
 
 def test_attention_ignores_future_and_present_keys():
     rng = np.random.default_rng(2)
-    B, H, T, C, dk = 2, 3, 6, 2, 4
-    q = Tensor(rng.normal(size=(B, T, C, H, dk)))
-    k0 = rng.normal(size=(B, T, H, dk))
-    v0 = rng.normal(size=(B, T, H, dk))
-    base = attention_2d(q, Tensor(k0), Tensor(v0)).data
+    B, H, T, d = 2, 3, 6, 12
+    q, k0, v0 = (rng.normal(size=(B, T, d)) for _ in range(3))
+    base = block_attention(q, k0, v0, H)
     for t in range(T):
         k1, v1 = k0.copy(), v0.copy()
-        k1[:, t:] += rng.normal(size=(B, T - t, H, dk))
-        v1[:, t:] += rng.normal(size=(B, T - t, H, dk))
-        got = attention_2d(q, Tensor(k1), Tensor(v1)).data
+        k1[:, t:] += rng.normal(size=(B, T - t, d))
+        v1[:, t:] += rng.normal(size=(B, T - t, d))
+        got = block_attention(q, k1, v1, H)
         np.testing.assert_array_equal(got[:, :t + 1], base[:, :t + 1])
 
 
@@ -186,18 +209,15 @@ def test_attention_over_key_prefix_matches_full_sequence():
     """The sampler's step: the queries of position t alone, over the
     keys and values of positions 0..t, give row t of the full result."""
     rng = np.random.default_rng(4)
-    B, H, T, C, dk = 3, 2, 5, 3, 4
-    q = rng.normal(size=(B, T, C, H, dk))
-    k = rng.normal(size=(B, T, H, dk))
-    v = rng.normal(size=(B, T, H, dk))
-    full = attention_2d(Tensor(q), Tensor(k), Tensor(v)).data
+    B, H, T, d = 3, 2, 5, 8
+    q, k, v = (rng.normal(size=(B, T, d)) for _ in range(3))
+    full = block_attention(q, k, v, H)
     for t in range(T):
-        got = attention_2d(Tensor(q[:, t:t + 1]), Tensor(k[:, :t + 1]),
-                           Tensor(v[:, :t + 1])).data
-        assert got.shape == (B, 1, C, H, dk)
+        got = block_attention(q[:, t:t + 1], k[:, :t + 1], v[:, :t + 1], H)
+        assert got.shape == (B, 1, d)
         np.testing.assert_allclose(got, full[:, t:t + 1], rtol=0, atol=1e-12)
-    first = attention_2d(Tensor(q[:, :1]), Tensor(k[:, :1]), Tensor(v[:, :1])).data
-    np.testing.assert_array_equal(first, np.zeros((B, 1, C, H, dk)))
+    first = block_attention(q[:, :1], k[:, :1], v[:, :1], H)
+    np.testing.assert_array_equal(first, np.zeros((B, 1, d)))
 
 
 def test_padding_slots_never_reach_the_loss():
@@ -222,8 +242,8 @@ def test_padding_slots_never_reach_the_loss():
     dirty.indices[pad] = rng.integers(0, params.m, size=(pad.sum(), params.C))
     dirty.codewords[pad] = 50.0 * rng.normal(size=(pad.sum(), params.C, params.d_part))
     # the garbage does reach the logits of the padded rows
-    assert not np.array_equal(prior_logits(params, dirty).data,
-                              prior_logits(params, clean).data)
+    assert not np.array_equal(stacked(prior_logits(params, dirty)),
+                              stacked(prior_logits(params, clean)))
     (want, want_grads), (got, got_grads) = loss_and_grads(clean), loss_and_grads(dirty)
     assert got == want
     for a, b in zip(got_grads, want_grads):
@@ -239,7 +259,7 @@ def test_end_of_set_only_on_partition_zero():
     rng = np.random.default_rng(7)
     seqs = [random_sequence(rng, 3, params.C, params.m)]
     batch = batch_from(params, seqs)
-    probs = ad.softmax(prior_logits(params, batch), axis=-1).data
+    probs = probabilities(params, batch)
     assert np.all(probs[:, :, 1:, params.m] == 0.0)
     # partition 0 keeps a usable end-of-set class
     assert probs[0, 3, 0, params.m] > 0.0
@@ -251,7 +271,7 @@ def test_order_violating_classes_have_zero_probability():
     idx = np.array([[1, 0], [3, 2], [3, 1]])
     batch = batch_from(params, [idx])
     logits = prior_logits(params, batch)
-    probs = ad.softmax(logits, axis=-1).data[0]
+    probs = probabilities(params, batch)[0]
     # row t on partition 0 forbids classes below the previous index
     assert np.all(probs[1, 0, :1] == 0.0)   # prev index 1
     assert np.all(probs[2, 0, :3] == 0.0)   # prev index 3
@@ -262,9 +282,9 @@ def test_order_violating_classes_have_zero_probability():
     targets, loss_mask = sequence_targets(params, batch)
     loss = nll_from_logits(logits, targets, loss_mask)
     loss.backward()
-    g = logits.grad[0]
-    assert np.all(g[1, 0, :1] == 0.0)
-    assert np.all(g[2, 0, :3] == 0.0)
+    g = logits[0].grad[0]  # partition 0
+    assert np.all(g[1, :1] == 0.0)
+    assert np.all(g[2, :3] == 0.0)
 
 
 def test_sequence_targets_places_end_of_set():
@@ -287,10 +307,10 @@ def test_nll_from_logits_confident_and_uniform():
     K = 5
     targets = np.array([[[2]]])
     loss_mask = np.ones((1, 1, 1), dtype=bool)
-    peaked = np.full((1, 1, 1, K), -40.0)
-    peaked[0, 0, 0, 2] = 40.0
-    assert nll_from_logits(Tensor(peaked), targets, loss_mask).data < 1e-6
-    flat = nll_from_logits(Tensor(np.zeros((1, 1, 1, K))), targets, loss_mask)
+    peaked = np.full((1, 1, K), -40.0)
+    peaked[0, 0, 2] = 40.0
+    assert nll_from_logits([Tensor(peaked)], targets, loss_mask).data < 1e-6
+    flat = nll_from_logits([Tensor(np.zeros((1, 1, K)))], targets, loss_mask)
     np.testing.assert_allclose(flat.data, np.log(K), atol=1e-12)
 
 
@@ -313,13 +333,13 @@ def test_causality_future_nodes_never_leak():
     rng = np.random.default_rng(15)
     T = 5
     base_seq = random_sequence(rng, T, params.C, params.m)
-    base = prior_logits(params, batch_from(params, [base_seq])).data
+    base = stacked(prior_logits(params, batch_from(params, [base_seq])))
     for t in range(T):
         idx = base_seq.copy()
         idx[t] = (idx[t] + 1) % params.m
         batch = batch_from(params, [idx])
         batch.codewords[0, t] += rng.normal(size=batch.codewords[0, t].shape)
-        got = prior_logits(params, batch).data
+        got = stacked(prior_logits(params, batch))
         # rows before t see nothing of node t
         np.testing.assert_array_equal(got[0, :t], base[0, :t])
         # row t partition 0 conditions on nodes < t only
@@ -331,8 +351,8 @@ def test_causality_padding_never_leaks():
     rng = np.random.default_rng(17)
     short = random_sequence(rng, 2, params.C, params.m)
     long = random_sequence(rng, 6, params.C, params.m)
-    solo = prior_logits(params, batch_from(params, [short])).data
-    pair = prior_logits(params, batch_from(params, [short, long])).data
+    solo = stacked(prior_logits(params, batch_from(params, [short])))
+    pair = stacked(prior_logits(params, batch_from(params, [short, long])))
     np.testing.assert_allclose(pair[0, :3], solo[0, :3], atol=1e-9)
 
 
@@ -394,7 +414,7 @@ def test_generate_matches_teacher_forcing(monkeypatch):
 
     def recording(*args):
         logits = logits_fn(*args)
-        seen.append(logits.data[0, 0, 0].copy())
+        seen.append(logits.data[0, 0].copy())
         return logits
 
     out = []
@@ -408,7 +428,7 @@ def test_generate_matches_teacher_forcing(monkeypatch):
         idx = rec["indices"]
         T = idx.shape[0]
         batch = pack_sequences([idx], params.n_max, books)
-        tf = prior_logits(params, batch).data[0]
+        tf = stacked(prior_logits(params, batch))[0]
         want = T * params.C + (0 if rec["truncated"] else 1)
         assert len(steps) == want
         for t in range(T):
@@ -428,7 +448,7 @@ def test_generate_frequencies_match_model_distribution():
 
     def row_probs(idx_prefix, row):
         batch = pack_sequences([idx_prefix], params.n_max, books)
-        logits = prior_logits(params, batch).data[0, row, 0]
+        logits = prior_logits(params, batch)[0].data[0, row]
         e = np.exp(logits - logits.max())
         return e / e.sum()
 

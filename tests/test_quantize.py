@@ -31,14 +31,6 @@ def test_partition_roundtrip():
     assert np.array_equal(partition(z, 1)[:, 0, :], z)
 
 
-def test_partition_tensor_roundtrip():
-    z = Tensor(np.arange(12, dtype=np.float64).reshape(3, 4), requires_grad=True)
-    parts = partition(z, 2)
-    assert np.array_equal(unpartition(parts.data), z.data)
-    ad.sum_(parts).backward()
-    assert np.array_equal(z.grad, np.ones((3, 4)))
-
-
 def test_partition_rejects_indivisible():
     with pytest.raises(ValueError):
         partition(np.zeros((1, 16)), 3)
@@ -232,21 +224,29 @@ def test_init_codebooks_seeds_accumulators():
 
 
 def test_commitment_zero_when_equal():
-    z = Tensor(np.ones((2, 1, 3)), requires_grad=True)
+    z = Tensor(np.ones((2, 3)), requires_grad=True)
     loss = commitment_loss(z, np.ones((2, 1, 3)))
     assert float(loss.data) == 0.0
 
 
 def test_commitment_single_node_value():
-    z = Tensor(np.array([[[1.0, 0.0]]]), requires_grad=True)
+    z = Tensor(np.array([[1.0, 0.0]]), requires_grad=True)
     loss = commitment_loss(z, np.zeros((1, 1, 2)))
     assert float(loss.data) == pytest.approx(1.0)
     loss.backward()
-    assert np.allclose(z.grad, [[[2.0, 0.0]]])
+    assert np.allclose(z.grad, [[2.0, 0.0]])
+
+
+def test_commitment_takes_encoder_rows_and_partitioned_codewords():
+    z = Tensor(np.zeros((3, 4)), requires_grad=True)
+    commitment_loss(z, np.zeros((3, 2, 2)))
+    for words in (np.zeros((3, 4)), np.zeros((2, 2, 2)), np.zeros((3, 2, 3))):
+        with pytest.raises(ad.ShapeError):
+            commitment_loss(z, words)
 
 
 def test_commitment_codewords_receive_no_gradient():
-    z = Tensor(np.random.default_rng(6).normal(size=(4, 2, 3)), requires_grad=True)
+    z = Tensor(np.random.default_rng(6).normal(size=(4, 6)), requires_grad=True)
     words = Tensor(np.zeros((4, 2, 3)), requires_grad=True)
     loss = commitment_loss(z, words.data)
     loss.backward()

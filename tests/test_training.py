@@ -14,6 +14,7 @@ from dgae.training import (
     MetricsWriter,
     ModelConfig,
     TrainingDiverged,
+    _ae_pass,
     _lr_at,
     adam_step,
     clip_gradients,
@@ -449,6 +450,47 @@ def test_holdout_metrics_do_not_depend_on_batch_size():
     for other in runs[1:]:
         for key, val in runs[0].items():
             assert other[key] == pytest.approx(val, rel=1e-9, abs=1e-12), key
+
+
+# ---------------------------------------------------------------------------
+# the tape
+
+# the taped ops of the forward passes, by the name of the function that
+# records them (layernorm and batchnorm record through _normalize)
+MODEL_LAYER_OPS = {"add", "mul", "relu", "sum_", "affine", "pair_affine", "segment_sum",
+                   "permute_rows", "causal_attention", "masked_fill", "straight_through",
+                   "cross_entropy_with_logits", "_normalize"}
+
+
+def recorded_ops(loss):
+    """The names of the ops whose backwards the tape of `loss` holds."""
+    ops, seen, stack = set(), set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node._backward is not None:
+                ops.add(node._backward.__qualname__.split(".")[0])
+            stack.extend(node._parents)
+    return ops
+
+
+def test_the_tape_records_model_layers_only():
+    """An AE step and a prior step tape no op that only moves data:
+    no slice, concatenation, reshape or selection matmul."""
+    cfg = tiny_config()
+    model, rng = _decoder_with_codebooks(cfg, 5)
+    batch = codec.prepare_batch(featurize_all(random_graphs(6, 4), cfg))
+    recon, commit, *_ = _ae_pass(model, batch, train=True)
+    ae_ops = recorded_ops(recon + commit)
+    seqs = [prior.sort_set(rng.integers(0, cfg.codebook_size, size=(n, cfg.partitions)))
+            for n in (3, 5)]
+    batch = prior.pack_sequences(seqs, cfg.n_max, model.codebooks.codebooks)
+    prior_ops = recorded_ops(prior.prior_nll(init_prior(cfg, rng), batch))
+    assert not (ae_ops | prior_ops) & {"slice_", "concat", "reshape", "matmul"}
+    assert ae_ops | prior_ops <= MODEL_LAYER_OPS
+    assert {"pair_affine", "segment_sum", "straight_through", "_normalize"} <= ae_ops
+    assert {"affine", "causal_attention", "masked_fill"} <= prior_ops
 
 
 # ---------------------------------------------------------------------------
