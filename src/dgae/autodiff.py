@@ -489,14 +489,22 @@ def layernorm(x, gamma, beta, eps=1e-5):
     return _normalize(x, gamma, beta, -1, eps)[0]
 
 
-class BatchNormState:
-    """Running statistics plus affine parameters for one batchnorm."""
+def norm_params(state, name, width):
+    """The scale (ones) and shift (zeros) of a normalization, entered
+    in the state table as name.gamma and name.beta."""
+    gamma = state[name + ".gamma"] = Tensor(np.ones(width), requires_grad=True)
+    beta = state[name + ".beta"] = Tensor(np.zeros(width), requires_grad=True)
+    return gamma, beta
 
-    def __init__(self, width, momentum=0.9, eps=1e-5):
-        self.gamma = Tensor(np.ones(width), requires_grad=True)
-        self.beta = Tensor(np.zeros(width), requires_grad=True)
-        self.running_mean = np.zeros(width)
-        self.running_var = np.ones(width)
+
+class BatchNormState:
+    """Running statistics plus affine parameters for one batchnorm,
+    entered in the state table under name."""
+
+    def __init__(self, state, name, width, momentum=0.9, eps=1e-5):
+        self.gamma, self.beta = norm_params(state, name, width)
+        self.running_mean = state[name + ".running_mean"] = np.zeros(width)
+        self.running_var = state[name + ".running_var"] = np.ones(width)
         self.momentum = momentum
         self.eps = eps
 

@@ -36,30 +36,34 @@ def parse_config_file(path):
     """
     problems = []
     out = {}
-    with open(path) as f:
-        for ln, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                problems.append(f"line {ln}: expected 'key = value', got {line!r}")
-                continue
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            ftype = _FIELD_TYPES.get(key)
-            if ftype is None:
-                problems.append(f"line {ln}: unknown config key {key!r}")
-                continue
-            ftype = ftype if isinstance(ftype, str) else ftype.__name__
-            try:
-                if ftype == "bool":
-                    if val.lower() not in ("true", "false", "1", "0"):
-                        raise ValueError("expected true/false")
-                    out[key] = val.lower() in ("true", "1")
-                else:
-                    out[key] = _PARSERS[ftype](val)
-            except (ValueError, KeyError):
-                problems.append(f"line {ln}: bad {ftype} value for {key}: {val!r}")
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: {e}") from None
+    for ln, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            problems.append(f"line {ln}: expected 'key = value', got {line!r}")
+            continue
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        ftype = _FIELD_TYPES.get(key)
+        if ftype is None:
+            problems.append(f"line {ln}: unknown config key {key!r}")
+            continue
+        ftype = ftype if isinstance(ftype, str) else ftype.__name__
+        try:
+            if ftype == "bool":
+                if val.lower() not in ("true", "false", "1", "0"):
+                    raise ValueError("expected true/false")
+                out[key] = val.lower() in ("true", "1")
+            else:
+                out[key] = _PARSERS[ftype](val)
+        except (ValueError, KeyError):
+            problems.append(f"line {ln}: bad {ftype} value for {key}: {val!r}")
     if problems:
         raise ConfigError(f"{path}: " + "; ".join(problems))
     return out
@@ -108,13 +112,16 @@ def _load_models(path, need_prior):
     cfg, tensors, meta = training.load_checkpoint(path)
     rng = np.random.default_rng(0)  # weights are overwritten by the load
     model = training.AutoEncoderModel(cfg, rng)
-    training.load_ae_state(model, tensors, meta)
-    pparams = None
+    state, pparams = model.state, None
     if need_prior:
         if meta.get("kind") != "full":
             raise ValueError(f"{path}: checkpoint has no prior; run train-prior first")
         pparams = training.init_prior(cfg, rng)
-        training.load_prior_state(pparams, tensors)
+        state = {**state, **pparams.state}
+    else:
+        tensors = {k: v for k, v in tensors.items() if not k.startswith("prior.")}
+    training.load_state(state, tensors, path)
+    model.codebooks.initialized = bool(meta.get("cb_initialized", False))
     return cfg, model, pparams, meta
 
 
@@ -174,7 +181,7 @@ def cmd_train_ae(args):
         return 0
     model, info = training.train_autoencoder(graphs, cfg, metrics_path=args.metrics,
                                              log=print if args.verbose else None)
-    training.save_checkpoint(args.out, cfg, model.state_arrays(), info["step"],
+    training.save_checkpoint(args.out, cfg, training.state_arrays(model.state), info["step"],
                              rng_state=info["rng_state"],
                              extra={"kind": "ae",
                                     "cb_initialized": model.codebooks.initialized})
@@ -198,7 +205,7 @@ def cmd_train_prior(args):
     pparams, info = training.train_prior(model, graphs, cfg, metrics_path=args.metrics,
                                          log=print if args.verbose else None,
                                          cache_path=args.cache)
-    training.save_checkpoint(args.out, cfg, training.full_state_arrays(model, pparams),
+    training.save_checkpoint(args.out, cfg, training.state_arrays(model.state, pparams.state),
                              info["step"], rng_state=info["rng_state"],
                              extra={"kind": "full", "cb_initialized": True})
     write_manifest(args, cfg, outputs)

@@ -28,26 +28,24 @@ from .graphs import Graph
 
 
 class Affine:
-    def __init__(self, rng, fan_in, fan_out, gain=1.0):
+    def __init__(self, state, name, rng, fan_in, fan_out, gain=1.0):
         scale = np.sqrt(gain / fan_in)
-        self.w = Tensor(rng.standard_normal((fan_in, fan_out)) * scale, requires_grad=True)
-        self.b = Tensor(np.zeros(fan_out), requires_grad=True)
+        self.w = state[name + ".w"] = Tensor(rng.standard_normal((fan_in, fan_out)) * scale,
+                                             requires_grad=True)
+        self.b = state[name + ".b"] = Tensor(np.zeros(fan_out), requires_grad=True)
 
     def __call__(self, x):
         return ad.affine(x, self.w, self.b)
-
-    def params(self, prefix):
-        return {prefix + ".w": self.w, prefix + ".b": self.b}
 
 
 class Mlp:
     """Stack of affine maps with relu between them (linear output)."""
 
-    def __init__(self, rng, sizes):
+    def __init__(self, state, name, rng, sizes):
         self.layers = []
         for i in range(len(sizes) - 1):
             gain = 2.0 if i < len(sizes) - 2 else 1.0
-            self.layers.append(Affine(rng, sizes[i], sizes[i + 1], gain))
+            self.layers.append(Affine(state, f"{name}.{i}", rng, sizes[i], sizes[i + 1], gain))
 
     def __call__(self, x):
         return self.after_first(self.layers[0](x))
@@ -58,90 +56,36 @@ class Mlp:
             h = layer(ad.relu(h))
         return h
 
-    def params(self, prefix):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            out.update(layer.params(f"{prefix}.{i}"))
-        return out
-
-
-def _bn_entries(prefix, bn):
-    params = {prefix + ".gamma": bn.gamma, prefix + ".beta": bn.beta}
-    buffers = {prefix + ".running_mean": bn.running_mean, prefix + ".running_var": bn.running_var}
-    return params, buffers
-
 
 class GnnLayer:
     """One round: e' = bn(f_edge([x_i, x_j, e])), x' = bn(x + sum_j f_node([x_i, x_j, e']))."""
 
-    def __init__(self, rng, state_width, mlp_hidden):
+    def __init__(self, state, name, rng, state_width, mlp_hidden):
         h, w = state_width, mlp_hidden
-        self.f_edge = Mlp(rng, [3 * h, w, w, h])
-        self.f_node = Mlp(rng, [3 * h, w, w, h])
-        self.bn_e = BatchNormState(h)
-        self.bn_x = BatchNormState(h)
-
-    def params(self, prefix):
-        out = self.f_edge.params(prefix + ".f_edge")
-        out.update(self.f_node.params(prefix + ".f_node"))
-        p, _ = _bn_entries(prefix + ".bn_e", self.bn_e)
-        out.update(p)
-        p, _ = _bn_entries(prefix + ".bn_x", self.bn_x)
-        out.update(p)
-        return out
-
-    def buffers(self, prefix):
-        _, b1 = _bn_entries(prefix + ".bn_e", self.bn_e)
-        _, b2 = _bn_entries(prefix + ".bn_x", self.bn_x)
-        return {**b1, **b2}
+        self.f_edge = Mlp(state, name + ".f_edge", rng, [3 * h, w, w, h])
+        self.f_node = Mlp(state, name + ".f_node", rng, [3 * h, w, w, h])
+        self.bn_e = BatchNormState(state, name + ".bn_e", h)
+        self.bn_x = BatchNormState(state, name + ".bn_x", h)
 
 
 class EncoderParams:
-    def __init__(self, rng, node_width, edge_width, state_width, mlp_hidden,
+    def __init__(self, state, name, rng, node_width, edge_width, state_width, mlp_hidden,
                  num_layers, d_latent):
-        self.state_width = state_width
-        self.node_in = Affine(rng, node_width, state_width)
-        self.edge_in = Affine(rng, edge_width, state_width)
-        self.layers = [GnnLayer(rng, state_width, mlp_hidden) for _ in range(num_layers)]
-        self.out = Affine(rng, state_width, d_latent)
-
-    def params(self):
-        out = self.node_in.params("enc.node_in")
-        out.update(self.edge_in.params("enc.edge_in"))
-        for i, layer in enumerate(self.layers):
-            out.update(layer.params(f"enc.layer{i}"))
-        out.update(self.out.params("enc.out"))
-        return out
-
-    def buffers(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            out.update(layer.buffers(f"enc.layer{i}"))
-        return out
+        self.node_in = Affine(state, name + ".node_in", rng, node_width, state_width)
+        self.edge_in = Affine(state, name + ".edge_in", rng, edge_width, state_width)
+        self.layers = [GnnLayer(state, f"{name}.layer{i}", rng, state_width, mlp_hidden)
+                       for i in range(num_layers)]
+        self.out = Affine(state, name + ".out", rng, state_width, d_latent)
 
 
 class DecoderParams:
-    def __init__(self, rng, d_latent, state_width, mlp_hidden, num_layers,
+    def __init__(self, state, name, rng, d_latent, state_width, mlp_hidden, num_layers,
                  num_node_categories, num_edge_categories):
-        self.state_width = state_width
-        self.in_proj = Affine(rng, d_latent, state_width)
-        self.layers = [GnnLayer(rng, state_width, mlp_hidden) for _ in range(num_layers)]
-        self.node_out = Affine(rng, state_width, num_node_categories)
-        self.edge_out = Affine(rng, state_width, num_edge_categories)
-
-    def params(self):
-        out = self.in_proj.params("dec.in_proj")
-        for i, layer in enumerate(self.layers):
-            out.update(layer.params(f"dec.layer{i}"))
-        out.update(self.node_out.params("dec.node_out"))
-        out.update(self.edge_out.params("dec.edge_out"))
-        return out
-
-    def buffers(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            out.update(layer.buffers(f"dec.layer{i}"))
-        return out
+        self.in_proj = Affine(state, name + ".in_proj", rng, d_latent, state_width)
+        self.layers = [GnnLayer(state, f"{name}.layer{i}", rng, state_width, mlp_hidden)
+                       for i in range(num_layers)]
+        self.node_out = Affine(state, name + ".node_out", rng, state_width, num_node_categories)
+        self.edge_out = Affine(state, name + ".edge_out", rng, state_width, num_edge_categories)
 
 
 @dataclass

@@ -56,15 +56,6 @@ def sinusoidal_positions(rows, d_model):
     return table
 
 
-class LayerNormParams:
-    def __init__(self, width):
-        self.gamma = Tensor(np.ones(width), requires_grad=True)
-        self.beta = Tensor(np.zeros(width), requires_grad=True)
-
-    def params(self, prefix):
-        return {prefix + ".gamma": self.gamma, prefix + ".beta": self.beta}
-
-
 class PriorBlock:
     """Post-LN transformer block with partition-wise queries.
 
@@ -72,29 +63,20 @@ class PriorBlock:
     from the partition-0 representation of each node.
     """
 
-    def __init__(self, rng, d_model, heads, C, ffn_layers=4):
+    def __init__(self, state, name, rng, d_model, heads, C, ffn_layers=4):
         self.heads = heads
-        self.wq = [Affine(rng, d_model, d_model) for _ in range(C)]
-        self.wk = Affine(rng, d_model, d_model)
-        self.wv = Affine(rng, d_model, d_model)
-        self.ln1 = LayerNormParams(d_model)
+        self.wq = [Affine(state, f"{name}.wq{c}", rng, d_model, d_model) for c in range(C)]
+        self.wk = Affine(state, name + ".wk", rng, d_model, d_model)
+        self.wv = Affine(state, name + ".wv", rng, d_model, d_model)
+        self.ln1 = ad.norm_params(state, name + ".ln1", d_model)
         sizes = [d_model] + [2 * d_model] * (ffn_layers - 1) + [d_model]
-        self.f_z = Mlp(rng, sizes)
-        self.ln2 = LayerNormParams(d_model)
-
-    def params(self, prefix):
-        out = {}
-        for c, aff in enumerate(self.wq):
-            out.update(aff.params(f"{prefix}.wq{c}"))
-        out.update(self.wk.params(prefix + ".wk"))
-        out.update(self.wv.params(prefix + ".wv"))
-        out.update(self.ln1.params(prefix + ".ln1"))
-        out.update(self.f_z.params(prefix + ".f_z"))
-        out.update(self.ln2.params(prefix + ".ln2"))
-        return out
+        self.f_z = Mlp(state, name + ".f_z", rng, sizes)
+        self.ln2 = ad.norm_params(state, name + ".ln2", d_model)
 
 
 class PriorParams:
+    """The prior's layers; self.state is their named table."""
+
     def __init__(self, rng, d_latent, C, m, d_model, heads, num_blocks, n_max,
                  ffn_layers=4):
         if d_model % heads != 0:
@@ -108,22 +90,15 @@ class PriorParams:
         self.d_model = d_model
         self.heads = heads
         self.n_max = n_max
+        self.state = {}
         # partition c sees the previous node (d_latent wide) plus the
         # current node's first c partitions
-        self.in_proj = [Affine(rng, d_latent + c * self.d_part, d_model) for c in range(C)]
+        self.in_proj = [Affine(self.state, f"prior.in_proj{c}", rng, d_latent + c * self.d_part,
+                               d_model) for c in range(C)]
         self.pos_table = sinusoidal_positions(n_max + 1, d_model)
-        self.blocks = [PriorBlock(rng, d_model, heads, C, ffn_layers) for _ in range(num_blocks)]
-        self.out = [Affine(rng, d_model, m + 1) for _ in range(C)]
-
-    def params(self):
-        out = {}
-        for c, aff in enumerate(self.in_proj):
-            out.update(aff.params(f"prior.in_proj{c}"))
-        for i, blk in enumerate(self.blocks):
-            out.update(blk.params(f"prior.block{i}"))
-        for c, aff in enumerate(self.out):
-            out.update(aff.params(f"prior.out{c}"))
-        return out
+        self.blocks = [PriorBlock(self.state, f"prior.block{i}", rng, d_model, heads, C,
+                                  ffn_layers) for i in range(num_blocks)]
+        self.out = [Affine(self.state, f"prior.out{c}", rng, d_model, m + 1) for c in range(C)]
 
 
 def sort_set(indices):
@@ -204,8 +179,8 @@ def _block_forward(blk: PriorBlock, x: Tensor, k: Tensor, v: Tensor, c):
     T, S = x.shape[1], k.shape[1]
     allowed = np.arange(S) < np.arange(S - T, S)[:, None]  # (T, S)
     a = ad.causal_attention(blk.wq[c](x), k, v, allowed, blk.heads)
-    h = ad.layernorm(x + a, blk.ln1.gamma, blk.ln1.beta)
-    return ad.layernorm(h + blk.f_z(h), blk.ln2.gamma, blk.ln2.beta)
+    h = ad.layernorm(x + a, *blk.ln1)
+    return ad.layernorm(h + blk.f_z(h), *blk.ln2)
 
 
 def _logits(params: PriorParams, x: Tensor, c, prev_k0) -> Tensor:

@@ -20,7 +20,8 @@ from .autodiff import Tensor
 
 class CodebookSet:
     """C stacked codebooks (C, m, d_latent / C) plus EMA accumulators:
-    counts (C, m) and sums (C, m, d_latent / C)."""
+    counts (C, m) and sums (C, m, d_latent / C). The arrays are only
+    ever written in place, so views of them stay current."""
 
     def __init__(self, num_partitions, codebook_size, d_latent, decay=0.99, eps=1e-5):
         if d_latent % num_partitions != 0:
@@ -130,13 +131,13 @@ def init_codebooks(cbs: CodebookSet, z_parts, rng):
     embeddings and seed the EMA accumulators from the cluster masses.
     """
     z_parts = np.asarray(z_parts).reshape(-1, cbs.C, cbs.d_part)
-    cbs.codebooks = np.stack([kmeanspp_init(z_parts[:, c, :], cbs.m, rng)
-                              for c in range(cbs.C)])
+    cbs.codebooks[...] = np.stack([kmeanspp_init(z_parts[:, c, :], cbs.m, rng)
+                                   for c in range(cbs.C)])
     _, counts = _usage(cbs, nearest(z_parts, cbs.codebooks))
     # a cluster that owns no samples still needs mass, or the first
     # moving-average step would snap its codeword to the origin
-    cbs.ema_counts = np.maximum(counts, 1.0)
-    cbs.ema_sums = cbs.codebooks * cbs.ema_counts[..., None]
+    cbs.ema_counts[...] = np.maximum(counts, 1.0)
+    cbs.ema_sums[...] = cbs.codebooks * cbs.ema_counts[..., None]
     cbs.initialized = True
 
 
@@ -154,9 +155,9 @@ def ema_update(cbs: CodebookSet, z_parts, indices):
     sums = np.zeros((cbs.C * cbs.m, cbs.d_part))
     np.add.at(sums, slots, np.asarray(z_parts).reshape(-1, cbs.d_part))
     g = cbs.decay
-    cbs.ema_counts = g * cbs.ema_counts + (1.0 - g) * counts
-    cbs.ema_sums = g * cbs.ema_sums + (1.0 - g) * sums.reshape(cbs.ema_sums.shape)
-    cbs.codebooks = cbs.ema_sums / np.maximum(cbs.ema_counts, cbs.eps)[..., None]
+    cbs.ema_counts[...] = g * cbs.ema_counts + (1.0 - g) * counts
+    cbs.ema_sums[...] = g * cbs.ema_sums + (1.0 - g) * sums.reshape(cbs.ema_sums.shape)
+    cbs.codebooks[...] = cbs.ema_sums / np.maximum(cbs.ema_counts, cbs.eps)[..., None]
 
 
 def commitment_loss(z: Tensor, words):

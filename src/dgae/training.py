@@ -87,7 +87,8 @@ class ModelConfig:
                              self.feat_random, self.feat_p, self.feat_k, self.feat_d_rand)
 
     def violations(self):
-        v = []
+        v = [f"{key} must be finite" for key, x in vars(self).items()
+             if isinstance(x, float) and not math.isfinite(x)]
         if self.node_categories < 1:
             v.append("node_categories must be >= 1")
         if self.edge_categories < 2:
@@ -166,33 +167,25 @@ def config_from_dict(d) -> ModelConfig:
 
 
 class AutoEncoderModel:
+    """Encoder, decoder and codebooks. self.state is their named table,
+    filled as they are built: a Tensor entry is trained, an array entry
+    is a buffer; every entry is saved."""
+
     def __init__(self, cfg: ModelConfig, rng):
         fn, fe = feature_widths(cfg.feature_config(), cfg.node_categories, cfg.edge_categories)
-        self.cfg = cfg
-        self.encoder = codec.EncoderParams(rng, fn, fe, cfg.state_width, cfg.mlp_hidden,
-                                           cfg.gnn_layers, cfg.d_latent)
-        self.decoder = codec.DecoderParams(rng, cfg.d_latent, cfg.state_width, cfg.mlp_hidden,
-                                           cfg.gnn_layers, cfg.node_categories,
-                                           cfg.edge_categories)
-        self.codebooks = quantize.CodebookSet(cfg.partitions, cfg.codebook_size, cfg.d_latent,
-                                              cfg.ema_decay, cfg.ema_eps)
-
-    def params(self):
-        out = self.encoder.params()
-        out.update(self.decoder.params())
-        return out
-
-    def state_arrays(self):
-        out = {name: t.data for name, t in self.params().items()}
-        out.update(self.encoder.buffers())
-        out.update(self.decoder.buffers())
-        # one checkpoint entry per partition: views of the stacked arrays
-        cbs = self.codebooks
+        self.state = {}
+        self.encoder = codec.EncoderParams(self.state, "enc", rng, fn, fe, cfg.state_width,
+                                           cfg.mlp_hidden, cfg.gnn_layers, cfg.d_latent)
+        self.decoder = codec.DecoderParams(self.state, "dec", rng, cfg.d_latent,
+                                           cfg.state_width, cfg.mlp_hidden, cfg.gnn_layers,
+                                           cfg.node_categories, cfg.edge_categories)
+        cbs = self.codebooks = quantize.CodebookSet(cfg.partitions, cfg.codebook_size,
+                                                    cfg.d_latent, cfg.ema_decay, cfg.ema_eps)
+        # one entry per partition: views of the stacked arrays
         for c in range(cbs.C):
-            out[f"quant.cb{c}"] = cbs.codebooks[c]
-            out[f"quant.count{c}"] = cbs.ema_counts[c]
-            out[f"quant.sum{c}"] = cbs.ema_sums[c]
-        return out
+            self.state[f"quant.cb{c}"] = cbs.codebooks[c]
+            self.state[f"quant.count{c}"] = cbs.ema_counts[c]
+            self.state[f"quant.sum{c}"] = cbs.ema_sums[c]
 
 
 def init_prior(cfg: ModelConfig, rng) -> prior.PriorParams:
@@ -201,27 +194,32 @@ def init_prior(cfg: ModelConfig, rng) -> prior.PriorParams:
                              cfg.d_model, cfg.heads, cfg.blocks, cfg.n_max, cfg.ffn_layers)
 
 
-def _load_state(arrays, tensors, what):
+def parameters(state):
+    """The trained Tensors of a state table, in table order."""
+    return {name: v for name, v in state.items() if isinstance(v, Tensor)}
+
+
+def state_arrays(*states):
+    """The array of every entry of the state tables: a Tensor's data,
+    or the buffer itself."""
+    return {name: v.data if isinstance(v, Tensor) else v
+            for state in states for name, v in state.items()}
+
+
+def load_state(state, tensors, path):
+    """Copy the named arrays `tensors` of the checkpoint file `path`
+    into the state table, which must hold exactly their names and
+    shapes."""
+    arrays = state_arrays(state)
     missing = sorted(set(arrays) - set(tensors))
     extra = sorted(set(tensors) - set(arrays))
     if missing or extra:
-        raise ValueError(f"{what} checkpoint mismatch; missing={missing} extra={extra}")
+        raise ValueError(f"{path}: checkpoint mismatch; missing={missing} extra={extra}")
     for name, arr in arrays.items():
         src = tensors[name]
         if src.shape != arr.shape:
-            raise ValueError(f"{what} tensor {name}: shape {src.shape} != {arr.shape}")
+            raise ValueError(f"{path}: tensor {name}: shape {src.shape} != {arr.shape}")
         arr[...] = src
-
-
-def load_ae_state(model: AutoEncoderModel, tensors, meta):
-    _load_state(model.state_arrays(), {k: v for k, v in tensors.items()
-                                       if not k.startswith("prior.")}, "auto-encoder")
-    model.codebooks.initialized = bool(meta.get("cb_initialized", False))
-
-
-def load_prior_state(pparams: prior.PriorParams, tensors):
-    _load_state({name: t.data for name, t in pparams.params().items()},
-                {k: v for k, v in tensors.items() if k.startswith("prior.")}, "prior")
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +437,7 @@ def _collect_embeddings(model: AutoEncoderModel, aug_train, cfg: ModelConfig):
     codebooks are seeded) and restores the buffers afterwards, so
     collection has no side effects.
     """
-    buffers = model.encoder.buffers()
-    saved = {k: v.copy() for k, v in buffers.items()}
+    saved = {k: v.copy() for k, v in model.state.items() if not isinstance(v, Tensor)}
     try:
         rows = []
         total = 0
@@ -452,8 +449,8 @@ def _collect_embeddings(model: AutoEncoderModel, aug_train, cfg: ModelConfig):
             if total >= cfg.kmeans_samples:
                 break
     finally:
-        for k, v in buffers.items():
-            v[...] = saved[k]
+        for k, v in saved.items():
+            model.state[k][...] = v
     z_all = np.concatenate(rows, axis=0)[:cfg.kmeans_samples]
     return quantize.partition(z_all, cfg.partitions)
 
@@ -508,7 +505,7 @@ def train_autoencoder(graphs, cfg: ModelConfig, metrics_path=None, log=None):
         raise ValueError("empty training split")
 
     model = AutoEncoderModel(cfg, init_rng)
-    params = model.params()
+    params = parameters(model.state)
     adam = AdamState(params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     writer = MetricsWriter(metrics_path)
 
@@ -582,7 +579,7 @@ def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
     init_rng, shuffle_rng = [np.random.default_rng(s) for s in root.spawn(2)]
     pparams = init_prior(cfg, init_rng)
     codebooks = model.codebooks.codebooks
-    params = pparams.params()
+    params = parameters(pparams.state)
     adam = AdamState(params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     writer = MetricsWriter(metrics_path)
 
@@ -649,9 +646,3 @@ def generate_graphs(model: AutoEncoderModel, pparams: prior.PriorParams, cfg: Mo
     graphs_out = decode_sequences(model, [s["indices"] for s in samples])
     return graphs_out, {"truncated": sum(s["truncated"] for s in samples)}
 
-
-def full_state_arrays(model: AutoEncoderModel, pparams: prior.PriorParams | None = None):
-    out = model.state_arrays()
-    if pparams is not None:
-        out.update({name: t.data for name, t in pparams.params().items()})
-    return out

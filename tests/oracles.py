@@ -457,7 +457,7 @@ def dense_encode(batch, enc, train):
     (N, d_latent) rows of the live nodes."""
     mask = batch.node_mask
     B, n = mask.shape
-    h = enc.state_width
+    h = enc.out.w.shape[0]
     slots = _slots(mask)
     # the neighborhood pairs and their features at their slots (b, i, j)
     slot = np.flatnonzero(mask)
@@ -479,7 +479,7 @@ def dense_decode(z, node_mask, dec, train):
     logits of the valid pairs i != j, row-major.
     """
     B, n = node_mask.shape
-    h = dec.state_width
+    h = dec.in_proj.w.shape[1]
     slots = _slots(node_mask)
     live = node_mask[:, :, None] & node_mask[:, None, :] & ~np.eye(n, dtype=bool)
     x = matmul(Tensor(slots.T), dec.in_proj(z))

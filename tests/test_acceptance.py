@@ -5,16 +5,20 @@ prints exactly one pass/fail line (written past pytest's capture) with
 the measured numbers, so a full run reads as a scorecard. Tolerances
 and time budgets are pinned in the assertions.
 
-The desk-scale end-to-end check trains the real Community-Small
-pipeline for three seeds and dominates the runtime of this file.
+Nine criteria run, under their original numbers: 1 and 2 check the
+path features and cycle counts against brute-force enumeration, 3
+permutation equivariance of encode, quantize and decode, 4
+finite-difference gradients, 5 the straight-through estimator, 6
+causality and masking of the prior, 7 the MMD machinery, 10 per-step
+sampling time and 11 byte-level determinism of every CLI artifact.
+Numbers 8 and 9 are unused: no test here trains the pipeline and
+checks that it learns the graph distribution.
 """
 
-import json
 import sys
 import time
 
 import numpy as np
-import pytest
 
 import oracles
 from oracles import grad_check
@@ -23,7 +27,7 @@ from test_autodiff import run_primitive_grad_suite
 from dgae import autodiff as ad
 from dgae import cli, codec, evaluation, features, prior, quantize, training
 from dgae.autodiff import Tensor, straight_through
-from dgae.features import FeatureConfig, augment
+from dgae.features import augment
 from dgae.graphs import DatasetSpec, build_dataset, permute
 from dgae.prior import pack_sequences, prior_logits, prior_nll
 from dgae.training import ModelConfig
@@ -195,8 +199,9 @@ def _stage1_fd_setup():
                                      model.codebooks)
         return quantize.commitment_loss(z, words)
 
-    enc_params = list(model.encoder.params().values())
-    dec_params = list(model.decoder.params().values())
+    params = training.parameters(model.state)
+    enc_params = [t for name, t in params.items() if name.startswith("enc.")]
+    dec_params = [t for name, t in params.items() if name.startswith("dec.")]
     return quantized_loss, warmup_loss, commit_loss, enc_params, dec_params
 
 
@@ -211,7 +216,7 @@ def _stage2_fd_setup():
     def loss(_):
         return prior_nll(params, batch)
 
-    tensors = [p for p in params.params().values()]
+    tensors = list(training.parameters(params.state).values())
     return loss, tensors
 
 
@@ -475,8 +480,8 @@ def test_criterion_10_generation_speed():
     rng = np.random.default_rng(77)
     model = training.AutoEncoderModel(cfg, rng)
     d_part = cfg.d_latent // cfg.partitions
-    model.codebooks.codebooks = rng.standard_normal((cfg.partitions, cfg.codebook_size,
-                                                     d_part))
+    model.codebooks.codebooks[...] = rng.standard_normal((cfg.partitions, cfg.codebook_size,
+                                                          d_part))
     model.codebooks.initialized = True
     pparams, _ = _fresh_sampler(cfg, rng)
     t_sample = time.perf_counter()

@@ -117,7 +117,7 @@ def batchnorm_grad_cases(rng):
     beta = 0.1 * rng.normal(size=(3,))
 
     def trained(xs):
-        st = BatchNormState(3)
+        st = BatchNormState({}, "bn", 3)
         st.gamma = xs[1]
         st.beta = xs[2]
         out = batchnorm(xs[0], st, train=True)
@@ -125,7 +125,7 @@ def batchnorm_grad_cases(rng):
         return ad.sum_(ad.mul(out, Tensor(w)))
 
     def evaluated(xs):
-        st = BatchNormState(3)
+        st = BatchNormState({}, "bn", 3)
         st.gamma, st.beta = xs[1], xs[2]
         st.running_mean = np.array([0.5, -1.0, 2.0])
         st.running_var = np.array([0.25, 3.0, 1.5])
@@ -278,7 +278,7 @@ def test_batchnorm_eval_is_fixed_affine():
     """In eval mode each row maps through the same affine function,
     independent of what else is in the batch.
     """
-    st = BatchNormState(3)
+    st = BatchNormState({}, "bn", 3)
     rng = np.random.default_rng(1)
     # train once so the running stats are non-trivial
     batchnorm(Tensor(rng.normal(size=(20, 3)) * 3 + 2), st, train=True)

@@ -137,6 +137,31 @@ def test_bad_config_file_fails_the_command(tmp_path, capsys):
     assert "nope" in err and "batch_size" in err
 
 
+@pytest.mark.parametrize("text,needle", [
+    (b"mmd_sigma = nan\n", "mmd_sigma must be finite"),
+    (b"lr = inf\n", "lr must be finite"),
+    (b"gamma = -inf\n", "gamma must be finite"),
+    (b"holdout_frac = NaN\n", "holdout_frac must be finite"),
+    (b"seed = 1\n\xff\xfe\n", "c.conf: not UTF-8 text"),
+])
+def test_bad_config_files_are_one_error_line(tmp_path, capsys, text, needle):
+    """Every float field must be finite, and a config file that is not
+    UTF-8 is named in the error; eval then writes no report."""
+    conf = tmp_path / "c.conf"
+    conf.write_bytes(text)
+    data = tmp_path / "d.graphs"
+    assert run(["dataset", "gen", "--spec", "community-small",
+                "--count", 4, "--out", data]) == 0
+    capsys.readouterr()
+    rc = run(["eval", "--ref", data, "--gen", data, "--out", tmp_path / "r.csv",
+              "--config", conf])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_seed_flag_overrides_config(tmp_path, capsys):
     conf = tmp_path / "c.conf"
     conf.write_text("seed = 5\n")

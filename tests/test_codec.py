@@ -11,7 +11,7 @@ from dgae.autodiff import Tensor
 from dgae.features import FeatureConfig, augment
 from dgae.graphs import new_graph, permute
 from dgae.quantize import CodebookSet, partition, quantize, unpartition
-from dgae.training import AutoEncoderModel, ModelConfig
+from dgae.training import AutoEncoderModel, ModelConfig, parameters
 
 # label-stable feature set: eigenvector bases of degenerate Laplacian
 # eigenspaces are solver-ordered, so spectral features carry no exact
@@ -23,9 +23,12 @@ def make_models(rng, d_latent=6, state_width=8, mlp_hidden=12, layers=2,
                 R=1, S=2, cfg=DET_CFG):
     from dgae.features import feature_widths
     fn, fe = feature_widths(cfg, R, S)
-    enc = codec.EncoderParams(rng, fn, fe, state_width, mlp_hidden, layers, d_latent)
-    dec = codec.DecoderParams(rng, d_latent, state_width, mlp_hidden, layers, R, S)
-    return enc, dec
+    state = {}
+    enc = codec.EncoderParams(state, "enc", rng, fn, fe, state_width, mlp_hidden, layers,
+                              d_latent)
+    dec = codec.DecoderParams(state, "dec", rng, d_latent, state_width, mlp_hidden, layers,
+                              R, S)
+    return enc, dec, state
 
 
 def random_graph(rng, n):
@@ -41,7 +44,7 @@ def warm_up(enc, dec, graphs):
 
 def test_encode_decode_equivariance():
     rng = np.random.default_rng(0)
-    enc, dec = make_models(rng)
+    enc, dec, _ = make_models(rng)
     warm_up(enc, dec, [random_graph(rng, 7) for _ in range(8)])
     for trial in range(12):
         n = int(rng.integers(2, 10))
@@ -63,7 +66,7 @@ def test_encode_decode_equivariance():
 
 def test_quantized_pipeline_equivariance():
     rng = np.random.default_rng(1)
-    enc, dec = make_models(rng)
+    enc, dec, _ = make_models(rng)
     warm_up(enc, dec, [random_graph(rng, 7) for _ in range(8)])
     cbs = CodebookSet(2, 4, 6)
     for c in range(2):
@@ -84,7 +87,7 @@ def test_quantized_pipeline_equivariance():
 
 def test_k3_latents_identical():
     rng = np.random.default_rng(2)
-    enc, _ = make_models(rng)
+    enc, _, _ = make_models(rng)
     g = new_graph(3, [(0, 1), (1, 2), (0, 2)])
     z = oracles.encode_graph(augment(g, DET_CFG), enc)
     assert np.allclose(z[0], z[1], atol=1e-9)
@@ -93,7 +96,7 @@ def test_k3_latents_identical():
 
 def test_encode_shapes():
     rng = np.random.default_rng(3)
-    enc, _ = make_models(rng)
+    enc, _, _ = make_models(rng)
     for n in (2, 5, 20):
         g = random_graph(rng, n)
         z = oracles.encode_graph(augment(g, DET_CFG), enc)
@@ -102,7 +105,7 @@ def test_encode_shapes():
 
 def test_padded_batch_matches_solo_eval():
     rng = np.random.default_rng(4)
-    enc, dec = make_models(rng)
+    enc, dec, _ = make_models(rng)
     warm_up(enc, dec, [random_graph(rng, 6) for _ in range(8)])
     g_small, g_big = random_graph(rng, 4), random_graph(rng, 9)
     ags = [augment(g_small, DET_CFG), augment(g_big, DET_CFG)]
@@ -114,7 +117,7 @@ def test_padded_batch_matches_solo_eval():
 
 def test_edge_logits_exactly_symmetric():
     rng = np.random.default_rng(5)
-    _, dec = make_models(rng)
+    _, dec, _ = make_models(rng)
     z = rng.normal(size=(2 * 6, 6))
     mask = np.ones((2, 6), dtype=bool)
     _, el = codec.decode(z, mask, dec, train=False)
@@ -125,7 +128,7 @@ def test_edge_logits_exactly_symmetric():
 
 def test_single_node_graph():
     rng = np.random.default_rng(6)
-    _, dec = make_models(rng)
+    _, dec, _ = make_models(rng)
     z = rng.normal(size=(1, 6))
     nl, el = codec.decode(z, np.ones((1, 1), dtype=bool), dec, train=False)
     assert nl.shape == (1, 1) and el.shape == (0, 2)
@@ -251,7 +254,7 @@ def test_pair_list_mpnn_matches_dense_oracle(train):
     logit row per valid pair."""
     rng = np.random.default_rng(9)
     models = make_models(rng)
-    warm_up(*models, [random_graph(rng, 7) for _ in range(8)])
+    warm_up(*models[:2], [random_graph(rng, 7) for _ in range(8)])
     graphs = [random_graph(rng, n) for n in (3, 7, 5)]
     graphs += [new_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)]), new_graph(1, [])]
     batch = codec.prepare_batch([augment(g, DET_CFG) for g in graphs])
@@ -259,13 +262,13 @@ def test_pair_list_mpnn_matches_dense_oracle(train):
     assert isolated not in batch.neighborhood.i and isolated not in batch.neighborhood.j
 
     def run(encode, decode):
-        enc, dec = copy.deepcopy(models)
+        enc, dec, state = copy.deepcopy(models)
         z = encode(batch, enc, train)
         nl, el = decode(z, batch.node_mask, dec, train)
         loss = codec.recon_loss(nl, el, batch)
         loss.backward()
-        grads = {k: p.grad for k, p in {**enc.params(), **dec.params()}.items()}
-        buffers = {**enc.buffers(), **dec.buffers()}
+        grads = {k: p.grad for k, p in parameters(state).items()}
+        buffers = {k: v for k, v in state.items() if not isinstance(v, Tensor)}
         return (z.data, nl.data, el.data, loss.data), grads, buffers
 
     outs, grads, buffers = run(codec.encode, codec.decode)
@@ -308,7 +311,7 @@ def test_ae_step_memory_is_bounded():
 
 def test_decode_is_bit_identical_off_the_tape():
     rng = np.random.default_rng(8)
-    enc, dec = make_models(rng)
+    enc, dec, _ = make_models(rng)
     warm_up(enc, dec, [random_graph(rng, 6) for _ in range(8)])
     mask = np.ones((3, 7), dtype=bool)
     mask[1, 5:] = False

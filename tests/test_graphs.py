@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from dgae.graphs import (DatasetSpec, Graph, build_dataset, gen_community_small,
+from dgae.graphs import (DatasetSpec, build_dataset, gen_community_small,
                          load_dataset, new_graph, permute, save_dataset)
 from oracles import graphs_equal, is_isomorphic_small, load_bench_inputs
 

@@ -10,7 +10,6 @@ from dgae import prior, quantize
 from dgae.autodiff import Tensor
 from dgae.prior import (
     PriorParams,
-    SequenceBatch,
     build_inputs,
     generate,
     nll_from_logits,
@@ -22,6 +21,7 @@ from dgae.prior import (
     sort_set,
     write_sequences,
 )
+from dgae.training import parameters
 
 
 def tiny_params(seed=0, d_latent=8, C=2, m=4, d_model=16, heads=2,
@@ -156,7 +156,7 @@ def block_attention(q, k, v, heads):
     the output of the block's own causal_attention call, with its own
     mask, when the block's query map is the identity."""
     d = q.shape[-1]
-    blk = prior.PriorBlock(np.random.default_rng(0), d, heads, 1)
+    blk = prior.PriorBlock({}, "blk", np.random.default_rng(0), d, heads, 1)
     blk.wq[0].w.data[...] = np.eye(d)
     blk.wq[0].b.data[...] = 0.0
     seen = []
@@ -230,11 +230,11 @@ def test_padding_slots_never_reach_the_loss():
     seqs = [random_sequence(rng, T, params.C, params.m) for T in (2, 5, 3)]
 
     def loss_and_grads(batch):
-        for p in params.params().values():
+        for p in parameters(params.state).values():
             p.grad = None
         loss = prior_nll(params, batch)
         loss.backward()
-        return loss.data, [p.grad for p in params.params().values()]
+        return loss.data, [p.grad for p in parameters(params.state).values()]
 
     clean = batch_from(params, seqs)
     dirty = batch_from(params, seqs)

@@ -90,11 +90,16 @@ def test_nearest_is_per_partition_and_lookup_inverts_it():
 
 
 def test_ema_update_matches_per_partition_oracle():
+    """Each EMA step matches the per-partition oracle. Seeding and
+    every step write the stacked arrays in place, so the model's
+    per-partition views of them, its checkpoint entries, stay current."""
     rng = np.random.default_rng(8)
     z = rng.normal(size=(300, 3, 4))
     cbs = CodebookSet(3, 6, 12, decay=0.9)
+    keys = ("codebooks", "ema_counts", "ema_sums")
+    arrays = [getattr(cbs, k) for k in keys]
     init_codebooks(cbs, z[:100], rng)
-    want = {k: getattr(cbs, k).copy() for k in ("codebooks", "ema_counts", "ema_sums")}
+    want = {k: getattr(cbs, k).copy() for k in keys}
     for step in range(5):
         batch = z[60 * step:60 * step + 60]
         idx, _ = quantize(batch, cbs)
@@ -102,6 +107,7 @@ def test_ema_update_matches_per_partition_oracle():
         want = ema_update_per_partition(want, batch, idx, cbs.decay, cbs.eps)
         for key, arr in want.items():
             np.testing.assert_array_equal(getattr(cbs, key), arr)
+    assert all(getattr(cbs, k) is a for k, a in zip(keys, arrays))
 
 
 def test_quantize_idempotent_on_codewords():

@@ -1,12 +1,13 @@
 """Training loops: config checks, optimization, checkpoints, pipelines."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dgae.autodiff import Tensor
-from dgae import autodiff as ad, codec, prior, quantize
+from dgae import autodiff as ad, cli, codec, prior, quantize
 from dgae.training import (
     AdamState,
     AutoEncoderModel,
@@ -23,14 +24,14 @@ from dgae.training import (
     encode_sequences,
     evaluate_autoencoder,
     featurize_all,
-    full_state_arrays,
     generate_graphs,
     init_prior,
-    load_ae_state,
     load_checkpoint,
-    load_prior_state,
+    load_state,
+    parameters,
     save_checkpoint,
     split_dataset,
+    state_arrays,
     train_autoencoder,
     train_prior,
 )
@@ -215,14 +216,14 @@ def test_oversized_graph_rejected():
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     cfg = tiny_config()
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(99)  # not the loader's seed, so the load must overwrite
     model = AutoEncoderModel(cfg, rng)
     pparams = init_prior(cfg, rng)
     model.codebooks.initialized = True
-    arrays = full_state_arrays(model, pparams)
+    arrays = state_arrays(model.state, pparams.state)
     path = str(tmp_path / "ck.bin")
-    save_checkpoint(path, cfg, arrays, step=17,
-                    rng_state={"note": "x"}, extra={"cb_initialized": True})
+    extra = {"kind": "full", "cb_initialized": True}
+    save_checkpoint(path, cfg, arrays, step=17, rng_state={"note": "x"}, extra=extra)
     cfg2, tensors, meta = load_checkpoint(path)
     assert cfg2 == cfg
     assert meta["step"] == 17 and meta["cb_initialized"] is True
@@ -231,16 +232,13 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         np.testing.assert_array_equal(tensors[name], arr)
         assert tensors[name].dtype == arr.dtype
 
-    model2 = AutoEncoderModel(cfg2, np.random.default_rng(99))
-    pparams2 = init_prior(cfg2, np.random.default_rng(98))
-    load_ae_state(model2, tensors, meta)
-    load_prior_state(pparams2, tensors)
+    _, model2, pparams2, _ = cli._load_models(path, need_prior=True)
     assert model2.codebooks.initialized
-    for name, arr in full_state_arrays(model2, pparams2).items():
+    for name, arr in state_arrays(model2.state, pparams2.state).items():
         np.testing.assert_array_equal(arr, arrays[name])
 
     save_checkpoint(str(tmp_path / "ck2.bin"), cfg, arrays, step=17,
-                    rng_state={"note": "x"}, extra={"cb_initialized": True})
+                    rng_state={"note": "x"}, extra=extra)
     assert (tmp_path / "ck.bin").read_bytes() == (tmp_path / "ck2.bin").read_bytes()
 
 
@@ -260,21 +258,21 @@ def test_checkpoint_rejects_corruption(tmp_path):
 def test_load_state_detects_mismatches(tmp_path):
     cfg = tiny_config()
     model = AutoEncoderModel(cfg, np.random.default_rng(0))
-    arrays = model.state_arrays()
+    arrays = state_arrays(model.state)
     tensors = {k: v.copy() for k, v in arrays.items()}
     first = sorted(tensors)[0]
     dropped = dict(tensors)
     del dropped[first]
     with pytest.raises(ValueError, match="missing"):
-        load_ae_state(model, dropped, {})
+        load_state(model.state, dropped, "ck")
     extra = dict(tensors)
     extra["nonsense"] = np.zeros(3)
     with pytest.raises(ValueError, match="extra"):
-        load_ae_state(model, extra, {})
+        load_state(model.state, extra, "ck")
     reshaped = dict(tensors)
     reshaped[first] = np.zeros(np.asarray(tensors[first]).size + 1)
     with pytest.raises(ValueError, match="shape"):
-        load_ae_state(model, reshaped, {})
+        load_state(model.state, reshaped, "ck")
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +301,7 @@ def test_same_seed_runs_are_identical(tmp_path):
     (m1, i1, b1), (m2, i2, b2) = runs
     assert i1["history"] == i2["history"]
     assert b1 == b2
-    s1, s2 = m1.state_arrays(), m2.state_arrays()
+    s1, s2 = state_arrays(m1.state), state_arrays(m2.state)
     for name in s1:
         np.testing.assert_array_equal(s1[name], s2[name], err_msg=name)
 
@@ -369,7 +367,7 @@ def test_prior_memorizes_single_sequence():
     books = rng.normal(size=(cfg.partitions, cfg.codebook_size, dp))
     idx = np.array([[0, 2], [1, 1], [3, 0]])
     batch = prior.pack_sequences([idx], cfg.n_max, books)
-    params = pparams.params()
+    params = parameters(pparams.state)
     adam = AdamState(params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     nll = None
     for step in range(1200):
@@ -410,13 +408,9 @@ def test_full_pipeline_and_reload(tmp_path):
     assert generate_graphs(model, pparams, cfg, count=0, seed=11) == ([], {"truncated": 0})
 
     path = str(tmp_path / "ck.bin")
-    save_checkpoint(path, cfg, full_state_arrays(model, pparams), step=9,
-                    extra={"cb_initialized": True})
-    cfg2, tensors, meta = load_checkpoint(path)
-    model2 = AutoEncoderModel(cfg2, np.random.default_rng(0))
-    pparams2 = init_prior(cfg2, np.random.default_rng(0))
-    load_ae_state(model2, tensors, meta)
-    load_prior_state(pparams2, tensors)
+    save_checkpoint(path, cfg, state_arrays(model.state, pparams.state), step=9,
+                    extra={"kind": "full", "cb_initialized": True})
+    cfg2, model2, pparams2, _ = cli._load_models(path, need_prior=True)
     out2, _ = generate_graphs(model2, pparams2, cfg2, count=6, seed=11)
     for a, b in zip(out, out2):
         np.testing.assert_array_equal(a.node_categories, b.node_categories)
@@ -462,35 +456,69 @@ MODEL_LAYER_OPS = {"add", "mul", "relu", "sum_", "affine", "pair_affine", "segme
                    "cross_entropy_with_logits", "_normalize"}
 
 
-def recorded_ops(loss):
-    """The names of the ops whose backwards the tape of `loss` holds."""
-    ops, seen, stack = set(), set(), [loss]
+def tape(loss):
+    """Every Tensor on the tape of `loss`, once each."""
+    nodes, stack = {}, [loss]
     while stack:
         node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            if node._backward is not None:
-                ops.add(node._backward.__qualname__.split(".")[0])
+        if id(node) not in nodes:
+            nodes[id(node)] = node
             stack.extend(node._parents)
-    return ops
+    return list(nodes.values())
+
+
+def recorded_ops(loss):
+    """The names of the ops whose backwards the tape of `loss` holds."""
+    return {node._backward.__qualname__.split(".")[0] for node in tape(loss)
+            if node._backward is not None}
+
+
+def one_step_losses(cfg):
+    """The losses of one AE step and one prior step on random models,
+    before backward: (model, ae_loss, pparams, prior_loss)."""
+    model, rng = _decoder_with_codebooks(cfg, 5)
+    batch = codec.prepare_batch(featurize_all(random_graphs(6, 4), cfg))
+    recon, commit, *_ = _ae_pass(model, batch, train=True)
+    seqs = [prior.sort_set(rng.integers(0, cfg.codebook_size, size=(n, cfg.partitions)))
+            for n in (3, 5)]
+    batch = prior.pack_sequences(seqs, cfg.n_max, model.codebooks.codebooks)
+    pparams = init_prior(cfg, rng)
+    return model, recon + commit, pparams, prior.prior_nll(pparams, batch)
 
 
 def test_the_tape_records_model_layers_only():
     """An AE step and a prior step tape no op that only moves data:
     no slice, concatenation, reshape or selection matmul."""
-    cfg = tiny_config()
-    model, rng = _decoder_with_codebooks(cfg, 5)
-    batch = codec.prepare_batch(featurize_all(random_graphs(6, 4), cfg))
-    recon, commit, *_ = _ae_pass(model, batch, train=True)
-    ae_ops = recorded_ops(recon + commit)
-    seqs = [prior.sort_set(rng.integers(0, cfg.codebook_size, size=(n, cfg.partitions)))
-            for n in (3, 5)]
-    batch = prior.pack_sequences(seqs, cfg.n_max, model.codebooks.codebooks)
-    prior_ops = recorded_ops(prior.prior_nll(init_prior(cfg, rng), batch))
+    _, ae_loss, _, prior_loss = one_step_losses(tiny_config())
+    ae_ops, prior_ops = recorded_ops(ae_loss), recorded_ops(prior_loss)
     assert not (ae_ops | prior_ops) & {"slice_", "concat", "reshape", "matmul"}
     assert ae_ops | prior_ops <= MODEL_LAYER_OPS
     assert {"pair_affine", "segment_sum", "straight_through", "_normalize"} <= ae_ops
     assert {"affine", "causal_attention", "masked_fill"} <= prior_ops
+
+
+def test_the_state_table_holds_exactly_the_parameters_on_the_tape():
+    """The leaves of a step's tape that require a gradient are the
+    Tensors of the model's state table, by identity: a Tensor built
+    outside the table would be neither trained nor saved."""
+    model, ae_loss, pparams, prior_loss = one_step_losses(tiny_config())
+    for loss, state in ((ae_loss, model.state), (prior_loss, pparams.state)):
+        leaves = {id(node) for node in tape(loss) if node.requires_grad and not node._parents}
+        assert leaves == {id(t) for t in parameters(state).values()}
+
+
+FROZEN = Path(__file__).resolve().parents[1] / "dgaebench" / "frozen.ckpt"
+
+
+def test_the_frozen_checkpoint_fills_the_state_tables_exactly():
+    """The benchmark's checkpoint names exactly the entries of freshly
+    built models, and loading it copies every array."""
+    _, tensors, _ = load_checkpoint(str(FROZEN))
+    _, model, pparams, _ = cli._load_models(str(FROZEN), need_prior=True)
+    arrays = state_arrays(model.state, pparams.state)
+    assert sorted(arrays) == sorted(tensors)
+    for name, arr in arrays.items():
+        np.testing.assert_array_equal(arr, tensors[name], err_msg=name)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +530,8 @@ def _decoder_with_codebooks(cfg, seed):
     rng = np.random.default_rng(seed)
     model = AutoEncoderModel(cfg, rng)
     d_part = cfg.d_latent // cfg.partitions
-    model.codebooks.codebooks = rng.standard_normal((cfg.partitions, cfg.codebook_size,
-                                                     d_part))
+    model.codebooks.codebooks[...] = rng.standard_normal((cfg.partitions, cfg.codebook_size,
+                                                          d_part))
     model.codebooks.initialized = True
     return model, rng
 
