@@ -7,6 +7,15 @@ requires them. Training and inference both run in float64: ops cast
 plain array operands to it. Inference runs inside no_grad(), which
 records no graph.
 
+backward() spends the tape. Each interior node drops its backward
+closure and its parents as soon as the walk has passed its gradient
+on, so a node nobody else holds is freed then, with its data, the
+arrays its closure kept and its gradient. Gradients survive only on
+leaves and on tensors the caller still holds. A root can be walked
+once: walking it again, or walking a scalar that recorded no graph,
+raises RuntimeError. Code that inspects the tape must do so before
+backward().
+
 Every op is a model layer: add, mul, relu, sum_, affine, pair_affine,
 segment_sum, permute_rows, softmax, causal_attention, masked_fill,
 straight_through, cross_entropy_with_logits, layernorm and batchnorm.
@@ -76,6 +85,8 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar root, got shape %r" % (self.shape,))
+        if not self.requires_grad:
+            raise RuntimeError("backward() needs a root with a recorded graph not yet walked")
         order = []
         seen = set()
         stack = [(self, False)]
@@ -92,9 +103,12 @@ class Tensor:
                     if id(p) not in seen:
                         stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        self.requires_grad = self._backward is None  # a leaf root stays walkable
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            node._backward, node._parents = None, ()
 
     # Operator sugar. Full primitives live at module level.
     def __add__(self, other):

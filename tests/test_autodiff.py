@@ -1,5 +1,6 @@
 import inspect
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -294,6 +295,49 @@ def test_backward_accumulates_through_reuse():
     y = ad.add(ad.mul(x, x), ad.mul(x, Tensor(np.array([3.0]))))
     ad.sum_(y).backward()
     assert np.allclose(x.grad, [2 * 2.0 + 3.0])
+
+
+def test_backward_releases_each_interior_node_once_its_gradient_has_passed():
+    """An activation only the tape holds is freed by backward(), data
+    and all. Visited nodes keep no closure and no parents, and leaves and
+    interior tensors the caller still holds keep their gradients."""
+    rng = np.random.default_rng(4)
+    x, w, b = Tensor(rng.normal(size=(5, 3))), t(rng.normal(size=(3, 4))), t(np.zeros(4))
+
+    def forward():
+        hidden = ad.relu(ad.affine(x, w, b))
+        return ad.mul(hidden, hidden), weakref.ref(hidden.data)
+
+    out, hidden_data = forward()
+    loss = ad.sum_(out)
+    assert hidden_data() is not None
+    loss.backward()
+    assert hidden_data() is None
+    assert w.grad.shape == (3, 4) and b.grad.shape == (4,) and x.grad is None
+    np.testing.assert_array_equal(out.grad, np.ones((5, 4)))
+    for node in (loss, out):
+        assert node._parents == () and node._backward is None
+
+
+def test_a_root_is_walked_once_and_needs_a_graph():
+    """A second backward() on the same root raises instead of adding
+    every gradient again, and so does a scalar that recorded no graph.
+    A scalar leaf root can be walked again."""
+    w = t([1.0, 2.0])
+    loss = ad.sum_(ad.mul(w, w))
+    loss.backward()
+    with pytest.raises(RuntimeError):
+        loss.backward()
+    np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+    with ad.no_grad():
+        untaped = ad.sum_(ad.mul(w, w))
+    for root in (untaped, Tensor(2.0)):
+        with pytest.raises(RuntimeError):
+            root.backward()
+    leaf = Tensor(2.0, requires_grad=True)
+    leaf.backward()
+    leaf.backward()
+    assert leaf.requires_grad and leaf.grad == 1.0
 
 
 def test_matmul_shape_error():

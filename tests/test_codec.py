@@ -6,12 +6,12 @@ import pytest
 
 import oracles
 from dgae import autodiff as ad
-from dgae import codec
+from dgae import codec, prior
 from dgae.autodiff import Tensor
 from dgae.features import FeatureConfig, augment
 from dgae.graphs import new_graph, permute
 from dgae.quantize import CodebookSet, partition, quantize, unpartition
-from dgae.training import AutoEncoderModel, ModelConfig, parameters
+from dgae.training import AutoEncoderModel, ModelConfig, init_prior, parameters
 
 # label-stable feature set: eigenvector bases of degenerate Laplacian
 # eigenspaces are solver-ordered, so spectral features carry no exact
@@ -286,12 +286,12 @@ def test_pair_list_mpnn_matches_dense_oracle(train):
 def test_ae_step_memory_is_bounded():
     """One autoencoder step (encode, decode, recon_loss, backward) at
     B = 32 on sparse 20-node graphs with the default model keeps its
-    traced allocation peak under 480 MB. Message passing holds (P, w)
+    traced allocation peak under 250 MB. Message passing holds (P, w)
     activations over the live pairs only: the encoder's are 37% of the
-    B*n*n pair rows here and the decoder's 95%. The graphs have no
-    padded node slot, so the peak is about 349 MB, as it was (350 MB)
-    when batches were padded, against 610 MB when every pair row is
-    computed."""
+    B*n*n pair rows here and the decoder's 95%. backward() frees each
+    layer's activations once its gradient has passed, so the peak is
+    about 180 MB, against 339 MB when the whole tape lived until the
+    step ended and 610 MB when every pair row is computed."""
     cfg = ModelConfig()
     model = AutoEncoderModel(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(11)
@@ -306,7 +306,28 @@ def test_ae_step_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak < 480, f"AE step peak {peak:.0f} MB"
+    assert peak < 250, f"AE step peak {peak:.0f} MB"
+
+
+def test_prior_step_memory_is_bounded():
+    """One prior step (prior_nll and backward) at B = 32 on full-length
+    sets with the default model keeps its traced allocation peak under
+    75 MB: about 57 MB, against 97 MB when the whole tape lived until
+    the step ended."""
+    cfg = ModelConfig()
+    rng = np.random.default_rng(12)
+    pparams = init_prior(cfg, rng)
+    books = rng.normal(size=(cfg.partitions, cfg.codebook_size, cfg.d_latent // cfg.partitions))
+    seqs = [prior.sort_set(rng.integers(0, cfg.codebook_size, size=(cfg.n_max, cfg.partitions)))
+            for _ in range(32)]
+    batch = prior.pack_sequences(seqs, cfg.n_max, books)
+    tracemalloc.start()
+    try:
+        prior.prior_nll(pparams, batch).backward()
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 75, f"prior step peak {peak:.0f} MB"
 
 
 def test_decode_is_bit_identical_off_the_tape():

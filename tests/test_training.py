@@ -457,7 +457,9 @@ MODEL_LAYER_OPS = {"add", "mul", "relu", "sum_", "affine", "pair_affine", "segme
 
 
 def tape(loss):
-    """Every Tensor on the tape of `loss`, once each."""
+    """Every Tensor on the tape of `loss`, once each. Call it before
+    loss.backward(), which spends the tape: it clears every visited
+    node's parents and backward closure."""
     nodes, stack = {}, [loss]
     while stack:
         node = stack.pop()
@@ -468,7 +470,8 @@ def tape(loss):
 
 
 def recorded_ops(loss):
-    """The names of the ops whose backwards the tape of `loss` holds."""
+    """The names of the ops whose backwards the tape of `loss` holds,
+    read before loss.backward() spends the tape."""
     return {node._backward.__qualname__.split(".")[0] for node in tape(loss)
             if node._backward is not None}
 
