@@ -3,9 +3,11 @@
 A Tensor wraps an ndarray and remembers how it was produced. Calling
 backward() on a scalar root walks the recorded graph in reverse
 topological order and accumulates gradients into every Tensor that
-requires them. Training and inference both run in float64: ops cast
-plain array operands to it. Inference runs inside no_grad(), which
-records no graph.
+requires them. Training runs in float64: ops cast plain operands to
+it. Inference runs inside no_grad(), which records no graph, and may
+also run in float32: ops keep a float32 ndarray as it is, and affine,
+pair_affine, layernorm and batchnorm compute in the dtype of their
+activation, casting their weights and statistics to it.
 
 backward() spends the tape. Each interior node drops its backward
 closure and its parents as soon as the walk has passed its gradient
@@ -124,6 +126,8 @@ class Tensor:
 def _as_tensor(x):
     if isinstance(x, Tensor):
         return x
+    if isinstance(x, np.ndarray) and x.dtype == np.float32:
+        return Tensor(x)
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
@@ -205,8 +209,8 @@ def affine(x, w, b):
     if x.ndim < 1 or w.ndim != 2 or b.shape != w.shape[1:] or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"affine needs (..., i) @ (i, o) + (o,): {x.shape}, {w.shape}, {b.shape}")
     rows = x.data.reshape(-1, w.shape[0])
-    out_data = rows @ w.data
-    out_data += b.data
+    out_data = rows @ w.data.astype(rows.dtype, copy=False)
+    out_data += b.data.astype(rows.dtype, copy=False)
 
     def bw(g):
         g = g.reshape(-1, w.shape[1])
@@ -267,9 +271,9 @@ def pair_affine(x, w, b, pairs, e=None):
     if w.ndim != 2 or [t.shape for t in parents] != want[:len(parents)]:
         raise ShapeError(f"pair_affine needs x (N, h), w (3h, d), b (d,) and e (P, h): "
                          f"{[t.shape for t in parents]} vs {want}")
-    w_i, w_j, w_e = np.split(w.data, 3)
+    w_i, w_j, w_e = np.split(w.data.astype(x.data.dtype, copy=False), 3)
     a = x.data @ w_i
-    a += b.data
+    a += b.data.astype(x.data.dtype, copy=False)
     out_data = a.take(pairs.i, axis=0)
     if e is not None:
         out_data += e.data @ w_e
@@ -475,11 +479,12 @@ def _normalize(x, gamma, beta, axis, eps, stats=None):
         xc = x.data - mu
         var = (xc * xc).mean(axis=axis, keepdims=True)
     else:
-        mu, var = stats
+        mu, var = (s.astype(x.data.dtype, copy=False) for s in stats)
         xc = x.data - mu
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out_data = xhat * gamma.data + beta.data
+    out_data = xhat * gamma.data.astype(x.data.dtype, copy=False) \
+        + beta.data.astype(x.data.dtype, copy=False)
     d = x.shape[-1]
 
     def bw(g):

@@ -171,7 +171,8 @@ def decode(z, node_mask, dec: DecoderParams, train: bool):
     """Reconstruct logits from node embeddings over the complete graph.
 
     z: Tensor or ndarray (N, d_latent), the rows of the nodes that
-    node_mask (G, n) marks, graph by graph. Returns (node_logits (N, R),
+    node_mask (G, n) marks, graph by graph; a float32 ndarray decodes
+    in float32 (inference only). Returns (node_logits (N, R),
     edge_logits (P, S)) with one edge row per ordered pair i != j of
     each graph, row-major, as in GraphTensorBatch.edge_targets; the
     edge logits of (i, j) and (j, i) are exactly equal. A 1-node graph
@@ -213,7 +214,8 @@ def sample_graph(node_logits, edge_logits) -> Graph:
     decoder's symmetric edge_logits (n(n-1), S) on its ordered pairs
     i != j, row-major: argmax per node and per pair, ties to the lowest
     category, which gives symmetric edge categories. Category 0 means
-    no edge and the diagonal is set to it.
+    no edge and the diagonal is set to it. Either array may be float32
+    (decode_sequences decodes in float32) or float64.
     """
     n = node_logits.shape[0]
     edge_cat = np.zeros((n, n), dtype=np.int64)

@@ -617,7 +617,8 @@ def decode_sequences(model: AutoEncoderModel, samples, chunk_size=256):
 
     Samples are grouped by node count and each group is decoded in
     chunks of at most chunk_size, so no chunk carries padding. Graphs
-    come back in input order.
+    come back in input order. The decoder runs in float32: the codewords
+    are cast once, and its layers compute in their input's dtype.
     """
     sizes = np.array([s.shape[0] for s in samples], dtype=np.int64)
     graphs_out = [None] * len(samples)
@@ -628,8 +629,8 @@ def decode_sequences(model: AutoEncoderModel, samples, chunk_size=256):
             idx = np.concatenate([samples[i] for i in part])  # (B * n, C)
             words = quantize.lookup(model.codebooks.codebooks, idx)
             mask = np.ones((len(part), n), dtype=bool)
-            node_logits, edge_logits = codec.decode(quantize.unpartition(words), mask,
-                                                    model.decoder, train=False)
+            z = quantize.unpartition(words).astype(np.float32)
+            node_logits, edge_logits = codec.decode(z, mask, model.decoder, train=False)
             node_rows = node_logits.data.reshape(len(part), n, -1)
             pair_rows = edge_logits.data.reshape(len(part), n * (n - 1), edge_logits.shape[1])
             for b, i in enumerate(part):

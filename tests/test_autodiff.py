@@ -397,3 +397,26 @@ def test_no_grad_records_no_tape_and_restores_the_mode():
         with ad.no_grad():
             raise KeyError("boom")
     assert recorded()
+
+
+def test_parameterised_ops_compute_in_their_activations_dtype():
+    """Given a float32 activation, affine, pair_affine, layernorm and
+    eval-mode batchnorm cast their float64 weights and statistics to it
+    and return float32 close to the float64 answer; the float64
+    parameters are left as they are."""
+    rng = np.random.default_rng(4)
+    w, b, gamma = (Tensor(rng.normal(size=shape)) for shape in ((12, 5), (5,), (4,)))
+    pairs = PairIndex([0, 0, 1, 2, 3], [1, 2, 2, 0, 1], 4)
+    st = BatchNormState({}, "bn", 4)
+    batchnorm(Tensor(rng.normal(size=(20, 4)) * 3 + 2), st, train=True)
+    ops = [lambda x: ad.affine(x, Tensor(w.data[:4]), b),
+           lambda x: ad.pair_affine(x, w, b, pairs),
+           lambda x: layernorm(x, gamma, Tensor(w.data[0, :4])),
+           lambda x: batchnorm(x, st, train=False)]
+    x = rng.normal(size=(4, 4))
+    with ad.no_grad():
+        for op in ops:
+            want, got = op(x).data, op(x.astype(np.float32)).data
+            assert want.dtype == np.float64 and got.dtype == np.float32
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+    assert w.data.dtype == st.running_mean.dtype == np.float64

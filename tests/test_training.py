@@ -500,6 +500,19 @@ def test_the_tape_records_model_layers_only():
     assert {"affine", "causal_attention", "masked_fill"} <= prior_ops
 
 
+def test_training_stays_in_float64():
+    """float32 is for inference only: every node on the tape of an AE
+    step and of a prior step holds float64 data. Ops keep a float32
+    ndarray as it is and cast every other plain operand to float64."""
+    _, ae_loss, _, prior_loss = one_step_losses(tiny_config())
+    for loss in (ae_loss, prior_loss):
+        assert {node.data.dtype for node in tape(loss)} == {np.dtype(np.float64)}
+    x32 = np.ones(3, dtype=np.float32)
+    assert ad._as_tensor(x32).data is x32
+    for plain in (np.arange(3), [1, 2, 3], 0.5, np.float32(0.5), np.ones(3, dtype=np.float16)):
+        assert ad._as_tensor(plain).data.dtype == np.float64
+
+
 def test_the_state_table_holds_exactly_the_parameters_on_the_tape():
     """The leaves of a step's tape that require a gradient are the
     Tensors of the model's state table, by identity: a Tensor built
@@ -575,5 +588,36 @@ def test_decode_sequences_memory_is_bounded():
         tracemalloc.stop()
     assert len(out) == 256
     # one 256 x 20-node chunk peaked at about 2 GB while the decode
-    # recorded its unused autodiff graph
-    assert peak_mb < 512, peak_mb
+    # recorded its unused autodiff graph, and at about 197 MB while it
+    # decoded in float64; in float32 it peaks at about 101 MB
+    assert peak_mb < 150, peak_mb
+
+
+def test_decode_sequences_decodes_in_float32_to_the_float64_graphs(monkeypatch):
+    """The decode of sampled sets runs in float32 and gives exactly the
+    graphs of a float64 decode of the same sets, size bucket by size
+    bucket, on the benchmark's checkpoint."""
+    _, model, pparams, _ = cli._load_models(str(FROZEN), need_prior=True)
+    samples = [s["indices"] for s in prior.generate(pparams, model.codebooks.codebooks, 256, 7)]
+    decode, dtypes = codec.decode, set()
+
+    def recording_decode(*args, **kwargs):
+        logits = decode(*args, **kwargs)
+        dtypes.add(logits[0].data.dtype)
+        return logits
+
+    monkeypatch.setattr(codec, "decode", recording_decode)
+    got = decode_sequences(model, samples)
+    assert dtypes == {np.dtype(np.float32)}
+    sizes = np.array([len(s) for s in samples])
+    assert len(np.unique(sizes)) > 1
+    for n in np.unique(sizes):
+        part = np.flatnonzero(sizes == n)
+        idx = np.concatenate([samples[i] for i in part])
+        z = quantize.unpartition(quantize.lookup(model.codebooks.codebooks, idx))
+        with ad.no_grad():
+            nl, el = decode(z, np.ones((len(part), n), dtype=bool), model.decoder, train=False)
+        assert nl.data.dtype == np.float64
+        for i, node_rows, pair_rows in zip(part, np.split(nl.data, len(part)),
+                                           np.split(el.data, len(part))):
+            assert graphs_equal(codec.sample_graph(node_rows, pair_rows), got[i])
