@@ -5,9 +5,9 @@ backward() on a scalar root walks the recorded graph in reverse
 topological order and accumulates gradients into every Tensor that
 requires them. Training runs in float64: ops cast plain operands to
 it. Inference runs inside no_grad(), which records no graph, and may
-also run in float32: ops keep a float32 ndarray as it is, and affine,
-pair_affine, layernorm and batchnorm compute in the dtype of their
-activation, casting their weights and statistics to it.
+also run in float32: ops keep a float32 ndarray as it is, and mul,
+affine, pair_affine, layernorm and batchnorm compute in the dtype of
+their activation, casting their other operands to it.
 
 backward() spends the tape. Each interior node drops its backward
 closure and its parents as soon as the walk has passed its gradient
@@ -187,11 +187,12 @@ def add(a, b):
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     axes = _suffix_axes(a.shape, b.shape)
-    out_data = a.data * b.data
+    b_data = b.data.astype(a.data.dtype, copy=False)
+    out_data = a.data * b_data
 
     def bw(g):
         if a.requires_grad:
-            a._accumulate(g * b.data)
+            a._accumulate(g * b_data)
         if b.requires_grad:
             gb = g * a.data
             b._accumulate(gb.sum(axis=axes) if axes else gb)

@@ -220,7 +220,7 @@ def cmd_generate(args):
     if _maybe_dry_run(args, cfg, [args.out]):
         return 0
     graphs, info = training.generate_graphs(model, pparams, cfg, args.count, args.seed)
-    save_dataset(args.out, graphs)
+    save_dataset(args.out, graphs, cfg.node_categories, cfg.edge_categories)
     write_manifest(args, cfg, [args.out],
                    {"count": args.count, "seed": args.seed,
                     "truncated": info["truncated"]})

@@ -172,29 +172,32 @@ def save_dataset(path, graphs, R=None, S=None):
 def load_dataset(path):
     """Read a JSONL dataset; exact inverse of save_dataset."""
     graphs = []
-    with open(path) as f:
-        header_line = f.readline()
-        if not header_line.strip():
-            # zero-length file reads back as the empty dataset
-            return [], {"R": 1, "S": 2}
-        try:
-            header = json.loads(header_line)
-            R, S = header["R"], header["S"]
-            for key, low in (("R", 1), ("S", 2)):
-                if type(header[key]) is not int or header[key] < low:
-                    raise ValueError(f"{key} must be an integer >= {low}, got {header[key]!r}")
-            if header["directed"] is not False:
-                raise ValueError('only "directed": false is supported')
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"{path}: bad dataset header: {e}") from e
-        for ln, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
+    try:
+        with open(path, encoding="utf-8") as f:
+            header_line = f.readline()
+            if not header_line.strip():
+                # zero-length file reads back as the empty dataset
+                return [], {"R": 1, "S": 2}
             try:
-                rec = json.loads(line)
-                g = new_graph(rec["n"], rec["edges"], node_categories=rec["nodes"],
-                              num_node_categories=R, num_edge_categories=S)
+                header = json.loads(header_line)
+                R, S = header["R"], header["S"]
+                for key, low in (("R", 1), ("S", 2)):
+                    if type(header[key]) is not int or header[key] < low:
+                        raise ValueError(f"{key} must be an integer >= {low}, got {header[key]!r}")
+                if header["directed"] is not False:
+                    raise ValueError('only "directed": false is supported')
             except (KeyError, TypeError, ValueError) as e:
-                raise ValueError(f"{path}:{ln}: bad graph record: {e}") from e
-            graphs.append(g)
+                raise ValueError(f"{path}: bad dataset header: {e}") from e
+            for ln, line in enumerate(f, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                    g = new_graph(rec["n"], rec["edges"], node_categories=rec["nodes"],
+                                  num_node_categories=R, num_edge_categories=S)
+                except (KeyError, TypeError, ValueError) as e:
+                    raise ValueError(f"{path}:{ln}: bad graph record: {e}") from e
+                graphs.append(g)
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text") from e
     return graphs, {"R": R, "S": S}

@@ -6,7 +6,9 @@ to a canonical sequence, which a transformer factorizes position by
 position and partition by partition (raster order). Each stream
 position t is one node; its C partitions are predicted left to right,
 conditioned on all earlier nodes through attention and on the current
-node's earlier partitions through the input projections.
+node's earlier partitions through the input projections. A node
+enters as its d_latent-wide codeword row from quantize.lookup, whose
+first c * d_part columns are its partitions 0..c-1.
 
 The activations are C partition columns, column c a (B, T+1, d_model)
 Tensor holding partition c at every position. Each partition has its
@@ -88,7 +90,6 @@ class PriorParams:
         self.d_latent = d_latent
         self.d_part = d_latent // C
         self.d_model = d_model
-        self.heads = heads
         self.n_max = n_max
         self.state = {}
         # partition c sees the previous node (d_latent wide) plus the
@@ -112,13 +113,13 @@ def sort_set(indices):
 @dataclass
 class SequenceBatch:
     indices: np.ndarray    # (B, T, C) int64, zero-padded
-    codewords: np.ndarray  # (B, T, C, d_part), zero-padded
+    codewords: np.ndarray  # (B, T, d_latent), zero-padded
     lengths: np.ndarray    # (B,) int64
 
 
 def pack_sequences(seqs, n_max, codebooks) -> SequenceBatch:
     """Pad sorted index sequences (T, C) to one batch and look up their
-    codewords in the stacked codebooks (C, m, d_part)."""
+    codeword rows in the stacked codebooks (C, m, d_part)."""
     lengths = np.array([len(s) for s in seqs], dtype=np.int64)
     if lengths.min() < 1:
         raise ValueError("sequences must have at least one node")
@@ -134,14 +135,11 @@ def pack_sequences(seqs, n_max, codebooks) -> SequenceBatch:
 
 def _input_column(params: PriorParams, c, prev, cur, pos) -> Tensor:
     """Partition c's block input (B, T, d_model) at T positions:
-    in_proj[c] of the previous node's codewords prev (B, T, d_latent)
-    and the current node's partitions 0..c-1 from cur (B, T, >=c,
-    d_part), plus the position rows pos (T, d_model).
+    in_proj[c] of the codeword rows (B, T, d_latent) of the previous
+    node, prev, and of the current node's partitions 0..c-1, cur's
+    first c * d_part columns, plus the position rows pos (T, d_model).
     """
-    B, T = prev.shape[:2]
-    inp = prev
-    if c > 0:
-        inp = np.concatenate([prev, cur[:, :, :c].reshape(B, T, -1)], axis=2)
+    inp = np.concatenate([prev, cur[:, :, :c * params.d_part]], axis=2)
     return params.in_proj[c](inp) + Tensor(pos)
 
 
@@ -150,23 +148,17 @@ def build_inputs(params: PriorParams, batch: SequenceBatch):
     (B, T+1, d_model) for partition c.
 
     Position t, partition c sees the previous node's full codeword
-    vector (zeros for t=0: the virtual start node) and the current
+    row (zeros for t=0: the virtual start node) and the current
     node's partitions 0..c-1. Row T is the end-of-set slot. The node
     position encoding is added after the projection.
     """
-    B, T, C, dp = batch.codewords.shape
-    Tp = T + 1
-    prev = np.zeros((B, Tp, params.d_latent))
-    prev[:, 1:, :] = batch.codewords.reshape(B, T, C * dp)
-    cur = np.zeros((B, Tp, C, dp))
+    B, T, d_latent = batch.codewords.shape
+    prev = np.zeros((B, T + 1, d_latent))
+    prev[:, 1:] = batch.codewords
+    cur = np.zeros((B, T + 1, d_latent))
     cur[:, :T] = batch.codewords
-    pos = params.pos_table[:Tp]
-    return [_input_column(params, c, prev, cur, pos) for c in range(C)]
-
-
-def _keys_values(blk: PriorBlock, x0: Tensor):
-    """Keys and values (B, S, d_model) of partition-0 rows x0 (B, S, d_model)."""
-    return blk.wk(x0), blk.wv(x0)
+    pos = params.pos_table[:T + 1]
+    return [_input_column(params, c, prev, cur, pos) for c in range(params.C)]
 
 
 def _block_forward(blk: PriorBlock, x: Tensor, k: Tensor, v: Tensor, c):
@@ -203,7 +195,7 @@ def prior_logits(params: PriorParams, batch: SequenceBatch):
     B, T, C = batch.indices.shape
     x = build_inputs(params, batch)
     for blk in params.blocks:
-        k, v = _keys_values(blk, x[0])
+        k, v = blk.wk(x[0]), blk.wv(x[0])
         x = [_block_forward(blk, col, k, v, c) for c, col in enumerate(x)]
     prev_k0 = np.zeros((B, T + 1), dtype=np.int64)
     prev_k0[:, 1:] = batch.indices[:, :, 0]
@@ -271,7 +263,7 @@ def generate(params: PriorParams, codebooks, count, seed, step_times=None):
     # its uniforms (drawn up front: uniform t*C + c is the one its node
     # t, partition c would have drawn next, so truncating at end-of-set
     # consumes the stream exactly as one draw at a time does), the
-    # previous node's codewords and partition-0 index, and per block
+    # previous node's codeword row and partition-0 index, and per block
     # the keys and values of its nodes so far
     active = np.arange(count)
     uniforms = np.array([np.random.default_rng(s).random(n_max * C)
@@ -286,12 +278,12 @@ def generate(params: PriorParams, codebooks, count, seed, step_times=None):
             break
         t0 = time.perf_counter()
         for c in range(C):
-            # the current node's codewords; its partitions below c are drawn
+            # the current node's codeword row; its partitions below c are drawn
             cur = quantize.lookup(codebooks, indices[active, t:t + 1])
             x = _input_column(params, c, prev, cur, params.pos_table[t:t + 1])
             for l, blk in enumerate(params.blocks):
                 if c == 0:
-                    k, v = _keys_values(blk, x)
+                    k, v = blk.wk(x), blk.wv(x)
                     kv[l, 0, :, t:t + 1], kv[l, 1, :, t:t + 1] = k.data, v.data
                 x = _block_forward(blk, x, Tensor(kv[l, 0, :, :t + 1]),
                                    Tensor(kv[l, 1, :, :t + 1]), c)
@@ -324,8 +316,7 @@ def generate(params: PriorParams, codebooks, count, seed, step_times=None):
             indices[active, t, c] = draws
         if step_times is not None:
             step_times.append((t, time.perf_counter() - t0, int(active.size)))
-        prev = quantize.lookup(codebooks, indices[active, t:t + 1]).reshape(
-            active.size, 1, C * params.d_part)
+        prev = quantize.lookup(codebooks, indices[active, t:t + 1])
         prev_k0 = indices[active, t, :1]
 
     return [{"indices": indices[i, :lengths[i]].copy(), "truncated": bool(truncated[i])}

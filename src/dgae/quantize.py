@@ -2,7 +2,9 @@
 
 The encoder's d_latent-wide node embedding is split into C equal
 parts; each part is snapped to its nearest codeword in a per-partition
-codebook of m entries. Codebooks are not trained by gradient descent:
+codebook of m entries. The split stays inside this module: its callers
+pass and get back d_latent-wide rows, the C parts side by side, and
+(..., C) index tuples. Codebooks are not trained by gradient descent:
 they track an exponential moving average of the embeddings assigned to
 each codeword. The effective dictionary is the product space of the C
 codebooks (M = m**C tuples).
@@ -37,20 +39,6 @@ class CodebookSet:
         self.initialized = False
 
 
-def partition(z, C):
-    """Split the last axis into C equal chunks: (..., d) -> (..., C, d/C)."""
-    d = z.shape[-1]
-    if d % C != 0:
-        raise ValueError(f"latent width {d} not divisible by {C} partitions")
-    return np.asarray(z).reshape(z.shape[:-1] + (C, d // C))
-
-
-def unpartition(z_parts):
-    """Inverse of partition on arrays: (..., C, d/C) -> (..., d)."""
-    z = np.asarray(z_parts)
-    return z.reshape(z.shape[:-2] + (z.shape[-2] * z.shape[-1],))
-
-
 def nearest(z, H):
     """Index of the codeword of H nearest to each vector of z, ties to
     the lowest index: z (..., d) against H (m, d), or z (..., C, d)
@@ -60,20 +48,20 @@ def nearest(z, H):
 
 
 def lookup(codebooks, idx):
-    """Codewords (..., C, d_part) of the index tuples idx (..., C) in
-    the stacked codebooks (C, m, d_part)."""
-    return codebooks[np.arange(codebooks.shape[0]), idx]
+    """Codeword rows (..., C * d_part) of the index tuples idx (..., C)
+    in the stacked codebooks (C, m, d_part). The width is explicit, as
+    idx may hold no tuples."""
+    C, _, d_part = codebooks.shape
+    return codebooks[np.arange(C), idx].reshape(idx.shape[:-1] + (C * d_part,))
 
 
-def quantize(z_parts, cbs: CodebookSet):
-    """Nearest-codeword assignment per partition.
-
-    z_parts: numpy array (..., C, d_part).
-    Returns (indices (..., C) int64, codewords (..., C, d_part)).
+def quantize(z, cbs: CodebookSet):
+    """Nearest-codeword assignment per partition of the rows z (...,
+    d_latent): (indices (..., C) int64, codeword rows (..., d_latent)).
     """
     if not cbs.initialized:
         raise RuntimeError("codebooks are not initialized; run k-means++ first")
-    indices = nearest(np.asarray(z_parts), cbs.codebooks)
+    indices = nearest(z.reshape(z.shape[:-1] + (cbs.C, cbs.d_part)), cbs.codebooks)
     return indices, lookup(cbs.codebooks, indices)
 
 
@@ -126,11 +114,11 @@ def _usage(cbs: CodebookSet, indices):
     return slots, np.bincount(slots, minlength=cbs.C * cbs.m).reshape(cbs.C, cbs.m)
 
 
-def init_codebooks(cbs: CodebookSet, z_parts, rng):
-    """Initialize every partition's codebook by k-means++ on the given
-    embeddings and seed the EMA accumulators from the cluster masses.
+def init_codebooks(cbs: CodebookSet, z, rng):
+    """Seed every partition's codebook by k-means++ on the embedding
+    rows z (N, d_latent), and the EMA accumulators from cluster masses.
     """
-    z_parts = np.asarray(z_parts).reshape(-1, cbs.C, cbs.d_part)
+    z_parts = np.asarray(z).reshape(-1, cbs.C, cbs.d_part)
     cbs.codebooks[...] = np.stack([kmeanspp_init(z_parts[:, c, :], cbs.m, rng)
                                    for c in range(cbs.C)])
     _, counts = _usage(cbs, nearest(z_parts, cbs.codebooks))
@@ -141,8 +129,9 @@ def init_codebooks(cbs: CodebookSet, z_parts, rng):
     cbs.initialized = True
 
 
-def ema_update(cbs: CodebookSet, z_parts, indices):
-    """One moving-average step toward the batch assignment means.
+def ema_update(cbs: CodebookSet, z, indices):
+    """One moving-average step toward the batch assignment means of the
+    embedding rows z (N, d_latent), assigned the index tuples (N, C).
 
     N_c <- decay*N_c + (1-decay)*count_c
     S_c <- decay*S_c + (1-decay)*sum_c
@@ -153,24 +142,24 @@ def ema_update(cbs: CodebookSet, z_parts, indices):
     """
     slots, counts = _usage(cbs, indices)
     sums = np.zeros((cbs.C * cbs.m, cbs.d_part))
-    np.add.at(sums, slots, np.asarray(z_parts).reshape(-1, cbs.d_part))
+    np.add.at(sums, slots, np.asarray(z).reshape(-1, cbs.d_part))
     g = cbs.decay
     cbs.ema_counts[...] = g * cbs.ema_counts + (1.0 - g) * counts
     cbs.ema_sums[...] = g * cbs.ema_sums + (1.0 - g) * sums.reshape(cbs.ema_sums.shape)
     cbs.codebooks[...] = cbs.ema_sums / np.maximum(cbs.ema_counts, cbs.eps)[..., None]
 
 
-def commitment_loss(z: Tensor, words):
+def commitment_loss(z: Tensor, words, C):
     """Mean squared distance pulling the encoder rows z (N, d_latent)
-    toward their (stop-gradient) codewords words (N, C, d_part): sum
-    over partition width, mean over the node x partition grid. Gradient
-    reaches only the encoder.
+    toward their (stop-gradient) codeword rows words (N, d_latent) of C
+    partitions: sum over partition width, mean over the node x
+    partition grid. Gradient reaches only the encoder.
     """
     words = np.asarray(words)
-    if words.ndim != 3 or z.shape != (words.shape[0], words.shape[1] * words.shape[2]):
+    if words.ndim != 2 or z.shape != words.shape:
         raise ad.ShapeError(f"commitment shapes differ: {z.shape} vs {words.shape}")
-    diff = z + Tensor(-unpartition(words))
-    return ad.mul(ad.sum_(ad.mul(diff, diff)), 1.0 / max(words.shape[0] * words.shape[1], 1))
+    diff = z + Tensor(-words)
+    return ad.mul(ad.sum_(ad.mul(diff, diff)), 1.0 / max(words.shape[0] * C, 1))
 
 
 def perplexity(indices, M):

@@ -276,7 +276,10 @@ def load_checkpoint(path):
         tensors = {}
         for i in range(count):
             (name_len,) = struct.unpack("<H", read_exact(f, 2, path, f"tensor {i}"))
-            name = read_exact(f, name_len, path, f"tensor {i}").decode()
+            try:
+                name = read_exact(f, name_len, path, f"tensor {i}").decode()
+            except UnicodeDecodeError as e:
+                raise ValueError(f"{path}: tensor {i} has a name that is not UTF-8") from e
             field = f"tensor {name}"
             code, rank = struct.unpack("<BB", read_exact(f, 2, path, field))
             if code not in _DTYPES:
@@ -413,25 +416,24 @@ def _ae_pass(model: AutoEncoderModel, batch, train):
     """Encode, quantize once the codebooks exist (straight-through,
     with the commitment loss), decode and score one batch.
 
-    Returns (recon, commit, idx, z_parts, (node_logits, edge_logits));
-    commit, the code indices idx and the partitioned encoder output
-    z_parts are None while the codebooks are unset.
+    Returns (recon, commit, idx, z, (node_logits, edge_logits)) with
+    the encoder rows z as an array; commit and the code indices idx are
+    None while the codebooks are unset.
     """
     z = codec.encode(batch, model.encoder, train=train)
-    latent, commit, idx, z_parts = z, None, None, None
+    latent, commit, idx = z, None, None
     cbs = model.codebooks
     if cbs.initialized:
-        z_parts = quantize.partition(z.data, cbs.C)
-        idx, words = quantize.quantize(z_parts, cbs)
-        latent = straight_through(z, Tensor(quantize.unpartition(words)))
-        commit = quantize.commitment_loss(z, words)
+        idx, words = quantize.quantize(z.data, cbs)
+        latent = straight_through(z, Tensor(words))
+        commit = quantize.commitment_loss(z, words, cbs.C)
     logits = codec.decode(latent, batch.node_mask, model.decoder, train=train)
-    return codec.recon_loss(*logits, batch), commit, idx, z_parts, logits
+    return codec.recon_loss(*logits, batch), commit, idx, z.data, logits
 
 
 @ad.no_grad()
 def _collect_embeddings(model: AutoEncoderModel, aug_train, cfg: ModelConfig):
-    """Up to cfg.kmeans_samples node embeddings.
+    """Up to cfg.kmeans_samples node embedding rows (N, d_latent).
 
     Uses batch statistics (the running buffers are untrained when the
     codebooks are seeded) and restores the buffers afterwards, so
@@ -451,8 +453,7 @@ def _collect_embeddings(model: AutoEncoderModel, aug_train, cfg: ModelConfig):
     finally:
         for k, v in saved.items():
             model.state[k][...] = v
-    z_all = np.concatenate(rows, axis=0)[:cfg.kmeans_samples]
-    return quantize.partition(z_all, cfg.partitions)
+    return np.concatenate(rows, axis=0)[:cfg.kmeans_samples]
 
 
 @ad.no_grad()
@@ -522,11 +523,11 @@ def train_autoencoder(graphs, cfg: ModelConfig, metrics_path=None, log=None):
             for chunk in _batches(order, cfg.batch_size):
                 seed_codebooks()
                 batch = codec.prepare_batch([aug_train[i] for i in chunk])
-                recon, commit, idx, z_parts, _ = _ae_pass(model, batch, train=True)
+                recon, commit, idx, z, _ = _ae_pass(model, batch, train=True)
                 loss = recon if commit is None else recon + cfg.gamma * cfg.beta * commit
                 _optimizer_step(loss, params, adam, cfg, step)
                 if commit is not None:
-                    quantize.ema_update(model.codebooks, z_parts, idx)
+                    quantize.ema_update(model.codebooks, z, idx)
                 step += 1
             metrics = {**evaluate_autoencoder(model, aug_val, cfg), "epoch": epoch, "step": step}
             history.append(metrics)
@@ -557,8 +558,7 @@ def encode_sequences(model: AutoEncoderModel, aug_graphs, cfg: ModelConfig):
     for chunk in _batches(np.arange(len(aug_graphs)), cfg.batch_size):
         batch = codec.prepare_batch([aug_graphs[i] for i in chunk])
         z = codec.encode(batch, model.encoder, train=False)
-        z_parts = quantize.partition(z.data, cfg.partitions)
-        idx, _ = quantize.quantize(z_parts, model.codebooks)
+        idx, _ = quantize.quantize(z.data, model.codebooks)
         seqs += [prior.sort_set(s) for s in np.split(idx, np.cumsum(batch.sizes)[:-1])]
     return seqs
 
@@ -627,9 +627,8 @@ def decode_sequences(model: AutoEncoderModel, samples, chunk_size=256):
         for lo in range(0, len(group), chunk_size):
             part = group[lo:lo + chunk_size]
             idx = np.concatenate([samples[i] for i in part])  # (B * n, C)
-            words = quantize.lookup(model.codebooks.codebooks, idx)
+            z = quantize.lookup(model.codebooks.codebooks, idx).astype(np.float32)
             mask = np.ones((len(part), n), dtype=bool)
-            z = quantize.unpartition(words).astype(np.float32)
             node_logits, edge_logits = codec.decode(z, mask, model.decoder, train=False)
             node_rows = node_logits.data.reshape(len(part), n, -1)
             pair_rows = edge_logits.data.reshape(len(part), n * (n - 1), edge_logits.shape[1])

@@ -530,14 +530,14 @@ def load_bench_inputs():
     return mod
 
 
-def ema_update_per_partition(state, z_parts, indices, decay, eps):
+def ema_update_per_partition(state, z, indices, decay, eps):
     """One EMA codebook step, one partition at a time. state maps
     codebooks (C, m, d), ema_counts (C, m) and ema_sums (C, m, d) to
     arrays; returns the next state as new arrays."""
     books, counts_all, sums_all = (state[k].copy()
                                    for k in ("codebooks", "ema_counts", "ema_sums"))
     C, m, d = books.shape
-    z_parts = np.asarray(z_parts).reshape(-1, C, d)
+    z_parts = np.asarray(z).reshape(-1, C, d)
     indices = np.asarray(indices).reshape(-1, C)
     for c in range(C):
         counts = np.bincount(indices[:, c], minlength=m).astype(np.float64)

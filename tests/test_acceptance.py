@@ -118,17 +118,13 @@ def test_criterion_03_equivariance():
         zb = oracles.encode_graph(b, model.encoder, train=False)
         worst = max(worst, float(np.abs(zb - za[pi]).max()))
 
-        ia, wa = quantize.quantize(quantize.partition(za, cfg.partitions),
-                                   model.codebooks)
-        ib, wb = quantize.quantize(quantize.partition(zb, cfg.partitions),
-                                   model.codebooks)
+        ia, wa = quantize.quantize(za, model.codebooks)
+        ib, wb = quantize.quantize(zb, model.codebooks)
         assert np.array_equal(ib, ia[pi])
 
         mask = np.ones((1, g.n), dtype=bool)
-        na, ea = codec.decode(quantize.unpartition(wa), mask,
-                              model.decoder, train=False)
-        nb, eb = codec.decode(quantize.unpartition(wb), mask,
-                              model.decoder, train=False)
+        na, ea = codec.decode(wa, mask, model.decoder, train=False)
+        nb, eb = codec.decode(wb, mask, model.decoder, train=False)
         worst = max(worst, float(np.abs(nb.data - na.data[pi]).max()))
         worst = max(worst, float(np.abs(oracles.pair_matrix(eb.data, g.n)
                                         - oracles.pair_matrix(ea.data, g.n)[np.ix_(pi, pi)]
@@ -177,14 +173,7 @@ def _stage1_fd_setup():
         cb += 0.05 * rng.standard_normal(cb.shape)
 
     def quantized_loss(_):
-        z = codec.encode(batch, model.encoder, train=True)
-        z_parts = quantize.partition(z.data, cfg.partitions)
-        idx, words = quantize.quantize(z_parts, model.codebooks)
-        st = straight_through(z, Tensor(quantize.unpartition(words)))
-        commit = quantize.commitment_loss(z, words)
-        node_logits, edge_logits = codec.decode(st, batch.node_mask,
-                                                model.decoder, train=True)
-        recon = codec.recon_loss(node_logits, edge_logits, batch)
+        recon, commit = training._ae_pass(model, batch, train=True)[:2]
         return recon + cfg.gamma * cfg.beta * commit
 
     def warmup_loss(_):
@@ -195,9 +184,8 @@ def _stage1_fd_setup():
 
     def commit_loss(_):
         z = codec.encode(batch, model.encoder, train=True)
-        _, words = quantize.quantize(quantize.partition(z.data, cfg.partitions),
-                                     model.codebooks)
-        return quantize.commitment_loss(z, words)
+        _, words = quantize.quantize(z.data, model.codebooks)
+        return quantize.commitment_loss(z, words, cfg.partitions)
 
     params = training.parameters(model.state)
     enc_params = [t for name, t in params.items() if name.startswith("enc.")]
@@ -263,11 +251,10 @@ def test_criterion_05_straight_through():
     quantize.init_codebooks(model.codebooks, samples, rng)
 
     z = codec.encode(batch, model.encoder, train=True)
-    z_parts = quantize.partition(z.data, cfg.partitions)
-    idx, words = quantize.quantize(z_parts, model.codebooks)
+    idx, words = quantize.quantize(z.data, model.codebooks)
     # wrap the codeword values in a leaf tensor so any gradient leaking
     # into the codebooks would be observable
-    wt = Tensor(quantize.unpartition(words), requires_grad=True)
+    wt = Tensor(words, requires_grad=True)
     st = straight_through(z, wt)
     node_logits, edge_logits = codec.decode(st, batch.node_mask,
                                             model.decoder, train=True)

@@ -7,14 +7,17 @@ in the seconds range.
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dgae import cli
+from dgae import cli, training
 from dgae.cli import FORMAT_VERSIONS, main, parse_config_file
 from dgae.graphs import load_dataset
 from dgae.training import ConfigError
+
+FROZEN = Path(__file__).resolve().parents[1] / "dgaebench" / "frozen.ckpt"
 
 TINY_CONFIG = """\
 # small models, few epochs
@@ -338,6 +341,23 @@ def test_generate_zero_count_prints_no_warning_or_nan(workspace, tmp_path, capsy
     assert load_dataset(out)[0] == []
 
 
+def test_generate_writes_the_models_category_counts_in_the_header(tmp_path, capsys):
+    """Also with no graph to take them from."""
+    cfg = training.ModelConfig(node_categories=3, edge_categories=3, d_latent=8,
+                               d_model=16, heads=2, blocks=1)
+    rng = np.random.default_rng(0)
+    model, pparams = training.AutoEncoderModel(cfg, rng), training.init_prior(cfg, rng)
+    ckpt = tmp_path / "full.ckpt"
+    training.save_checkpoint(str(ckpt), cfg, training.state_arrays(model.state, pparams.state),
+                             0, extra={"kind": "full", "cb_initialized": True})
+    for count in (0, 2):
+        out = tmp_path / f"gen{count}.graphs"
+        assert run(["generate", "--ckpt", ckpt, "--count", count, "--out", out]) == 0
+        graphs, header = load_dataset(out)
+        assert len(graphs) == count and header == {"R": 3, "S": 3}
+    capsys.readouterr()
+
+
 def test_eval_report_columns_and_determinism(workspace, tmp_path, capsys):
     lines = [l for l in workspace["report"].read_text().splitlines()
              if not l.startswith("#")]
@@ -431,6 +451,20 @@ def test_corrupt_tensor_header_is_one_error_line(workspace, tmp_path, capsys):
             assert err.startswith("error: ") and err.count("\n") == 1, (at, bit, err)
 
 
+def test_tensor_name_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    raw = bytearray(FROZEN.read_bytes())
+    first = 12 + int.from_bytes(raw[8:12], "little") + 4  # the first tensor
+    raw[first + 2] = 0xFF  # the first byte of its name
+    path = tmp_path / "badname.ckpt"
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    rc = run(["generate", "--ckpt", path, "--count", 2, "--out", tmp_path / "g"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{path}: tensor 0 " in err and "UTF-8" in err, err
+
+
 def test_eval_dataset_bit_flips_are_clean_loads_or_one_error_line(tmp_path, capsys):
     """Every single-bit flip of a small dataset either still evaluates
     (exit 0) or fails with exit 1 and one error: line, never a traceback:
@@ -487,12 +521,16 @@ ONE_RECORD = '{"n": 2, "nodes": [0, 0], "edges": [[0, 1, 1]]}\n'
     ('{"R": true, "S": 2, "directed": false}', ONE_RECORD, "featurize"),
     ('{"R": 0, "S": 2, "directed": false}', ONE_RECORD, "featurize"),
     ('{"R": 1, "S": 1, "directed": false}', ONE_RECORD, "featurize"),
+    pytest.param('{"R": 1, "S": 2, "directed": false}\udcff', ONE_RECORD, "featurize",
+                 id="not-utf8"),
 ])
 def test_bad_category_counts_in_a_dataset_header_are_one_error_line(
         tmp_path, capsys, header, records, command):
-    """R and S must be integers, not bools, with R >= 1 and S >= 2."""
+    """R and S must be integers, not bools, with R >= 1 and S >= 2, and
+    the file must be UTF-8 text (the lone surrogate is written as the
+    byte 0xff)."""
     data = tmp_path / "d.graphs"
-    data.write_text(header + "\n" + records)
+    data.write_bytes((header + "\n" + records).encode("utf-8", "surrogateescape"))
     argv = {"train-ae": ["train-ae", "--data", data, "--out", tmp_path / "ae.ckpt"],
             "featurize": ["featurize", "--in", data]}[command]
     capsys.readouterr()
@@ -500,7 +538,7 @@ def test_bad_category_counts_in_a_dataset_header_are_one_error_line(
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "bad dataset header" in err
+    assert (f"{data}: not UTF-8 text" if "\udcff" in header else "bad dataset header") in err
 
 
 # ---------------------------------------------------------------------------

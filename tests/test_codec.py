@@ -10,7 +10,7 @@ from dgae import codec, prior
 from dgae.autodiff import Tensor
 from dgae.features import FeatureConfig, augment
 from dgae.graphs import new_graph, permute
-from dgae.quantize import CodebookSet, partition, quantize, unpartition
+from dgae.quantize import CodebookSet, quantize
 from dgae.training import AutoEncoderModel, ModelConfig, init_prior, parameters
 
 # label-stable feature set: eigenvector bases of degenerate Laplacian
@@ -78,11 +78,10 @@ def test_quantized_pipeline_equivariance():
         perm = rng.permutation(n)
         z = oracles.encode_graph(augment(g, DET_CFG), enc)
         z_p = oracles.encode_graph(augment(permute(g, perm), DET_CFG), enc)
-        idx, words = quantize(partition(z, 2), cbs)
-        idx_p, words_p = quantize(partition(z_p, 2), cbs)
+        idx, words = quantize(z, cbs)
+        idx_p, words_p = quantize(z_p, cbs)
         assert np.array_equal(idx_p, idx[perm])
-        assert np.allclose(unpartition(words_p), unpartition(words)[perm],
-                           atol=1e-6)
+        assert np.allclose(words_p, words[perm], atol=1e-6)
 
 
 def test_k3_latents_identical():

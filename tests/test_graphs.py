@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,14 @@ def test_load_rejects_out_of_range_category(tmp_path):
     with pytest.raises(ValueError) as err:
         load_dataset(path)
     assert "2" in str(err.value)  # failing line number is reported
+
+
+def test_load_names_a_file_that_is_not_utf8_past_its_first_block(tmp_path):
+    path = tmp_path / "late.jsonl"
+    record = b'{"n": 2, "nodes": [0, 0], "edges": [[0, 1, 1]]}\n'
+    path.write_bytes(b'{"R": 1, "S": 2, "directed": false}\n' + record * 500 + b"\xff\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8 text")):
+        load_dataset(path)
 
 
 def test_isomorphism_positive_and_negative():

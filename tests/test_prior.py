@@ -98,7 +98,7 @@ def test_pack_sequences_looks_up_live_rows_and_zeroes_padding():
     books = rand_codebooks(rng, 3, 5, 2)
     seqs = [random_sequence(rng, T, 3, 5) for T in (2, 4, 1)]
     batch = pack_sequences(seqs, 8, books)
-    assert batch.codewords.shape == (3, 4, 3, 2)
+    assert batch.codewords.shape == (3, 4, 6)
     np.testing.assert_array_equal(batch.lengths, [2, 4, 1])
     for b, s in enumerate(seqs):
         T = len(s)
@@ -138,7 +138,7 @@ def test_build_inputs_partition_context():
     s = random_sequence(rng, 3, params.C, params.m)
     base = stacked(build_inputs(params, batch_from(params, [s])))
     bumped = batch_from(params, [s])
-    bumped.codewords[0, 1, 1] += 1.0  # node 1, partition 1
+    bumped.codewords[0, 1, params.d_part:2 * params.d_part] += 1.0  # node 1, partition 1
     got = stacked(build_inputs(params, bumped))
     # row 1 partition 0 and partition 1 depend only on node 0 and on
     # node 1's partitions below each slot, so both are unchanged
@@ -240,7 +240,7 @@ def test_padding_slots_never_reach_the_loss():
     dirty = batch_from(params, seqs)
     pad = np.arange(dirty.indices.shape[1]) >= dirty.lengths[:, None]
     dirty.indices[pad] = rng.integers(0, params.m, size=(pad.sum(), params.C))
-    dirty.codewords[pad] = 50.0 * rng.normal(size=(pad.sum(), params.C, params.d_part))
+    dirty.codewords[pad] = 50.0 * rng.normal(size=(pad.sum(), params.d_latent))
     # the garbage does reach the logits of the padded rows
     assert not np.array_equal(stacked(prior_logits(params, dirty)),
                               stacked(prior_logits(params, clean)))

@@ -5,7 +5,7 @@ from dgae import autodiff as ad
 from dgae.autodiff import Tensor
 from dgae.quantize import (CodebookSet, commitment_loss, ema_update,
                            init_codebooks, kmeanspp_init, lookup, nearest,
-                           partition, perplexity, quantize, unpartition)
+                           perplexity, quantize)
 
 from oracles import ema_update_per_partition, perplexity_from_histogram
 
@@ -23,17 +23,7 @@ def set_codewords(cbs, per_partition):
     cbs.initialized = True
 
 
-def test_partition_roundtrip():
-    z = np.arange(32, dtype=np.float64).reshape(2, 16)
-    parts = partition(z, 2)
-    assert parts.shape == (2, 2, 8)
-    assert np.array_equal(unpartition(parts), z)
-    assert np.array_equal(partition(z, 1)[:, 0, :], z)
-
-
 def test_partition_rejects_indivisible():
-    with pytest.raises(ValueError):
-        partition(np.zeros((1, 16)), 3)
     with pytest.raises(ValueError):
         CodebookSet(3, 4, 16)
 
@@ -41,15 +31,15 @@ def test_partition_rejects_indivisible():
 def test_quantize_nearest():
     cbs = make_cbs()
     set_codewords(cbs, [np.array([[0.0, 0.0], [1.0, 1.0]])])
-    idx, words = quantize(np.array([[[0.2, 0.1]]]), cbs)
+    idx, words = quantize(np.array([[0.2, 0.1]]), cbs)
     assert idx[0, 0] == 0
-    assert np.array_equal(words[0, 0], [0.0, 0.0])
+    assert np.array_equal(words[0], [0.0, 0.0])
 
 
 def test_quantize_tie_takes_lower_index():
     cbs = make_cbs()
     set_codewords(cbs, [np.array([[1.0, 0.0], [-1.0, 0.0]])])
-    idx, _ = quantize(np.array([[[0.0, 5.0]]]), cbs)
+    idx, _ = quantize(np.array([[0.0, 5.0]]), cbs)
     assert idx[0, 0] == 0
 
 
@@ -57,13 +47,13 @@ def test_exact_ties_resolve_to_the_lowest_index_everywhere():
     # quantize: the query is equidistant from codewords 1 and 2
     cbs = make_cbs(m=3)
     set_codewords(cbs, [np.array([[9.0, 9.0], [1.0, 0.0], [-1.0, 0.0]])])
-    idx, _ = quantize(np.array([[[0.0, 0.0]]]), cbs)
+    idx, _ = quantize(np.array([[0.0, 0.0]]), cbs)
     assert idx.tolist() == [[1]]
     # init_codebooks: one distinct sample, so both codewords coincide
     # and every sample ties; the lower codeword takes them all
     cbs = CodebookSet(2, 2, 4)
     with pytest.warns(UserWarning):
-        init_codebooks(cbs, np.full((6, 2, 2), 3.0), np.random.default_rng(0))
+        init_codebooks(cbs, np.full((6, 4), 3.0), np.random.default_rng(0))
     np.testing.assert_array_equal(cbs.ema_counts, [[6.0, 1.0], [6.0, 1.0]])
     # Lloyd: seeded at -1 and +1 (in either order), the midpoint 0 ties
     # and joins center 0, which moves to -k/(k+1) or k/(k+1) and keeps it
@@ -83,10 +73,16 @@ def test_nearest_is_per_partition_and_lookup_inverts_it():
         d2 = ((z[:, :, c, None, :] - books[c]) ** 2).sum(axis=-1)
         np.testing.assert_array_equal(idx[..., c], d2.argmin(axis=-1))
     words = lookup(books, idx)
-    assert words.shape == (4, 6, 3, 2)
+    assert words.shape == (4, 6, 6)
     for c in range(3):
-        np.testing.assert_array_equal(words[..., c, :], books[c][idx[..., c]])
-    np.testing.assert_array_equal(nearest(words, books), idx)
+        np.testing.assert_array_equal(words[..., 2 * c:2 * c + 2], books[c][idx[..., c]])
+    np.testing.assert_array_equal(nearest(words.reshape(z.shape), books), idx)
+
+
+def test_lookup_of_no_tuples_is_no_rows():
+    """The sampler looks up zero live rows once every sample has ended."""
+    books = np.zeros((3, 5, 2))
+    assert lookup(books, np.zeros((0, 1, 3), dtype=np.int64)).shape == (0, 1, 6)
 
 
 def test_ema_update_matches_per_partition_oracle():
@@ -94,7 +90,7 @@ def test_ema_update_matches_per_partition_oracle():
     every step write the stacked arrays in place, so the model's
     per-partition views of them, its checkpoint entries, stay current."""
     rng = np.random.default_rng(8)
-    z = rng.normal(size=(300, 3, 4))
+    z = rng.normal(size=(300, 12))
     cbs = CodebookSet(3, 6, 12, decay=0.9)
     keys = ("codebooks", "ema_counts", "ema_sums")
     arrays = [getattr(cbs, k) for k in keys]
@@ -114,7 +110,7 @@ def test_quantize_idempotent_on_codewords():
     cbs = make_cbs(C=2, m=3, d_latent=4)
     rng = np.random.default_rng(0)
     set_codewords(cbs, [rng.normal(size=(3, 2)), rng.normal(size=(3, 2))])
-    z = rng.normal(size=(5, 2, 2))
+    z = rng.normal(size=(5, 4))
     idx1, words1 = quantize(z, cbs)
     idx2, words2 = quantize(words1, cbs)
     assert np.array_equal(idx1, idx2)
@@ -158,7 +154,7 @@ def test_kmeanspp_separates_two_blobs():
 def test_ema_zero_memory_jumps_to_batch_mean():
     cbs = make_cbs(m=2, decay=0.0)
     set_codewords(cbs, [np.array([[0.0, 0.0], [10.0, 10.0]])])
-    z = np.array([[[1.0, 1.0]], [[3.0, 3.0]]])  # both nearest codeword 0
+    z = np.array([[1.0, 1.0], [3.0, 3.0]])  # both nearest codeword 0
     idx, _ = quantize(z, cbs)
     ema_update(cbs, z, idx)
     assert np.allclose(cbs.codebooks[0][0], [2.0, 2.0])
@@ -168,7 +164,7 @@ def test_ema_unassigned_codeword_is_fixed_point():
     cbs = make_cbs(m=2)
     set_codewords(cbs, [np.array([[0.0, 0.0], [10.0, 10.0]])])
     before = cbs.codebooks[0][1].copy()
-    z = np.array([[[0.1, 0.0]]])
+    z = np.array([[0.1, 0.0]])
     for _ in range(300):
         idx, _ = quantize(z, cbs)
         ema_update(cbs, z, idx)
@@ -183,7 +179,7 @@ def test_ema_geometric_approach_to_cluster_mean():
     """
     cbs = make_cbs(m=2, decay=0.9)
     set_codewords(cbs, [np.array([[0.0, 0.0], [100.0, 100.0]])])
-    z = np.array([[[4.0, 4.0]]])
+    z = np.array([[4.0, 4.0]])
     gaps = []
     for _ in range(80):
         idx, _ = quantize(z, cbs)
@@ -202,7 +198,7 @@ def test_ema_contraction_after_burn_in():
     rng = np.random.default_rng(4)
     data = np.vstack([rng.normal(size=(30, 2)) + off
                       for off in ([4, 0], [-4, 0], [0, 4], [0, -4])])
-    z = data.reshape(-1, 1, 2)
+    z = data
     cbs = make_cbs(m=4, decay=0.95)
     init_codebooks(cbs, z, rng)
     moves = []
@@ -218,7 +214,7 @@ def test_ema_contraction_after_burn_in():
 
 def test_init_codebooks_seeds_accumulators():
     rng = np.random.default_rng(5)
-    z = rng.normal(size=(100, 2, 4))
+    z = rng.normal(size=(100, 8))
     cbs = CodebookSet(2, 4, 8)
     init_codebooks(cbs, z, rng)
     assert cbs.initialized
@@ -231,30 +227,30 @@ def test_init_codebooks_seeds_accumulators():
 
 def test_commitment_zero_when_equal():
     z = Tensor(np.ones((2, 3)), requires_grad=True)
-    loss = commitment_loss(z, np.ones((2, 1, 3)))
+    loss = commitment_loss(z, np.ones((2, 3)), 1)
     assert float(loss.data) == 0.0
 
 
 def test_commitment_single_node_value():
     z = Tensor(np.array([[1.0, 0.0]]), requires_grad=True)
-    loss = commitment_loss(z, np.zeros((1, 1, 2)))
+    loss = commitment_loss(z, np.zeros((1, 2)), 1)
     assert float(loss.data) == pytest.approx(1.0)
     loss.backward()
     assert np.allclose(z.grad, [[2.0, 0.0]])
 
 
-def test_commitment_takes_encoder_rows_and_partitioned_codewords():
+def test_commitment_takes_encoder_and_codeword_rows():
     z = Tensor(np.zeros((3, 4)), requires_grad=True)
-    commitment_loss(z, np.zeros((3, 2, 2)))
-    for words in (np.zeros((3, 4)), np.zeros((2, 2, 2)), np.zeros((3, 2, 3))):
+    commitment_loss(z, np.zeros((3, 4)), 2)
+    for words in (np.zeros((3, 2, 2)), np.zeros((2, 4)), np.zeros((3, 6))):
         with pytest.raises(ad.ShapeError):
-            commitment_loss(z, words)
+            commitment_loss(z, words, 2)
 
 
 def test_commitment_codewords_receive_no_gradient():
     z = Tensor(np.random.default_rng(6).normal(size=(4, 6)), requires_grad=True)
-    words = Tensor(np.zeros((4, 2, 3)), requires_grad=True)
-    loss = commitment_loss(z, words.data)
+    words = Tensor(np.zeros((4, 6)), requires_grad=True)
+    loss = commitment_loss(z, words.data, 2)
     loss.backward()
     assert z.grad is not None
     assert words.grad is None  # only the detached array ever enters the graph

@@ -324,7 +324,7 @@ def test_kmeans_init_beats_uniform_sampling():
         rng = np.random.default_rng(seed)
         centers = rng.normal(size=(4, 2)) * 8.0
         samples = np.concatenate(
-            [c + rng.normal(size=(50, 2)) * 0.3 for c in centers])[:, None, :]
+            [c + rng.normal(size=(50, 2)) * 0.3 for c in centers])
 
         cbs = quantize.CodebookSet(1, 4, 2)
         quantize.init_codebooks(cbs, samples, np.random.default_rng(seed + 100))
@@ -332,7 +332,7 @@ def test_kmeans_init_beats_uniform_sampling():
         kerr = float(((samples - words) ** 2).sum(axis=-1).mean())
 
         pick = np.random.default_rng(seed + 100).choice(len(samples), 4, replace=False)
-        cbs.codebooks[0][:] = samples[pick, 0]
+        cbs.codebooks[0][:] = samples[pick]
         _, words = quantize.quantize(samples, cbs)
         uerr = float(((samples - words) ** 2).sum(axis=-1).mean())
 
@@ -564,8 +564,8 @@ def test_decode_sequences_keeps_input_order_across_size_buckets():
         assert all(graphs_equal(a, b) for a, b in zip(out, solo))
     # the same graphs as one decode of the whole batch of mixed sizes
     idx = np.concatenate(samples)
-    z = quantize.unpartition(np.stack([model.codebooks.codebooks[c][idx[:, c]]
-                                       for c in range(cfg.partitions)], axis=1))
+    z = np.concatenate([model.codebooks.codebooks[c][idx[:, c]]
+                        for c in range(cfg.partitions)], axis=1)
     mask = np.arange(cfg.n_max) < sizes[:, None]
     nl, el = codec.decode(z, mask, model.decoder, train=False)
     nodes = np.split(nl.data, np.cumsum(sizes)[:-1])
@@ -603,7 +603,7 @@ def test_decode_sequences_decodes_in_float32_to_the_float64_graphs(monkeypatch):
 
     def recording_decode(*args, **kwargs):
         logits = decode(*args, **kwargs)
-        dtypes.add(logits[0].data.dtype)
+        dtypes.update(t.data.dtype for t in logits)  # node and edge logits
         return logits
 
     monkeypatch.setattr(codec, "decode", recording_decode)
@@ -614,10 +614,10 @@ def test_decode_sequences_decodes_in_float32_to_the_float64_graphs(monkeypatch):
     for n in np.unique(sizes):
         part = np.flatnonzero(sizes == n)
         idx = np.concatenate([samples[i] for i in part])
-        z = quantize.unpartition(quantize.lookup(model.codebooks.codebooks, idx))
+        z = quantize.lookup(model.codebooks.codebooks, idx)
         with ad.no_grad():
             nl, el = decode(z, np.ones((len(part), n), dtype=bool), model.decoder, train=False)
-        assert nl.data.dtype == np.float64
+        assert nl.data.dtype == el.data.dtype == np.float64
         for i, node_rows, pair_rows in zip(part, np.split(nl.data, len(part)),
                                            np.split(el.data, len(part))):
             assert graphs_equal(codec.sample_graph(node_rows, pair_rows), got[i])
