@@ -9,7 +9,6 @@ so identical seeds reproduce them byte for byte.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -26,7 +25,6 @@ FORMAT_VERSIONS = {"checkpoint": 1, "dataset": 1, "sequence_cache": 1}
 _VERSION_LINE = (f"dgae {__version__} (formats: " +
                  ", ".join(f"{k}={v}" for k, v in FORMAT_VERSIONS.items()) + ")")
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
 _PARSERS = {"int": int, "float": float}
 
 
@@ -50,11 +48,10 @@ def parse_config_file(path):
             continue
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        ftype = _FIELD_TYPES.get(key)
+        ftype = training.FIELD_TYPES.get(key)
         if ftype is None:
             problems.append(f"line {ln}: unknown config key {key!r}")
             continue
-        ftype = ftype if isinstance(ftype, str) else ftype.__name__
         try:
             if ftype == "bool":
                 if val.lower() not in ("true", "false", "1", "0"):
@@ -198,6 +195,11 @@ def cmd_train_prior(args):
     graphs, header = load_dataset(args.data)
     ckpt_cfg, model, _, _ = _load_models(args.ckpt, need_prior=False)
     cfg = _sync_data_config(resolve_config(args, base=ckpt_cfg), graphs, header)
+    changed = [f"{k} {getattr(ckpt_cfg, k)} -> {getattr(cfg, k)}" for k in training.AE_FIELDS
+               if getattr(ckpt_cfg, k) != getattr(cfg, k)]
+    if changed:
+        raise ConfigError(f"{args.ckpt}: its auto-encoder was trained with other settings; "
+                          "train-prior cannot change " + ", ".join(changed))
     outputs = [args.out] + ([args.metrics] if args.metrics else []) \
         + ([args.cache] if args.cache else [])
     if _maybe_dry_run(args, cfg, outputs):

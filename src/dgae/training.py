@@ -87,6 +87,13 @@ class ModelConfig:
                              self.feat_random, self.feat_p, self.feat_k, self.feat_d_rand)
 
     def violations(self):
+        # a float field takes an int, and bool, a subclass of int, fits bool fields only
+        wrong = [f"{key} must be of type {FIELD_TYPES[key]}, got {x!r}"
+                 for key, x in vars(self).items()
+                 if not isinstance(x, _ACCEPTS[FIELD_TYPES[key]])
+                 or isinstance(x, bool) != (FIELD_TYPES[key] == "bool")]
+        if wrong:
+            return wrong  # the checks below compare values of the right type
         v = [f"{key} must be finite" for key, x in vars(self).items()
              if isinstance(x, float) and not math.isfinite(x)]
         if self.node_categories < 1:
@@ -156,14 +163,23 @@ class ModelConfig:
         return dataclasses.asdict(self)
 
 
+FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ModelConfig)}  # name -> "int", ...
+_ACCEPTS = {"bool": bool, "int": int, "float": (int, float)}
+
+
 def config_from_dict(d) -> ModelConfig:
-    known = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
-    unknown = sorted(set(d) - set(known))
+    unknown = sorted(set(d) - set(FIELD_TYPES))
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(unknown))
     cfg = ModelConfig(**d)
     cfg.validate()
     return cfg
+
+
+# the settings that shape an AutoEncoderModel's tensors or its input features
+AE_FIELDS = ("node_categories", "edge_categories", "feat_paths", "feat_spectral", "feat_cycles",
+             "feat_random", "feat_p", "feat_k", "feat_d_rand", "gnn_layers", "state_width",
+             "mlp_hidden", "d_latent", "partitions", "codebook_size")
 
 
 class AutoEncoderModel:
@@ -388,25 +404,33 @@ def _batches(order, batch_size):
 
 
 class MetricsWriter:
+    """A run's per-epoch record: add keeps it in .history, writes its CSV
+    row to path and logs it through log; leaving the `with` closes the CSV."""
+
     HEADER = "step,loss_recon,loss_commit,nll,perplexity,node_err,edge_err"
 
-    def __init__(self, path):
+    def __init__(self, path, log=None):
+        self.log = log
+        self.history = []
         self.f = open(path, "w") if path else None
         if self.f:
             self.f.write(self.HEADER + "\n")
 
-    def row(self, step, loss_recon=None, loss_commit=None, nll=None,
-            perplexity=None, node_err=None, edge_err=None):
-        if not self.f:
-            return
-        vals = [loss_recon, loss_commit, nll, perplexity, node_err, edge_err]
-        cells = [str(step)] + ["" if v is None else format(float(v), ".10g") for v in vals]
-        self.f.write(",".join(cells) + "\n")
+    def __enter__(self):
+        return self
 
-    def close(self):
+    def __exit__(self, *exc):
         if self.f:
             self.f.close()
-            self.f = None
+
+    def add(self, epoch, step, metrics):
+        self.history.append({**metrics, "epoch": epoch, "step": step})
+        if self.f:
+            vals = [metrics.get(key) for key in self.HEADER.split(",")[1:]]
+            cells = [str(step)] + ["" if v is None else format(float(v), ".10g") for v in vals]
+            self.f.write(",".join(cells) + "\n")
+        if self.log and metrics:
+            self.log(f"epoch {epoch}: " + " ".join(f"{k}={v:.5f}" for k, v in metrics.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -508,16 +532,14 @@ def train_autoencoder(graphs, cfg: ModelConfig, metrics_path=None, log=None):
     model = AutoEncoderModel(cfg, init_rng)
     params = parameters(model.state)
     adam = AdamState(params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-    writer = MetricsWriter(metrics_path)
 
     def seed_codebooks():
         if not model.codebooks.initialized and step >= cfg.t_init:
             samples = _collect_embeddings(model, aug_train, cfg)
             quantize.init_codebooks(model.codebooks, samples, kmeans_rng)
 
-    history = []
     step = 0
-    try:
+    with MetricsWriter(metrics_path, log) as records:
         for epoch in range(cfg.epochs_ae):
             order = shuffle_rng.permutation(len(aug_train))
             for chunk in _batches(order, cfg.batch_size):
@@ -529,21 +551,11 @@ def train_autoencoder(graphs, cfg: ModelConfig, metrics_path=None, log=None):
                 if commit is not None:
                     quantize.ema_update(model.codebooks, z, idx)
                 step += 1
-            metrics = {**evaluate_autoencoder(model, aug_val, cfg), "epoch": epoch, "step": step}
-            history.append(metrics)
-            writer.row(step, loss_recon=metrics.get("loss_recon"),
-                       loss_commit=metrics.get("loss_commit"),
-                       perplexity=metrics.get("perplexity"),
-                       node_err=metrics.get("node_err"), edge_err=metrics.get("edge_err"))
-            if log:
-                log(f"epoch {epoch}: " + " ".join(
-                    f"{k}={v:.5f}" for k, v in metrics.items() if k not in ("epoch", "step")))
-    finally:
-        writer.close()
+            records.add(epoch, step, evaluate_autoencoder(model, aug_val, cfg))
     if cfg.epochs_ae > 0:
         seed_codebooks()
     rng_state = shuffle_rng.bit_generator.state
-    return model, {"history": history, "step": step, "rng_state": rng_state}
+    return model, {"history": records.history, "step": step, "rng_state": rng_state}
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +573,22 @@ def encode_sequences(model: AutoEncoderModel, aug_graphs, cfg: ModelConfig):
         idx, _ = quantize.quantize(z.data, model.codebooks)
         seqs += [prior.sort_set(s) for s in np.split(idx, np.cumsum(batch.sizes)[:-1])]
     return seqs
+
+
+@ad.no_grad()
+def evaluate_prior(pparams: prior.PriorParams, seqs, codebooks, cfg: ModelConfig):
+    """Holdout NLL of sorted index sequences in cfg.batch_size slices,
+    pooled over their predicted slots (C per node, one end-of-set each),
+    so memory does not grow with the holdout."""
+    if not seqs:
+        return {}
+    nll_sum = slots = 0
+    for chunk in _batches(np.arange(len(seqs)), cfg.batch_size):
+        batch = prior.pack_sequences([seqs[i] for i in chunk], cfg.n_max, codebooks)
+        k = cfg.partitions * int(batch.lengths.sum()) + len(chunk)
+        nll_sum += float(prior.prior_nll(pparams, batch).data) * k
+        slots += k
+    return {"nll": nll_sum / slots}
 
 
 def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
@@ -581,11 +609,9 @@ def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
     codebooks = model.codebooks.codebooks
     params = parameters(pparams.state)
     adam = AdamState(params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-    writer = MetricsWriter(metrics_path)
 
-    history = []
     step = 0
-    try:
+    with MetricsWriter(metrics_path, log) as records:
         for epoch in range(cfg.epochs_prior):
             order = shuffle_rng.permutation(len(train_seqs))
             for chunk in _batches(order, cfg.batch_size):
@@ -593,19 +619,9 @@ def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
                                              codebooks)
                 _optimizer_step(prior.prior_nll(pparams, batch), params, adam, cfg, step)
                 step += 1
-            metrics = {"epoch": epoch, "step": step}
-            if val_seqs:
-                with ad.no_grad():
-                    metrics["nll"] = float(prior.prior_nll(
-                        pparams, prior.pack_sequences(val_seqs, cfg.n_max, codebooks)).data)
-            history.append(metrics)
-            writer.row(step, nll=metrics.get("nll"))
-            if log and "nll" in metrics:
-                log(f"epoch {epoch}: nll={metrics['nll']:.5f}")
-    finally:
-        writer.close()
+            records.add(epoch, step, evaluate_prior(pparams, val_seqs, codebooks, cfg))
     rng_state = shuffle_rng.bit_generator.state
-    return pparams, {"history": history, "step": step, "rng_state": rng_state}
+    return pparams, {"history": records.history, "step": step, "rng_state": rng_state}
 
 
 # ---------------------------------------------------------------------------

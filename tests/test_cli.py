@@ -6,6 +6,7 @@ in the seconds range.
 """
 
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -289,6 +290,51 @@ def test_train_prior_outputs(workspace):
     assert float(rows[-1].split(",")[nll_col]) > 0
 
 
+def _epoch_lines(out):
+    """{epoch: [(key, value)]} of the `epoch N: k=v ...` lines of out."""
+    lines = {}
+    for line in out.splitlines():
+        if line.startswith("epoch"):
+            head, _, body = line.partition(": ")
+            assert re.fullmatch(r"epoch \d+", head), line
+            pairs = [cell.split("=") for cell in body.split(" ")]
+            assert all(re.fullmatch(r"-?\d+\.\d{5}", v) for _, v in pairs), line
+            lines[int(head.split()[1])] = [(k, float(v)) for k, v in pairs]
+    return lines
+
+
+@pytest.mark.parametrize("holdout", [0.25, 0.0])
+def test_verbose_logs_one_line_per_epoch_with_holdout_metrics(tmp_path, capsys, holdout):
+    """--verbose logs `epoch N: k=v ...` with each value to 5 decimals,
+    the metrics of the epoch's CSV row, in the order the stage computes
+    them; without a holdout set there are no metrics and no lines."""
+    conf = tmp_path / "c.conf"
+    conf.write_text(TINY_CONFIG.replace("epochs_ae = 8", "epochs_ae = 2")
+                    .replace("epochs_prior = 8", "epochs_prior = 3")
+                    .replace("holdout_frac = 0.25", f"holdout_frac = {holdout}"))
+    data = tmp_path / "d.graphs"
+    assert run(["dataset", "gen", "--spec", "community-small", "--count", 24,
+                "--seed", 1, "--out", data]) == 0
+    ae, full = tmp_path / "ae.ckpt", tmp_path / "full.ckpt"
+    runs = [(["train-ae", "--data", data, "--out", ae], 2,
+             ["loss_recon", "node_err", "edge_err", "loss_commit", "perplexity"]),
+            (["train-prior", "--data", data, "--ckpt", ae, "--out", full], 3, ["nll"])]
+    for argv, epochs, keys in runs:
+        csv = tmp_path / "m.csv"
+        capsys.readouterr()
+        assert run(argv + ["--config", conf, "--metrics", csv, "--verbose"]) == 0
+        lines = _epoch_lines(capsys.readouterr().out)
+        if holdout == 0.0:
+            assert lines == {}, argv[0]
+            continue
+        assert sorted(lines) == list(range(epochs)), argv[0]
+        header, *rows = [r.split(",") for r in csv.read_text().splitlines()]
+        for epoch, row in enumerate(rows):
+            assert [k for k, _ in lines[epoch]] == keys, argv[0]
+            for key, value in lines[epoch]:
+                assert abs(value - float(row[header.index(key)])) <= 5.0001e-6, (key, row)
+
+
 def test_generate_writes_valid_graphs(workspace):
     graphs, header = load_dataset(workspace["samples"])
     assert len(graphs) == 10
@@ -463,6 +509,68 @@ def test_tensor_name_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert f"{path}: tensor 0 " in err and "UTF-8" in err, err
+
+
+def _with_config(raw, **changes):
+    """The checkpoint bytes raw with config fields of its header changed."""
+    blob_end = 12 + int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12:blob_end])
+    header["config"].update(changes)
+    blob = json.dumps(header).encode()
+    return raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[blob_end:]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("blocks", 3.0), ("n_max", 20.5), ("heads", True), ("feat_paths", "yes"),
+])
+def test_mistyped_checkpoint_config_is_one_error_line(tmp_path, capsys, field, value):
+    # the first three once ended in a TypeError traceback, and a string
+    # bool was taken as true
+    path = tmp_path / "typed.ckpt"
+    path.write_bytes(_with_config(FROZEN.read_bytes(), **{field: value}))
+    capsys.readouterr()
+    rc = run(["generate", "--ckpt", path, "--count", 2, "--out", tmp_path / "g"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{path}: bad checkpoint header: " in err and f"{field} must be of type" in err
+    assert not (tmp_path / "g").exists()
+
+
+AE_CHANGES = [  # (field, config file line, dataset header)
+    ("codebook_size", "codebook_size = 8", None),
+    ("partitions", "partitions = 4", None),
+    ("d_latent", "d_latent = 8", None),
+    ("feat_spectral", "feat_spectral = false", None),
+    ("state_width", "state_width = 16", None),
+    ("node_categories", "", {"R": 2, "S": 2, "directed": False}),
+    ("edge_categories", "", {"R": 1, "S": 3, "directed": False}),
+]
+
+
+@pytest.mark.parametrize("field,conf,header", AE_CHANGES, ids=[c[0] for c in AE_CHANGES])
+def test_train_prior_cannot_change_the_autoencoder(tmp_path, capsys, field, conf, header):
+    """A setting of train-prior, or a dataset header's R or S, that
+    differs from the one the checkpoint's auto-encoder was trained with
+    is one error line naming the checkpoint and the field; no checkpoint
+    is written. Each once gave a traceback, an opaque error, or a full
+    checkpoint that generate rejected."""
+    data = tmp_path / "d.graphs"
+    assert run(["dataset", "gen", "--spec", "community-small", "--count", 30,
+                "--seed", 1, "--out", data]) == 0
+    if header is not None:
+        lines = data.read_text().splitlines(keepends=True)
+        data.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    (tmp_path / "c.conf").write_text(conf + "\n")
+    out = tmp_path / "full.ckpt"
+    capsys.readouterr()
+    rc = run(["train-prior", "--data", data, "--ckpt", FROZEN, "--out", out,
+              "--config", tmp_path / "c.conf"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{FROZEN}: " in err and field in err, err
+    assert not out.exists()
 
 
 def test_eval_dataset_bit_flips_are_clean_loads_or_one_error_line(tmp_path, capsys):

@@ -23,6 +23,7 @@ from dgae.training import (
     decode_sequences,
     encode_sequences,
     evaluate_autoencoder,
+    evaluate_prior,
     featurize_all,
     generate_graphs,
     init_prior,
@@ -84,6 +85,15 @@ def test_violations_reported_together():
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="bogus.*extra|extra.*bogus"):
         config_from_dict({"lr": 0.1, "bogus": 1, "extra": 2})
+
+
+def test_config_fields_must_have_their_type():
+    # an int is a float, but a bool is neither an int nor a float
+    assert config_from_dict({"lr": 1, "holdout_frac": 0}).lr == 1
+    for key, value in (("blocks", 3.0), ("n_max", True), ("lr", False),
+                       ("feat_paths", 1), ("seed", "5")):
+        with pytest.raises(ConfigError, match=f"{key} must be of type"):
+            config_from_dict({key: value})
 
 
 def test_config_dict_roundtrip():
@@ -193,14 +203,26 @@ def test_featurize_all_repeatable():
 
 def test_metrics_writer_format(tmp_path):
     path = tmp_path / "m.csv"
-    w = MetricsWriter(str(path))
-    w.row(3, loss_recon=0.5, node_err=0.25)
-    w.row(6, nll=1.25, perplexity=0.03125)
-    w.close()
+    with MetricsWriter(str(path)) as w:
+        w.add(0, 3, {"loss_recon": 0.5, "node_err": 0.25})
+        w.add(1, 6, {"nll": 1.25, "perplexity": 0.03125})
+    assert w.f.closed
     lines = path.read_text().splitlines()
     assert lines[0] == "step,loss_recon,loss_commit,nll,perplexity,node_err,edge_err"
     assert lines[1] == "3,0.5,,,,0.25,"
     assert lines[2] == "6,,,1.25,0.03125,,"
+
+
+def test_metrics_writer_keeps_the_history_and_logs_epochs_with_metrics():
+    logged = []
+    with MetricsWriter(None, logged.append) as w:
+        w.add(0, 3, {"loss_recon": 0.5, "node_err": 0.25})
+        w.add(1, 6, {})
+        w.add(2, 9, {"nll": 1.0 / 3.0})
+    assert w.history == [{"loss_recon": 0.5, "node_err": 0.25, "epoch": 0, "step": 3},
+                         {"epoch": 1, "step": 6}, {"nll": 1.0 / 3.0, "epoch": 2, "step": 9}]
+    assert logged == ["epoch 0: loss_recon=0.50000 node_err=0.25000",
+                      "epoch 2: nll=0.33333"]
 
 
 def test_oversized_graph_rejected():
@@ -444,6 +466,48 @@ def test_holdout_metrics_do_not_depend_on_batch_size():
     for other in runs[1:]:
         for key, val in runs[0].items():
             assert other[key] == pytest.approx(val, rel=1e-9, abs=1e-12), key
+
+
+def _prior_and_sequences(cfg, count, seed):
+    """A fresh prior, random codebooks and `count` sorted index sets of
+    1..n_max nodes."""
+    rng = np.random.default_rng(seed)
+    pparams = init_prior(cfg, rng)
+    books = rng.normal(size=(cfg.partitions, cfg.codebook_size,
+                             cfg.d_latent // cfg.partitions))
+    seqs = [prior.sort_set(rng.integers(0, cfg.codebook_size,
+                                        size=(int(rng.integers(1, cfg.n_max + 1)),
+                                              cfg.partitions)))
+            for _ in range(count)]
+    return pparams, books, seqs
+
+
+def test_prior_holdout_nll_pools_over_slices():
+    # slices of any size give the NLL of one batch of the whole set
+    cfg = tiny_config()
+    pparams, books, seqs = _prior_and_sequences(cfg, 21, 5)
+    with ad.no_grad():
+        whole = float(prior.prior_nll(pparams, prior.pack_sequences(seqs, cfg.n_max,
+                                                                    books)).data)
+    for b in (1, 4, 8, len(seqs)):
+        out = evaluate_prior(pparams, seqs, books, tiny_config(batch_size=b))
+        assert out["nll"] == pytest.approx(whole, rel=1e-12), b
+    assert evaluate_prior(pparams, [], books, cfg) == {}
+
+
+def test_prior_holdout_memory_does_not_grow_with_the_holdout():
+    # one batch of all 400 sequences peaked at about 91 MB; slices of
+    # 32 peak at about 7.5 MB at any holdout size
+    cfg = ModelConfig()
+    pparams, books, seqs = _prior_and_sequences(cfg, 400, 6)
+    tracemalloc.start()
+    try:
+        out = evaluate_prior(pparams, seqs, books, cfg)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(out["nll"])
+    assert peak_mb < 30, peak_mb
 
 
 # ---------------------------------------------------------------------------
