@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import __version__, evaluation, training
+from . import __version__, evaluation, prior, training
 from .features import feature_widths
 from .graphs import DatasetSpec, build_dataset, load_dataset, save_dataset
 from .training import ConfigError, ModelConfig
@@ -113,7 +113,7 @@ def _load_models(path, need_prior):
     if need_prior:
         if meta.get("kind") != "full":
             raise ValueError(f"{path}: checkpoint has no prior; run train-prior first")
-        pparams = training.init_prior(cfg, rng)
+        pparams = prior.PriorParams(cfg, rng)
         state = {**state, **pparams.state}
     else:
         tensors = {k: v for k, v in tensors.items() if not k.startswith("prior.")}
@@ -157,7 +157,7 @@ def cmd_dataset_gen(args):
 def cmd_featurize(args):
     graphs, header = load_dataset(args.inp)
     cfg = _sync_data_config(resolve_config(args), graphs, header)
-    fn, fe = feature_widths(cfg.feature_config(), header["R"], header["S"])
+    fn, fe = feature_widths(cfg)
     aug = training.featurize_all(graphs, cfg)
     real = sum(int(g.adjacency().sum()) for g in graphs)
     neigh = sum(int(a.neighborhood.sum()) for a in aug)
@@ -297,13 +297,17 @@ def cmd_ablate_codebook(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_config_args(p, seed=True):
+def _add_config_args(p, seed=True, writes=True, logs=True):
+    """--config and --seed; --dry-run for a command that writes files,
+    --verbose for one that logs."""
     p.add_argument("--config", help="key = value config file")
     if seed:
         p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--dry-run", action="store_true", dest="dry_run",
-                   help="print the resolved config and exit")
-    p.add_argument("--verbose", action="store_true", help="log per-epoch metrics")
+    if writes:
+        p.add_argument("--dry-run", action="store_true", dest="dry_run",
+                       help="print the resolved config and exit")
+    if logs:
+        p.add_argument("--verbose", action="store_true", help="log per-epoch metrics")
 
 
 def build_parser():
@@ -324,7 +328,7 @@ def build_parser():
 
     f = sub.add_parser("featurize", help="feature diagnostics for a dataset")
     f.add_argument("--in", dest="inp", required=True)
-    _add_config_args(f)
+    _add_config_args(f, writes=False, logs=False)
     f.set_defaults(func=cmd_featurize)
 
     t = sub.add_parser("train-ae", help="train the graph auto-encoder")
@@ -355,7 +359,7 @@ def build_parser():
     ev.add_argument("--ref", required=True)
     ev.add_argument("--gen", required=True)
     ev.add_argument("--out", required=True)
-    _add_config_args(ev)
+    _add_config_args(ev, logs=False)
     ev.set_defaults(func=cmd_eval)
 
     ab = sub.add_parser("ablate", help="ablation studies")

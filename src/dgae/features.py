@@ -6,6 +6,9 @@ vectors. Augmentation also widens each node's neighborhood with
 virtual edges wherever a path of length 2..p connects two non-adjacent
 nodes, which is what lets a small number of message-passing rounds see
 further than its hop count.
+
+augment reads the families and their sizes from a ModelConfig's feat_paths,
+feat_spectral, feat_cycles, feat_random, feat_p, feat_k and feat_d_rand.
 """
 
 from __future__ import annotations
@@ -100,33 +103,6 @@ def random_features(rng, n, d_rand: int = 4):
 
 
 @dataclass
-class FeatureConfig:
-    paths: bool = True
-    spectral: bool = True
-    cycles: bool = True
-    random: bool = True
-    p: int = 3
-    k: int = 4
-    d_rand: int = 4
-
-
-def feature_widths(cfg: FeatureConfig, R: int, S: int):
-    """(node width, edge width) of the augmented features."""
-    fn = R
-    fe = S
-    if cfg.paths:
-        fn += cfg.p
-        fe += cfg.p
-    if cfg.spectral:
-        fn += cfg.k
-    if cfg.cycles:
-        fn += 3
-    if cfg.random:
-        fn += cfg.d_rand
-    return fn, fe
-
-
-@dataclass
 class AugmentedGraph:
     base: Graph
     node_feats: np.ndarray    # (n, F_n)
@@ -138,13 +114,16 @@ class AugmentedGraph:
         return self.base.n
 
 
-def augment(g: Graph, cfg: FeatureConfig, rng=None) -> AugmentedGraph:
-    """Assemble model inputs for one graph.
+def augment(g: Graph, cfg, rng=None) -> AugmentedGraph:
+    """Assemble model inputs for one graph from the feature fields of
+    the ModelConfig cfg.
 
     Node feature blocks in fixed order: one-hot node categories (R
-    wide), path counts, spectral, cycles, random. Edge features are the
-    one-hot edge categories (S wide) on real edges, zeros on virtual
-    edges so the two are distinguishable, plus path-count channels;
+    wide), path counts (feat_p wide, if feat_paths), spectral (feat_k,
+    if feat_spectral), cycles (3, if feat_cycles), random (feat_d_rand,
+    if feat_random; drawn from rng). Edge features are the one-hot edge
+    categories (S wide) on real edges, zeros on virtual edges so the two
+    are distinguishable, plus feat_p path-count channels if feat_paths;
     everything outside the neighborhood is zeroed. This is the one
     place the categories are spelled one-hot. With all families
     disabled the result is the one-hot graph with the real-edge
@@ -156,20 +135,29 @@ def augment(g: Graph, cfg: FeatureConfig, rng=None) -> AugmentedGraph:
     node_blocks = [np.eye(g.num_node_categories)[g.node_categories]]
     edge_blocks = [np.eye(g.num_edge_categories)[g.edge_categories] * real[:, :, None]]
     neigh = real.copy()
-    if cfg.paths:
-        node_pf, edge_pf, virtual = path_features(g, cfg.p)
+    if cfg.feat_paths:
+        node_pf, edge_pf, virtual = path_features(g, cfg.feat_p)
         node_blocks.append(node_pf)
         edge_blocks.append(edge_pf)
         neigh |= virtual
-    if cfg.spectral:
-        vecs, _ = spectral_features(g, cfg.k)
+    if cfg.feat_spectral:
+        vecs, _ = spectral_features(g, cfg.feat_k)
         node_blocks.append(vecs)
-    if cfg.cycles:
+    if cfg.feat_cycles:
         node_blocks.append(cycle_counts(g))
-    if cfg.random:
+    if cfg.feat_random:
         if rng is None:
             raise ValueError("random features need an rng")
-        node_blocks.append(random_features(rng, n, cfg.d_rand))
+        node_blocks.append(random_features(rng, n, cfg.feat_d_rand))
     node_feats = np.concatenate(node_blocks, axis=1)
     edge_feats = np.concatenate(edge_blocks, axis=2) * neigh[:, :, None]
     return AugmentedGraph(g, node_feats, edge_feats, neigh)
+
+
+def feature_widths(cfg):
+    """(node width, edge width) of augment's output for the ModelConfig
+    cfg, read off a one-node graph with cfg's category counts."""
+    one = Graph(np.zeros(1, np.int64), np.zeros((1, 1), np.int64),
+                cfg.node_categories, cfg.edge_categories)
+    ag = augment(one, cfg, np.random.default_rng(0))
+    return ag.node_feats.shape[1], ag.edge_feats.shape[2]

@@ -77,29 +77,29 @@ class PriorBlock:
 
 
 class PriorParams:
-    """The prior's layers; self.state is their named table."""
+    """The prior's layers; self.state is their named table. Their sizes
+    come from the ModelConfig cfg: d_latent, partitions (C),
+    codebook_size (m), d_model, heads, blocks, n_max and ffn_layers,
+    which cfg.validate() checks fit together."""
 
-    def __init__(self, rng, d_latent, C, m, d_model, heads, num_blocks, n_max,
-                 ffn_layers=4):
-        if d_model % heads != 0:
-            raise ValueError(f"d_model={d_model} not divisible by {heads} heads")
-        if d_latent % C != 0:
-            raise ValueError(f"d_latent={d_latent} not divisible by C={C}")
+    def __init__(self, cfg, rng):
+        C, d_latent, d_model = cfg.partitions, cfg.d_latent, cfg.d_model
         self.C = C
-        self.m = m
+        self.m = cfg.codebook_size
         self.d_latent = d_latent
         self.d_part = d_latent // C
         self.d_model = d_model
-        self.n_max = n_max
+        self.n_max = cfg.n_max
         self.state = {}
         # partition c sees the previous node (d_latent wide) plus the
         # current node's first c partitions
         self.in_proj = [Affine(self.state, f"prior.in_proj{c}", rng, d_latent + c * self.d_part,
                                d_model) for c in range(C)]
-        self.pos_table = sinusoidal_positions(n_max + 1, d_model)
-        self.blocks = [PriorBlock(self.state, f"prior.block{i}", rng, d_model, heads, C,
-                                  ffn_layers) for i in range(num_blocks)]
-        self.out = [Affine(self.state, f"prior.out{c}", rng, d_model, m + 1) for c in range(C)]
+        self.pos_table = sinusoidal_positions(cfg.n_max + 1, d_model)
+        self.blocks = [PriorBlock(self.state, f"prior.block{i}", rng, d_model, cfg.heads, C,
+                                  cfg.ffn_layers) for i in range(cfg.blocks)]
+        self.out = [Affine(self.state, f"prior.out{c}", rng, d_model, self.m + 1)
+                    for c in range(C)]
 
 
 def sort_set(indices):
@@ -252,13 +252,12 @@ def generate(params: PriorParams, codebooks, count, seed, step_times=None):
     renormalizes end-of-set away so every set has at least one node.
 
     Returns a list of dicts: {"indices": (T, C) int64, "truncated":
-    bool}. step_times, if a list, collects (t, seconds, active) per node
-    step.
+    T == n_max, as end-of-set at node t gives T = t < n_max}.
+    step_times, if a list, collects (t, seconds, active) per node step.
     """
     C, m, n_max = params.C, params.m, params.n_max
     indices = np.zeros((count, n_max, C), dtype=np.int64)
     lengths = np.full(count, n_max, dtype=np.int64)
-    truncated = np.ones(count, dtype=bool)
     # one row per live sample, dropped when the sample ends: its index,
     # its uniforms (drawn up front: uniform t*C + c is the one its node
     # t, partition c would have drawn next, so truncating at end-of-set
@@ -300,7 +299,6 @@ def generate(params: PriorParams, codebooks, count, seed, step_times=None):
                 ended = draws == m
                 if ended.any():
                     lengths[active[ended]] = t
-                    truncated[active[ended]] = False
                     # drop the ended rows in place: live rows past the
                     # first n move into the ended rows before it
                     n = active.size - int(ended.sum())
@@ -319,7 +317,7 @@ def generate(params: PriorParams, codebooks, count, seed, step_times=None):
         prev = quantize.lookup(codebooks, indices[active, t:t + 1])
         prev_k0 = indices[active, t, :1]
 
-    return [{"indices": indices[i, :lengths[i]].copy(), "truncated": bool(truncated[i])}
+    return [{"indices": indices[i, :lengths[i]].copy(), "truncated": bool(lengths[i] == n_max)}
             for i in range(count)]
 
 

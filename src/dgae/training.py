@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import codec, prior, quantize
 from .autodiff import Tensor, straight_through
-from .features import FeatureConfig, augment, feature_widths
+from .features import augment, feature_widths
 from .prior import read_exact
 
 
@@ -81,10 +81,6 @@ class ModelConfig:
     # evaluation
     mmd_sigma: float = 1.0
     clustering_bins: int = 100
-
-    def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(self.feat_paths, self.feat_spectral, self.feat_cycles,
-                             self.feat_random, self.feat_p, self.feat_k, self.feat_d_rand)
 
     def violations(self):
         # a float field takes an int, and bool, a subclass of int, fits bool fields only
@@ -188,7 +184,7 @@ class AutoEncoderModel:
     is a buffer; every entry is saved."""
 
     def __init__(self, cfg: ModelConfig, rng):
-        fn, fe = feature_widths(cfg.feature_config(), cfg.node_categories, cfg.edge_categories)
+        fn, fe = feature_widths(cfg)
         self.state = {}
         self.encoder = codec.EncoderParams(self.state, "enc", rng, fn, fe, cfg.state_width,
                                            cfg.mlp_hidden, cfg.gnn_layers, cfg.d_latent)
@@ -202,12 +198,6 @@ class AutoEncoderModel:
             self.state[f"quant.cb{c}"] = cbs.codebooks[c]
             self.state[f"quant.count{c}"] = cbs.ema_counts[c]
             self.state[f"quant.sum{c}"] = cbs.ema_sums[c]
-
-
-def init_prior(cfg: ModelConfig, rng) -> prior.PriorParams:
-    """Freshly initialized prior parameters for cfg."""
-    return prior.PriorParams(rng, cfg.d_latent, cfg.partitions, cfg.codebook_size,
-                             cfg.d_model, cfg.heads, cfg.blocks, cfg.n_max, cfg.ffn_layers)
 
 
 def parameters(state):
@@ -384,17 +374,19 @@ def featurize_all(graphs, cfg: ModelConfig):
     """Augment every graph once, with a per-graph random-feature stream
     spawned from the config seed so the result is order-stable.
     """
-    fcfg = cfg.feature_config()
     children = np.random.SeedSequence([cfg.seed, 0xFEA7]).spawn(len(graphs))
-    return [augment(g, fcfg, np.random.default_rng(children[i]))
+    return [augment(g, cfg, np.random.default_rng(children[i]))
             for i, g in enumerate(graphs)]
 
 
 def split_dataset(count, cfg: ModelConfig):
-    """Deterministic holdout split: (train_idx, val_idx)."""
+    """Deterministic holdout split: (train_idx, val_idx). Raises
+    ValueError when no graph is left to train on."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5917]))
     perm = rng.permutation(count)
     k = int(round(count * cfg.holdout_frac))
+    if k == count:
+        raise ValueError("empty training split")
     return np.sort(perm[k:]), np.sort(perm[:k])
 
 
@@ -526,8 +518,6 @@ def train_autoencoder(graphs, cfg: ModelConfig, metrics_path=None, log=None):
     train_idx, val_idx = split_dataset(len(graphs), cfg)
     aug_train = [aug[i] for i in train_idx]
     aug_val = [aug[i] for i in val_idx]
-    if not aug_train:
-        raise ValueError("empty training split")
 
     model = AutoEncoderModel(cfg, init_rng)
     params = parameters(model.state)
@@ -605,7 +595,7 @@ def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
 
     root = np.random.SeedSequence([cfg.seed, 0xF1])
     init_rng, shuffle_rng = [np.random.default_rng(s) for s in root.spawn(2)]
-    pparams = init_prior(cfg, init_rng)
+    pparams = prior.PriorParams(cfg, init_rng)
     codebooks = model.codebooks.codebooks
     params = parameters(pparams.state)
     adam = AdamState(params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)

@@ -105,14 +105,13 @@ def test_criterion_03_equivariance():
         model.codebooks.codebooks[c][...] = rng.standard_normal(
             model.codebooks.codebooks[c].shape)
     model.codebooks.initialized = True
-    fc = cfg.feature_config()
 
     worst = 0.0
     pairs = 0
     for _ in range(100):
         g = random_graph(rng, 3, 13)
         pi = rng.permutation(g.n)
-        a, b = augment(g, fc), augment(permute(g, pi), fc)
+        a, b = augment(g, cfg), augment(permute(g, pi), cfg)
 
         za = oracles.encode_graph(a, model.encoder, train=False)
         zb = oracles.encode_graph(b, model.encoder, train=False)
@@ -195,8 +194,9 @@ def _stage1_fd_setup():
 
 def _stage2_fd_setup():
     rng = np.random.default_rng(405)
-    params = prior.PriorParams(rng, d_latent=4, C=2, m=3, d_model=8, heads=2,
-                               num_blocks=1, n_max=5)
+    cfg = ModelConfig(d_latent=4, partitions=2, codebook_size=3, d_model=8, heads=2, blocks=1,
+                      n_max=5)
+    params = prior.PriorParams(cfg, rng)
     cbs = rng.standard_normal((2, 3, 2))
     seqs = [np.sort(rng.integers(0, 3, size=(T, 2)), axis=0) for T in (2, 4, 3)]
     batch = pack_sequences(seqs, params.n_max, cbs)
@@ -282,8 +282,9 @@ def _rand_sequence(rng, params, T):
 def test_criterion_06_causality_and_masking():
     t0 = time.perf_counter()
     rng = np.random.default_rng(606)
-    params = prior.PriorParams(rng, d_latent=4, C=2, m=4, d_model=8, heads=2,
-                               num_blocks=2, n_max=8)
+    cfg = ModelConfig(d_latent=4, partitions=2, codebook_size=4, d_model=8, heads=2, blocks=2,
+                      n_max=8)
+    params = prior.PriorParams(cfg, rng)
     cbs = rng.standard_normal((params.C, params.m, params.d_part))
 
     def batch_of(idx):
@@ -415,7 +416,7 @@ def _fresh_sampler(cfg, rng):
     end-of-set logit is pushed to -inf territory so every sequence runs
     to n_max and each sweep covers the full range of generated sizes.
     """
-    pparams = training.init_prior(cfg, rng)
+    pparams = prior.PriorParams(cfg, rng)
     for head in pparams.out:
         head.b.data[cfg.codebook_size] -= 60.0
     d_part = cfg.d_latent // cfg.partitions

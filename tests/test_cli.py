@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgae import cli, training
+from dgae import cli, prior, training
 from dgae.cli import FORMAT_VERSIONS, main, parse_config_file
 from dgae.graphs import load_dataset
 from dgae.training import ConfigError
@@ -102,6 +102,20 @@ def test_errors_go_to_stderr_with_exit_code_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "no-such-generator" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["featurize", "--in", "d.graphs", "--dry-run"],
+    ["featurize", "--in", "d.graphs", "--verbose"],
+    ["eval", "--ref", "a.graphs", "--gen", "b.graphs", "--out", "r.csv", "--verbose"],
+], ids=["featurize-dry-run", "featurize-verbose", "eval-verbose"])
+def test_commands_reject_flags_they_would_ignore(argv, capsys):
+    """--dry-run is for commands that write files, --verbose for those
+    that log per-epoch metrics."""
+    with pytest.raises(SystemExit) as e:
+        run(argv)
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +304,27 @@ def test_train_prior_outputs(workspace):
     assert float(rows[-1].split(",")[nll_col]) > 0
 
 
+@pytest.mark.parametrize("count,holdout", [(3, 0.9), (0, 0.2)],
+                         ids=["all-held-out", "empty-dataset"])
+@pytest.mark.parametrize("command", ["train-ae", "train-prior"])
+def test_an_empty_training_split_is_one_error_line(workspace, tmp_path, capsys, command,
+                                                    count, holdout):
+    """Neither stage trains on nothing: exit 1, one error line, no
+    checkpoint and no metrics."""
+    data = tmp_path / "d.graphs"
+    run(["dataset", "gen", "--spec", "community-small", "--count", count, "--out", data])
+    conf = tmp_path / "c.conf"
+    conf.write_text(f"holdout_frac = {holdout}\n")
+    out, csv = tmp_path / "out.ckpt", tmp_path / "m.csv"
+    argv = [command, "--data", data, "--out", out, "--metrics", csv, "--config", conf]
+    if command == "train-prior":
+        argv += ["--ckpt", workspace["ae_ckpt"]]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: empty training split\n"
+    assert not out.exists() and not csv.exists()
+
+
 def _epoch_lines(out):
     """{epoch: [(key, value)]} of the `epoch N: k=v ...` lines of out."""
     lines = {}
@@ -392,7 +427,7 @@ def test_generate_writes_the_models_category_counts_in_the_header(tmp_path, caps
     cfg = training.ModelConfig(node_categories=3, edge_categories=3, d_latent=8,
                                d_model=16, heads=2, blocks=1)
     rng = np.random.default_rng(0)
-    model, pparams = training.AutoEncoderModel(cfg, rng), training.init_prior(cfg, rng)
+    model, pparams = training.AutoEncoderModel(cfg, rng), prior.PriorParams(cfg, rng)
     ckpt = tmp_path / "full.ckpt"
     training.save_checkpoint(str(ckpt), cfg, training.state_arrays(model.state, pparams.state),
                              0, extra={"kind": "full", "cb_initialized": True})

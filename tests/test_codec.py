@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,21 +9,20 @@ import oracles
 from dgae import autodiff as ad
 from dgae import codec, prior
 from dgae.autodiff import Tensor
-from dgae.features import FeatureConfig, augment
+from dgae.features import augment, feature_widths
 from dgae.graphs import new_graph, permute
 from dgae.quantize import CodebookSet, quantize
-from dgae.training import AutoEncoderModel, ModelConfig, init_prior, parameters
+from dgae.training import AutoEncoderModel, ModelConfig, parameters
 
 # label-stable feature set: eigenvector bases of degenerate Laplacian
 # eigenspaces are solver-ordered, so spectral features carry no exact
 # equivariance guarantee and stay out of these tests
-DET_CFG = FeatureConfig(spectral=False, random=False)
+DET_CFG = ModelConfig(feat_spectral=False, feat_random=False)
 
 
 def make_models(rng, d_latent=6, state_width=8, mlp_hidden=12, layers=2,
                 R=1, S=2, cfg=DET_CFG):
-    from dgae.features import feature_widths
-    fn, fe = feature_widths(cfg, R, S)
+    fn, fe = feature_widths(dataclasses.replace(cfg, node_categories=R, edge_categories=S))
     state = {}
     enc = codec.EncoderParams(state, "enc", rng, fn, fe, state_width, mlp_hidden, layers,
                               d_latent)
@@ -296,7 +296,7 @@ def test_ae_step_memory_is_bounded():
     rng = np.random.default_rng(11)
     graphs = [oracles.graph_from_adjacency(oracles.random_adjacency(rng, 20, 0.1))
               for _ in range(32)]
-    batch = codec.prepare_batch([augment(g, cfg.feature_config(), rng=rng) for g in graphs])
+    batch = codec.prepare_batch([augment(g, cfg, rng=rng) for g in graphs])
     tracemalloc.start()
     try:
         z = codec.encode(batch, model.encoder, train=True)
@@ -315,7 +315,7 @@ def test_prior_step_memory_is_bounded():
     the step ended."""
     cfg = ModelConfig()
     rng = np.random.default_rng(12)
-    pparams = init_prior(cfg, rng)
+    pparams = prior.PriorParams(cfg, rng)
     books = rng.normal(size=(cfg.partitions, cfg.codebook_size, cfg.d_latent // cfg.partitions))
     seqs = [prior.sort_set(rng.integers(0, cfg.codebook_size, size=(cfg.n_max, cfg.partitions)))
             for _ in range(32)]

@@ -28,11 +28,11 @@ from dgae.evaluation import (
     node_orbit_counts,
     write_mmd_report,
 )
+from dgae.prior import PriorParams
 from dgae.training import (
     AutoEncoderModel,
     ModelConfig,
     generate_graphs,
-    init_prior,
     split_dataset,
 )
 
@@ -620,7 +620,7 @@ def fresh_models(cfg, seed=0):
         model.codebooks.codebooks[c][:] = rng.normal(
             size=model.codebooks.codebooks[c].shape)
     model.codebooks.initialized = True
-    pparams = init_prior(cfg, rng)
+    pparams = PriorParams(cfg, rng)
     return model, pparams
 
 

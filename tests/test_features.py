@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import oracles
-from dgae.features import (FeatureConfig, augment, cycle_counts, feature_widths,
-                           path_features, random_features, spectral_features)
+from dgae.features import (augment, cycle_counts, feature_widths, path_features,
+                           random_features, spectral_features)
 from dgae.graphs import new_graph, permute
+from dgae.training import ModelConfig
 
 
 def triangle():
@@ -193,7 +196,8 @@ def test_random_features_determinism_and_width():
 
 
 def test_augment_all_off_is_identity():
-    cfg = FeatureConfig(paths=False, spectral=False, cycles=False, random=False)
+    cfg = ModelConfig(feat_paths=False, feat_spectral=False, feat_cycles=False,
+                      feat_random=False)
     g = path3()
     ag = augment(g, cfg)
     # one node category (R=1): every node's one-hot is [1]
@@ -206,21 +210,22 @@ def test_augment_all_off_is_identity():
 
 
 def test_augment_paths_only_widths():
-    cfg = FeatureConfig(paths=True, spectral=False, cycles=False, random=False)
+    cfg = ModelConfig(feat_paths=True, feat_spectral=False, feat_cycles=False,
+                      feat_random=False)
     ag = augment(triangle(), cfg)
     S = triangle().num_edge_categories
     assert ag.edge_feats.shape[-1] == S + 3
-    fn, fe = feature_widths(cfg, R=1, S=S)
+    fn, fe = feature_widths(cfg)
     assert ag.node_feats.shape[-1] == fn
     assert ag.edge_feats.shape[-1] == fe
 
 
 def test_augment_width_bookkeeping_all_on():
-    cfg = FeatureConfig()
+    cfg = ModelConfig()
     rng = np.random.default_rng(10)
     g = oracles.graph_from_adjacency(oracles.random_adjacency(rng, 6))
     ag = augment(g, cfg, rng=rng)
-    fn, fe = feature_widths(cfg, R=1, S=2)
+    fn, fe = feature_widths(cfg)
     assert ag.node_feats.shape == (6, fn)
     assert ag.edge_feats.shape == (6, 6, fe)
     # neighborhood has no self loops and covers every real edge
@@ -229,13 +234,35 @@ def test_augment_width_bookkeeping_all_on():
     assert np.array_equal(ag.neighborhood, ag.neighborhood.T)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("flags", list(itertools.product([False, True], repeat=4)))
+def test_feature_widths_do_not_depend_on_graph_size(flags, p):
+    """feature_widths reads its widths off a one-node graph; a larger
+    graph with more categories gets the same ones from augment."""
+    paths, spectral, cycles, random = flags
+    cfg = ModelConfig(node_categories=3, edge_categories=4, feat_paths=paths,
+                      feat_spectral=spectral, feat_cycles=cycles, feat_random=random, feat_p=p)
+    rng = np.random.default_rng(p)
+    pairs = [(i, j, int(rng.integers(0, 4))) for i in range(7) for j in range(i + 1, 7)]
+    g = new_graph(7, [e for e in pairs if e[2]], node_categories=rng.integers(0, 3, 7),
+                  num_node_categories=3, num_edge_categories=4)
+    ag = augment(g, cfg, rng=rng)
+    assert feature_widths(cfg) == (ag.node_feats.shape[1], ag.edge_feats.shape[2])
+
+
+def test_default_feature_widths_are_the_featurize_report():
+    # R=1, S=2: 1 + 3 path + 4 spectral + 3 cycle + 4 random node
+    # columns, 2 + 3 path edge columns
+    assert feature_widths(ModelConfig()) == (15, 5)
+
+
 def test_augment_random_requires_rng():
     with pytest.raises(ValueError):
-        augment(triangle(), FeatureConfig())
+        augment(triangle(), ModelConfig())
 
 
 def test_augment_masks_edge_features_outside_neighborhood():
-    cfg = FeatureConfig(random=False)
+    cfg = ModelConfig(feat_random=False)
     g = new_graph(4, [(0, 1), (1, 2), (2, 3)])
     ag = augment(g, cfg)
     outside = ~ag.neighborhood

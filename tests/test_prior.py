@@ -21,13 +21,15 @@ from dgae.prior import (
     sort_set,
     write_sequences,
 )
-from dgae.training import parameters
+from dgae.training import ModelConfig, parameters
 
 
 def tiny_params(seed=0, d_latent=8, C=2, m=4, d_model=16, heads=2,
                 num_blocks=2, n_max=8):
     rng = np.random.default_rng(seed)
-    return PriorParams(rng, d_latent, C, m, d_model, heads, num_blocks, n_max)
+    cfg = ModelConfig(d_latent=d_latent, partitions=C, codebook_size=m, d_model=d_model,
+                      heads=heads, blocks=num_blocks, n_max=n_max)
+    return PriorParams(cfg, rng)
 
 
 def random_sequence(rng, T, C, m):

@@ -26,7 +26,6 @@ from dgae.training import (
     evaluate_prior,
     featurize_all,
     generate_graphs,
-    init_prior,
     load_checkpoint,
     load_state,
     parameters,
@@ -240,7 +239,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     cfg = tiny_config()
     rng = np.random.default_rng(99)  # not the loader's seed, so the load must overwrite
     model = AutoEncoderModel(cfg, rng)
-    pparams = init_prior(cfg, rng)
+    pparams = prior.PriorParams(cfg, rng)
     model.codebooks.initialized = True
     arrays = state_arrays(model.state, pparams.state)
     path = str(tmp_path / "ck.bin")
@@ -384,7 +383,7 @@ def test_heldout_loss_trend_is_nonincreasing():
 def test_prior_memorizes_single_sequence():
     cfg = tiny_config()
     rng = np.random.default_rng(2)
-    pparams = init_prior(cfg, rng)
+    pparams = prior.PriorParams(cfg, rng)
     dp = cfg.d_latent // cfg.partitions
     books = rng.normal(size=(cfg.partitions, cfg.codebook_size, dp))
     idx = np.array([[0, 2], [1, 1], [3, 0]])
@@ -472,7 +471,7 @@ def _prior_and_sequences(cfg, count, seed):
     """A fresh prior, random codebooks and `count` sorted index sets of
     1..n_max nodes."""
     rng = np.random.default_rng(seed)
-    pparams = init_prior(cfg, rng)
+    pparams = prior.PriorParams(cfg, rng)
     books = rng.normal(size=(cfg.partitions, cfg.codebook_size,
                              cfg.d_latent // cfg.partitions))
     seqs = [prior.sort_set(rng.integers(0, cfg.codebook_size,
@@ -549,7 +548,7 @@ def one_step_losses(cfg):
     seqs = [prior.sort_set(rng.integers(0, cfg.codebook_size, size=(n, cfg.partitions)))
             for n in (3, 5)]
     batch = prior.pack_sequences(seqs, cfg.n_max, model.codebooks.codebooks)
-    pparams = init_prior(cfg, rng)
+    pparams = prior.PriorParams(cfg, rng)
     return model, recon + commit, pparams, prior.prior_nll(pparams, batch)
 
 
