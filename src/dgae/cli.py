@@ -21,7 +21,8 @@ from .features import feature_widths
 from .graphs import DatasetSpec, build_dataset, load_dataset, save_dataset
 from .training import ConfigError, ModelConfig
 
-FORMAT_VERSIONS = {"checkpoint": 1, "dataset": 1, "sequence_cache": 1}
+FORMAT_VERSIONS = {"checkpoint": training._CKPT_VERSION, "dataset": 1,
+                   "sequence_cache": prior._SEQ_VERSION}
 _VERSION_LINE = (f"dgae {__version__} (formats: " +
                  ", ".join(f"{k}={v}" for k, v in FORMAT_VERSIONS.items()) + ")")
 
@@ -75,10 +76,10 @@ def resolve_config(args, base: ModelConfig | None = None) -> ModelConfig:
     return training.config_from_dict(d)
 
 
-def _maybe_dry_run(args, cfg: ModelConfig, outputs):
+def _maybe_dry_run(args, cfg: ModelConfig | None, outputs):
     if not getattr(args, "dry_run", False):
         return False
-    for key, val in sorted(cfg.to_dict().items()):
+    for key, val in sorted(cfg.to_dict().items() if cfg is not None else ()):
         print(f"{key} = {val}")
     print("dry-run: would write " + ", ".join(outputs))
     return True
@@ -88,7 +89,7 @@ def write_manifest(args, cfg, outputs, extra=None):
     manifest = {
         "tool": _VERSION_LINE,
         "command": [args.command] + ([args.action] if hasattr(args, "action") else []),
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "config": cfg.to_dict() if cfg is not None else None,
         "config_sha256": hashlib.sha256(
             json.dumps(cfg.to_dict(), sort_keys=True).encode()).hexdigest()
@@ -106,20 +107,24 @@ def write_manifest(args, cfg, outputs, extra=None):
 
 
 def _load_models(path, need_prior):
-    cfg, tensors, meta = training.load_checkpoint(path)
+    """(cfg, model, pparams or None) of a checkpoint, read off its
+    tensors: it holds a prior when a name starts with "prior.", and
+    seeded codebooks when an EMA count is nonzero (seeding sets every
+    count to at least 1; an EMA step keeps each partition's total > 0)."""
+    cfg, tensors, _ = training.load_checkpoint(path)
     rng = np.random.default_rng(0)  # weights are overwritten by the load
     model = training.AutoEncoderModel(cfg, rng)
     state, pparams = model.state, None
     if need_prior:
-        if meta.get("kind") != "full":
+        if not any(k.startswith("prior.") for k in tensors):
             raise ValueError(f"{path}: checkpoint has no prior; run train-prior first")
         pparams = prior.PriorParams(cfg, rng)
         state = {**state, **pparams.state}
     else:
         tensors = {k: v for k, v in tensors.items() if not k.startswith("prior.")}
     training.load_state(state, tensors, path)
-    model.codebooks.initialized = bool(meta.get("cb_initialized", False))
-    return cfg, model, pparams, meta
+    model.codebooks.initialized = bool(model.codebooks.ema_counts.any())
+    return cfg, model, pparams
 
 
 def _sync_data_config(cfg: ModelConfig, graphs, header):
@@ -144,9 +149,9 @@ def _check_count(count):
 def cmd_dataset_gen(args):
     _check_count(args.count)
     spec = DatasetSpec(args.spec, args.count, args.seed)
-    graphs = build_dataset(spec)
-    if _maybe_dry_run(args, ModelConfig(seed=args.seed), [args.out]):
+    if _maybe_dry_run(args, None, [args.out]):
         return 0
+    graphs = build_dataset(spec)
     save_dataset(args.out, graphs)
     write_manifest(args, None, [args.out],
                    {"generator": args.spec, "count": args.count, "seed": args.seed})
@@ -178,10 +183,7 @@ def cmd_train_ae(args):
         return 0
     model, info = training.train_autoencoder(graphs, cfg, metrics_path=args.metrics,
                                              log=print if args.verbose else None)
-    training.save_checkpoint(args.out, cfg, training.state_arrays(model.state), info["step"],
-                             rng_state=info["rng_state"],
-                             extra={"kind": "ae",
-                                    "cb_initialized": model.codebooks.initialized})
+    training.save_checkpoint(args.out, cfg, training.state_arrays(model.state), info["step"])
     write_manifest(args, cfg, outputs)
     last = info["history"][-1] if info["history"] else {}
     print(f"trained {info['step']} steps; "
@@ -193,7 +195,7 @@ def cmd_train_ae(args):
 
 def cmd_train_prior(args):
     graphs, header = load_dataset(args.data)
-    ckpt_cfg, model, _, _ = _load_models(args.ckpt, need_prior=False)
+    ckpt_cfg, model, _ = _load_models(args.ckpt, need_prior=False)
     cfg = _sync_data_config(resolve_config(args, base=ckpt_cfg), graphs, header)
     changed = [f"{k} {getattr(ckpt_cfg, k)} -> {getattr(cfg, k)}" for k in training.AE_FIELDS
                if getattr(ckpt_cfg, k) != getattr(cfg, k)]
@@ -208,8 +210,7 @@ def cmd_train_prior(args):
                                          log=print if args.verbose else None,
                                          cache_path=args.cache)
     training.save_checkpoint(args.out, cfg, training.state_arrays(model.state, pparams.state),
-                             info["step"], rng_state=info["rng_state"],
-                             extra={"kind": "full", "cb_initialized": True})
+                             info["step"])
     write_manifest(args, cfg, outputs)
     last = info["history"][-1] if info["history"] else {}
     print(f"trained {info['step']} steps; holdout nll={last.get('nll', float('nan')):.5f}")
@@ -218,7 +219,7 @@ def cmd_train_prior(args):
 
 def cmd_generate(args):
     _check_count(args.count)
-    cfg, model, pparams, _ = _load_models(args.ckpt, need_prior=True)
+    cfg, model, pparams = _load_models(args.ckpt, need_prior=True)
     if _maybe_dry_run(args, cfg, [args.out]):
         return 0
     graphs, info = training.generate_graphs(model, pparams, cfg, args.count, args.seed)
@@ -328,7 +329,7 @@ def build_parser():
 
     f = sub.add_parser("featurize", help="feature diagnostics for a dataset")
     f.add_argument("--in", dest="inp", required=True)
-    _add_config_args(f, writes=False, logs=False)
+    _add_config_args(f, seed=False, writes=False, logs=False)
     f.set_defaults(func=cmd_featurize)
 
     t = sub.add_parser("train-ae", help="train the graph auto-encoder")
@@ -359,7 +360,7 @@ def build_parser():
     ev.add_argument("--ref", required=True)
     ev.add_argument("--gen", required=True)
     ev.add_argument("--out", required=True)
-    _add_config_args(ev, logs=False)
+    _add_config_args(ev, seed=False, logs=False)
     ev.set_defaults(func=cmd_eval)
 
     ab = sub.add_parser("ablate", help="ablation studies")
@@ -384,7 +385,11 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run the command argv, by default the program's own arguments;
+    manifests record the argv given here."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except (ConfigError, ValueError, RuntimeError, OSError) as e:

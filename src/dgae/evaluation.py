@@ -45,18 +45,6 @@ _REPORT_NOTES = [
 # ---------------------------------------------------------------------------
 # graphlet orbit machinery
 
-def _connected(adj, s):
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in range(s):
-            if adj[u][v] and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == s
-
-
 def _pairs(s):
     return list(itertools.combinations(range(s), 2))
 
@@ -70,24 +58,22 @@ def graphlet_orbit_tables():
     Returns {s: table} for s in 2, 3, 4, where table is a boolean array
     indexed by the edge-pattern code of an s-node subgraph (bit b set
     when the b-th pair of itertools.combinations(range(s), 2) is an
-    edge) and True when that pattern is connected. The tables are built
-    on first use and cached in the module global _ORBIT_TABLES; setting
-    it to None makes the next call build them again, which is how the
-    eval workload of dgaebench/run.py makes every set-up pay for them.
+    edge) and True when that pattern is connected: every entry of
+    (A + I)^(s - 1) is nonzero for its adjacency matrix A. The tables
+    are built on first use, all codes of a size at once, and cached in
+    the module global _ORBIT_TABLES; setting it to None makes the next
+    call build them again, which is how the eval workload of
+    dgaebench/run.py makes every set-up pay for them.
     """
     global _ORBIT_TABLES
     if _ORBIT_TABLES is None:
         tables = {}
         for s in (2, 3, 4):
-            pairs = _pairs(s)
-            table = np.zeros(1 << len(pairs), dtype=bool)
-            for code in range(len(table)):
-                A = [[False] * s for _ in range(s)]
-                for b, (i, j) in enumerate(pairs):
-                    if code >> b & 1:
-                        A[i][j] = A[j][i] = True
-                table[code] = _connected(A, s)
-            tables[s] = table
+            i, j = np.array(_pairs(s)).T
+            bits = np.arange(1 << len(i))[:, None] >> np.arange(len(i)) & 1
+            reach = np.tile(np.eye(s, dtype=np.int64), (len(bits), 1, 1))  # A + I
+            reach[:, i, j] = reach[:, j, i] = bits
+            tables[s] = (np.linalg.matrix_power(reach, s - 1) > 0).all(axis=(1, 2))
         _ORBIT_TABLES = tables
     return _ORBIT_TABLES
 
@@ -174,18 +160,15 @@ def clustering_coefficients(A):
 
 def _uniform_histograms(x, bins):
     """(G, bins) int64 counts of each row of x over [0, 1] in `bins` equal
-    bins, equal to np.histogram(row, bins, range=(0, 1))[0] per row: the
-    same index, last-edge fold and one-ulp corrections against the same
-    linspace edges; values outside [0, 1] are not counted."""
+    bins, equal to np.histogram(row, bins, range=(0, 1))[0] per row: a
+    value falls in the last bin whose left edge, from the same linspace
+    edges, it reaches, and 1.0 in the last bin; values outside [0, 1]
+    are not counted."""
     edges = np.linspace(0.0, 1.0, bins + 1)
     rows = np.broadcast_to(np.arange(len(x))[:, None], x.shape)
     keep = (x >= 0.0) & (x <= 1.0)
-    x, rows = x[keep], rows[keep]
-    idx = (x * bins).astype(np.intp)
-    idx[idx == bins] -= 1
-    idx[x < edges[idx]] -= 1
-    idx[(x >= edges[idx + 1]) & (idx != bins - 1)] += 1
-    return np.bincount(rows * bins + idx, minlength=len(keep) * bins).reshape(-1, bins)
+    idx = np.minimum(np.searchsorted(edges, x[keep], side="right") - 1, bins - 1)
+    return np.bincount(rows[keep] * bins + idx, minlength=len(keep) * bins).reshape(-1, bins)
 
 
 def _row_bincounts(v):

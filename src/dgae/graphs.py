@@ -130,18 +130,22 @@ def gen_community_small(rng) -> Graph:
 _GENERATORS = {"community-small": gen_community_small}
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetSpec:
+    """What build_dataset makes; a generator name that is not known is a
+    ValueError here, before any graph is built."""
     generator: str
     count: int
     seed: int
 
+    def __post_init__(self):
+        if self.generator not in _GENERATORS:
+            raise ValueError(f"unknown generator {self.generator!r}; "
+                             f"known: {sorted(_GENERATORS)}")
+
 
 def build_dataset(spec: DatasetSpec):
     """Generate spec.count graphs; identical spec yields identical data."""
-    if spec.generator not in _GENERATORS:
-        raise ValueError(f"unknown generator {spec.generator!r}; "
-                         f"known: {sorted(_GENERATORS)}")
     gen = _GENERATORS[spec.generator]
     rng = np.random.default_rng(spec.seed)
     return [gen(rng) for _ in range(spec.count)]

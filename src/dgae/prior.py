@@ -326,6 +326,7 @@ def generate(params: PriorParams, codebooks, count, seed, step_times=None):
 # varint node count followed by T*C varint indices in raster order.
 
 _SEQ_MAGIC = b"DSEQ"
+_SEQ_VERSION = 1
 
 
 def _write_varint(f, value):
@@ -368,7 +369,7 @@ def write_sequences(path, m, C, sequences):
         raise ValueError(f"codebook size {m} and partitions {C} must be positive")
     with open(path, "wb") as f:
         f.write(_SEQ_MAGIC)
-        f.write(struct.pack("<III", 1, m, C))
+        f.write(struct.pack("<III", _SEQ_VERSION, m, C))
         seqs = list(sequences)
         f.write(struct.pack("<Q", len(seqs)))
         for s in seqs:
@@ -388,7 +389,7 @@ def read_sequences(path):
         if f.read(4) != _SEQ_MAGIC:
             raise ValueError(f"{path}: not a sequence cache file")
         version, m, C = struct.unpack("<III", read_exact(f, 12, path, "header"))
-        if version != 1:
+        if version != _SEQ_VERSION:
             raise ValueError(f"{path}: unsupported sequence cache version {version}")
         if m < 1 or C < 1:
             raise ValueError(f"{path}: codebook size {m} and partitions {C} must be positive")

@@ -3,7 +3,7 @@ autoregressive prior over the frozen encoder's quantized sequences.
 
 Everything is driven by one ModelConfig so runs are reproducible from
 (config, seed) alone. Checkpoints are a single binary file carrying a
-config echo, RNG state, step count, and every named tensor.
+config echo, step count, and every named tensor.
 """
 
 from __future__ import annotations
@@ -237,10 +237,9 @@ _DTYPES = {0: "<f8", 1: "<i8"}
 _DTYPE_CODES = {"<f8": 0, "<i8": 1}
 
 
-def save_checkpoint(path, cfg: ModelConfig, tensors, step, rng_state=None, extra=None):
-    """Atomic single-file save: JSON header plus named raw tensors."""
-    header = {"config": cfg.to_dict(), "step": int(step),
-              "rng_state": rng_state, "extra": extra or {}}
+def save_checkpoint(path, cfg: ModelConfig, tensors, step):
+    """Atomic single-file save: JSON header {"config", "step"} plus named raw tensors."""
+    header = {"config": cfg.to_dict(), "step": int(step)}
     blob = json.dumps(header, sort_keys=True).encode()
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
@@ -263,7 +262,7 @@ def save_checkpoint(path, cfg: ModelConfig, tensors, step, rng_state=None, extra
 
 
 def load_checkpoint(path):
-    """Returns (config, tensors dict, meta dict with step/rng/extra)."""
+    """Returns (config, tensors dict, {"step": step}); other header keys are ignored."""
     with open(path, "rb") as f:
         if f.read(4) != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
@@ -274,8 +273,7 @@ def load_checkpoint(path):
         try:
             header = json.loads(blob)
             cfg = config_from_dict(header["config"])
-            meta = {"step": header["step"], "rng_state": header["rng_state"],
-                    **header["extra"]}
+            meta = {"step": header["step"]}
         except (ValueError, KeyError, TypeError) as e:
             raise ValueError(f"{path}: bad checkpoint header: {e}") from e
         (count,) = struct.unpack("<I", read_exact(f, 4, path, "tensor count"))
@@ -544,8 +542,7 @@ def train_autoencoder(graphs, cfg: ModelConfig, metrics_path=None, log=None):
             records.add(epoch, step, evaluate_autoencoder(model, aug_val, cfg))
     if cfg.epochs_ae > 0:
         seed_codebooks()
-    rng_state = shuffle_rng.bit_generator.state
-    return model, {"history": records.history, "step": step, "rng_state": rng_state}
+    return model, {"history": records.history, "step": step}
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +607,7 @@ def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
                 _optimizer_step(prior.prior_nll(pparams, batch), params, adam, cfg, step)
                 step += 1
             records.add(epoch, step, evaluate_prior(pparams, val_seqs, codebooks, cfg))
-    rng_state = shuffle_rng.bit_generator.state
-    return pparams, {"history": records.history, "step": step, "rng_state": rng_state}
+    return pparams, {"history": records.history, "step": step}
 
 
 # ---------------------------------------------------------------------------

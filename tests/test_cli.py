@@ -96,22 +96,28 @@ def test_version_flag_prints_tool_and_format_versions(capsys):
 
 
 def test_errors_go_to_stderr_with_exit_code_one(tmp_path, capsys):
-    rc = run(["dataset", "gen", "--spec", "no-such-generator",
-              "--count", 4, "--out", tmp_path / "x"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "no-such-generator" in err
+    for dry_run in ([], ["--dry-run"]):
+        rc = run(["dataset", "gen", "--spec", "no-such-generator",
+                  "--count", 4, "--out", tmp_path / "x"] + dry_run)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (dry_run, err)
+        assert "no-such-generator" in err
+        assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("argv", [
     ["featurize", "--in", "d.graphs", "--dry-run"],
     ["featurize", "--in", "d.graphs", "--verbose"],
     ["eval", "--ref", "a.graphs", "--gen", "b.graphs", "--out", "r.csv", "--verbose"],
-], ids=["featurize-dry-run", "featurize-verbose", "eval-verbose"])
+    ["featurize", "--in", "d.graphs", "--seed", "1"],
+    ["eval", "--ref", "a.graphs", "--gen", "b.graphs", "--out", "r.csv", "--seed", "1"],
+], ids=["featurize-dry-run", "featurize-verbose", "eval-verbose", "featurize-seed",
+        "eval-seed"])
 def test_commands_reject_flags_they_would_ignore(argv, capsys):
     """--dry-run is for commands that write files, --verbose for those
-    that log per-epoch metrics."""
+    that log per-epoch metrics, --seed for those that draw random
+    numbers."""
     with pytest.raises(SystemExit) as e:
         run(argv)
     assert e.value.code == 2
@@ -242,11 +248,29 @@ def test_dataset_gen_is_byte_identical_across_runs(tmp_path):
     assert header["R"] == 1 and header["S"] == 2
 
 
-def test_dataset_gen_manifest_records_the_generator(tmp_path):
+def test_dataset_gen_dry_run_builds_no_graph(tmp_path, capsys, monkeypatch):
+    """A dry run names what it would write, and neither builds the graphs
+    nor prints a model config, which dataset generation does not read."""
+    def no_build(spec):
+        raise AssertionError("dry run built the dataset")
+
+    monkeypatch.setattr(cli, "build_dataset", no_build)
     out = tmp_path / "d.graphs"
-    run(["dataset", "gen", "--spec", "community-small",
-         "--count", 6, "--seed", 2, "--out", out])
+    assert run(["dataset", "gen", "--spec", "community-small", "--count", 3000,
+                "--out", out, "--dry-run"]) == 0
+    assert capsys.readouterr().out == f"dry-run: would write {out}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dataset_gen_manifest_records_the_generator(tmp_path, monkeypatch):
+    """And the argv main was given, not that of the program calling it."""
+    monkeypatch.setattr("sys.argv", ["host", "--some", "flag"])
+    out = tmp_path / "d.graphs"
+    argv = ["dataset", "gen", "--spec", "community-small", "--count", "6", "--seed", "2",
+            "--out", str(out)]
+    assert main(argv) == 0
     m = manifest_of(out)
+    assert m["argv"] == argv
     assert m["generator"] == "community-small"
     assert m["count"] == 6 and m["seed"] == 2
     assert m["command"] == ["dataset", "gen"]
@@ -430,7 +454,7 @@ def test_generate_writes_the_models_category_counts_in_the_header(tmp_path, caps
     model, pparams = training.AutoEncoderModel(cfg, rng), prior.PriorParams(cfg, rng)
     ckpt = tmp_path / "full.ckpt"
     training.save_checkpoint(str(ckpt), cfg, training.state_arrays(model.state, pparams.state),
-                             0, extra={"kind": "full", "cb_initialized": True})
+                             0)
     for count in (0, 2):
         out = tmp_path / f"gen{count}.graphs"
         assert run(["generate", "--ckpt", ckpt, "--count", count, "--out", out]) == 0
@@ -459,12 +483,30 @@ def test_eval_report_columns_and_determinism(workspace, tmp_path, capsys):
 
 
 def test_checkpoints_reload_through_the_cli_loader(workspace):
-    cfg, model, pparams, meta = cli._load_models(str(workspace["full_ckpt"]),
-                                                 need_prior=True)
-    assert meta["kind"] == "full"
+    cfg, model, pparams = cli._load_models(str(workspace["full_ckpt"]), need_prior=True)
     assert cfg.codebook_size == 6 and cfg.partitions == 2
     assert model.codebooks.initialized
     assert pparams is not None
+    _, model, pparams = cli._load_models(str(workspace["ae_ckpt"]), need_prior=False)
+    assert model.codebooks.initialized and pparams is None
+
+
+def test_train_prior_from_unseeded_codebooks_is_one_error_line(workspace, tmp_path, capsys):
+    """A stage-1 checkpoint of no epochs has never seeded its codebooks:
+    all its EMA counts are zero, and stage 2 has no codes to learn."""
+    conf = tmp_path / "c.conf"
+    conf.write_text(TINY_CONFIG.replace("epochs_ae = 8", "epochs_ae = 0"))
+    ae, full = tmp_path / "ae.ckpt", tmp_path / "full.ckpt"
+    assert run(["train-ae", "--data", workspace["data"], "--out", ae, "--config", conf]) == 0
+    _, model, _ = cli._load_models(str(ae), need_prior=False)
+    assert not model.codebooks.initialized
+    capsys.readouterr()
+    assert run(["train-prior", "--data", workspace["data"], "--ckpt", ae, "--out", full,
+                "--config", conf]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "codebooks are uninitialized" in err
+    assert not full.exists()
 
 
 def test_truncated_checkpoint_is_one_error_line(workspace, tmp_path, capsys):
@@ -493,9 +535,7 @@ def test_malformed_checkpoint_header_is_one_error_line(workspace, tmp_path, caps
         return {("old_" + k if k == key else k): v for k, v in header.items()}
 
     # valid JSON, wrong shape: each once gave a traceback
-    cases = {"no-config": renamed("config"), "no-step": renamed("step"),
-             "no-extra": renamed("extra"), "array": [header],
-             "extra-array": {**header, "extra": [1]},
+    cases = {"no-config": renamed("config"), "no-step": renamed("step"), "array": [header],
              "n_max-string": {**header, "config": {**header["config"], "n_max": "20"}}}
     for name, bad in cases.items():
         blob = json.dumps(bad).encode()

@@ -1,5 +1,6 @@
 """Graph statistics, EMD/MMD machinery, reports, generation timing, ablations."""
 
+import itertools
 import json
 import math
 import time
@@ -100,6 +101,29 @@ def test_orbit_tables_flag_the_connected_patterns():
     # labeled connected graphs on 2, 3 and 4 nodes
     assert [int(tables[s].sum()) for s in (2, 3, 4)] == [1, 4, 38]
     assert [len(tables[s]) for s in (2, 3, 4)] == [2, 8, 64]
+    for s in (2, 3, 4):
+        assert tables[s].dtype == bool
+        pairs = list(itertools.combinations(range(s), 2))
+        for code, connected in enumerate(tables[s]):
+            adj = np.zeros((s, s), dtype=np.int64)
+            for b, (i, j) in enumerate(pairs):
+                adj[i, j] = adj[j, i] = code >> b & 1
+            assert connected == oracles._connected(adj), (s, code)
+
+
+@pytest.mark.parametrize("bins", [1, 3, 7, 33, 100, 170])
+def test_uniform_histograms_match_np_histogram(bins):
+    """Every bin edge, the values one ulp either side of it and values
+    outside [0, 1] land where np.histogram puts them, row by row."""
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    values = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                             [-0.1, 1.1, 2.0]])
+    rng = np.random.default_rng(bins)
+    x = np.stack([values, rng.permutation(values), rng.choice(values, len(values))])
+    got = evaluation._uniform_histograms(x, bins)
+    want = np.stack([np.histogram(row, bins, range=(0.0, 1.0))[0] for row in x])
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
 
 
 def test_node_orbit_totals_match_bruteforce():
