@@ -7,7 +7,12 @@ requires them. Training runs in float64: ops cast plain operands to
 it. Inference runs inside no_grad(), which records no graph, and may
 also run in float32: ops keep a float32 ndarray as it is, and mul,
 affine, pair_affine, layernorm and batchnorm compute in the dtype of
-their activation, casting their other operands to it.
+their activation, casting their other operands to it. The other ops
+cast nothing, so they stay in float32 only when every array operand
+is float32: add, for one, returns float64 for a float32 activation
+plus a float64 table, and the prior's float32 sampler casts its
+position table and key/value cache itself. Constants inside an op are
+Python floats, which keep float32; a NumPy float64 scalar would not.
 
 backward() spends the tape. Each interior node drops its backward
 closure and its parents as soon as the walk has passed its gradient
@@ -391,7 +396,7 @@ def causal_attention(q, k, v, allowed, heads):
         return a.reshape(a.shape[:2] + (-1,))
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scale = 1.0 / np.sqrt(qh.shape[-1])
+    scale = 1.0 / float(np.sqrt(qh.shape[-1]))  # a Python float keeps float32 float32
     p = _softmax(np.where(allowed, (qh @ np.swapaxes(kh, 2, 3)) * scale, MASK_VALUE), -1)
     p *= allowed  # a row with no allowed key softmaxes to uniform
 

@@ -225,11 +225,10 @@ def cmd_generate(args):
     graphs, info = training.generate_graphs(model, pparams, cfg, args.count, args.seed)
     save_dataset(args.out, graphs, cfg.node_categories, cfg.edge_categories)
     write_manifest(args, cfg, [args.out],
-                   {"count": args.count, "seed": args.seed,
-                    "truncated": info["truncated"]})
+                   {"count": args.count, "seed": args.seed, **info})
     mean_nodes = sum(g.n for g in graphs) / max(len(graphs), 1)
-    print(f"wrote {len(graphs)} graphs to {args.out} "
-          f"(mean nodes {mean_nodes:.2f}, truncated {info['truncated']})")
+    print(f"wrote {len(graphs)} graphs to {args.out} (mean nodes {mean_nodes:.2f}, "
+          f"truncated {info['truncated']}, redrawn {info['redrawn']})")
     return 0
 
 

@@ -642,9 +642,11 @@ def decode_sequences(model: AutoEncoderModel, samples, chunk_size=256):
 def generate_graphs(model: AutoEncoderModel, pparams: prior.PriorParams, cfg: ModelConfig,
                     count, seed, step_times=None):
     """Sample index sequences from the prior parameters pparams and
-    decode them with the auto-encoder's codebooks and decoder."""
+    decode them with the auto-encoder's codebooks and decoder. The info
+    counts the truncated samples and those prior.generate re-drew in
+    float64."""
     samples = prior.generate(pparams, model.codebooks.codebooks, count, seed,
                              step_times=step_times)
     graphs_out = decode_sequences(model, [s["indices"] for s in samples])
-    return graphs_out, {"truncated": sum(s["truncated"] for s in samples)}
+    return graphs_out, {key: sum(s[key] for s in samples) for key in ("truncated", "redrawn")}
 

@@ -402,8 +402,10 @@ def test_no_grad_records_no_tape_and_restores_the_mode():
 def test_parameterised_ops_compute_in_their_activations_dtype():
     """Given a float32 activation, affine, pair_affine, layernorm,
     eval-mode batchnorm and mul cast their float64 weights, statistics
-    and other operands to it and return float32 close to the float64
-    answer; the float64 parameters are left as they are."""
+    and other operands to it, and add, relu, softmax, masked_fill and
+    causal_attention keep float32 operands float32; each returns
+    float32 close to the float64 answer, and the float64 parameters are
+    left as they are."""
     rng = np.random.default_rng(4)
     w, b, gamma = (Tensor(rng.normal(size=shape)) for shape in ((12, 5), (5,), (4,)))
     pairs = PairIndex([0, 0, 1, 2, 3], [1, 2, 2, 0, 1], 4)
@@ -413,7 +415,11 @@ def test_parameterised_ops_compute_in_their_activations_dtype():
            lambda x: ad.pair_affine(x, w, b, pairs),
            lambda x: layernorm(x, gamma, Tensor(w.data[0, :4])),
            lambda x: batchnorm(x, st, train=False),
-           lambda x: ad.mul(x, 0.5), lambda x: ad.mul(x, gamma)]
+           lambda x: ad.mul(x, 0.5), lambda x: ad.mul(x, gamma),
+           lambda x: ad.add(x, x), lambda x: ad.relu(x), lambda x: ad.softmax(x),
+           lambda x: ad.masked_fill(x, np.eye(4, dtype=bool), ad.MASK_VALUE),
+           lambda x: ad.causal_attention(x[None], x[None], x[None],
+                                         np.tri(4, k=-1, dtype=bool), 2)]
     x = rng.normal(size=(4, 4))
     with ad.no_grad():
         for op in ops:

@@ -658,14 +658,16 @@ def test_benchmark_time_linear_in_count():
     model, pparams = fresh_models(cfg)
     generate_graphs(model, pparams, cfg, count=50, seed=0)  # warm caches
     counts = np.array([100, 500, 1000], dtype=np.float64)
-    # min over repeats removes scheduler noise from the tiny timings; the
-    # repeats cycle through the counts so a drift in host speed during
-    # the measurement hits every count alike instead of bending the line
+    # min over repeats removes scheduler noise from the tiny timings; each
+    # repeat sweeps the counts up and then down again, so a drift in host
+    # speed during the measurement hits every count alike instead of
+    # bending the line
     times = np.full(len(counts), np.inf)
-    for _ in range(3):
-        for k, c in enumerate(counts):
+    sweep = list(range(len(counts)))
+    for _ in range(5):
+        for k in sweep + sweep[::-1]:
             start = time.perf_counter()
-            generate_graphs(model, pparams, cfg, count=int(c), seed=1)
+            generate_graphs(model, pparams, cfg, count=int(counts[k]), seed=1)
             times[k] = min(times[k], time.perf_counter() - start)
     slope, intercept = np.polyfit(counts, times, 1)
     pred = slope * counts + intercept

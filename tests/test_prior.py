@@ -403,14 +403,14 @@ def test_generate_sample_i_independent_of_batch_size():
         assert a["truncated"] == b["truncated"]
 
 
-def test_generate_matches_teacher_forcing(monkeypatch):
-    params = tiny_params(seed=24, num_blocks=2)
-    rng = np.random.default_rng(25)
-    books = rand_codebooks(rng, params.C, params.m, params.d_part)
-    # the sampler's logits, read where it calls prior._logits: one sample
-    # a call, so row 0 is that sample's (node, partition) step. They carry
-    # the structural masks but not the first-draw end-of-set
-    # renormalization, which the sampler applies afterwards in place
+def sampled_logits(monkeypatch, params, books, dtype, seeds):
+    """(indices (T, C), truncated, the logits of each of its steps) of
+    one sample per seed, drawn by prior.sample in dtype from seeded
+    uniforms. The logits are read where the sampler calls
+    prior._logits, one sample a call, so row 0 is that sample's (node,
+    partition) step. They carry the structural masks but not the
+    first-draw end-of-set renormalization, which the sampler applies
+    afterwards in place."""
     logits_fn = prior._logits
     seen = []
 
@@ -422,23 +422,48 @@ def test_generate_matches_teacher_forcing(monkeypatch):
     out = []
     with monkeypatch.context() as mp:
         mp.setattr(prior, "_logits", recording)
-        for seed in range(13, 19):
+        for seed in seeds:
             start = len(seen)
-            rec = generate(params, books, count=1, seed=seed)[0]
-            out.append((rec, seen[start:]))
-    for rec, steps in out:
-        idx = rec["indices"]
+            u = np.random.default_rng(seed).random((1, params.n_max * params.C))
+            indices, lengths, _ = prior.sample(params, books, u, dtype)
+            T = int(lengths[0])
+            out.append((indices[0, :T], T == params.n_max, seen[start:]))
+    return out
+
+
+def assert_sampler_matches_teacher_forcing(params, books, samples, **tol):
+    for idx, truncated, steps in samples:
         T = idx.shape[0]
         batch = pack_sequences([idx], params.n_max, books)
         tf = stacked(prior_logits(params, batch))[0]
-        want = T * params.C + (0 if rec["truncated"] else 1)
-        assert len(steps) == want
+        assert len(steps) == T * params.C + (0 if truncated else 1)
         for t in range(T):
             for c in range(params.C):
-                np.testing.assert_allclose(
-                    steps[t * params.C + c], tf[t, c], atol=1e-9)
-        if not rec["truncated"]:
-            np.testing.assert_allclose(steps[-1], tf[T, 0], atol=1e-9)
+                np.testing.assert_allclose(steps[t * params.C + c], tf[t, c], **tol)
+        if not truncated:
+            np.testing.assert_allclose(steps[-1], tf[T, 0], **tol)
+
+
+def test_generate_matches_teacher_forcing(monkeypatch):
+    """The float64 pass, whose draws generate keeps, computes the
+    teacher-forced logits of the sequence it draws."""
+    params = tiny_params(seed=24, num_blocks=2)
+    books = rand_codebooks(np.random.default_rng(25), params.C, params.m, params.d_part)
+    samples = sampled_logits(monkeypatch, params, books, np.float64, range(13, 19))
+    assert_sampler_matches_teacher_forcing(params, books, samples, atol=1e-9)
+
+
+def test_float32_sampler_logits_are_close_to_teacher_forcing(monkeypatch):
+    """The float32 pass computes the teacher-forced float64 logits of
+    the sequence it draws to within float32 rounding: at most 3.7e-7
+    off here, on logits up to 1.3 in size, against a 1e-5 bound. Masked
+    entries hold MASK_VALUE rounded to float32, 1.5e22 off, within
+    rtol."""
+    params = tiny_params(seed=24, num_blocks=2)
+    books = rand_codebooks(np.random.default_rng(25), params.C, params.m, params.d_part)
+    samples = sampled_logits(monkeypatch, params, books, np.float32, range(13, 19))
+    assert {steps[0].dtype for _, _, steps in samples} == {np.dtype(np.float32)}
+    assert_sampler_matches_teacher_forcing(params, books, samples, rtol=1e-6, atol=1e-5)
 
 
 def test_generate_frequencies_match_model_distribution():

@@ -424,7 +424,8 @@ def test_full_pipeline_and_reload(tmp_path):
     for g in out:
         assert 1 <= g.n <= cfg.n_max
         np.testing.assert_array_equal(g.adjacency(), g.adjacency().T)
-    assert generate_graphs(model, pparams, cfg, count=0, seed=11) == ([], {"truncated": 0})
+    assert generate_graphs(model, pparams, cfg, count=0, seed=11) == \
+        ([], {"truncated": 0, "redrawn": 0})
 
     path = str(tmp_path / "ck.bin")
     save_checkpoint(path, cfg, state_arrays(model.state, pparams.state), step=9)
@@ -598,6 +599,49 @@ def test_the_frozen_checkpoint_fills_the_state_tables_exactly():
     assert sorted(arrays) == sorted(tensors)
     for name, arr in arrays.items():
         np.testing.assert_array_equal(arr, tensors[name], err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# sampling in float32
+
+def seeded_uniforms(count, seed, n):
+    """The uniforms prior.generate draws: n per sample, sample i from
+    the i-th stream spawned from seed."""
+    return np.array([np.random.default_rng(s).random(n)
+                     for s in np.random.SeedSequence(seed).spawn(count)])
+
+
+def test_generate_draws_the_float64_samplers_sets():
+    """On the benchmark's checkpoint at seed 14, sample 232 draws
+    another set in float32 than in float64: one of its draws has u
+    1.2e-7 from a cdf step. generate re-draws such near-ties in float64
+    and returns the float64 sampler's sets, sample for sample."""
+    _, model, pparams = cli._load_models(str(FROZEN), need_prior=True)
+    cbs = model.codebooks.codebooks
+    got = prior.generate(pparams, cbs, 1024, 14)
+    uniforms = seeded_uniforms(1024, 14, pparams.n_max * pparams.C)
+    indices, lengths, _ = prior.sample(pparams, cbs, uniforms, np.float64)
+    for i, rec in enumerate(got):
+        np.testing.assert_array_equal(rec["indices"], indices[i, :lengths[i]], err_msg=str(i))
+    assert got[232]["redrawn"]
+    assert 0 < sum(rec["redrawn"] for rec in got) < 1024 * 0.05
+
+
+def test_the_float32_sampler_pass_builds_float32_nodes_only(monkeypatch):
+    """Every Tensor the float32 pass of the sampler builds holds
+    float32 data: its constants are cast, and no op promotes."""
+    _, model, pparams = cli._load_models(str(FROZEN), need_prior=True)
+    uniforms = seeded_uniforms(64, 5, pparams.n_max * pparams.C)
+    init, dtypes = Tensor.__init__, set()
+
+    def recording_init(self, data, requires_grad=False):
+        init(self, data, requires_grad)
+        dtypes.add(self.data.dtype)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    _, lengths, _ = prior.sample(pparams, model.codebooks.codebooks, uniforms, np.float32)
+    assert dtypes == {np.dtype(np.float32)}
+    assert lengths.max() > 1
 
 
 # ---------------------------------------------------------------------------
