@@ -51,6 +51,8 @@ import numpy as np
 # that arithmetic on it stays finite. Do not use -inf: an all-masked
 # softmax row would produce NaN instead of zeros.
 MASK_VALUE = -1e30
+NORM_EPS = 1e-5  # both normalizations add it to the variance
+BN_MOMENTUM = 0.9  # share of the old running statistics a batchnorm step keeps
 
 
 class ShapeError(ValueError):
@@ -509,9 +511,9 @@ def _normalize(x, gamma, beta, axis, eps, stats=None):
     return _node(out_data, (x, gamma, beta), bw), mu, var
 
 
-def layernorm(x, gamma, beta, eps=1e-5):
+def layernorm(x, gamma, beta):
     """Normalize the last axis, then scale and shift."""
-    return _normalize(x, gamma, beta, -1, eps)[0]
+    return _normalize(x, gamma, beta, -1, NORM_EPS)[0]
 
 
 def norm_params(state, name, width):
@@ -526,12 +528,10 @@ class BatchNormState:
     """Running statistics plus affine parameters for one batchnorm,
     entered in the state table under name."""
 
-    def __init__(self, state, name, width, momentum=0.9, eps=1e-5):
+    def __init__(self, state, name, width):
         self.gamma, self.beta = norm_params(state, name, width)
         self.running_mean = state[name + ".running_mean"] = np.zeros(width)
         self.running_var = state[name + ".running_var"] = np.ones(width)
-        self.momentum = momentum
-        self.eps = eps
 
 
 def batchnorm(x, state, train):
@@ -539,7 +539,7 @@ def batchnorm(x, state, train):
 
     In training mode the statistics are the mean and variance over all
     rows, so a caller passes only the rows that belong in them. Running
-    buffers are updated in place with momentum `state.momentum`. In
+    buffers are updated in place with momentum BN_MOMENTUM. In
     eval mode the running buffers are the statistics, no state changes,
     and the backward treats them as constants, as it does the default
     statistics (mean 0, variance 1) of a training batch with no rows.
@@ -552,10 +552,10 @@ def batchnorm(x, state, train):
         stats = state.running_mean, state.running_var
     elif x.shape[0] == 0:
         stats = np.zeros(x.shape[1]), np.ones(x.shape[1])
-    out, mu, var = _normalize(x, state.gamma, state.beta, 0, state.eps, stats)
+    out, mu, var = _normalize(x, state.gamma, state.beta, 0, NORM_EPS, stats)
     if stats is None:
-        state.running_mean *= state.momentum
-        state.running_mean += (1.0 - state.momentum) * mu[0]
-        state.running_var *= state.momentum
-        state.running_var += (1.0 - state.momentum) * var[0]
+        state.running_mean *= BN_MOMENTUM
+        state.running_mean += (1.0 - BN_MOMENTUM) * mu[0]
+        state.running_var *= BN_MOMENTUM
+        state.running_var += (1.0 - BN_MOMENTUM) * var[0]
     return out

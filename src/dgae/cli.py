@@ -108,9 +108,7 @@ def write_manifest(args, cfg, outputs, extra=None):
 
 def _load_models(path, need_prior):
     """(cfg, model, pparams or None) of a checkpoint, read off its
-    tensors: it holds a prior when a name starts with "prior.", and
-    seeded codebooks when an EMA count is nonzero (seeding sets every
-    count to at least 1; an EMA step keeps each partition's total > 0)."""
+    tensors: it holds a prior when a name starts with "prior."."""
     cfg, tensors, _ = training.load_checkpoint(path)
     rng = np.random.default_rng(0)  # weights are overwritten by the load
     model = training.AutoEncoderModel(cfg, rng)
@@ -123,7 +121,6 @@ def _load_models(path, need_prior):
     else:
         tensors = {k: v for k, v in tensors.items() if not k.startswith("prior.")}
     training.load_state(state, tensors, path)
-    model.codebooks.initialized = bool(model.codebooks.ema_counts.any())
     return cfg, model, pparams
 
 
@@ -264,7 +261,7 @@ def cmd_ablate_features(args):
                                                  log=print if args.verbose else None)
     write_manifest(args, cfg, [args.out])
     for name, r in results.items():
-        print(f"{name}: final holdout loss {r['final_loss']:.5f}")
+        print(f"{name}: final holdout loss {r['loss_recon'][0][-1]:.5f}")
     return 0
 
 
@@ -391,6 +388,6 @@ def main(argv=None):
     args.argv = argv
     try:
         return args.func(args)
-    except (ConfigError, ValueError, RuntimeError, OSError) as e:
+    except (ConfigError, ValueError, RuntimeError, OSError, MemoryError) as e:
         print("error: " + str(e).replace("\n", "; "), file=sys.stderr)
         return 1

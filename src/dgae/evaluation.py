@@ -21,6 +21,9 @@ narrower: CDFs on the bins occupied in any histogram, or, for integer
 counts, quantile functions on the merged grid of shares k/n over every
 histogram total n. Each set's EMD matrix against itself is symmetric
 with a zero diagonal, so only its upper triangle is computed.
+
+Every CSV report goes through write_report, whose comment lines state
+its conventions. Both ablation studies are one _sweep over (cell, seed).
 """
 
 from __future__ import annotations
@@ -330,18 +333,43 @@ def mmd_report(ref_graphs, gen_graphs, sigma=1.0, clustering_bins=100):
             "sigma": sigma, "clustering_bins": clustering_bins}
 
 
-def write_mmd_report(path, report):
+def write_report(path, notes, rows):
+    """A CSV report: the comment lines notes, a header of the first
+    row's keys, then one line per row dict. Floats are written .10g,
+    every other value with str."""
     with open(path, "w") as f:
-        for line in _REPORT_NOTES:
+        for line in notes:
             f.write(line + "\n")
-        keys = list(report)
-        f.write(",".join(keys) + "\n")
-        f.write(",".join(format(report[k], ".10g") if isinstance(report[k], float)
-                         else str(report[k]) for k in keys) + "\n")
+        f.write(",".join(rows[0]) + "\n")
+        for row in rows:
+            f.write(",".join(format(v, ".10g") if isinstance(v, float) else str(v)
+                             for v in row.values()) + "\n")
+
+
+def write_mmd_report(path, report):
+    write_report(path, _REPORT_NOTES, [report])
 
 
 # ---------------------------------------------------------------------------
 # ablation studies
+
+def _sweep(base_cfg, cells, seeds, run, log):
+    """Run run(cfg) -> {metric: value} once per cell and seed, where
+    cells is a list of (cell, config overrides), and return
+    {cell: {metric: (mean, std)}} over seeds. A per-epoch metric is a
+    sequence, averaged elementwise."""
+    results = {}
+    for cell, overrides in cells:
+        runs = []
+        for seed in seeds:
+            runs.append(run(replace(base_cfg, seed=seed, **overrides)))
+            if log:  # a per-epoch metric logs its last epoch
+                log(f"cell {cell} seed {seed}: " + " ".join(
+                    f"{k}={np.asarray(v).flat[-1]:.5f}" for k, v in runs[-1].items()))
+        stacked = {k: np.array([r[k] for r in runs], dtype=np.float64) for k in runs[0]}
+        results[cell] = {k: (v.mean(axis=0), v.std(axis=0)) for k, v in stacked.items()}
+    return results
+
 
 FEATURE_CELLS = [
     ("all", {}),
@@ -363,30 +391,19 @@ def ablation_feature_report(graphs, base_cfg, out_path=None, seeds=(0, 1, 2),
     """Train the auto-encoder once per (feature cell, seed) and report
     the held-out reconstruction loss per epoch, averaged over seeds.
 
-    Returns {cell: {"loss_mean": (epochs,), "loss_std": (epochs,),
-    "final_loss": float}}.
+    Returns {cell: {"loss_recon": (mean, std)}}, each an (epochs,) curve.
     """
-    results = {}
-    for name, flags in cells:
-        curves = []
-        for seed in seeds:
-            cfg = replace(base_cfg, seed=seed, **flags)
-            _, info = training.train_autoencoder(graphs, cfg)
-            curves.append([h["loss_recon"] for h in info["history"]])
-            if log:
-                log(f"cell {name} seed {seed}: final loss {curves[-1][-1]:.5f}")
-        curves = np.array(curves)
-        results[name] = {"loss_mean": curves.mean(axis=0), "loss_std": curves.std(axis=0),
-                         "final_loss": float(curves.mean(axis=0)[-1])}
+    def run(cfg):
+        _, info = training.train_autoencoder(graphs, cfg)
+        return {"loss_recon": [h["loss_recon"] for h in info["history"]]}
+
+    results = _sweep(base_cfg, cells, seeds, run, log)
     if out_path:
-        with open(out_path, "w") as f:
-            f.write("# feature ablation: held-out reconstruction loss per epoch, "
-                    f"mean and std over seeds {list(seeds)}\n")
-            f.write("cell,epoch,loss_recon_mean,loss_recon_std\n")
-            for name, _ in cells:
-                r = results[name]
-                for e, (mu, sd) in enumerate(zip(r["loss_mean"], r["loss_std"])):
-                    f.write(f"{name},{e},{mu:.10g},{sd:.10g}\n")
+        write_report(out_path, ["# feature ablation: held-out reconstruction loss per "
+                                f"epoch, mean and std over seeds {list(seeds)}"],
+                     [{"cell": name, "epoch": e, "loss_recon_mean": mu, "loss_recon_std": sd}
+                      for name, r in results.items()
+                      for e, (mu, sd) in enumerate(zip(*r["loss_recon"]))])
     return results
 
 
@@ -402,54 +419,33 @@ def ablation_codebook_report(graphs, base_cfg, out_path=None, grid=None,
 
     Returns {(m, C): {metric: (mean, std)}}.
     """
-    grid = DEFAULT_CODEBOOK_GRID if grid is None else grid
-    results = {}
-    for m, C in grid:
-        rows = []
-        for seed in seeds:
-            cfg = replace(base_cfg, codebook_size=m, partitions=C, seed=seed)
-            cfg.validate()
-            model, info = training.train_autoencoder(graphs, cfg)
-            hist = info["history"]
-            row = {"loss_recon": min(h["loss_recon"] for h in hist),
-                   "node_err": hist[-1]["node_err"],
-                   "edge_err": hist[-1]["edge_err"],
-                   "perplexity": hist[-1].get("perplexity", float("nan"))}
-            if with_prior:
-                pparams, _ = training.train_prior(model, graphs, cfg)
-                _, val_idx = training.split_dataset(len(graphs), cfg)
-                ref = [graphs[i] for i in val_idx]
-                gen, _ = training.generate_graphs(model, pparams, cfg, len(ref),
-                                                  seed=cfg.seed + 7000)
-                rep = mmd_report(ref, gen, cfg.mmd_sigma, cfg.clustering_bins)
-                row["mmd_avg"] = rep["mmd_avg"]
-            rows.append(row)
-            if log:
-                log(f"cell m={m} C={C} seed {seed}: " +
-                    " ".join(f"{k}={v:.5f}" for k, v in row.items()))
-        agg = {}
-        for key in rows[0]:
-            vals = np.array([r[key] for r in rows], dtype=np.float64)
-            agg[key] = (float(vals.mean()), float(vals.std()))
-        results[(m, C)] = agg
-    if out_path:
-        metrics = ["loss_recon", "node_err", "edge_err", "perplexity"]
+    def run(cfg):
+        model, info = training.train_autoencoder(graphs, cfg)
+        hist = info["history"]
+        row = {"loss_recon": min(h["loss_recon"] for h in hist),
+               "node_err": hist[-1]["node_err"],
+               "edge_err": hist[-1]["edge_err"],
+               "perplexity": hist[-1].get("perplexity", float("nan"))}
         if with_prior:
-            metrics.append("mmd_avg")
-        with open(out_path, "w") as f:
-            for line in _REPORT_NOTES:
-                f.write(line + "\n")
-            f.write("# codebook sweep: mean and std over seeds "
-                    f"{list(seeds)}; M = m^C\n")
-            cols = ["m", "C", "M"]
-            for met in metrics:
-                cols += [met + "_mean", met + "_std"]
-            f.write(",".join(cols) + "\n")
-            for (m, C) in grid:
-                agg = results[(m, C)]
-                cells = [str(m), str(C), str(m ** C)]
-                for met in metrics:
-                    mu, sd = agg[met]
-                    cells += [format(mu, ".10g"), format(sd, ".10g")]
-                f.write(",".join(cells) + "\n")
+            pparams, _ = training.train_prior(model, graphs, cfg)
+            _, val_idx = training.split_dataset(len(graphs), cfg)
+            ref = [graphs[i] for i in val_idx]
+            gen, _ = training.generate_graphs(model, pparams, cfg, len(ref),
+                                              seed=cfg.seed + 7000)
+            row["mmd_avg"] = mmd_report(ref, gen, cfg.mmd_sigma, cfg.clustering_bins)["mmd_avg"]
+        return row
+
+    grid = DEFAULT_CODEBOOK_GRID if grid is None else grid
+    results = _sweep(base_cfg, [((m, C), {"codebook_size": m, "partitions": C})
+                                for m, C in grid], seeds, run, log)
+    if out_path:
+        notes = _REPORT_NOTES + [f"# codebook sweep: mean and std over seeds {list(seeds)}; "
+                                 "M = m^C"]
+        rows = []
+        for (m, C), agg in results.items():
+            row = {"m": m, "C": C, "M": m ** C}
+            for met, (mu, sd) in agg.items():
+                row[met + "_mean"], row[met + "_std"] = mu, sd
+            rows.append(row)
+        write_report(out_path, notes, rows)
     return results

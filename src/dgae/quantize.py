@@ -26,8 +26,6 @@ class CodebookSet:
     ever written in place, so views of them stay current."""
 
     def __init__(self, num_partitions, codebook_size, d_latent, decay=0.99, eps=1e-5):
-        if d_latent % num_partitions != 0:
-            raise ValueError(f"d_latent={d_latent} not divisible by C={num_partitions}")
         self.C = num_partitions
         self.m = codebook_size
         self.d_part = d_latent // num_partitions
@@ -36,7 +34,11 @@ class CodebookSet:
         self.codebooks = np.zeros((self.C, self.m, self.d_part))
         self.ema_counts = np.zeros((self.C, self.m))
         self.ema_sums = np.zeros((self.C, self.m, self.d_part))
-        self.initialized = False
+
+    @property
+    def initialized(self):
+        # seeding sets every EMA count >= 1; an EMA step keeps each partition's total > 0
+        return bool(self.ema_counts.any())
 
 
 def nearest(z, H):
@@ -65,8 +67,8 @@ def quantize(z, cbs: CodebookSet):
     return indices, lookup(cbs.codebooks, indices)
 
 
-def kmeanspp_init(samples, m, rng, iters=100, tol=1e-6):
-    """k-means++ seeding followed by Lloyd refinement.
+def kmeanspp_init(samples, m, rng):
+    """k-means++ seeding, then up to 100 Lloyd steps, until no center moves 1e-6.
 
     samples: (N, d). Returns centers (m, d). If the samples contain
     fewer than m distinct points some centers coincide; a warning is
@@ -93,7 +95,7 @@ def kmeanspp_init(samples, m, rng, iters=100, tol=1e-6):
             centers[k] = samples[idx]
         d2 = np.minimum(d2, ((samples - centers[k]) ** 2).sum(axis=1))
 
-    for _ in range(iters):
+    for _ in range(100):
         assign = nearest(samples, centers)
         new_centers = centers.copy()
         for k in range(m):
@@ -102,7 +104,7 @@ def kmeanspp_init(samples, m, rng, iters=100, tol=1e-6):
                 new_centers[k] = samples[sel].mean(axis=0)
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
-        if shift < tol:
+        if shift < 1e-6:
             break
     return centers
 
@@ -126,7 +128,6 @@ def init_codebooks(cbs: CodebookSet, z, rng):
     # moving-average step would snap its codeword to the origin
     cbs.ema_counts[...] = np.maximum(counts, 1.0)
     cbs.ema_sums[...] = cbs.codebooks * cbs.ema_counts[..., None]
-    cbs.initialized = True
 
 
 def ema_update(cbs: CodebookSet, z, indices):

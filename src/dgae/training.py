@@ -613,12 +613,15 @@ def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
 # ---------------------------------------------------------------------------
 # generation: prior samples decoded back to graphs
 
+DECODE_CHUNK = 256  # graphs per decode call
+
+
 @ad.no_grad()
-def decode_sequences(model: AutoEncoderModel, samples, chunk_size=256):
+def decode_sequences(model: AutoEncoderModel, samples):
     """Decode sampled index sequences to graphs (eval mode, mode decode).
 
     Samples are grouped by node count and each group is decoded in
-    chunks of at most chunk_size, so no chunk carries padding. Graphs
+    chunks of at most DECODE_CHUNK, so no chunk carries padding. Graphs
     come back in input order. The decoder runs in float32: the codewords
     are cast once, and its layers compute in their input's dtype.
     """
@@ -626,8 +629,8 @@ def decode_sequences(model: AutoEncoderModel, samples, chunk_size=256):
     graphs_out = [None] * len(samples)
     for n in np.unique(sizes):
         group = np.flatnonzero(sizes == n)
-        for lo in range(0, len(group), chunk_size):
-            part = group[lo:lo + chunk_size]
+        for lo in range(0, len(group), DECODE_CHUNK):
+            part = group[lo:lo + DECODE_CHUNK]
             idx = np.concatenate([samples[i] for i in part])  # (B * n, C)
             z = quantize.lookup(model.codebooks.codebooks, idx).astype(np.float32)
             mask = np.ones((len(part), n), dtype=bool)

@@ -104,7 +104,7 @@ def test_criterion_03_equivariance():
     for c in range(cfg.partitions):
         model.codebooks.codebooks[c][...] = rng.standard_normal(
             model.codebooks.codebooks[c].shape)
-    model.codebooks.initialized = True
+    model.codebooks.ema_counts[...] = 1.0  # seeded
 
     worst = 0.0
     pairs = 0
@@ -470,7 +470,7 @@ def test_criterion_10_generation_speed():
     d_part = cfg.d_latent // cfg.partitions
     model.codebooks.codebooks[...] = rng.standard_normal((cfg.partitions, cfg.codebook_size,
                                                           d_part))
-    model.codebooks.initialized = True
+    model.codebooks.ema_counts[...] = 1.0  # seeded
     pparams, _ = _fresh_sampler(cfg, rng)
     t_sample = time.perf_counter()
     samples = prior.generate(pparams, model.codebooks.codebooks, 1000, seed=4)

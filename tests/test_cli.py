@@ -612,6 +612,22 @@ def test_mistyped_checkpoint_config_is_one_error_line(tmp_path, capsys, field, v
     assert not (tmp_path / "g").exists()
 
 
+def test_a_refused_allocation_is_one_error_line(tmp_path, capsys):
+    # the model is built from the header before the tensors' shapes are
+    # checked: 2**50 codewords ask for 2**57 bytes of codebooks and EMA
+    # sums, past any address space, so the request is refused outright
+    # and no memory is touched. An allocation granted lazily and then
+    # ended by the kernel's out-of-memory killer is not caught here.
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(_with_config(FROZEN.read_bytes(), codebook_size=2 ** 50))
+    capsys.readouterr()
+    rc = run(["generate", "--ckpt", path, "--count", 2, "--out", tmp_path / "g"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "g").exists()
+
+
 AE_CHANGES = [  # (field, config file line, dataset header)
     ("codebook_size", "codebook_size = 8", None),
     ("partitions", "partitions = 4", None),

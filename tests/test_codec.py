@@ -71,7 +71,7 @@ def test_quantized_pipeline_equivariance():
     cbs = CodebookSet(2, 4, 6)
     for c in range(2):
         cbs.codebooks[c] = rng.normal(size=(4, 3))
-    cbs.initialized = True
+    cbs.ema_counts[...] = 1.0  # seeded
     for trial in range(8):
         n = int(rng.integers(2, 10))
         g = random_graph(rng, n)

@@ -643,7 +643,7 @@ def fresh_models(cfg, seed=0):
     for c in range(cfg.partitions):
         model.codebooks.codebooks[c][:] = rng.normal(
             size=model.codebooks.codebooks[c].shape)
-    model.codebooks.initialized = True
+    model.codebooks.ema_counts[...] = 1.0  # seeded
     pparams = PriorParams(cfg, rng)
     return model, pparams
 
@@ -697,14 +697,17 @@ def test_ablation_feature_report_format(tmp_path):
     out = tmp_path / "feat.csv"
     res = ablation_feature_report(graphs, cfg, out_path=str(out),
                                   seeds=(0, 1), cells=cells)
-    assert set(res) == {"all", "none", "paths-only"}
+    assert list(res) == ["all", "none", "paths-only"]
     for cell in res.values():
-        assert cell["loss_mean"].shape == (2,)
-        assert cell["final_loss"] == pytest.approx(cell["loss_mean"][-1])
+        mu, sd = cell["loss_recon"]
+        assert mu.shape == sd.shape == (2,)  # one point per epoch
+        assert np.isfinite(mu).all() and (sd >= 0.0).all()
     lines = out.read_text().splitlines()
     assert lines[0].startswith("#")
     assert lines[1] == "cell,epoch,loss_recon_mean,loss_recon_std"
     assert len(lines) == 2 + 3 * 2  # cells x epochs
+    mu, sd = res["paths-only"]["loss_recon"]
+    assert lines[-1] == f"paths-only,1,{mu[-1]:.10g},{sd[-1]:.10g}"
 
 
 def test_ablation_codebook_report_format(tmp_path):
@@ -728,6 +731,23 @@ def test_ablation_codebook_report_format(tmp_path):
     assert len(rows) == 2
     assert rows[0].split(",")[:3] == ["4", "1", "4"]
     assert rows[1].split(",")[:3] == ["2", "2", "4"]
+
+
+def test_ablation_codebook_report_with_the_prior(tmp_path):
+    """The default path: stage 2 trains a prior per cell and seed, which
+    generates graphs that the MMD column scores."""
+    rng = np.random.default_rng(23)
+    graphs = [random_graph(rng, int(rng.integers(4, 8))) for _ in range(10)]
+    cfg = ModelConfig(**BENCH_CFG, epochs_ae=2, epochs_prior=1, batch_size=8,
+                      kmeans_samples=128)
+    out = tmp_path / "code.csv"
+    res = ablation_codebook_report(graphs, cfg, out_path=str(out), grid=[(4, 1)],
+                                   seeds=(0, 1))
+    mu, sd = res[(4, 1)]["mmd_avg"]
+    assert np.isfinite(mu) and np.isfinite(sd) and sd >= 0.0
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert np.isfinite(float(row["mmd_avg_mean"])) and np.isfinite(float(row["mmd_avg_std"]))
 
 
 def test_default_codebook_grid_matches_dictionary_classes():

@@ -20,12 +20,6 @@ def set_codewords(cbs, per_partition):
         cbs.codebooks[c] = words
         cbs.ema_counts[c] = np.ones(cbs.m)
         cbs.ema_sums[c] = words.copy()
-    cbs.initialized = True
-
-
-def test_partition_rejects_indivisible():
-    with pytest.raises(ValueError):
-        CodebookSet(3, 4, 16)
 
 
 def test_quantize_nearest():

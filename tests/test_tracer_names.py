@@ -76,7 +76,7 @@ def test_tracer_reads_the_node_mask_of_decode(monkeypatch):
     model = training.AutoEncoderModel(cfg, rng)
     for cb in model.codebooks.codebooks:
         cb[...] = rng.standard_normal(cb.shape)
-    model.codebooks.initialized = True
+    model.codebooks.ema_counts[...] = 1.0  # seeded
     calls = []
     decode = codec.decode
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dgae.autodiff import Tensor
-from dgae import autodiff as ad, cli, codec, prior, quantize
+from dgae import autodiff as ad, cli, codec, prior, quantize, training
 from dgae.training import (
     AdamState,
     AutoEncoderModel,
@@ -655,19 +655,21 @@ def _decoder_with_codebooks(cfg, seed):
     d_part = cfg.d_latent // cfg.partitions
     model.codebooks.codebooks[...] = rng.standard_normal((cfg.partitions, cfg.codebook_size,
                                                           d_part))
-    model.codebooks.initialized = True
+    model.codebooks.ema_counts[...] = 1.0  # seeded
     return model, rng
 
 
-def test_decode_sequences_keeps_input_order_across_size_buckets():
+def test_decode_sequences_keeps_input_order_across_size_buckets(monkeypatch):
     cfg = tiny_config()
     model, rng = _decoder_with_codebooks(cfg, 21)
     sizes = rng.permutation([1, 1, 2, 3, 3, 3, 5, 5, 6, 8, 8, 8, 8, 4, 7])
     samples = [rng.integers(0, cfg.codebook_size, size=(n, cfg.partitions)) for n in sizes]
-    solo = decode_sequences(model, samples, chunk_size=1)
+    monkeypatch.setattr(training, "DECODE_CHUNK", 1)
+    solo = decode_sequences(model, samples)
     assert [g.n for g in solo] == list(sizes)
     for chunk_size in (3, 256):
-        out = decode_sequences(model, samples, chunk_size=chunk_size)
+        monkeypatch.setattr(training, "DECODE_CHUNK", chunk_size)
+        out = decode_sequences(model, samples)
         assert all(graphs_equal(a, b) for a, b in zip(out, solo))
     # the same graphs as one decode of the whole batch of mixed sizes
     idx = np.concatenate(samples)
