@@ -23,16 +23,16 @@ once: walking it again, or walking a scalar that recorded no graph,
 raises RuntimeError. Code that inspects the tape must do so before
 backward().
 
-Every op is a model layer: add, mul, relu, sum_, affine, pair_affine,
-segment_sum, permute_rows, softmax, causal_attention, masked_fill,
-straight_through, cross_entropy_with_logits, layernorm and batchnorm.
-None only moves data; reshapes, head splits and row gathers happen
-inside an op, off the tape. Broadcasting is deliberately restricted:
-binary ops accept equal shapes, a python scalar, or a trailing-suffix
-shape (bias add). Rows move between a node table and a list of node
-pairs (a PairIndex) only through pair_affine, segment_sum and
-permute_rows. This keeps every backward rule explicit and easy to
-audit.
+Every op is a model layer: add, mul, sum_, affine and pair_affine
+(each with an optional fused ReLU), segment_sum, permute_rows,
+softmax, causal_attention, masked_fill, straight_through,
+cross_entropy_with_logits, layernorm and batchnorm. None only moves
+data; reshapes, head splits and row gathers happen inside an op, off
+the tape. Broadcasting is deliberately restricted: binary ops accept
+equal shapes, a python scalar, or a trailing-suffix shape (bias add).
+Rows move between a node table and a list of node pairs (a PairIndex)
+only through pair_affine, segment_sum and permute_rows. This keeps
+every backward rule explicit and easy to audit.
 
 Gradients are never written in place. A tensor keeps the first gradient
 it receives as is, though the same array may be another tensor's
@@ -207,11 +207,13 @@ def mul(a, b):
     return _node(out_data, (a, b), bw)
 
 
-def affine(x, w, b):
+def affine(x, w, b, relu=False):
     """x @ w + b for x (..., fan_in), w (fan_in, fan_out) and b
     (fan_out,), as one node: the leading axes of x become rows off the
     tape, the bias is added in place into the product, and one backward
-    gives all three gradients.
+    gives all three gradients. relu=True takes max(., 0) in place, so no
+    pre-activation is kept. NaN propagates (it is not mapped to 0), so a
+    diverged activation reaches the loss and adam_step's finiteness check.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.ndim < 1 or w.ndim != 2 or b.shape != w.shape[1:] or x.shape[-1] != w.shape[0]:
@@ -219,9 +221,13 @@ def affine(x, w, b):
     rows = x.data.reshape(-1, w.shape[0])
     out_data = rows @ w.data.astype(rows.dtype, copy=False)
     out_data += b.data.astype(rows.dtype, copy=False)
+    if relu:
+        np.maximum(out_data, 0.0, out=out_data)
 
     def bw(g):
         g = g.reshape(-1, w.shape[1])
+        if relu:
+            g = g * (out_data > 0)
         if x.requires_grad:
             x._accumulate((g @ w.data.T).reshape(x.shape))
         if w.requires_grad:
@@ -263,13 +269,14 @@ class PairIndex:
         return out.sum(axis=1)
 
 
-def pair_affine(x, w, b, pairs, e=None):
+def pair_affine(x, w, b, pairs, e=None, relu=False):
     """[x_i, x_j, e_k] @ w + b for every pair k = (i, j) of a PairIndex:
     (P, d) rows from node rows x (N, h), pair rows e (P, h) or None for
     zeros, and w (3h, d), which splits by rows into W_i, W_j and W_e.
     x @ W_i + b and x @ W_j are computed once per node and gathered per
     pair, and e @ W_e is added into the output and not kept, so the wide
     input is never built. Without e, W_e gets an exact zero gradient.
+    relu=True fuses max(., 0) as affine does.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     e = e if e is None else _as_tensor(e)
@@ -286,8 +293,12 @@ def pair_affine(x, w, b, pairs, e=None):
     if e is not None:
         out_data += e.data @ w_e
     out_data += (x.data @ w_j).take(pairs.j, axis=0)
+    if relu:
+        np.maximum(out_data, 0.0, out=out_data)
 
     def bw(g):
+        if relu:
+            g = g * (out_data > 0)
         g_i = pairs.segment_sum(g)
         g_j = pairs.segment_sum(g.take(pairs.t, axis=0), by_j=True)
         if x.requires_grad:
@@ -337,21 +348,6 @@ def sum_(a):
             a._accumulate(np.broadcast_to(g, a.shape).copy())
 
     return _node(a.data.sum(), (a,), bw)
-
-
-def relu(a):
-    """max(a, 0). NaN propagates (it is not mapped to 0), so a diverged
-    activation reaches the loss and adam_step's finiteness check. The
-    backward builds its mask from the output, so inference builds none.
-    """
-    a = _as_tensor(a)
-    out_data = np.maximum(a.data, 0.0)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * (out_data > 0))
-
-    return _node(out_data, (a,), bw)
 
 
 def _softmax(x, axis):

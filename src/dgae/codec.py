@@ -34,12 +34,12 @@ class Affine:
                                              requires_grad=True)
         self.b = state[name + ".b"] = Tensor(np.zeros(fan_out), requires_grad=True)
 
-    def __call__(self, x):
-        return ad.affine(x, self.w, self.b)
+    def __call__(self, x, relu=False):
+        return ad.affine(x, self.w, self.b, relu)
 
 
 class Mlp:
-    """Stack of affine maps with relu between them (linear output)."""
+    """Stack of affine maps, each but the last with a fused ReLU."""
 
     def __init__(self, state, name, rng, sizes):
         self.layers = []
@@ -48,12 +48,12 @@ class Mlp:
             self.layers.append(Affine(state, f"{name}.{i}", rng, sizes[i], sizes[i + 1], gain))
 
     def __call__(self, x):
-        return self.after_first(self.layers[0](x))
+        return self.after_first(self.layers[0](x, relu=len(self.layers) > 1))
 
     def after_first(self, h):
-        """The layers after the first, given the first one's output h."""
-        for layer in self.layers[1:]:
-            h = layer(ad.relu(h))
+        """The layers after the first, given the first one's (ReLU) output h."""
+        for i, layer in enumerate(self.layers[1:], 1):
+            h = layer(h, relu=i < len(self.layers) - 1)
         return h
 
 
@@ -136,11 +136,11 @@ def _pair_mlp(mlp, x, e, pairs):
     """mlp([x_i, x_j, e_ij]) for every listed pair: (P, out) rows.
 
     x: Tensor (N, h) node rows; e: Tensor (P, h), or None for an
-    all-zero edge state. The first layer is one pair_affine, which never
-    builds the wide input.
+    all-zero edge state. mlp has two layers or more; the first is one
+    pair_affine with a fused ReLU, which never builds the wide input.
     """
     first = mlp.layers[0]
-    return mlp.after_first(ad.pair_affine(x, first.w, first.b, pairs, e))
+    return mlp.after_first(ad.pair_affine(x, first.w, first.b, pairs, e, relu=True))
 
 
 def _mpnn_rounds(x, e, layers, pairs, train):

@@ -175,6 +175,12 @@ def save_dataset(path, graphs, R=None, S=None):
 
 def load_dataset(path):
     """Read a JSONL dataset; exact inverse of save_dataset."""
+
+    def count(record, key, low):  # a JSON integer >= low, not a bool or a float
+        if type(record[key]) is not int or record[key] < low:
+            raise ValueError(f"{key} must be an integer >= {low}, got {record[key]!r}")
+        return record[key]
+
     graphs = []
     try:
         with open(path, encoding="utf-8") as f:
@@ -184,10 +190,7 @@ def load_dataset(path):
                 return [], {"R": 1, "S": 2}
             try:
                 header = json.loads(header_line)
-                R, S = header["R"], header["S"]
-                for key, low in (("R", 1), ("S", 2)):
-                    if type(header[key]) is not int or header[key] < low:
-                        raise ValueError(f"{key} must be an integer >= {low}, got {header[key]!r}")
+                R, S = count(header, "R", 1), count(header, "S", 2)
                 if header["directed"] is not False:
                     raise ValueError('only "directed": false is supported')
             except (KeyError, TypeError, ValueError) as e:
@@ -197,7 +200,7 @@ def load_dataset(path):
                     continue
                 try:
                     rec = json.loads(line)
-                    g = new_graph(rec["n"], rec["edges"], node_categories=rec["nodes"],
+                    g = new_graph(count(rec, "n", 1), rec["edges"], node_categories=rec["nodes"],
                                   num_node_categories=R, num_edge_categories=S)
                 except (KeyError, TypeError, ValueError) as e:
                     raise ValueError(f"{path}:{ln}: bad graph record: {e}") from e

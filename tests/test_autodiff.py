@@ -21,8 +21,9 @@ def t(data):
 def primitive_grad_cases(rng):
     """(name, f, inputs) triples covering every differentiable primitive.
 
-    Each f maps its Tensor list to a scalar; weights are kept away from
-    relu kinks so central differences are valid.
+    Each f maps its Tensor list to a scalar; pre-activations of the
+    fused ReLU are kept away from its kink so central differences are
+    valid.
     """
     a34 = rng.normal(size=(3, 4))
     b34 = rng.normal(size=(3, 4))
@@ -38,6 +39,10 @@ def primitive_grad_cases(rng):
     # its segments are empty
     pairs = PairIndex([0, 0, 1, 2, 3, 4], [1, 2, 2, 0, 4, 3], 6)
     no_pairs = PairIndex([], [], 3)
+    # for the fused ReLU: inputs and weights scaled by 0.1 move a
+    # pre-activation less than 1.1 from its bias of +-2, so every one
+    # stays clear of 0, and columns 1 and 3 are cut off
+    kinkless = np.array([2.0, -2.0, 2.0, -2.0, 2.0])
 
     def wsum(x):
         # weighted sum making every output coordinate matter unevenly
@@ -90,7 +95,11 @@ def primitive_grad_cases(rng):
         ("permute_rows", lambda xs: wsum(ad.permute_rows(xs[0], pairs.t)),
          [t(rng.normal(size=(6, 4)))]),
         ("sum_all", lambda xs: ad.sum_(xs[0]), [t(a34)]),
-        ("relu", lambda xs: wsum(ad.relu(xs[0])), [t(a34 + 3.0)]),
+        ("affine_relu", lambda xs: wsum(ad.affine(xs[0], xs[1], xs[2], relu=True)),
+         [t(0.1 * a34), t(0.1 * m45), t(kinkless)]),
+        ("pair_affine_relu",
+         lambda xs: wsum(ad.pair_affine(xs[0], xs[1], xs[2], pairs, xs[3], relu=True)),
+         [t(0.1 * a64), t(0.1 * w125), t(kinkless), t(0.1 * rng.normal(size=(6, 4)))]),
         ("softmax", lambda xs: wsum(ad.softmax(xs[0], axis=-1)), [t(a34)]),
         # small fill value: a -1e30 constant in the loss would swamp the
         # finite differences of every other coordinate
@@ -173,12 +182,15 @@ def test_every_primitive_has_a_gradient_case(monkeypatch):
 
 
 def test_relu_pointwise():
-    x = t([-2.0, 3.0])
-    y = ad.sum_(ad.relu(x))
-    y.backward()
-    assert ad.relu(t([-2.0])).data[0] == 0.0
-    assert ad.relu(t([3.0])).data[0] == 3.0
-    assert np.array_equal(x.grad, [0.0, 1.0])
+    """affine(relu=True) is max(x @ w + b, 0): no gradient passes where
+    the pre-activation is negative, and NaN propagates, not mapped to 0."""
+    x, w, b = t([[-2.0], [3.0]]), t([[1.0]]), t([0.0])
+    y = ad.affine(x, w, b, relu=True)
+    ad.sum_(y).backward()
+    assert np.array_equal(y.data, [[0.0], [3.0]])
+    assert np.array_equal(x.grad, [[0.0], [1.0]])
+    assert np.array_equal(w.grad, [[3.0]]) and np.array_equal(b.grad, [1.0])
+    assert np.isnan(ad.affine(t([[np.nan]]), w, b, relu=True).data[0, 0])
 
 
 def test_softmax_single_unmasked_logit():
@@ -305,7 +317,7 @@ def test_backward_releases_each_interior_node_once_its_gradient_has_passed():
     x, w, b = Tensor(rng.normal(size=(5, 3))), t(rng.normal(size=(3, 4))), t(np.zeros(4))
 
     def forward():
-        hidden = ad.relu(ad.affine(x, w, b))
+        hidden = ad.affine(x, w, b, relu=True)
         return ad.mul(hidden, hidden), weakref.ref(hidden.data)
 
     out, hidden_data = forward()
@@ -380,14 +392,14 @@ def test_no_grad_records_no_tape_and_restores_the_mode():
     b = Tensor(np.zeros(2))
 
     def recorded():
-        y = ad.relu(ad.affine(x, w, b))
+        y = ad.affine(x, w, b, relu=True)
         return y.requires_grad and y._parents != () and y._backward is not None
 
     def untaped(y):
         return not y.requires_grad and y._parents == () and y._backward is None
 
     with ad.no_grad():
-        assert untaped(ad.relu(ad.affine(x, w, b)))
+        assert untaped(ad.affine(x, w, b, relu=True))
         with ad.no_grad():
             assert untaped(ad.layernorm(x, Tensor(np.ones(3), requires_grad=True),
                                         Tensor(np.zeros(3), requires_grad=True)))
@@ -400,23 +412,25 @@ def test_no_grad_records_no_tape_and_restores_the_mode():
 
 
 def test_parameterised_ops_compute_in_their_activations_dtype():
-    """Given a float32 activation, affine, pair_affine, layernorm,
-    eval-mode batchnorm and mul cast their float64 weights, statistics
-    and other operands to it, and add, relu, softmax, masked_fill and
-    causal_attention keep float32 operands float32; each returns
-    float32 close to the float64 answer, and the float64 parameters are
-    left as they are."""
+    """Given a float32 activation, affine and pair_affine (with and
+    without the fused ReLU), layernorm, eval-mode batchnorm and mul cast
+    their float64 weights, statistics and other operands to it, and add,
+    softmax, masked_fill and causal_attention keep float32 operands
+    float32; each returns float32 close to the float64 answer, and the
+    float64 parameters are left as they are."""
     rng = np.random.default_rng(4)
     w, b, gamma = (Tensor(rng.normal(size=shape)) for shape in ((12, 5), (5,), (4,)))
     pairs = PairIndex([0, 0, 1, 2, 3], [1, 2, 2, 0, 1], 4)
     st = BatchNormState({}, "bn", 4)
     batchnorm(Tensor(rng.normal(size=(20, 4)) * 3 + 2), st, train=True)
     ops = [lambda x: ad.affine(x, Tensor(w.data[:4]), b),
+           lambda x: ad.affine(x, Tensor(w.data[:4]), b, relu=True),
            lambda x: ad.pair_affine(x, w, b, pairs),
+           lambda x: ad.pair_affine(x, w, b, pairs, relu=True),
            lambda x: layernorm(x, gamma, Tensor(w.data[0, :4])),
            lambda x: batchnorm(x, st, train=False),
            lambda x: ad.mul(x, 0.5), lambda x: ad.mul(x, gamma),
-           lambda x: ad.add(x, x), lambda x: ad.relu(x), lambda x: ad.softmax(x),
+           lambda x: ad.add(x, x), lambda x: ad.softmax(x),
            lambda x: ad.masked_fill(x, np.eye(4, dtype=bool), ad.MASK_VALUE),
            lambda x: ad.causal_attention(x[None], x[None], x[None],
                                          np.tri(4, k=-1, dtype=bool), 2)]

@@ -740,6 +740,22 @@ def test_bad_category_counts_in_a_dataset_header_are_one_error_line(
     assert (f"{data}: not UTF-8 text" if "\udcff" in header else "bad dataset header") in err
 
 
+@pytest.mark.parametrize("n,shown", [("2.5", "2.5"), ("true", "True"), ('"2"', "'2'"),
+                                     ("0", "0")])
+def test_a_bad_node_count_in_a_dataset_record_is_one_error_line(tmp_path, capsys, n, shown):
+    """A record's n must be an integer >= 1, not a bool, a float or a
+    string, as the header's R and S must be; the one error line names
+    the file, the line and n."""
+    data = tmp_path / "d.graphs"
+    data.write_text('{"R": 1, "S": 2, "directed": false}\n'
+                    + ONE_RECORD.replace('"n": 2', f'"n": {n}'))
+    capsys.readouterr()
+    rc = run(["featurize", "--in", data])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {data}:2: bad graph record: n must be an integer >= 1, got {shown}\n"
+
+
 # ---------------------------------------------------------------------------
 # ablation commands
 

@@ -207,6 +207,22 @@ def test_error_rates_counts_mistakes():
     assert edge_err == 2  # both directions of one pair, of 6 ordered pairs
 
 
+def test_mlp_applies_the_fused_relu_on_every_layer_but_the_last():
+    """Each hidden layer is max(h @ w + b, 0), bit for bit, and the last
+    layer is linear; a one-layer Mlp (ffn_layers = 1) is one affine."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(6, 4))
+    for sizes in ([4, 3], [4, 5, 3], [4, 5, 5, 3]):
+        mlp = codec.Mlp({}, "m", rng, sizes)
+        want = x
+        for i, layer in enumerate(mlp.layers):
+            want = want @ layer.w.data + layer.b.data
+            if i < len(mlp.layers) - 1:
+                want = np.maximum(want, 0.0)
+        np.testing.assert_array_equal(mlp(Tensor(x)).data, want)
+        assert (want < 0).any()
+
+
 def test_prepare_batch_rows_follow_the_graphs():
     """Node rows are the graphs' nodes in graph order, the neighborhood
     pairs are each graph's own shifted by its first row, and the edge

@@ -512,7 +512,7 @@ def test_prior_holdout_memory_does_not_grow_with_the_holdout():
 
 # the taped ops of the forward passes, by the name of the function that
 # records them (layernorm and batchnorm record through _normalize)
-MODEL_LAYER_OPS = {"add", "mul", "relu", "sum_", "affine", "pair_affine", "segment_sum",
+MODEL_LAYER_OPS = {"add", "mul", "sum_", "affine", "pair_affine", "segment_sum",
                    "permute_rows", "causal_attention", "masked_fill", "straight_through",
                    "cross_entropy_with_logits", "_normalize"}
 
@@ -559,6 +559,26 @@ def test_the_tape_records_model_layers_only():
     assert ae_ops | prior_ops <= MODEL_LAYER_OPS
     assert {"pair_affine", "segment_sum", "straight_through", "_normalize"} <= ae_ops
     assert {"affine", "causal_attention", "masked_fill"} <= prior_ops
+
+
+def test_the_tape_keeps_no_pre_activation():
+    """Every hidden activation of an MLP on the tape of an AE step or a
+    prior step is a ReLU output, >= 0: affine and pair_affine fuse the
+    ReLU, so no pre-activation waits on the tape for the backward. In
+    tiny_config no other taped tensor has the hidden width mlp_hidden =
+    2 * d_model. An AE step holds two per MLP, two MLPs per round, in
+    the encoder and the decoder."""
+    cfg = tiny_config()
+    assert cfg.mlp_hidden == 2 * cfg.d_model
+    _, ae_loss, _, prior_loss = one_step_losses(cfg)
+
+    def hidden(loss):
+        return [node.data for node in tape(loss)
+                if node._parents and node.shape[-1:] == (cfg.mlp_hidden,)]
+
+    ae_hidden, prior_hidden = hidden(ae_loss), hidden(prior_loss)
+    assert len(ae_hidden) == 8 * cfg.gnn_layers and prior_hidden
+    assert all((h >= 0).all() for h in ae_hidden + prior_hidden)
 
 
 def test_training_stays_in_float64():
