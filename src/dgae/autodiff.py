@@ -251,18 +251,22 @@ class PairIndex:
         if np.any(np.diff(self.i) < 0):
             raise ValueError("PairIndex rows must be sorted by i")
         self.num_nodes, self.t = num_nodes, np.argsort(self.j, kind="stable")
-        self._by_i, self._by_j = self._segments(self.i), self._segments(self.j[self.t])
+        self._by_i = self._segments(self.i, slice(None))
+        self._by_j = self._segments(self.j, self.t)
 
     @staticmethod
-    def _segments(keys):
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    def _segments(keys, order):
+        """(keys, each pair's rank in its key's segment, the widest
+        segment), in pair order; order sorts keys, stably."""
+        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
         counts = np.diff(starts, append=len(keys))
-        rank = np.arange(len(keys)) - np.repeat(starts, counts)
+        rank = np.empty(len(keys), np.int64)
+        rank[order] = np.arange(len(keys)) - np.repeat(starts, counts)
         return keys, rank, int(counts.max(initial=0))
 
     def segment_sum(self, x, by_j=False):
-        """(N, ...) row sums of x (P, ...) by i or, for x in t order, by
-        j; a node with no pair sums to 0."""
+        """(N, ...) row sums of x (P, ...), in pair order, by i or by j;
+        a node with no pair sums to 0."""
         keys, rank, width = self._by_j if by_j else self._by_i
         out = np.zeros((self.num_nodes, width) + x.shape[1:], dtype=x.dtype)
         out[keys, rank] = x
@@ -300,7 +304,7 @@ def pair_affine(x, w, b, pairs, e=None, relu=False):
         if relu:
             g = g * (out_data > 0)
         g_i = pairs.segment_sum(g)
-        g_j = pairs.segment_sum(g.take(pairs.t, axis=0), by_j=True)
+        g_j = pairs.segment_sum(g, by_j=True)
         if x.requires_grad:
             x._accumulate(g_i @ w_i.T + g_j @ w_j.T)
         if w.requires_grad:

@@ -92,62 +92,21 @@ class ModelConfig:
             return wrong  # the checks below compare values of the right type
         v = [f"{key} must be finite" for key, x in vars(self).items()
              if isinstance(x, float) and not math.isfinite(x)]
-        if self.node_categories < 1:
-            v.append("node_categories must be >= 1")
-        if self.edge_categories < 2:
-            v.append("edge_categories must be >= 2 (category 0 is 'no edge')")
-        if self.n_max < 1:
-            v.append("n_max must be >= 1")
-        if not 0.0 <= self.holdout_frac < 1.0:
-            v.append("holdout_frac must be in [0, 1)")
-        if not 1 <= self.feat_p <= 3:
-            v.append("feat_p must be in {1, 2, 3}")
+        for fields, low, high, ends in _BOUNDS:
+            for key in fields.split():
+                x = getattr(self, key)
+                if not ((low <= x if ends[0] == "[" else low < x)
+                        and (high is None or (x <= high if ends[1] == "]" else x < high))):
+                    v.append(f"{key} must be {'>=' if ends == '[' else '>'} {low}" if high is None
+                             else f"{key} must be in {ends[0]}{low}, {high}{ends[1]}")
         if self.feat_spectral and self.feat_k < 1:
             v.append("feat_k must be >= 1 when spectral features are on")
         if self.feat_random and self.feat_d_rand < 0:
             v.append("feat_d_rand must be >= 0")
-        if self.gnn_layers < 1:
-            v.append("gnn_layers must be >= 1")
-        if self.state_width < 1 or self.mlp_hidden < 1 or self.d_latent < 1:
-            v.append("widths must be >= 1")
-        if self.partitions < 1:
-            v.append("partitions must be >= 1")
         if self.d_latent % max(self.partitions, 1) != 0:
             v.append(f"d_latent={self.d_latent} not divisible by partitions={self.partitions}")
-        if self.codebook_size < 1:
-            v.append("codebook_size must be >= 1")
-        if not 0.0 <= self.ema_decay < 1.0:
-            v.append("ema_decay must be in [0, 1)")
-        if self.ema_eps <= 0:
-            v.append("ema_eps must be > 0")
-        if self.t_init < 0:
-            v.append("t_init must be >= 0")
-        if self.kmeans_samples < 1:
-            v.append("kmeans_samples must be >= 1")
-        if self.blocks < 1:
-            v.append("blocks must be >= 1")
-        if self.heads < 1 or self.d_model < 1:
-            v.append("d_model and heads must be >= 1")
-        if self.heads >= 1 and self.d_model % max(self.heads, 1) != 0:
+        if self.heads >= 1 and self.d_model % self.heads != 0:
             v.append(f"d_model={self.d_model} not divisible by heads={self.heads}")
-        if self.ffn_layers < 1:
-            v.append("ffn_layers must be >= 1")
-        if self.batch_size < 1:
-            v.append("batch_size must be >= 1")
-        if self.lr <= 0:
-            v.append("lr must be > 0")
-        if not 0.0 < self.lr_decay <= 1.0:
-            v.append("lr_decay must be in (0, 1]")
-        if self.decay_interval < 1:
-            v.append("decay_interval must be >= 1")
-        if self.clip_norm <= 0:
-            v.append("clip_norm must be > 0")
-        if self.epochs_ae < 0 or self.epochs_prior < 0:
-            v.append("epoch counts must be >= 0")
-        if self.mmd_sigma <= 0:
-            v.append("mmd_sigma must be > 0")
-        if self.clustering_bins < 1:
-            v.append("clustering_bins must be >= 1")
         return v
 
     def validate(self):
@@ -160,6 +119,19 @@ class ModelConfig:
 
 
 FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ModelConfig)}  # name -> "int", ...
+# (fields, low, high, ends): each field's value lies between low and high,
+# high None for no upper bound; "[" and "]" close an end, "(" and ")" open it
+_BOUNDS = [
+    ("node_categories n_max gnn_layers state_width mlp_hidden d_latent partitions "
+     "codebook_size kmeans_samples blocks d_model heads ffn_layers batch_size "
+     "decay_interval clustering_bins", 1, None, "["),
+    ("edge_categories", 2, None, "["),
+    ("t_init epochs_ae epochs_prior", 0, None, "["),
+    ("ema_eps lr clip_norm mmd_sigma", 0, None, "("),
+    ("holdout_frac ema_decay", 0, 1, "[)"),
+    ("lr_decay", 0, 1, "(]"),
+    ("feat_p", 1, 3, "[]"),
+]
 _ACCEPTS = {"bool": bool, "int": int, "float": (int, float)}
 
 

@@ -481,13 +481,13 @@ def test_criterion_10_generation_speed():
     mean_nodes = float(np.mean([g.n for g in graphs]))
     ok_fast = total < 60.0 and len(graphs) == 1000
     ok = ok_flat and ok_fast and mean_nodes == cfg.n_max
-    report(10, "generation speed", ok,
-           f"step us/node {1e6 * slope:.3f} (drift {100 * drift:+.1f}% over "
-           f"n_max 16..64, band 15%), 1000 graphs in "
-           f"{total:.2f}s (sample {t_decode - t_sample:.2f}s "
-           f"+ decode {t_end - t_decode:.2f}s, budget 60s), "
-           f"{time.perf_counter() - t0:.1f}s")
-    assert ok_flat and ok_fast
+    detail = (f"step us/node {1e6 * slope:.3f} (drift {100 * drift:+.1f}% over "
+              f"n_max 16..64, band 15%), 1000 graphs in "
+              f"{total:.2f}s (sample {t_decode - t_sample:.2f}s "
+              f"+ decode {t_end - t_decode:.2f}s, budget 60s), "
+              f"{time.perf_counter() - t0:.1f}s")
+    report(10, "generation speed", ok, detail)
+    assert ok_flat and ok_fast, detail
     assert mean_nodes == cfg.n_max
 
 

@@ -385,6 +385,14 @@ def test_pair_affine_without_pair_rows_gives_w_e_an_exact_zero_gradient():
     assert w.grad[:8].all()
 
 
+def test_segment_sum_by_j_matches_a_per_node_sum():
+    # pairs sorted by i, not by j; node 2 is no pair's j, node 4 in no pair
+    i, j = np.array([0, 0, 1, 1, 1, 3, 3]), np.array([3, 1, 3, 0, 1, 1, 0])
+    x = np.random.default_rng(5).normal(size=(7, 3))
+    want = np.stack([x[j == v].sum(axis=0) for v in range(5)])
+    np.testing.assert_array_equal(PairIndex(i, j, 5).segment_sum(x, by_j=True), want)
+
+
 def test_no_grad_records_no_tape_and_restores_the_mode():
     w = Tensor(np.ones((3, 2)), requires_grad=True)
     x = Tensor(np.arange(6.0).reshape(2, 3))

@@ -5,10 +5,13 @@ whole pipeline (dataset, train-ae, train-prior, generate, eval) stays
 in the seconds range.
 """
 
+import ctypes
 import json
+import platform
 import re
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -93,6 +96,26 @@ def test_version_flag_prints_tool_and_format_versions(capsys):
     out = capsys.readouterr().out
     assert "dgae 0.1.0" in out
     assert "checkpoint=1" in out
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_cli_processes_keep_freed_memory_on_glibc():
+    assert cli._keep_freed_memory() is True
+    assert cli._keep_freed_memory() is True  # setting the same values again is harmless
+
+
+@pytest.mark.parametrize("libc", [object(), SimpleNamespace(mallopt=lambda option, value: 0)],
+                         ids=["no-mallopt", "mallopt-refuses"])
+def test_commands_run_alike_without_glibcs_mallopt(tmp_path, capsys, monkeypatch, libc):
+    outputs, data = [], tmp_path / "d.graphs"
+    for loader in (ctypes.CDLL, lambda name: libc):
+        monkeypatch.setattr(cli.ctypes, "CDLL", loader)
+        assert run(["dataset", "gen", "--spec", "community-small", "--count", 4,
+                    "--seed", 1, "--out", data]) == 0
+        assert run(["featurize", "--in", data]) == 0
+        outputs.append((data.read_bytes(), capsys.readouterr()))
+    assert cli._keep_freed_memory() is False
+    assert outputs[0] == outputs[1]
 
 
 def test_errors_go_to_stderr_with_exit_code_one(tmp_path, capsys):
