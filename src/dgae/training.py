@@ -1,5 +1,6 @@
-"""Two-stage training: auto-encoder with EMA codebooks, then the
-autoregressive prior over the frozen encoder's quantized sequences.
+"""Two-stage training: auto-encoder with EMA codebooks, then the autoregressive
+prior over the frozen encoder's quantized sequences. Both stages run one epoch
+loop; a stage supplies only its batch loss and its holdout metrics.
 
 Everything is driven by one ModelConfig so runs are reproducible from
 (config, seed) alone. Checkpoints are a single binary file carrying a
@@ -327,16 +328,6 @@ def _lr_at(cfg: ModelConfig, step):
     return cfg.lr * (cfg.lr_decay ** (step // cfg.decay_interval))
 
 
-def _optimizer_step(loss, params, adam: AdamState, cfg: ModelConfig, step):
-    """Backpropagate a finite loss, clip the gradients to cfg.clip_norm
-    and take one Adam step at the step's learning rate."""
-    if not np.isfinite(loss.data):
-        raise TrainingDiverged(f"non-finite loss at step {step}")
-    loss.backward()
-    clip_gradients(params, cfg.clip_norm)
-    adam_step(params, adam, _lr_at(cfg, step))
-
-
 # ---------------------------------------------------------------------------
 # data plumbing
 
@@ -360,9 +351,11 @@ def split_dataset(count, cfg: ModelConfig):
     return np.sort(perm[k:]), np.sort(perm[:k])
 
 
-def _batches(order, batch_size):
+def _batches(items, batch_size, order=None):
+    """Lists of up to batch_size items, in `order` (their positions) or in list order."""
+    order = range(len(items)) if order is None else order
     for i in range(0, len(order), batch_size):
-        yield order[i:i + batch_size]
+        yield [items[j] for j in order[i:i + batch_size]]
 
 
 class MetricsWriter:
@@ -393,6 +386,26 @@ class MetricsWriter:
             self.f.write(",".join(cells) + "\n")
         if self.log and metrics:
             self.log(f"epoch {epoch}: " + " ".join(f"{k}={v:.5f}" for k, v in metrics.items()))
+
+
+def _fit(cfg, params, items, shuffle_rng, epochs, step_loss, evaluate, metrics_path, log):
+    """The epoch loop of both stages: per epoch, shuffle items, take one clipped Adam
+    step per batch on the loss Tensor step_loss(batch items, step), which must be
+    finite, and record evaluate(). Returns {"history", "step"}."""
+    adam = AdamState(params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    step = 0
+    with MetricsWriter(metrics_path, log) as records:
+        for epoch in range(epochs):
+            for batch in _batches(items, cfg.batch_size, shuffle_rng.permutation(len(items))):
+                loss = step_loss(batch, step)
+                if not np.isfinite(loss.data):
+                    raise TrainingDiverged(f"non-finite loss at step {step}")
+                loss.backward()
+                clip_gradients(params, cfg.clip_norm)
+                adam_step(params, adam, _lr_at(cfg, step))
+                step += 1
+            records.add(epoch, step, evaluate())
+    return {"history": records.history, "step": step}
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +442,8 @@ def _collect_embeddings(model: AutoEncoderModel, aug_train, cfg: ModelConfig):
     try:
         rows = []
         total = 0
-        for chunk in _batches(np.arange(len(aug_train)), cfg.batch_size):
-            batch = codec.prepare_batch([aug_train[i] for i in chunk])
-            z = codec.encode(batch, model.encoder, train=True).data
+        for graphs in _batches(aug_train, cfg.batch_size):
+            z = codec.encode(codec.prepare_batch(graphs), model.encoder, train=True).data
             rows.append(z)
             total += z.shape[0]
             if total >= cfg.kmeans_samples:
@@ -455,10 +467,10 @@ def evaluate_autoencoder(model: AutoEncoderModel, aug_val, cfg: ModelConfig):
         return {}
     recon_sum = commit_sum = node_errs = pair_errs = nodes = pairs = 0
     codes = []
-    for chunk in _batches(np.arange(len(aug_val)), cfg.batch_size):
-        batch = codec.prepare_batch([aug_val[i] for i in chunk])
+    for graphs in _batches(aug_val, cfg.batch_size):
+        batch = codec.prepare_batch(graphs)
         recon, commit, idx, _, logits = _ae_pass(model, batch, train=False)
-        recon_sum += float(recon.data) * len(chunk)
+        recon_sum += float(recon.data) * len(graphs)
         b_nodes = len(batch.node_targets)
         ne, ee = codec.error_counts(*logits, batch)
         node_errs, nodes = node_errs + ne, nodes + b_nodes
@@ -476,7 +488,7 @@ def evaluate_autoencoder(model: AutoEncoderModel, aug_val, cfg: ModelConfig):
 
 
 def train_autoencoder(graphs, cfg: ModelConfig, metrics_path=None, log=None):
-    """Stage 1. Returns (model, history: list of per-epoch dicts)."""
+    """Stage 1. Returns (model, {"history": per-epoch dicts, "step": steps taken})."""
     cfg.validate()
     for g in graphs:
         if g.n > cfg.n_max:
@@ -490,31 +502,25 @@ def train_autoencoder(graphs, cfg: ModelConfig, metrics_path=None, log=None):
     aug_val = [aug[i] for i in val_idx]
 
     model = AutoEncoderModel(cfg, init_rng)
-    params = parameters(model.state)
-    adam = AdamState(params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
-    def seed_codebooks():
+    def seed_codebooks(step):
         if not model.codebooks.initialized and step >= cfg.t_init:
             samples = _collect_embeddings(model, aug_train, cfg)
             quantize.init_codebooks(model.codebooks, samples, kmeans_rng)
 
-    step = 0
-    with MetricsWriter(metrics_path, log) as records:
-        for epoch in range(cfg.epochs_ae):
-            order = shuffle_rng.permutation(len(aug_train))
-            for chunk in _batches(order, cfg.batch_size):
-                seed_codebooks()
-                batch = codec.prepare_batch([aug_train[i] for i in chunk])
-                recon, commit, idx, z, _ = _ae_pass(model, batch, train=True)
-                loss = recon if commit is None else recon + cfg.gamma * cfg.beta * commit
-                _optimizer_step(loss, params, adam, cfg, step)
-                if commit is not None:
-                    quantize.ema_update(model.codebooks, z, idx)
-                step += 1
-            records.add(epoch, step, evaluate_autoencoder(model, aug_val, cfg))
+    def step_loss(items, step):
+        seed_codebooks(step)
+        recon, commit, idx, z, _ = _ae_pass(model, codec.prepare_batch(items), train=True)
+        if commit is None:
+            return recon
+        quantize.ema_update(model.codebooks, z, idx)
+        return recon + cfg.gamma * cfg.beta * commit
+
+    info = _fit(cfg, parameters(model.state), aug_train, shuffle_rng, cfg.epochs_ae, step_loss,
+                lambda: evaluate_autoencoder(model, aug_val, cfg), metrics_path, log)
     if cfg.epochs_ae > 0:
-        seed_codebooks()
-    return model, {"history": records.history, "step": step}
+        seed_codebooks(info["step"])
+    return model, info
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +532,8 @@ def encode_sequences(model: AutoEncoderModel, aug_graphs, cfg: ModelConfig):
     if not model.codebooks.initialized:
         raise RuntimeError("auto-encoder codebooks are uninitialized; train stage 1 first")
     seqs = []
-    for chunk in _batches(np.arange(len(aug_graphs)), cfg.batch_size):
-        batch = codec.prepare_batch([aug_graphs[i] for i in chunk])
+    for graphs in _batches(aug_graphs, cfg.batch_size):
+        batch = codec.prepare_batch(graphs)
         z = codec.encode(batch, model.encoder, train=False)
         idx, _ = quantize.quantize(z.data, model.codebooks)
         seqs += [prior.sort_set(s) for s in np.split(idx, np.cumsum(batch.sizes)[:-1])]
@@ -542,8 +548,8 @@ def evaluate_prior(pparams: prior.PriorParams, seqs, codebooks, cfg: ModelConfig
     if not seqs:
         return {}
     nll_sum = slots = 0
-    for chunk in _batches(np.arange(len(seqs)), cfg.batch_size):
-        batch = prior.pack_sequences([seqs[i] for i in chunk], cfg.n_max, codebooks)
+    for chunk in _batches(seqs, cfg.batch_size):
+        batch = prior.pack_sequences(chunk, cfg.n_max, codebooks)
         k = cfg.partitions * int(batch.lengths.sum()) + len(chunk)
         nll_sum += float(prior.prior_nll(pparams, batch).data) * k
         slots += k
@@ -552,7 +558,7 @@ def evaluate_prior(pparams: prior.PriorParams, seqs, codebooks, cfg: ModelConfig
 
 def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
                 metrics_path=None, log=None, cache_path=None):
-    """Stage 2. Returns (prior.PriorParams, history)."""
+    """Stage 2. Returns (prior.PriorParams, {"history": per-epoch dicts, "step": steps})."""
     cfg.validate()
     aug = featurize_all(graphs, cfg)
     train_idx, val_idx = split_dataset(len(graphs), cfg)
@@ -566,20 +572,13 @@ def train_prior(model: AutoEncoderModel, graphs, cfg: ModelConfig,
     init_rng, shuffle_rng = [np.random.default_rng(s) for s in root.spawn(2)]
     pparams = prior.PriorParams(cfg, init_rng)
     codebooks = model.codebooks.codebooks
-    params = parameters(pparams.state)
-    adam = AdamState(params, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
-    step = 0
-    with MetricsWriter(metrics_path, log) as records:
-        for epoch in range(cfg.epochs_prior):
-            order = shuffle_rng.permutation(len(train_seqs))
-            for chunk in _batches(order, cfg.batch_size):
-                batch = prior.pack_sequences([train_seqs[i] for i in chunk], cfg.n_max,
-                                             codebooks)
-                _optimizer_step(prior.prior_nll(pparams, batch), params, adam, cfg, step)
-                step += 1
-            records.add(epoch, step, evaluate_prior(pparams, val_seqs, codebooks, cfg))
-    return pparams, {"history": records.history, "step": step}
+    def step_loss(items, step):
+        return prior.prior_nll(pparams, prior.pack_sequences(items, cfg.n_max, codebooks))
+
+    return pparams, _fit(cfg, parameters(pparams.state), train_seqs, shuffle_rng, cfg.epochs_prior,
+                         step_loss, lambda: evaluate_prior(pparams, val_seqs, codebooks, cfg),
+                         metrics_path, log)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dgae import codec, evaluation, training
+from dgae import codec, evaluation, graphs, training
 
 TRACER = Path(__file__).resolve().parents[1] / "dgaebench" / "tracer.py"
 
@@ -91,3 +91,29 @@ def test_tracer_reads_the_node_mask_of_decode(monkeypatch):
     tracer = load_tracer()
     for args, kwargs in calls:
         assert tracer._pad_ratio(args, kwargs) == {"pad_ratio": 1.0}
+
+
+def test_tracer_times_every_optimizer_step_of_both_stages():
+    # the tracer's per-step times read codec.prepare_batch,
+    # prior.pack_sequences and training.adam_step as direct children of
+    # the train_autoencoder and train_prior spans; an epoch loop in a
+    # public function would nest them a level deeper and leave both
+    # metrics empty without an error
+    cfg = training.ModelConfig(gnn_layers=1, state_width=8, mlp_hidden=8, d_latent=4,
+                               partitions=2, codebook_size=3, blocks=1, d_model=8, heads=2,
+                               batch_size=4, epochs_ae=2, epochs_prior=2, t_init=3,
+                               kmeans_samples=64)
+    rng = np.random.default_rng(0)
+    data = [graphs.gen_community_small(rng) for _ in range(10)]
+    tracer = load_tracer()
+    run = tracer.Tracer()
+    run.install()
+    try:
+        model, ae = training.train_autoencoder(data, cfg)
+        _, pr = training.train_prior(model, data, cfg)
+    finally:
+        run.uninstall()
+    samples = tracer.cycle_samples(run.spans)
+    assert ae["step"] == pr["step"] == 4  # 8 training graphs in batches of 4, 2 epochs
+    assert len(samples["training.ae_step_s"]) == ae["step"]
+    assert len(samples["training.prior_step_s"]) == pr["step"]

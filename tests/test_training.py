@@ -1,5 +1,6 @@
 """Training loops: config checks, optimization, checkpoints, pipelines."""
 
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -325,13 +326,39 @@ def test_same_seed_runs_are_identical(tmp_path):
         np.testing.assert_array_equal(s1[name], s2[name], err_msg=name)
 
 
-def test_training_divergence_detected():
+@pytest.mark.parametrize("stage", ["autoencoder", "prior"])
+def test_training_divergence_detected(stage):
     g = graph_from_adjacency(random_adjacency(np.random.default_rng(0), 6, 0.5))
-    cfg = tiny_config(seed=0, batch_size=4, epochs_ae=5, lr=1e200,
-                      kmeans_samples=64)
+    cfg = tiny_config(seed=0, batch_size=4, epochs_ae=5, kmeans_samples=64)
+    diverging = dataclasses.replace(cfg, lr=1e200, epochs_prior=3)
     with np.errstate(all="ignore"):
-        with pytest.raises(TrainingDiverged, match="non-finite"):
-            train_autoencoder([g] * 5, cfg)
+        if stage == "autoencoder":
+            with pytest.raises(TrainingDiverged, match="non-finite"):
+                train_autoencoder([g] * 5, diverging)
+        else:
+            model, _ = train_autoencoder([g] * 5, cfg)
+            # one step per epoch: the first update, of size lr, overflows the next loss
+            with pytest.raises(TrainingDiverged, match="^non-finite loss at step 1$"):
+                train_prior(model, [g] * 5, diverging)
+
+
+@pytest.mark.parametrize("t_init, quantized", [
+    (0, "TTT"), (2, "FTT"), (3, "FTT"), (5, "FFT"), (6, "FFF"), (7, "FFF"), (100, "FFF")])
+def test_codebooks_are_seeded_at_step_t_init(t_init, quantized):
+    """15 training graphs in batches of 8 take 2 steps per epoch, 6 in
+    all. The codebooks are seeded before the first step >= t_init, or
+    after the last epoch when t_init is the step count, so epoch e
+    reports quantized metrics iff t_init < 2 * (e + 1)."""
+    graphs = random_graphs(7, 20)
+    cfg = tiny_config(epochs_ae=3, batch_size=8, t_init=t_init)
+    model, info = train_autoencoder(graphs, cfg)
+    assert info["step"] == 6
+    assert all(("perplexity" in h) == ("loss_commit" in h) for h in info["history"])
+    assert "".join("FT"["perplexity" in h] for h in info["history"]) == quantized
+    assert model.codebooks.initialized == (t_init <= 6)
+    if t_init > 6:
+        with pytest.raises(RuntimeError, match="codebooks are uninitialized"):
+            train_prior(model, graphs, cfg)
 
 
 def test_kmeans_init_beats_uniform_sampling():
