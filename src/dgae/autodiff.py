@@ -448,7 +448,8 @@ def straight_through(z_h, z_q):
 
 
 def cross_entropy_with_logits(logits, targets):
-    """Per-row CE over the last axis with integer targets.
+    """Per-row CE over the last axis with integer targets; a row whose
+    target is negative scores 0 and gets no gradient (ignore_index).
 
     Stable log-sum-exp; tolerates additively masked logits (MASK_VALUE)
     as long as the target class itself is unmasked.
@@ -457,19 +458,21 @@ def cross_entropy_with_logits(logits, targets):
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != logits.shape[:-1]:
         raise ShapeError(f"targets shape {targets.shape} vs logits {logits.shape}")
+    scored = targets >= 0
+    picks = np.maximum(targets, 0)[..., None]
     m = logits.data.max(axis=-1, keepdims=True)
     e = np.exp(logits.data - m)
     se = e.sum(axis=-1, keepdims=True)
     lse = (m + np.log(se)).squeeze(-1)
-    picked = np.take_along_axis(logits.data, targets[..., None], axis=-1).squeeze(-1)
-    out_data = lse - picked
+    picked = np.take_along_axis(logits.data, picks, axis=-1).squeeze(-1)
+    out_data = np.where(scored, lse - picked, 0.0)
 
     def bw(g):
         if logits.requires_grad:
             p = e / se
             onehot = np.zeros_like(p)
-            np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
-            logits._accumulate((p - onehot) * g[..., None])
+            np.put_along_axis(onehot, picks, 1.0, axis=-1)
+            logits._accumulate((p - onehot) * np.where(scored, g, 0.0)[..., None])
 
     return _node(out_data, (logits,), bw)
 

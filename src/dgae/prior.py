@@ -22,7 +22,8 @@ probability of breaking the sorted-order invariant on partition 0.
 Attention needs no padding mask. Row t attends only to the nodes
 s < t, and every row the loss reads has t at most the set's length, so
 every key it sees belongs to a real node or the start node. The keys of
-padded slots reach only padded rows, which the loss mask drops.
+padded slots reach only padded rows, whose targets are IGNORE, which
+the cross-entropy scores 0 with no gradient.
 
 Teacher forcing and sampling share one forward definition. The sampler
 runs the same input projection, block and masked output head one
@@ -119,27 +120,34 @@ def sort_set(indices):
     return indices[np.lexsort(indices.T[::-1])]
 
 
+IGNORE = -1  # the target of a slot the loss does not score
+
+
 @dataclass
 class SequenceBatch:
-    indices: np.ndarray    # (B, T, C) int64, zero-padded
-    codewords: np.ndarray  # (B, T, d_latent), zero-padded
-    lengths: np.ndarray    # (B,) int64
+    """Sets of lengths len padded to T+1 teacher-forced slots. Slot t <
+    len holds node t's codeword row and targets its indices; slot len
+    targets end-of-set (m) on partition 0; every other target is
+    IGNORE. The rows of slots t >= len are the finite lookups of their
+    clipped targets, which no scored slot reads."""
+    codewords: np.ndarray  # (B, T+1, d_latent)
+    targets: np.ndarray    # (B, T+1, C) int64
 
 
 def pack_sequences(seqs, n_max, codebooks) -> SequenceBatch:
-    """Pad sorted index sequences (T, C) to one batch and look up their
-    codeword rows in the stacked codebooks (C, m, d_part)."""
+    """Lay sorted index sequences (T, C) out in one batch's slots and look
+    up their codeword rows in the stacked codebooks (C, m, d_part)."""
     lengths = np.array([len(s) for s in seqs], dtype=np.int64)
     if lengths.min() < 1:
         raise ValueError("sequences must have at least one node")
     if lengths.max() > n_max:
         raise ValueError(f"sequence of length {lengths.max()} exceeds n_max={n_max}")
-    idx = np.zeros((len(seqs), int(lengths.max()), codebooks.shape[0]), dtype=np.int64)
+    C, m, _ = codebooks.shape
+    targets = np.full((len(seqs), int(lengths.max()) + 1, C), IGNORE, dtype=np.int64)
     for b, s in enumerate(seqs):
-        idx[b, :len(s)] = s
-    codewords = quantize.lookup(codebooks, idx)
-    codewords[np.arange(idx.shape[1]) >= lengths[:, None]] = 0.0
-    return SequenceBatch(idx, codewords, lengths)
+        targets[b, :len(s)] = s
+        targets[b, len(s), 0] = m
+    return SequenceBatch(quantize.lookup(codebooks, np.clip(targets, 0, m - 1)), targets)
 
 
 def _input_column(params: PriorParams, c, prev, cur, pos) -> Tensor:
@@ -154,20 +162,14 @@ def _input_column(params: PriorParams, c, prev, cur, pos) -> Tensor:
 
 def build_inputs(params: PriorParams, batch: SequenceBatch):
     """Project codeword context to the model width: C columns, column c
-    (B, T+1, d_model) for partition c.
-
-    Position t, partition c sees the previous node's full codeword
-    row (zeros for t=0: the virtual start node) and the current
-    node's partitions 0..c-1. Row T is the end-of-set slot. The node
-    position encoding is added after the projection.
-    """
-    B, T, d_latent = batch.codewords.shape
-    prev = np.zeros((B, T + 1, d_latent))
-    prev[:, 1:] = batch.codewords
-    cur = np.zeros((B, T + 1, d_latent))
-    cur[:, :T] = batch.codewords
-    pos = params.pos_table[:T + 1]
-    return [_input_column(params, c, prev, cur, pos) for c in range(params.C)]
+    (B, T+1, d_model) for partition c. Slot t, partition c sees the
+    previous node's full codeword row (zeros at t = 0: the virtual start
+    node) and slot t's partitions 0..c-1; the position encoding is added
+    after the projection."""
+    prev = np.zeros_like(batch.codewords)
+    prev[:, 1:] = batch.codewords[:, :-1]
+    pos = params.pos_table[:prev.shape[1]]
+    return [_input_column(params, c, prev, batch.codewords, pos) for c in range(params.C)]
 
 
 def _block_forward(blk: PriorBlock, x: Tensor, k: Tensor, v: Tensor, c):
@@ -198,50 +200,25 @@ def _logits(params: PriorParams, x: Tensor, c, prev_k0) -> Tensor:
 
 def prior_logits(params: PriorParams, batch: SequenceBatch):
     """Teacher-forced masked logits: C columns, column c (B, T+1, m+1)
-    for partition c. Logits at padded positions are meaningless; the
-    loss mask of sequence_targets ignores them.
+    for partition c. Logits at slots whose target is IGNORE are
+    meaningless, and the loss scores them 0.
     """
-    B, T, C = batch.indices.shape
     x = build_inputs(params, batch)
     for blk in params.blocks:
         k, v = blk.wk(x[0]), blk.wv(x[0])
         x = [_block_forward(blk, col, k, v, c) for c, col in enumerate(x)]
-    prev_k0 = np.zeros((B, T + 1), dtype=np.int64)
-    prev_k0[:, 1:] = batch.indices[:, :, 0]
+    prev_k0 = np.zeros(batch.targets.shape[:2], dtype=np.int64)
+    prev_k0[:, 1:] = batch.targets[:, :-1, 0]
     return [_logits(params, col, c, prev_k0) for c, col in enumerate(x)]
 
 
-def sequence_targets(params: PriorParams, batch: SequenceBatch):
-    """(targets, loss_mask), both (B, T+1, C). Real positions predict
-    their index; the slot after the last node predicts end-of-set on
-    partition 0 only.
-    """
-    B, T, C = batch.indices.shape
-    targets = np.zeros((B, T + 1, C), dtype=np.int64)
-    targets[:, :T] = batch.indices
-    loss_mask = np.zeros((B, T + 1, C), dtype=bool)
-    pos = np.arange(T + 1)[None, :]
-    loss_mask[:, :, :] = (pos < batch.lengths[:, None])[:, :, None]
-    targets[np.arange(B), batch.lengths, 0] = params.m
-    loss_mask[np.arange(B), batch.lengths, 0] = True
-    return targets, loss_mask
-
-
-def nll_from_logits(logits, targets, loss_mask) -> Tensor:
-    """Mean cross-entropy over unmasked positions (nodes plus the
-    end-of-set slot), pooled across the batch and the C logit columns
-    (B, T+1, m+1); targets and loss_mask are (B, T+1, C).
-    """
-    w = np.asarray(loss_mask, dtype=np.float64)
-    parts = [ad.sum_(ad.mul(ad.cross_entropy_with_logits(col, targets[..., c]), Tensor(w[..., c])))
-             for c, col in enumerate(logits)]
-    return ad.mul(sum(parts[1:], parts[0]), 1.0 / w.sum())
-
-
 def prior_nll(params: PriorParams, batch: SequenceBatch) -> Tensor:
-    logits = prior_logits(params, batch)
-    targets, loss_mask = sequence_targets(params, batch)
-    return nll_from_logits(logits, targets, loss_mask)
+    """Mean cross-entropy over the targets that are not IGNORE (C per
+    node plus one end-of-set per set), pooled across the batch and the
+    C partitions."""
+    parts = [ad.sum_(ad.cross_entropy_with_logits(col, batch.targets[..., c]))
+             for c, col in enumerate(prior_logits(params, batch))]
+    return ad.mul(sum(parts[1:], parts[0]), 1.0 / np.count_nonzero(batch.targets != IGNORE))
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ class ModelConfig:
     def validate(self):
         v = self.violations()
         if v:
-            raise ConfigError("invalid config:\n  " + "\n  ".join(v))
+            raise ConfigError("invalid config: " + "; ".join(v))
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -543,14 +543,14 @@ def encode_sequences(model: AutoEncoderModel, aug_graphs, cfg: ModelConfig):
 @ad.no_grad()
 def evaluate_prior(pparams: prior.PriorParams, seqs, codebooks, cfg: ModelConfig):
     """Holdout NLL of sorted index sequences in cfg.batch_size slices,
-    pooled over their predicted slots (C per node, one end-of-set each),
-    so memory does not grow with the holdout."""
+    pooled over the targets that are not prior.IGNORE (C per node, one
+    end-of-set each), so memory does not grow with the holdout."""
     if not seqs:
         return {}
     nll_sum = slots = 0
     for chunk in _batches(seqs, cfg.batch_size):
         batch = prior.pack_sequences(chunk, cfg.n_max, codebooks)
-        k = cfg.partitions * int(batch.lengths.sum()) + len(chunk)
+        k = np.count_nonzero(batch.targets != prior.IGNORE)
         nll_sum += float(prior.prior_nll(pparams, batch).data) * k
         slots += k
     return {"nll": nll_sum / slots}

@@ -108,6 +108,8 @@ def primitive_grad_cases(rng):
          [t(a34)]),
         ("cross_entropy", lambda xs: wsum(cross_entropy_with_logits(
             xs[0], np.array([1, 0, 3]))), [t(a34)]),
+        ("cross_entropy_ignored_row", lambda xs: wsum(cross_entropy_with_logits(
+            xs[0], np.array([1, -1, 3]))), [t(a34)]),
         ("layernorm", lambda xs: wsum(layernorm(xs[0], xs[1], xs[2])),
          [t(a34), t(np.ones(4) + 0.1 * b4), t(0.1 * b4)]),
         # the estimator is the true gradient where z_q - z_h does not
@@ -280,6 +282,22 @@ def test_cross_entropy_uniform_is_log_k():
     logits = Tensor(np.zeros((3, 2)))
     ce = cross_entropy_with_logits(logits, np.array([0, 1, 0]))
     assert np.allclose(ce.data, np.log(2.0))
+
+
+def test_cross_entropy_negative_target_scores_zero_with_no_gradient():
+    """A row whose target is negative (prior.IGNORE) scores exactly 0 and
+    gets exactly zero gradient; the other rows score and get what they
+    would without it."""
+    logits = Tensor(np.random.default_rng(3).normal(size=(3, 4)), requires_grad=True)
+    ce = cross_entropy_with_logits(logits, np.array([2, -1, 0]))
+    ad.sum_(ce).backward()
+    assert ce.data[1] == 0.0
+    assert np.array_equal(logits.grad[1], np.zeros(4))
+    kept = Tensor(logits.data[[0, 2]], requires_grad=True)
+    ce_kept = cross_entropy_with_logits(kept, np.array([2, 0]))
+    ad.sum_(ce_kept).backward()
+    assert np.array_equal(ce.data[[0, 2]], ce_kept.data)
+    assert np.array_equal(logits.grad[[0, 2]], kept.grad)
 
 
 def test_cross_entropy_shape_mismatch():

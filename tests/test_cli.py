@@ -18,7 +18,7 @@ import pytest
 
 from dgae import cli, prior, training
 from dgae.cli import FORMAT_VERSIONS, main, parse_config_file
-from dgae.graphs import load_dataset
+from dgae.graphs import load_dataset, new_graph, save_dataset
 from dgae.training import ConfigError
 
 FROZEN = Path(__file__).resolve().parents[1] / "dgaebench" / "frozen.ckpt"
@@ -190,10 +190,19 @@ def test_bad_config_file_fails_the_command(tmp_path, capsys):
     (b"gamma = -inf\n", "gamma must be finite"),
     (b"holdout_frac = NaN\n", "holdout_frac must be finite"),
     (b"seed = 1\n\xff\xfe\n", "c.conf: not UTF-8 text"),
+    (b"feat_spectral = maybe\n", "c.conf: line 1: bad bool value for feat_spectral: 'maybe'\n"),
+    (b"feat_k = 0\n",
+     "error: invalid config: feat_k must be >= 1 when spectral features are on\n"),
+    (b"feat_d_rand = -1\n", "error: invalid config: feat_d_rand must be >= 0\n"),
+    (b"feat_k = 0\nfeat_d_rand = -1\n",
+     "error: invalid config: feat_k must be >= 1 when spectral features are on; "
+     "feat_d_rand must be >= 0\n"),
 ])
 def test_bad_config_files_are_one_error_line(tmp_path, capsys, text, needle):
     """Every float field must be finite, and a config file that is not
-    UTF-8 is named in the error; eval then writes no report."""
+    UTF-8 is named in the error; eval then writes no report. Config
+    violations read as one "; "-separated list, which a needle ending in
+    a newline matches as the whole line."""
     conf = tmp_path / "c.conf"
     conf.write_bytes(text)
     data = tmp_path / "d.graphs"
@@ -415,6 +424,27 @@ def test_verbose_logs_one_line_per_epoch_with_holdout_metrics(tmp_path, capsys, 
             assert [k for k, _ in lines[epoch]] == keys, argv[0]
             for key, value in lines[epoch]:
                 assert abs(value - float(row[header.index(key)])) <= 5.0001e-6, (key, row)
+
+
+@pytest.mark.parametrize("sizes", [[1] * 20, np.random.default_rng(31).integers(1, 5, size=20)],
+                         ids=["one-node", "edgeless"])
+def test_pipeline_runs_on_graphs_with_no_pairs(tmp_path, capsys, sizes):
+    """Batches of 1-node graphs give the decoder no pairs, and batches of
+    edgeless graphs give the encoder none; every stage still exits 0."""
+    p = {name: tmp_path / name for name in ("d.graphs", "c.conf", "ae.ckpt", "full.ckpt",
+                                            "s.graphs", "r.csv")}
+    save_dataset(p["d.graphs"], [new_graph(int(n)) for n in sizes])
+    p["c.conf"].write_text("epochs_ae = 2\nepochs_prior = 2\nbatch_size = 8\n"
+                           "kmeans_samples = 64\n")
+    for argv in (["train-ae", "--data", p["d.graphs"], "--out", p["ae.ckpt"],
+                  "--config", p["c.conf"]],
+                 ["train-prior", "--data", p["d.graphs"], "--ckpt", p["ae.ckpt"],
+                  "--out", p["full.ckpt"], "--config", p["c.conf"]],
+                 ["generate", "--ckpt", p["full.ckpt"], "--count", 8, "--out", p["s.graphs"]],
+                 ["eval", "--ref", p["d.graphs"], "--gen", p["s.graphs"], "--out", p["r.csv"]]):
+        assert run(argv) == 0, (argv, capsys.readouterr().err)
+    assert capsys.readouterr().err == ""
+    assert p["r.csv"].exists()
 
 
 def test_generate_writes_valid_graphs(workspace):
@@ -819,6 +849,47 @@ def test_ablate_codebook_cli(tmp_path, capsys):
     assert "m=4 C=1" in stdout and "m=2 C=2" in stdout
     body = out.read_text()
     assert "4,1,4" in body and "2,2,4" in body  # m,C,M columns
+
+
+@pytest.mark.parametrize("argv,outs,heavy", [
+    (["train-prior", "--data", "{data}", "--ckpt", "{ae_ckpt}", "--out", "{out}/p.ckpt",
+      "--metrics", "{out}/p.csv", "--cache", "{out}/p.seqs"],
+     ["p.ckpt", "p.csv", "p.seqs"], (training, "train_prior")),
+    (["generate", "--ckpt", "{full_ckpt}", "--count", "4", "--out", "{out}/g.graphs"],
+     ["g.graphs"], (training, "generate_graphs")),
+    (["ablate", "features", "--data", "{data}", "--out", "{out}/f.csv"],
+     ["f.csv"], (cli.evaluation, "ablation_feature_report")),
+    (["ablate", "codebook", "--data", "{data}", "--out", "{out}/c.csv", "--grid", "4:1"],
+     ["c.csv"], (cli.evaluation, "ablation_codebook_report")),
+], ids=["train-prior", "generate", "ablate-features", "ablate-codebook"])
+def test_dry_runs_print_the_config_and_write_nothing(workspace, tmp_path, capsys, monkeypatch,
+                                                      argv, outs, heavy):
+    """A dry run prints every config field and the files it would
+    write, runs no training, sampling or sweep, writes nothing and
+    exits 0."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dry run did the work")
+
+    monkeypatch.setattr(*heavy, refuse)
+    paths = {**{k: str(v) for k, v in workspace.items()}, "out": str(tmp_path)}
+    capsys.readouterr()
+    assert run([a.format(**paths) for a in argv] + ["--dry-run"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split(" = ")[0] for l in lines[:-1]] == sorted(training.FIELD_TYPES)
+    assert lines[-1] == "dry-run: would write " + ", ".join(str(tmp_path / o) for o in outs)
+    assert not list(tmp_path.iterdir())
+
+
+def test_bad_seeds_are_one_error_line(tmp_path, capsys):
+    data = tmp_path / "d.graphs"
+    run(["dataset", "gen", "--spec", "community-small", "--count", 4, "--out", data])
+    capsys.readouterr()
+    rc = run(["ablate", "features", "--data", data, "--out", tmp_path / "f.csv",
+              "--seeds", "0,x"])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: bad --seeds value '0,x': "
+                                       "invalid literal for int() with base 10: 'x'\n")
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_ablate_rejects_malformed_grid(tmp_path, capsys):

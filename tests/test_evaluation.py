@@ -716,9 +716,14 @@ def test_ablation_codebook_report_format(tmp_path):
     cfg = ModelConfig(**BENCH_CFG, epochs_ae=2, batch_size=8, kmeans_samples=128)
     grid = [(4, 1), (2, 2)]
     out = tmp_path / "code.csv"
+    logged = []
     res = ablation_codebook_report(graphs, cfg, out_path=str(out), grid=grid,
-                                   seeds=(0,), with_prior=False)
+                                   seeds=(0,), with_prior=False, log=logged.append)
     assert set(res) == {(4, 1), (2, 2)}
+    # one log line per cell and seed; with one seed the means are its values
+    assert logged == [f"cell {cell} seed 0: " + " ".join(f"{k}={mu:.5f}"
+                                                         for k, (mu, _) in agg.items())
+                      for cell, agg in res.items()]
     for agg in res.values():
         for key in ("loss_recon", "node_err", "edge_err", "perplexity"):
             mu, sd = agg[key]

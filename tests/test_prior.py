@@ -11,13 +11,12 @@ from dgae.autodiff import Tensor
 from dgae.prior import (
     PriorParams,
     build_inputs,
+    IGNORE,
     generate,
-    nll_from_logits,
     pack_sequences,
     prior_logits,
     prior_nll,
     read_sequences,
-    sequence_targets,
     sort_set,
     write_sequences,
 )
@@ -95,19 +94,24 @@ def test_pack_sequences_rejects_bad_lengths():
         pack_sequences([good], 2, books)
 
 
-def test_pack_sequences_looks_up_live_rows_and_zeroes_padding():
+def test_pack_sequences_lays_out_targets_and_live_rows():
+    """Slot t < len targets node t's indices and holds its codeword row,
+    slot len targets end-of-set on partition 0, and every other target
+    is IGNORE."""
     rng = np.random.default_rng(1)
     books = rand_codebooks(rng, 3, 5, 2)
     seqs = [random_sequence(rng, T, 3, 5) for T in (2, 4, 1)]
     batch = pack_sequences(seqs, 8, books)
-    assert batch.codewords.shape == (3, 4, 6)
-    np.testing.assert_array_equal(batch.lengths, [2, 4, 1])
+    assert batch.codewords.shape == (3, 5, 6)
+    assert batch.targets.shape == (3, 5, 3) and batch.targets.dtype == np.int64
     for b, s in enumerate(seqs):
         T = len(s)
-        np.testing.assert_array_equal(batch.indices[b, :T], s)
+        np.testing.assert_array_equal(batch.targets[b, :T], s)
         np.testing.assert_array_equal(batch.codewords[b, :T], quantize.lookup(books, s))
-        assert not batch.indices[b, T:].any()
-        assert not batch.codewords[b, T:].any()
+        assert batch.targets[b, T, 0] == 5
+        assert (batch.targets[b, T, 1:] == IGNORE).all()
+        assert (batch.targets[b, T + 1:] == IGNORE).all()
+        assert np.isfinite(batch.codewords[b, T:]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +228,9 @@ def test_attention_over_key_prefix_matches_full_sequence():
 
 def test_padding_slots_never_reach_the_loss():
     """Row t attends only to nodes s < t, so the keys of padded slots
-    reach only padded rows, which the loss mask drops: garbage in the
-    padded index and codeword slots leaves the loss and every gradient
-    bit-identical."""
+    reach only padded rows, whose targets are IGNORE: garbage in the
+    codeword rows of every slot from a set's length on leaves the loss
+    and every gradient bit-identical."""
     params = tiny_params(seed=3)
     rng = np.random.default_rng(5)
     seqs = [random_sequence(rng, T, params.C, params.m) for T in (2, 5, 3)]
@@ -240,8 +244,8 @@ def test_padding_slots_never_reach_the_loss():
 
     clean = batch_from(params, seqs)
     dirty = batch_from(params, seqs)
-    pad = np.arange(dirty.indices.shape[1]) >= dirty.lengths[:, None]
-    dirty.indices[pad] = rng.integers(0, params.m, size=(pad.sum(), params.C))
+    lengths = np.array([len(s) for s in seqs])
+    pad = np.arange(dirty.codewords.shape[1]) >= lengths[:, None]
     dirty.codewords[pad] = 50.0 * rng.normal(size=(pad.sum(), params.d_latent))
     # the garbage does reach the logits of the padded rows
     assert not np.array_equal(stacked(prior_logits(params, dirty)),
@@ -281,39 +285,36 @@ def test_order_violating_classes_have_zero_probability():
     # row 0 is unconstrained except that nothing is below class 0
     assert np.all(probs[0, 0] > 0.0)
     # masked logits contribute nothing to the loss gradient
-    targets, loss_mask = sequence_targets(params, batch)
-    loss = nll_from_logits(logits, targets, loss_mask)
+    loss = ad.sum_(ad.cross_entropy_with_logits(logits[0], batch.targets[..., 0]))
     loss.backward()
     g = logits[0].grad[0]  # partition 0
     assert np.all(g[1, :1] == 0.0)
     assert np.all(g[2, :3] == 0.0)
 
 
-def test_sequence_targets_places_end_of_set():
+def test_targets_place_end_of_set():
     params = tiny_params(seed=10)
     rng = np.random.default_rng(11)
     seqs = [random_sequence(rng, 2, params.C, params.m),
             random_sequence(rng, 4, params.C, params.m)]
-    batch = batch_from(params, seqs)
-    targets, loss_mask = sequence_targets(params, batch)
+    targets = batch_from(params, seqs).targets
     assert targets.shape == (2, 5, params.C)
-    assert targets[0, 2, 0] == params.m and loss_mask[0, 2, 0]
-    assert targets[1, 4, 0] == params.m and loss_mask[1, 4, 0]
+    assert targets[0, 2, 0] == params.m
+    assert targets[1, 4, 0] == params.m
     # nothing after a sequence's end-of-set slot is scored
-    assert not loss_mask[0, 2, 1:].any()
-    assert not loss_mask[0, 3:].any()
-    assert loss_mask[1, :4].all()
+    assert (targets[0, 2, 1:] == IGNORE).all()
+    assert (targets[0, 3:] == IGNORE).all()
+    assert (targets[1, :4] >= 0).all()
 
 
-def test_nll_from_logits_confident_and_uniform():
+def test_cross_entropy_confident_and_uniform():
     K = 5
-    targets = np.array([[[2]]])
-    loss_mask = np.ones((1, 1, 1), dtype=bool)
+    targets = np.array([[2]])
     peaked = np.full((1, 1, K), -40.0)
     peaked[0, 0, 2] = 40.0
-    assert nll_from_logits([Tensor(peaked)], targets, loss_mask).data < 1e-6
-    flat = nll_from_logits([Tensor(np.zeros((1, 1, K)))], targets, loss_mask)
-    np.testing.assert_allclose(flat.data, np.log(K), atol=1e-12)
+    assert ad.cross_entropy_with_logits(Tensor(peaked), targets).data[0, 0] < 1e-6
+    flat = ad.cross_entropy_with_logits(Tensor(np.zeros((1, 1, K))), targets)
+    np.testing.assert_allclose(flat.data[0, 0], np.log(K), atol=1e-12)
 
 
 def test_nll_ignores_batch_ordering():

@@ -2,12 +2,14 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dgae.autodiff import Tensor
+from dgae.graphs import new_graph
 from dgae import autodiff as ad, cli, codec, prior, quantize, training
 from dgae.training import (
     AdamState,
@@ -461,6 +463,33 @@ def test_full_pipeline_and_reload(tmp_path):
     for a, b in zip(out, out2):
         np.testing.assert_array_equal(a.node_categories, b.node_categories)
         np.testing.assert_array_equal(a.edge_categories, b.edge_categories)
+
+
+@pytest.mark.parametrize("kind", ["one-node", "edgeless"])
+def test_training_on_batches_with_no_pairs(kind):
+    """Batchnorm's zero-row training branch: batches of 1-node graphs
+    give the decoder no pairs, and batches of edgeless 1- to 4-node
+    graphs give the encoder none. Both stages train and generate with
+    no warning and finite histories, every running statistic stays
+    finite, and the edge batchnorms that never saw a pair keep their
+    running means at 0."""
+    sizes = [1] * 20 if kind == "one-node" else np.random.default_rng(31).integers(1, 5, size=20)
+    graphs = [new_graph(int(n)) for n in sizes]
+    cfg = ModelConfig(epochs_ae=2, epochs_prior=2, batch_size=8, kmeans_samples=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model, ae_info = train_autoencoder(graphs, cfg)
+        pparams, prior_info = train_prior(model, graphs, cfg)
+        out, _ = generate_graphs(model, pparams, cfg, count=8, seed=4)
+    assert len(out) == 8
+    for info in (ae_info, prior_info):
+        assert info["history"]
+        assert all(np.isfinite(v).all() for rec in info["history"] for v in rec.values())
+    stats = {k: v for k, v in model.state.items() if k.endswith((".running_mean", ".running_var"))}
+    assert stats and all(np.isfinite(v).all() for v in stats.values())
+    unpaired = [model.encoder] + ([model.decoder] if kind == "one-node" else [])
+    for layer in (layer for params in unpaired for layer in params.layers):
+        assert not layer.bn_e.running_mean.any()
 
 
 def test_evaluate_reports_quantized_metrics():
