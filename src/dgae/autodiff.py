@@ -354,14 +354,26 @@ def sum_(a):
     return _node(a.data.sum(), (a,), bw)
 
 
-def _softmax(x, axis):
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def _softmax(x, axis, out=None):
+    """softmax(x) along axis, written to out: a new array, or x itself
+    to work in place. The row max is taken over an axis-major contiguous
+    copy, since numpy reduces a short last axis one row at a time and a
+    max is the same in any order; the sum keeps numpy's own order, which
+    the training arithmetic's rounding depends on. An empty axis gives
+    an empty result."""
+    top = np.ascontiguousarray(np.moveaxis(x, axis, 0)).max(axis=0, initial=-np.inf)
+    out = np.subtract(x, np.expand_dims(top, axis), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
-def _softmax_grad(p, g, axis):
-    """The gradient at x of p = softmax(x) from the gradient g at p."""
-    return p * (g - (g * p).sum(axis=axis, keepdims=True))
+def _softmax_grad(p, g, axis, out=None):
+    """The gradient at x of p = softmax(x) from the gradient g at p,
+    written to out: a new array, or g itself to work in place."""
+    out = np.subtract(g, (g * p).sum(axis=axis, keepdims=True), out=out)
+    out *= p
+    return out
 
 
 def softmax(a, axis=-1):
@@ -381,33 +393,45 @@ def causal_attention(q, k, v, allowed, heads):
     broadcasts to (B, heads, R, S). Per head, row r of the output
     (B, R, d) is the softmax over the allowed keys s of
     q[r] . k[s] / sqrt(d_k), applied to the values; a row with no
-    allowed key is zeros. The heads split and merge off the tape, and
-    the backward reuses the forward's probabilities.
+    allowed key, and every row when S = 0, is zeros. The heads split
+    and merge off the tape. The softmax runs in place in the score
+    buffer, with its row max over a key-major copy (_softmax); the mask
+    is applied only when it disallows some key. The backward reuses the
+    forward's probabilities.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape or k.shape[::2] != q.shape[::2] \
             or q.shape[2] % heads:
         raise ShapeError(f"causal_attention needs q (B, R, d) and k, v (B, S, d), d divisible "
                          f"by {heads} heads: {q.shape}, {k.shape}, {v.shape}")
+    d = q.shape[2]
 
     def split(a):  # (B, ., d) -> (B, H, ., d_k)
-        return np.swapaxes(a.reshape(a.shape[:2] + (heads, -1)), 1, 2)
+        return np.swapaxes(a.reshape(a.shape[:2] + (heads, d // heads)), 1, 2)
 
     def merge(a):  # (B, H, ., d_k) -> (B, ., d)
         a = np.swapaxes(a, 1, 2)
-        return a.reshape(a.shape[:2] + (-1,))
+        return a.reshape(a.shape[:2] + (d,))
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scale = 1.0 / float(np.sqrt(qh.shape[-1]))  # a Python float keeps float32 float32
-    p = _softmax(np.where(allowed, (qh @ np.swapaxes(kh, 2, 3)) * scale, MASK_VALUE), -1)
-    p *= allowed  # a row with no allowed key softmaxes to uniform
+    scale = 1.0 / float(np.sqrt(d // heads))  # a Python float keeps float32 float32
+    masked = not allowed.all()
+    p = qh @ np.swapaxes(kh, 2, 3)
+    p *= scale
+    if masked:
+        np.copyto(p, MASK_VALUE, where=~allowed)
+    _softmax(p, -1, out=p)
+    if masked:
+        p *= allowed  # a row with no allowed key softmaxes to uniform
 
     def bw(g):
         gh = split(g)
         if v.requires_grad:
             v._accumulate(merge(np.swapaxes(p, 2, 3) @ gh))
         if q.requires_grad or k.requires_grad:
-            ds = _softmax_grad(p, gh @ np.swapaxes(vh, 2, 3), -1) * scale
+            ds = gh @ np.swapaxes(vh, 2, 3)
+            _softmax_grad(p, ds, -1, out=ds)
+            ds *= scale
             if q.requires_grad:
                 q._accumulate(merge(ds @ kh))
             if k.requires_grad:

@@ -262,10 +262,10 @@ def _parse_seeds(text):
 def cmd_ablate_features(args):
     graphs, header = load_dataset(args.data)
     cfg = _sync_data_config(resolve_config(args), graphs, header)
+    seeds = _parse_seeds(args.seeds)
     if _maybe_dry_run(args, cfg, [args.out]):
         return 0
-    results = evaluation.ablation_feature_report(graphs, cfg, out_path=args.out,
-                                                 seeds=_parse_seeds(args.seeds),
+    results = evaluation.ablation_feature_report(graphs, cfg, out_path=args.out, seeds=seeds,
                                                  log=print if args.verbose else None)
     write_manifest(args, cfg, [args.out])
     for name, r in results.items():
@@ -288,10 +288,11 @@ def cmd_ablate_codebook(args):
     graphs, header = load_dataset(args.data)
     cfg = _sync_data_config(resolve_config(args), graphs, header)
     grid = _parse_grid(args.grid) if args.grid else None
+    seeds = _parse_seeds(args.seeds)
     if _maybe_dry_run(args, cfg, [args.out]):
         return 0
     results = evaluation.ablation_codebook_report(
-        graphs, cfg, out_path=args.out, grid=grid, seeds=_parse_seeds(args.seeds),
+        graphs, cfg, out_path=args.out, grid=grid, seeds=seeds,
         with_prior=not args.no_prior, log=print if args.verbose else None)
     write_manifest(args, cfg, [args.out])
     for (m, c), agg in results.items():

@@ -28,9 +28,10 @@ the cross-entropy scores 0 with no gradient.
 Teacher forcing and sampling share one forward definition. The sampler
 runs the same input projection, block and masked output head one
 (t, c) at a time on a one-row column: the queries of node t,
-partition c attend over a cache (blocks, 2, N, n_max, d_model) of the
-keys and values of the N live samples' nodes 0..t, which hides row t
-itself exactly as the teacher-forced causal mask does.
+partition c attend over the keys and values of the N live samples'
+nodes 0..t-1, read from a cache (blocks, 2, N, n_max, d_model). These
+are exactly the keys the teacher-forced causal mask lets row t see, so
+no key is left to mask, and node 0 attends over none and gets zeros.
 
 generate samples in float32, then re-draws in float64, from the same
 uniforms, every sample whose margin (the smallest |cdf_k - u| over all
@@ -38,7 +39,7 @@ its draws) is under NEAR_TIE, and keeps the float64 sets. Its output is
 the float64 sampler's as long as float32 moves no cdf entry by
 NEAR_TIE / 2, a bound measured, not proven: on the benchmark's
 checkpoint the largest |cdf32 - cdf64| over 16 seeds x 1,024 samples
-was 1.8e-6, and NEAR_TIE = 2e-5 is about 11 times that. There all
+was 1.9e-6, and NEAR_TIE = 2e-5 is about 10 times that. There all
 16,384 sets equal the float64 sampler's, and 1.5 % were re-drawn.
 """
 
@@ -172,15 +173,18 @@ def build_inputs(params: PriorParams, batch: SequenceBatch):
     return [_input_column(params, c, prev, batch.codewords, pos) for c in range(params.C)]
 
 
-def _block_forward(blk: PriorBlock, x: Tensor, k: Tensor, v: Tensor, c):
+def _block_forward(blk: PriorBlock, x: Tensor, k: Tensor, v: Tensor, c, first):
     """Partition c's column x (B, T, d_model) -> same shape. Its rows
-    are the last T of the S node positions whose keys and values k, v
-    (B, S, d_model) it attends over: the queries at position t average
-    the values of the strictly earlier positions s < t, and row t = 0
-    gets zeros. The mask depends on t only, so every column shares it.
+    are the node positions first..first+T-1, and k, v (B, S, d_model)
+    are the keys and values of positions 0..S-1: the queries at
+    position t average the values of the strictly earlier positions
+    s < t, and a row with none (t = 0, or S = 0) gets zeros. Teacher
+    forcing passes first = 0 and S = T; the sampler passes first = t
+    and the S = t keys before it, which its mask allows all of. The
+    mask depends on t only, so every column shares it.
     """
     T, S = x.shape[1], k.shape[1]
-    allowed = np.arange(S) < np.arange(S - T, S)[:, None]  # (T, S)
+    allowed = np.arange(S) < (first + np.arange(T))[:, None]  # (T, S)
     a = ad.causal_attention(blk.wq[c](x), k, v, allowed, blk.heads)
     h = ad.layernorm(x + a, *blk.ln1)
     return ad.layernorm(h + blk.f_z(h), *blk.ln2)
@@ -206,7 +210,7 @@ def prior_logits(params: PriorParams, batch: SequenceBatch):
     x = build_inputs(params, batch)
     for blk in params.blocks:
         k, v = blk.wk(x[0]), blk.wv(x[0])
-        x = [_block_forward(blk, col, k, v, c) for c, col in enumerate(x)]
+        x = [_block_forward(blk, col, k, v, c, 0) for c, col in enumerate(x)]
     prev_k0 = np.zeros(batch.targets.shape[:2], dtype=np.int64)
     prev_k0[:, 1:] = batch.targets[:, :-1, 0]
     return [_logits(params, col, c, prev_k0) for c, col in enumerate(x)]
@@ -242,7 +246,7 @@ def generate(params: PriorParams, codebooks, count, seed, step_times=None):
 
     It samples in float32, then re-draws in float64 every sample whose
     margin, the smallest |cdf_k - u| over its draws, is under NEAR_TIE
-    (about 11 times the largest float32 cdf error measured; see the
+    (about 10 times the largest float32 cdf error measured; see the
     module docstring), so it returns the float64 sampler's sets.
 
     Returns a list of dicts: {"indices": (T, C) int64, "truncated":
@@ -281,7 +285,8 @@ def sample(params: PriorParams, codebooks, uniforms, dtype, step_times=None):
     # t, partition c would have drawn next, so truncating at end-of-set
     # consumes the stream exactly as one draw at a time does), the
     # previous node's codeword row and partition-0 index, and per block
-    # the keys and values of its nodes so far
+    # the keys and values of its nodes so far: node t writes its own at
+    # slot t and attends over slots 0..t-1
     active = np.arange(count)
     prev = np.zeros((count, 1, params.d_latent), dtype=dtype)
     prev_k0 = np.zeros((count, 1), dtype=np.int64)
@@ -299,8 +304,8 @@ def sample(params: PriorParams, codebooks, uniforms, dtype, step_times=None):
                 if c == 0:
                     k, v = blk.wk(x), blk.wv(x)
                     kv[l, 0, :, t:t + 1], kv[l, 1, :, t:t + 1] = k.data, v.data
-                x = _block_forward(blk, x, Tensor(kv[l, 0, :, :t + 1]),
-                                   Tensor(kv[l, 1, :, :t + 1]), c)
+                x = _block_forward(blk, x, Tensor(kv[l, 0, :, :t]),
+                                   Tensor(kv[l, 1, :, :t]), c, t)
             logits = _logits(params, x, c, prev_k0).data[:, 0]
             if c == 0 and t == 0:
                 logits[:, m] = MASK_VALUE  # every set has at least one node

@@ -243,6 +243,18 @@ def test_causal_attention_matches_the_taped_chain(mask_shape):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
+def test_causal_attention_over_no_keys_is_zeros():
+    """The sampler's first node attends over an empty key set: the
+    output is zeros, q gets a zero gradient, and k, v empty ones."""
+    rng = np.random.default_rng(12)
+    q, k, v = t(rng.normal(size=(2, 1, 6))), t(np.zeros((2, 0, 6))), t(np.zeros((2, 0, 6)))
+    out = ad.causal_attention(q, k, v, np.ones((1, 0), dtype=bool), 2)
+    ad.sum_(ad.mul(out, Tensor(rng.normal(size=(2, 1, 6))))).backward()
+    np.testing.assert_array_equal(out.data, np.zeros((2, 1, 6)))
+    np.testing.assert_array_equal(q.grad, np.zeros((2, 1, 6)))
+    assert k.grad.shape == v.grad.shape == (2, 0, 6)
+
+
 def test_sum_of_squares_gradient():
     x = t([1.0, 2.0, 3.0])
     y = ad.sum_(ad.mul(x, x))

@@ -890,6 +890,15 @@ def test_bad_seeds_are_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: bad --seeds value '0,x': "
                                        "invalid literal for int() with base 10: 'x'\n")
     assert not (tmp_path / "f.csv").exists()
+    # --seeds is checked before a dry run, as --grid is
+    for command in ("features", "codebook"):
+        rc = run(["ablate", command, "--data", data, "--out", tmp_path / "f.csv",
+                  "--seeds", "0,x", "--dry-run"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: bad --seeds value '0,x': "
+                                "invalid literal for int() with base 10: 'x'\n")
+        assert "dry-run" not in captured.out
 
 
 def test_ablate_rejects_malformed_grid(tmp_path, capsys):
