@@ -25,7 +25,7 @@ backward().
 
 Every op is a model layer: add, mul, sum_, affine and pair_affine
 (each with an optional fused ReLU), segment_sum, permute_rows,
-softmax, causal_attention, masked_fill, straight_through,
+causal_attention, masked_fill, straight_through,
 cross_entropy_with_logits, layernorm and batchnorm. None only moves
 data; reshapes, head splits and row gathers happen inside an op, off
 the tape. Broadcasting is deliberately restricted: binary ops accept
@@ -318,16 +318,20 @@ def pair_affine(x, w, b, pairs, e=None, relu=False):
     return _node(out_data, parents, bw)
 
 
-def segment_sum(x, pairs):
-    """out[v] = the sum of the pair rows x[k] with i_k = v: (N, ...)
-    from x (P, ...), 0 for a node with no pair."""
+def segment_sum(x, pairs, weights=None):
+    """out[v] = the sum of the pair rows x[k] with i_k = v, each scaled
+    by weights[k] when weights (P,) are given: (N, ...) from x (P, ...),
+    0 for a node with no pair. The weights are cast to x's dtype."""
     x = _as_tensor(x)
+    w = None if weights is None else \
+        weights.astype(x.data.dtype, copy=False).reshape((-1,) + (1,) * (x.ndim - 1))
 
     def bw(g):
         if x.requires_grad:
-            x._accumulate(g.take(pairs.i, axis=0))
+            g = g.take(pairs.i, axis=0)
+            x._accumulate(g if w is None else g * w)
 
-    return _node(pairs.segment_sum(x.data), (x,), bw)
+    return _node(pairs.segment_sum(x.data if w is None else x.data * w), (x,), bw)
 
 
 def permute_rows(x, perm):
@@ -374,17 +378,6 @@ def _softmax_grad(p, g, axis, out=None):
     out = np.subtract(g, (g * p).sum(axis=axis, keepdims=True), out=out)
     out *= p
     return out
-
-
-def softmax(a, axis=-1):
-    a = _as_tensor(a)
-    out_data = _softmax(a.data, axis)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(_softmax_grad(out_data, g, axis))
-
-    return _node(out_data, (a,), bw)
 
 
 def causal_attention(q, k, v, allowed, heads):

@@ -14,6 +14,10 @@ in the encoder, the pairs i != j in the decoder. No padded slot is ever
 computed, so batchnorm averages over real nodes and pairs only. Rows
 come in graph order, so callers split them by graph size; only this
 module maps them to padded (G, n) slots (_pair_list).
+
+A decoded set is its distinct code tuples: nodes of a sampled set that
+hold one tuple are interchangeable to the equivariant decoder, so each
+tuple is one row with its node count (decode's counts).
 """
 
 from __future__ import annotations
@@ -143,18 +147,18 @@ def _pair_mlp(mlp, x, e, pairs):
     return mlp.after_first(ad.pair_affine(x, first.w, first.b, pairs, e, relu=True))
 
 
-def _mpnn_rounds(x, e, layers, pairs, train):
+def _mpnn_rounds(x, e, layers, pairs, train, weights=None):
     """Shared message-passing stack for encoder and decoder.
 
     x: Tensor (N, h) node rows; e: Tensor (P, h) over the pairs of the
-    PairIndex `pairs`, or None for an all-zero start. Returns final
-    (x, e).
+    PairIndex `pairs`, or None for an all-zero start; weights (P,), if
+    given, scale each pair's message. Returns final (x, e).
     """
     for layer in layers:
         e = batchnorm(_pair_mlp(layer.f_edge, x, e, pairs), layer.bn_e, train)
         # node messages read the updated edge states
         m = _pair_mlp(layer.f_node, x, e, pairs)
-        x = batchnorm(x + ad.segment_sum(m, pairs), layer.bn_x, train)
+        x = batchnorm(x + ad.segment_sum(m, pairs, weights), layer.bn_x, train)
     return x, e
 
 
@@ -167,21 +171,37 @@ def encode(batch: GraphTensorBatch, enc: EncoderParams, train: bool) -> Tensor:
     return enc.out(x)
 
 
-def decode(z, node_mask, dec: DecoderParams, train: bool):
+def decode(z, node_mask, dec: DecoderParams, train: bool, counts=None):
     """Reconstruct logits from node embeddings over the complete graph.
 
     z: Tensor or ndarray (N, d_latent), the rows of the nodes that
     node_mask (G, n) marks, graph by graph; a float32 ndarray decodes
     in float32 (inference only). Returns (node_logits (N, R),
-    edge_logits (P, S)) with one edge row per ordered pair i != j of
-    each graph, row-major, as in GraphTensorBatch.edge_targets; the
-    edge logits of (i, j) and (j, i) are exactly equal. A 1-node graph
-    simply has no pairs.
+    edge_logits (P, S)) with one edge row per listed pair (a, b) of each
+    graph, row-major: the pairs a != b, as in
+    GraphTensorBatch.edge_targets; the edge logits of (a, b) and (b, a)
+    are exactly equal. A 1-node graph simply has no pairs.
+
+    counts (G, n), eval mode only, makes row a stand for counts[a]
+    interchangeable nodes (twins: one code tuple of a sampled set). The
+    pairs then also hold (a, a) where counts[a] >= 2, and the message of
+    (a, b) into a is weighted by w_ab = counts[b] - [a == b]. Eval-mode
+    batchnorm works row by row, so by induction over the rounds node
+    states depend only on the class and edge states only on the (class,
+    class) pair, and the message sum into a node of class a is
+    sum_b w_ab * m_ab: each row decodes as each of its nodes would. All
+    counts 1 give the pairs and arithmetic of a call without counts.
     """
-    n = node_mask.shape[1]
-    valid = node_mask[:, :, None] & node_mask[:, None, :] & ~np.eye(n, dtype=bool)
+    eye = np.eye(node_mask.shape[1], dtype=bool)
+    valid = node_mask[:, :, None] & node_mask[:, None, :] & ~eye
+    if counts is not None:
+        if train:
+            raise ValueError("decode takes counts in eval mode only: batch statistics "
+                             "would need the weights")
+        valid |= eye & (node_mask & (counts >= 2))[:, :, None]
     pairs = _pair_list(valid, node_mask)
-    x, e = _mpnn_rounds(dec.in_proj(z), None, dec.layers, pairs, train)
+    weights = None if counts is None else counts[node_mask][pairs.j] - (pairs.i == pairs.j)
+    x, e = _mpnn_rounds(dec.in_proj(z), None, dec.layers, pairs, train, weights)
     el = dec.edge_out(e)
     return dec.node_out(x), ad.mul(el + ad.permute_rows(el, pairs.t), 0.5)
 
@@ -209,16 +229,23 @@ def error_counts(node_logits, edge_logits, batch: GraphTensorBatch):
     return int(node_err.sum()), int(edge_err.sum())
 
 
-def sample_graph(node_logits, edge_logits) -> Graph:
-    """Mode decode of one graph from ndarrays node_logits (n, R) and the
-    decoder's symmetric edge_logits (n(n-1), S) on its ordered pairs
-    i != j, row-major: argmax per node and per pair, ties to the lowest
-    category, which gives symmetric edge categories. Category 0 means
-    no edge and the diagonal is set to it. Either array may be float32
-    (decode_sequences decodes in float32) or float64.
+def sample_graph(node_logits, edge_logits, classes=None) -> Graph:
+    """Mode decode of one graph from ndarrays node_logits (k, R) and the
+    decoder's symmetric edge_logits on its listed pairs (decode): argmax
+    per row and per pair, ties to the lowest category, which gives
+    symmetric edge categories. The rows are the nodes, or, given
+    classes (n,), the classes of decode's counts, node v in row
+    classes[v]; the categories then expand to the nodes. Category 0
+    means no edge and the diagonal is set to it. Either array may be
+    float32 (decode_sequences decodes in float32) or float64.
     """
-    n = node_logits.shape[0]
-    edge_cat = np.zeros((n, n), dtype=np.int64)
-    edge_cat[~np.eye(n, dtype=bool)] = edge_logits.argmax(axis=1)
-    return Graph(node_logits.argmax(axis=1), edge_cat, node_logits.shape[1],
+    k = node_logits.shape[0]
+    classes = np.arange(k) if classes is None else classes
+    listed = ~np.eye(k, dtype=bool)
+    listed.flat[::k + 1] = np.bincount(classes, minlength=k) >= 2
+    grid = np.zeros((k, k), dtype=np.int64)
+    grid[listed] = edge_logits.argmax(axis=1)
+    edge_cat = grid[classes[:, None], classes]
+    np.fill_diagonal(edge_cat, 0)
+    return Graph(node_logits.argmax(axis=1)[classes], edge_cat, node_logits.shape[1],
                  edge_logits.shape[1])

@@ -309,7 +309,7 @@ def sample(params: PriorParams, codebooks, uniforms, dtype, step_times=None):
             logits = _logits(params, x, c, prev_k0).data[:, 0]
             if c == 0 and t == 0:
                 logits[:, m] = MASK_VALUE  # every set has at least one node
-            p = ad.softmax(logits, axis=1).data
+            p = ad._softmax(logits, 1)
             cdf = np.cumsum(p, axis=1)
             u = uniforms[:, t * C + c, None]
             margin[active] = np.minimum(margin[active], np.abs(cdf - u).min(axis=1))

@@ -188,7 +188,7 @@ def state_arrays(*states):
 def load_state(state, tensors, path):
     """Copy the named arrays `tensors` of the checkpoint file `path`
     into the state table, which must hold exactly their names and
-    shapes."""
+    shapes, and finite values only."""
     arrays = state_arrays(state)
     missing = sorted(set(arrays) - set(tensors))
     extra = sorted(set(tensors) - set(arrays))
@@ -198,6 +198,8 @@ def load_state(state, tensors, path):
         src = tensors[name]
         if src.shape != arr.shape:
             raise ValueError(f"{path}: tensor {name}: shape {src.shape} != {arr.shape}")
+        if src.dtype.kind == "f" and not np.isfinite(src).all():
+            raise ValueError(f"{path}: tensor {name} has non-finite values")
         arr[...] = src
 
 
@@ -591,25 +593,43 @@ DECODE_CHUNK = 256  # graphs per decode call
 def decode_sequences(model: AutoEncoderModel, samples):
     """Decode sampled index sequences to graphs (eval mode, mode decode).
 
-    Samples are grouped by node count and each group is decoded in
-    chunks of at most DECODE_CHUNK, so no chunk carries padding. Graphs
-    come back in input order. The decoder runs in float32: the codewords
-    are cast once, and its layers compute in their input's dtype.
+    Each set decodes over its twin classes, its distinct code tuples,
+    with their node counts (codec.decode's counts). Sets are grouped by
+    class count and each group is decoded in chunks of at most
+    DECODE_CHUNK, so no chunk carries padding. Graphs come back in input
+    order, their nodes in sample order. The decoder runs in float32: the
+    codewords are cast once, and its layers compute in their input's
+    dtype.
     """
+    if not samples:
+        return []
     sizes = np.array([s.shape[0] for s in samples], dtype=np.int64)
+    idx = np.concatenate(samples)  # (N, C)
+    owner = np.repeat(np.arange(len(samples)), sizes)
+    # every set's classes in one pass: the distinct (set, tuple) rows
+    _, first, node_class, counts = np.unique(np.column_stack([owner, idx]), axis=0,
+                                             return_index=True, return_inverse=True,
+                                             return_counts=True)
+    k = np.bincount(owner[first], minlength=len(samples))  # classes per set
+    start = np.cumsum(k) - k
+    node_class = node_class.reshape(-1) - start[owner]  # within its set
+    node_at = np.concatenate([[0], np.cumsum(sizes)])
     graphs_out = [None] * len(samples)
-    for n in np.unique(sizes):
-        group = np.flatnonzero(sizes == n)
+    for n in np.unique(k):
+        group = np.flatnonzero(k == n)
         for lo in range(0, len(group), DECODE_CHUNK):
             part = group[lo:lo + DECODE_CHUNK]
-            idx = np.concatenate([samples[i] for i in part])  # (B * n, C)
-            z = quantize.lookup(model.codebooks.codebooks, idx).astype(np.float32)
-            mask = np.ones((len(part), n), dtype=bool)
-            node_logits, edge_logits = codec.decode(z, mask, model.decoder, train=False)
-            node_rows = node_logits.data.reshape(len(part), n, -1)
-            pair_rows = edge_logits.data.reshape(len(part), n * (n - 1), edge_logits.shape[1])
+            rows = (start[part, None] + np.arange(n)).reshape(-1)
+            z = quantize.lookup(model.codebooks.codebooks, idx[first[rows]]).astype(np.float32)
+            c = counts[rows].reshape(len(part), n)
+            node_logits, edge_logits = codec.decode(z, np.ones((len(part), n), dtype=bool),
+                                                    model.decoder, train=False, counts=c)
+            node_rows = node_logits.data.reshape(len(part), n, node_logits.shape[1])
+            pair_at = np.concatenate([[0], np.cumsum(n * (n - 1) + (c >= 2).sum(axis=1))])
             for b, i in enumerate(part):
-                graphs_out[i] = codec.sample_graph(node_rows[b], pair_rows[b])
+                graphs_out[i] = codec.sample_graph(node_rows[b],
+                                                   edge_logits.data[pair_at[b]:pair_at[b + 1]],
+                                                   node_class[node_at[i]:node_at[i + 1]])
     return graphs_out
 
 

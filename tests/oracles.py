@@ -493,6 +493,23 @@ def dense_decode(z, node_mask, dec, train):
     return node_logits, matmul(Tensor(np.eye(B * n * n)[live.reshape(-1)]), el)
 
 
+def softmax(a, axis=-1):
+    """The taped softmax along axis, which the model itself no longer
+    records: ad._softmax forward, ad._softmax_grad backward."""
+    a = ad._as_tensor(a)
+    out_data = ad._softmax(a.data, axis)
+
+    def bw(g):
+        if a.requires_grad:
+            a._accumulate(ad._softmax_grad(out_data, g, axis))
+
+    return ad._node(out_data, (a,), bw)
+
+
+# criterion 6 reads the prior's probabilities through ad.softmax
+ad.softmax = softmax
+
+
 def attention_chain(q, k_t, v, allowed):
     """ad.causal_attention as the chain of taped ops it replaced, in
     head-major layout: q (B, H, R, d), k_t (B, H, d, S), v (B, H, S, d)
@@ -501,7 +518,7 @@ def attention_chain(q, k_t, v, allowed):
     """
     scores = ad.mul(matmul(q, k_t), 1.0 / np.sqrt(q.shape[-1]))
     allowed = np.broadcast_to(allowed, scores.shape)
-    probs = ad.softmax(ad.masked_fill(scores, ~allowed, ad.MASK_VALUE), axis=-1)
+    probs = softmax(ad.masked_fill(scores, ~allowed, ad.MASK_VALUE), axis=-1)
     # a fully masked row softmaxes to uniform; its output is zeros
     live = np.broadcast_to(allowed.any(axis=-1, keepdims=True), scores.shape)
     return matmul(ad.mul(probs, Tensor(live.astype(np.float64))), v)

@@ -639,6 +639,32 @@ def test_tensor_name_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
     assert f"{path}: tensor 0 " in err and "UTF-8" in err, err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("prefix", ["enc.", "dec.", "quant.", "prior."])
+def test_a_non_finite_checkpoint_tensor_is_one_error_line(workspace, tmp_path, capsys, prefix,
+                                                         bad):
+    cfg, tensors, meta = training.load_checkpoint(str(workspace["full_ckpt"]))
+    name = min(k for k in tensors if k.startswith(prefix))
+    tensors[name].reshape(-1)[-1] = bad
+    path = tmp_path / "nonfinite.ckpt"
+    training.save_checkpoint(str(path), cfg, tensors, meta["step"])
+    commands = {"generate": ["--count", 2, "--out", tmp_path / "g"],
+                "train-prior": ["--data", workspace["data"], "--out", tmp_path / "p.ckpt",
+                                "--config", workspace["config"], "--dry-run"]}
+    for command, argv in commands.items():
+        capsys.readouterr()
+        rc = run([command, "--ckpt", path] + argv)
+        err = capsys.readouterr().err
+        if command == "train-prior" and prefix == "prior.":
+            # train-prior reads the auto-encoder's tensors only and
+            # trains its prior afresh
+            assert rc == 0 and err == "", err
+            continue
+        assert rc == 1, command
+        assert err == f"error: {path}: tensor {name} has non-finite values\n", (command, err)
+    assert not (tmp_path / "g").exists()
+
+
 def _with_config(raw, **changes):
     """The checkpoint bytes raw with config fields of its header changed."""
     blob_end = 12 + int.from_bytes(raw[8:12], "little")

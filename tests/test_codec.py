@@ -358,3 +358,78 @@ def test_decode_is_bit_identical_off_the_tape():
     for a, b in zip(taped, free):
         assert a.requires_grad and not b.requires_grad and b._parents == ()
         assert np.array_equal(a.data, b.data)
+
+
+def _decoded_grid(edge_rows, counts):
+    """(k, k, S) from a class decode's edge rows: the pairs a != b, and
+    (a, a) where counts[a] >= 2, row-major; unlisted entries are NaN."""
+    k = len(counts)
+    listed = ~np.eye(k, dtype=bool) | np.diag(counts >= 2)
+    grid = np.full((k, k, edge_rows.shape[1]), np.nan)
+    grid[listed] = edge_rows
+    return grid
+
+
+def test_decode_with_counts_gives_every_node_its_class_logits():
+    """Two sets decoded once over their code tuples (classes) with
+    counts, and once node by node: each node's logits, and each pair's,
+    are those of its class and its (class, class) pair."""
+    rng = np.random.default_rng(12)
+    enc, dec, _ = make_models(rng)
+    warm_up(enc, dec, [random_graph(rng, 6) for _ in range(8)])
+    class_z = rng.normal(size=(2 * 4, 6))
+    counts = np.array([[2, 1, 3, 1], [1, 1, 1, 4]])
+    # nodes in sample order; twins need not be adjacent
+    classes = [np.array([0, 2, 1, 2, 0, 3, 2]), np.array([3, 0, 3, 1, 3, 2, 3])]
+    with ad.no_grad():
+        nl, el = codec.decode(class_z, np.ones((2, 4), dtype=bool), dec, train=False,
+                              counts=counts)
+    pair_rows = np.split(el.data, [4 * 3 + 2])
+    for b, cls in enumerate(classes):
+        assert np.array_equal(np.bincount(cls), counts[b])
+        z = class_z[4 * b:4 * (b + 1)][cls]
+        with ad.no_grad():
+            node_nl, node_el = codec.decode(z, np.ones((1, len(cls)), dtype=bool), dec,
+                                            train=False)
+        np.testing.assert_allclose(nl.data[4 * b:4 * (b + 1)][cls], node_nl.data,
+                                   rtol=1e-10, atol=1e-12)
+        grid = _decoded_grid(pair_rows[b], counts[b])[np.ix_(cls, cls)]
+        off = ~np.eye(len(cls), dtype=bool)
+        np.testing.assert_allclose(grid[off], node_el.data, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_decode_with_unit_counts_is_byte_identical(dtype):
+    """With every count 1, the pair list and the arithmetic are those of
+    a decode without counts, padding slots included."""
+    rng = np.random.default_rng(13)
+    enc, dec, _ = make_models(rng)
+    warm_up(enc, dec, [random_graph(rng, 6) for _ in range(8)])
+    mask = np.ones((3, 5), dtype=bool)
+    mask[1, 3:] = False
+    z = rng.normal(size=(mask.sum(), 6)).astype(dtype)
+    with ad.no_grad():
+        plain = codec.decode(z, mask, dec, train=False)
+        counted = codec.decode(z, mask, dec, train=False, counts=np.ones(mask.shape, np.int64))
+    for a, b in zip(plain, counted):
+        assert a.data.dtype == b.data.dtype == dtype
+        assert np.array_equal(a.data, b.data)
+
+
+def test_decode_counts_need_eval_mode():
+    rng = np.random.default_rng(14)
+    _, dec, _ = make_models(rng)
+    with pytest.raises(ValueError, match="eval mode"):
+        codec.decode(rng.normal(size=(3, 6)), np.ones((1, 3), dtype=bool), dec, train=True,
+                     counts=np.array([[2, 1, 1]]))
+
+
+def test_sample_graph_expands_class_categories_to_the_nodes():
+    # classes 0 (two nodes) and 1 (one node); listed pairs (0, 0),
+    # (0, 1), (1, 0)
+    nl = np.array([[0.0, 1.0], [2.0, 0.0]])
+    el = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+    g = codec.sample_graph(nl, el, np.array([0, 1, 0]))
+    assert np.array_equal(g.node_categories, [1, 0, 1])
+    assert np.array_equal(g.adjacency(), [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+    g.validate()

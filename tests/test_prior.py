@@ -21,6 +21,7 @@ from dgae.prior import (
     write_sequences,
 )
 from dgae.training import ModelConfig, parameters
+from oracles import softmax
 
 
 def tiny_params(seed=0, d_latent=8, C=2, m=4, d_model=16, heads=2,
@@ -46,7 +47,7 @@ def stacked(cols):
 
 def probabilities(params, batch):
     """Teacher-forced class probabilities (B, T+1, C, m+1)."""
-    return stacked(ad.softmax(col, axis=-1) for col in prior_logits(params, batch))
+    return stacked(softmax(col, axis=-1) for col in prior_logits(params, batch))
 
 
 def batch_from(params, seqs):

@@ -760,6 +760,42 @@ def test_decode_sequences_keeps_input_order_across_size_buckets(monkeypatch):
     assert decode_sequences(model, []) == []
 
 
+# sets with twins, nodes that share a code tuple, over tuples < 4
+TWIN_SETS = {
+    "adjacent twins": [[0, 1], [0, 1], [2, 3], [3, 0]],
+    # partition 0 sorted, partition 1 not: twins need not be adjacent
+    "non-adjacent twins": [[1, 2], [1, 0], [1, 2], [3, 3], [3, 1], [3, 3]],
+    "one tuple 7 times": [[2, 3]] * 7,
+    "one node": [[3, 1]],
+}
+
+
+@pytest.mark.parametrize("weights", ["frozen", "random"])
+def test_decode_sequences_decodes_twins_as_the_node_level_decode(weights, monkeypatch):
+    """decode_sequences decodes each set over its distinct code tuples
+    and gives the graphs of a float64 decode of every node, on the
+    benchmark's checkpoint and on random weights."""
+    if weights == "frozen":
+        _, model, _ = cli._load_models(str(FROZEN), need_prior=False)
+    else:
+        model, _ = _decoder_with_codebooks(tiny_config(), 24)
+    samples = [np.array(s) for s in TWIN_SETS.values()]
+    decode, rows = codec.decode, []
+
+    def recording_decode(*args, **kwargs):
+        rows.append(len(args[0]))
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(codec, "decode", recording_decode)
+    got = decode_sequences(model, samples)
+    assert sorted(rows) == [2, 3, 4]  # one row per class: 3, 4, 1 and 1
+    for s, g in zip(samples, got):
+        z = quantize.lookup(model.codebooks.codebooks, s)
+        with ad.no_grad():
+            nl, el = decode(z, np.ones((1, len(s)), dtype=bool), model.decoder, train=False)
+        assert graphs_equal(codec.sample_graph(nl.data, el.data), g)
+
+
 def test_decode_sequences_memory_is_bounded():
     cfg = ModelConfig()
     model, rng = _decoder_with_codebooks(cfg, 22)
