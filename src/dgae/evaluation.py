@@ -19,8 +19,8 @@ node count and works on stacked (G, n, n) adjacency matrices in chunks
 of bounded size. mmd puts both sets in one table, whichever is
 narrower: CDFs on the bins occupied in any histogram, or, for integer
 counts, quantile functions on the merged grid of shares k/n over every
-histogram total n. Each set's EMD matrix against itself is symmetric
-with a zero diagonal, so only its upper triangle is computed.
+histogram total n. Each kernel mean is a running sum over blocks of
+rows, so no N x N matrix is built.
 
 Every CSV report goes through write_report, whose comment lines state
 its conventions. Both ablation studies are one _sweep over (cell, seed).
@@ -210,10 +210,10 @@ def graph_stats(graphs, clustering_bins=100):
     return out
 
 
-# byte budget of _emd_all_pairs' per-block temporary: small enough that
-# the block and the table rows it is made from stay in a core's L2 cache;
-# on 250 x 250 orbit histograms budgets of 128 KB to 1 MB ran alike,
-# 16 MB about 40% and 64 MB about 140% slower
+# byte budget of the row block over which _kernel_mean sums a comparison's
+# kernel values: small enough that the block and the table rows it is made
+# from stay in a core's L2 cache; on 250 x 250 orbit histograms budgets of
+# 128 KB to 1 MB ran alike, 16 MB about 40% and 64 MB about 140% slower
 _EMD_BLOCK_BYTES = 1 << 19
 
 
@@ -261,27 +261,27 @@ def _emd_table(hists):
     return _quantile_table(M, np.count_nonzero(M.any(axis=0))) or _cdf_table(M)
 
 
-def _emd_all_pairs(Fa, Fb, weights):
-    """(Na, Nb) 1-D EMD between every row of Fa and every row of Fb, rows
-    of one _emd_table: |Fa[i] - Fb[j]| @ weights.
+def _kernel_mean(Fa, Fb, weights, s2):
+    """Mean of exp(-emd(a, b)^2 / s2) over every row a of Fa and b of Fb,
+    rows of one _emd_table, where emd(a, b) = |a - b| @ weights.
 
-    Rows of Fa go in blocks sized so the temporary stays near
-    _EMD_BLOCK_BYTES. Called with Fb is Fa, a block compares its rows
-    only with themselves and the rows after them, and the upper triangle
-    is mirrored into the lower one: the result is exactly symmetric with
-    a zero diagonal.
+    Rows of Fa go in blocks of about _EMD_BLOCK_BYTES, and each block's
+    kernel values are added to a running sum. Called with Fb is Fa, a
+    block compares its rows only with themselves and the rows after
+    them: its own square is symmetric and counts once, the rest twice.
     """
     same = Fb is Fa
-    out = np.empty((len(Fa), len(Fb)))
+    total = 0.0
     r = 0
     while r < len(Fa):
         first = r if same else 0  # first column this block compares with
         rows = max(1, _EMD_BLOCK_BYTES // (8 * max(1, (len(Fb) - first) * len(weights))))
         d = Fa[r:r + rows, None, :] - Fb[None, first:, :]
         np.abs(d, out=d)
-        out[r:r + rows, first:] = d @ weights
+        k = np.exp(-(d @ weights) ** 2 / s2)
+        total += 2.0 * k.sum() - k[:, :rows].sum() if same else k.sum()
         r += rows
-    return np.triu(out) + np.triu(out, 1).T if same else out
+    return total / (len(Fa) * len(Fb))
 
 
 def mmd(hists_a, hists_b, sigma=1.0, bin_width=1.0):
@@ -302,11 +302,8 @@ def mmd(hists_a, hists_b, sigma=1.0, bin_width=1.0):
     Fa, Fb = F[:len(hists_a)], F[len(hists_a):]
     weights = weights * bin_width
     s2 = 2.0 * sigma * sigma
-    # each set against itself: one triangle, mirrored
-    kaa = np.exp(-_emd_all_pairs(Fa, Fa, weights) ** 2 / s2)
-    kbb = np.exp(-_emd_all_pairs(Fb, Fb, weights) ** 2 / s2)
-    kab = np.exp(-_emd_all_pairs(Fa, Fb, weights) ** 2 / s2)
-    val = float(kaa.mean() + kbb.mean() - 2.0 * kab.mean())
+    val = float(_kernel_mean(Fa, Fa, weights, s2) + _kernel_mean(Fb, Fb, weights, s2)
+                - 2.0 * _kernel_mean(Fa, Fb, weights, s2))
     # the floor absorbs rounding only; a value past it comes from the
     # kernel not being PSD on spread histograms and is reported as is
     if -1e-12 < val < 0.0:
@@ -318,8 +315,8 @@ def mmd_report(ref_graphs, gen_graphs, sigma=1.0, clustering_bins=100):
     """All three statistics plus their average, as an ordered dict.
 
     One graph_stats pass per set gives every histogram; each of the
-    three MMDs then compares the two sets' histograms, computing the
-    EMD matrix of a set against itself over one triangle only.
+    three MMDs then compares the two sets' histograms as sums of kernel
+    values over blocks of rows.
     """
     ref = graph_stats(ref_graphs, clustering_bins)
     gen = graph_stats(gen_graphs, clustering_bins)

