@@ -388,9 +388,8 @@ def causal_attention(q, k, v, allowed, heads):
     q[r] . k[s] / sqrt(d_k), applied to the values; a row with no
     allowed key, and every row when S = 0, is zeros. The heads split
     and merge off the tape. The softmax runs in place in the score
-    buffer, with its row max over a key-major copy (_softmax); the mask
-    is applied only when it disallows some key. The backward reuses the
-    forward's probabilities.
+    buffer, with its row max over a key-major copy (_softmax). The
+    backward reuses the forward's probabilities.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape or k.shape[::2] != q.shape[::2] \
@@ -408,14 +407,11 @@ def causal_attention(q, k, v, allowed, heads):
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / float(np.sqrt(d // heads))  # a Python float keeps float32 float32
-    masked = not allowed.all()
     p = qh @ np.swapaxes(kh, 2, 3)
     p *= scale
-    if masked:
-        np.copyto(p, MASK_VALUE, where=~allowed)
+    np.copyto(p, MASK_VALUE, where=~allowed)
     _softmax(p, -1, out=p)
-    if masked:
-        p *= allowed  # a row with no allowed key softmaxes to uniform
+    p *= allowed  # a row with no allowed key softmaxes to uniform
 
     def bw(g):
         gh = split(g)

@@ -143,16 +143,18 @@ def _sync_data_config(cfg: ModelConfig, graphs, header):
     return cfg
 
 
-def _check_count(count):
-    if count < 0:
-        raise ConfigError(f"--count must be >= 0, got {count}")
+def _check_nonnegative(args, *options):
+    for option in options:
+        value = getattr(args, option)
+        if value < 0:
+            raise ConfigError(f"--{option} must be >= 0, got {value}")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_dataset_gen(args):
-    _check_count(args.count)
+    _check_nonnegative(args, "count", "seed")
     spec = DatasetSpec(args.spec, args.count, args.seed)
     if _maybe_dry_run(args, None, [args.out]):
         return 0
@@ -223,7 +225,7 @@ def cmd_train_prior(args):
 
 
 def cmd_generate(args):
-    _check_count(args.count)
+    _check_nonnegative(args, "count", "seed")
     cfg, model, pparams = _load_models(args.ckpt, need_prior=True)
     if _maybe_dry_run(args, cfg, [args.out]):
         return 0
@@ -254,9 +256,12 @@ def cmd_eval(args):
 
 def _parse_seeds(text):
     try:
-        return tuple(int(s) for s in text.split(","))
+        seeds = tuple(int(s) for s in text.split(","))
     except ValueError as e:
         raise ConfigError(f"bad --seeds value {text!r}: {e}") from e
+    if min(seeds) < 0:
+        raise ConfigError(f"bad --seeds value {text!r}: seeds must be >= 0")
+    return seeds
 
 
 def cmd_ablate_features(args):

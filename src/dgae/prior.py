@@ -25,13 +25,18 @@ every key it sees belongs to a real node or the start node. The keys of
 padded slots reach only padded rows, whose targets are IGNORE, which
 the cross-entropy scores 0 with no gradient.
 
-Teacher forcing and sampling share one forward definition. The sampler
-runs the same input projection, block and masked output head one
-(t, c) at a time on a one-row column: the queries of node t,
-partition c attend over the keys and values of the N live samples'
-nodes 0..t-1, read from a cache (blocks, 2, N, n_max, d_model). These
-are exactly the keys the teacher-forced causal mask lets row t see, so
-no key is left to mask, and node 0 attends over none and gets zeros.
+Teacher forcing and sampling share one forward definition: the same
+input projection, block and masked output head, the block taking its
+attention as an argument. The sampler runs them one (t, c) at a time
+on a one-row column: the queries of node t, partition c attend over the
+keys and values of the N live samples' nodes 0..t-1. These are exactly
+the keys the teacher-forced causal mask lets row t see, so no key is
+left to mask, and node 0 attends over none and gets zeros. They live
+in a head-interleaved cache (blocks, 2, d_k, n_max, N, heads), where
+component j of node s's keys is one contiguous (N, heads) slab, and
+_cached_attention reads it elementwise, with no per-(sample, head)
+matmul. Teacher forcing keeps causal_attention's batched matmuls, which
+are faster at its (B, T, T) shape and have a backward.
 
 generate samples in float32, then re-draws in float64, from the same
 uniforms, every sample whose margin (the smallest |cdf_k - u| over all
@@ -39,8 +44,8 @@ its draws) is under NEAR_TIE, and keeps the float64 sets. Its output is
 the float64 sampler's as long as float32 moves no cdf entry by
 NEAR_TIE / 2, a bound measured, not proven: on the benchmark's
 checkpoint the largest |cdf32 - cdf64| over 16 seeds x 1,024 samples
-was 1.9e-6, and NEAR_TIE = 2e-5 is about 10 times that. There all
-16,384 sets equal the float64 sampler's, and 1.5 % were re-drawn.
+was 1.92e-6, and NEAR_TIE = 2e-5 is about 10 times that. There all
+16,384 sets equal the float64 sampler's, and 238 (1.5 %) were re-drawn.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ import os
 import struct
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -173,21 +179,53 @@ def build_inputs(params: PriorParams, batch: SequenceBatch):
     return [_input_column(params, c, prev, batch.codewords, pos) for c in range(params.C)]
 
 
-def _block_forward(blk: PriorBlock, x: Tensor, k: Tensor, v: Tensor, c, first):
-    """Partition c's column x (B, T, d_model) -> same shape. Its rows
-    are the node positions first..first+T-1, and k, v (B, S, d_model)
-    are the keys and values of positions 0..S-1: the queries at
-    position t average the values of the strictly earlier positions
-    s < t, and a row with none (t = 0, or S = 0) gets zeros. Teacher
-    forcing passes first = 0 and S = T; the sampler passes first = t
-    and the S = t keys before it, which its mask allows all of. The
-    mask depends on t only, so every column shares it.
-    """
-    T, S = x.shape[1], k.shape[1]
-    allowed = np.arange(S) < (first + np.arange(T))[:, None]  # (T, S)
-    a = ad.causal_attention(blk.wq[c](x), k, v, allowed, blk.heads)
-    h = ad.layernorm(x + a, *blk.ln1)
+def _block_forward(blk: PriorBlock, x: Tensor, c, attention):
+    """Partition c's column x (B, T, d_model) -> same shape. attention
+    maps the block's queries for x (B, T, d_model) to their attention
+    output: _teacher_forced_attention's under teacher forcing,
+    _cached_attention in the sampler."""
+    h = ad.layernorm(x + attention(blk.wq[c](x)), *blk.ln1)
     return ad.layernorm(h + blk.f_z(h), *blk.ln2)
+
+
+def _teacher_forced_attention(blk: PriorBlock, k: Tensor, v: Tensor):
+    """blk's attention over the keys and values k, v (B, T, d_model) of
+    positions 0..T-1: the queries at position t average the values of
+    the strictly earlier positions s < t, and row 0 gets zeros. The
+    mask depends on t only, so every column shares it."""
+    allowed = np.tri(k.shape[1], k=-1, dtype=bool)  # (T, T): s < t
+    return lambda q: ad.causal_attention(q, k, v, allowed, blk.heads)
+
+
+def _split_heads(a, heads):
+    """The rows a (N, ..., d) of one position as (d_k, N, heads): slab j
+    holds component j of every row's heads."""
+    return a.reshape(len(a), heads, -1).transpose(2, 0, 1)
+
+
+def _cached_attention(q: Tensor, cache, heads):
+    """The sampler's attention for the queries q (N, 1, d_model) of node
+    t over the keys and values of nodes 0..t-1, cache (2, d_k, t, N,
+    heads) as _split_heads lays each node out. It is causal_attention's
+    arithmetic, per head the softmax over the keys s of q . k[s] /
+    sqrt(d_k) applied to the values, on (t, N, heads) slabs: the scores
+    are one einsum of d_k multiply-adds, the softmax runs over key axis
+    0, and the output is one einsum of d_k weighted sums over that axis.
+    There is no matmul and no mask, since every cached key is one the
+    teacher-forced mask allows. At t = 0 there are none, and the output
+    is zeros."""
+    keys, values = cache
+    d_k, t = keys.shape[:2]
+    if t == 0:
+        return Tensor(np.zeros_like(q.data))
+    scale = 1.0 / float(np.sqrt(d_k))  # a Python float keeps float32 float32
+    qh = np.ascontiguousarray(_split_heads(q.data * scale, heads))
+    s = np.einsum("jsnh,jnh->snh", keys, qh)
+    s -= s.max(axis=0)
+    np.exp(s, out=s)
+    out = np.einsum("jsnh,snh->jnh", values, s)
+    out /= s.sum(axis=0)
+    return Tensor(out.transpose(1, 2, 0).reshape(q.shape))
 
 
 def _logits(params: PriorParams, x: Tensor, c, prev_k0) -> Tensor:
@@ -209,8 +247,8 @@ def prior_logits(params: PriorParams, batch: SequenceBatch):
     """
     x = build_inputs(params, batch)
     for blk in params.blocks:
-        k, v = blk.wk(x[0]), blk.wv(x[0])
-        x = [_block_forward(blk, col, k, v, c, 0) for c, col in enumerate(x)]
+        attention = _teacher_forced_attention(blk, blk.wk(x[0]), blk.wv(x[0]))
+        x = [_block_forward(blk, col, c, attention) for c, col in enumerate(x)]
     prev_k0 = np.zeros(batch.targets.shape[:2], dtype=np.int64)
     prev_k0[:, 1:] = batch.targets[:, :-1, 0]
     return [_logits(params, col, c, prev_k0) for c, col in enumerate(x)]
@@ -227,7 +265,7 @@ def prior_nll(params: PriorParams, batch: SequenceBatch) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # ancestral sampling: the teacher-forced block run one (t, c) at a time
-# over per-node key/value caches, off the tape
+# over a head-interleaved key/value cache, off the tape
 
 NEAR_TIE = 2e-5
 
@@ -247,7 +285,9 @@ def generate(params: PriorParams, codebooks, count, seed, step_times=None):
     It samples in float32, then re-draws in float64 every sample whose
     margin, the smallest |cdf_k - u| over its draws, is under NEAR_TIE
     (about 10 times the largest float32 cdf error measured; see the
-    module docstring), so it returns the float64 sampler's sets.
+    module docstring), so it returns the float64 sampler's sets. Both
+    passes attend over a head-interleaved key/value cache with
+    _cached_attention.
 
     Returns a list of dicts: {"indices": (T, C) int64, "truncated":
     T == n_max, as end-of-set at node t gives T = t < n_max, "redrawn":
@@ -271,7 +311,11 @@ def sample(params: PriorParams, codebooks, uniforms, dtype, step_times=None):
     cast to: one sample per row of uniforms (N, n_max * C), node t,
     partition c drawing against entry t * C + c. Returns (indices (N,
     n_max, C), lengths (N,), margin (N,)), a sample's margin being the
-    smallest |cdf_k - u| over all classes k of all its draws.
+    smallest |cdf_k - u| over all classes k of all its draws. The
+    cache holds each block's keys and values as (2, d_k, n_max, N,
+    heads): node t writes _split_heads of its partition-0 keys and
+    values at slot t, and every partition's queries attend over slots
+    0..t-1 with _cached_attention.
     """
     C, m, n_max = params.C, params.m, params.n_max
     count = len(uniforms)
@@ -285,12 +329,14 @@ def sample(params: PriorParams, codebooks, uniforms, dtype, step_times=None):
     # t, partition c would have drawn next, so truncating at end-of-set
     # consumes the stream exactly as one draw at a time does), the
     # previous node's codeword row and partition-0 index, and per block
-    # the keys and values of its nodes so far: node t writes its own at
-    # slot t and attends over slots 0..t-1
+    # the keys and values of its nodes so far, head-interleaved: node t
+    # writes its own at slot t and attends over slots 0..t-1
     active = np.arange(count)
     prev = np.zeros((count, 1, params.d_latent), dtype=dtype)
     prev_k0 = np.zeros((count, 1), dtype=np.int64)
-    kv = np.zeros((len(params.blocks), 2, count, n_max, params.d_model), dtype=dtype)
+    heads = params.blocks[0].heads
+    kv = np.zeros((len(params.blocks), 2, params.d_model // heads, n_max, count, heads),
+                  dtype=dtype)
 
     for t in range(n_max):
         if active.size == 0:
@@ -302,10 +348,10 @@ def sample(params: PriorParams, codebooks, uniforms, dtype, step_times=None):
             x = _input_column(params, c, prev, cur, pos_table[t:t + 1])
             for l, blk in enumerate(params.blocks):
                 if c == 0:
-                    k, v = blk.wk(x), blk.wv(x)
-                    kv[l, 0, :, t:t + 1], kv[l, 1, :, t:t + 1] = k.data, v.data
-                x = _block_forward(blk, x, Tensor(kv[l, 0, :, :t]),
-                                   Tensor(kv[l, 1, :, :t]), c, t)
+                    kv[l, :, :, t] = [_split_heads(blk.wk(x).data, heads),
+                                      _split_heads(blk.wv(x).data, heads)]
+                x = _block_forward(blk, x, c, partial(_cached_attention,
+                                                      cache=kv[l, :, :, :t], heads=heads))
             logits = _logits(params, x, c, prev_k0).data[:, 0]
             if c == 0 and t == 0:
                 logits[:, m] = MASK_VALUE  # every set has at least one node
@@ -328,9 +374,9 @@ def sample(params: PriorParams, codebooks, uniforms, dtype, step_times=None):
                     live = (active, uniforms, prev, draws)
                     for a in live:
                         a[holes] = a[movers]
-                    kv[:, :, holes] = kv[:, :, movers]
+                    kv[..., :t + 1, holes, :] = kv[..., :t + 1, movers, :]
                     active, uniforms, prev, draws = (a[:n] for a in live)
-                    kv = kv[:, :, :n]
+                    kv = kv[..., :n, :]
                     if n == 0:
                         break
             indices[active, t, c] = draws

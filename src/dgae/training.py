@@ -127,7 +127,7 @@ _BOUNDS = [
      "codebook_size kmeans_samples blocks d_model heads ffn_layers batch_size "
      "decay_interval clustering_bins", 1, None, "["),
     ("edge_categories", 2, None, "["),
-    ("t_init epochs_ae epochs_prior", 0, None, "["),
+    ("seed t_init epochs_ae epochs_prior", 0, None, "["),
     ("ema_eps lr clip_norm mmd_sigma", 0, None, "("),
     ("holdout_frac ema_decay", 0, 1, "[)"),
     ("lr_decay", 0, 1, "(]"),

@@ -954,6 +954,44 @@ def test_bad_seeds_are_one_error_line(tmp_path, capsys):
         assert "dry-run" not in captured.out
 
 
+@pytest.mark.parametrize("argv,out,heavy,needle", [
+    (["generate", "--ckpt", "{full_ckpt}", "--count", "4", "--seed", "-1"], "g.graphs",
+     (training, "generate_graphs"), "--seed must be >= 0, got -1"),
+    (["dataset", "gen", "--spec", "community-small", "--count", "4", "--seed", "-1"],
+     "d.graphs", (cli, "build_dataset"), "--seed must be >= 0, got -1"),
+    (["train-ae", "--data", "{data}", "--seed", "-2"], "a.ckpt",
+     (training, "train_autoencoder"), "invalid config: seed must be >= 0"),
+    (["train-ae", "--data", "{data}", "--config", "{out}/neg.conf"], "a.ckpt",
+     (training, "train_autoencoder"), "invalid config: seed must be >= 0"),
+    (["train-prior", "--data", "{data}", "--ckpt", "{ae_ckpt}", "--seed", "-2"], "p.ckpt",
+     (training, "train_prior"), "invalid config: seed must be >= 0"),
+    (["ablate", "features", "--data", "{data}", "--seeds", "0,-1"], "f.csv",
+     (cli.evaluation, "ablation_feature_report"), "bad --seeds value '0,-1': seeds must be >= 0"),
+    (["ablate", "codebook", "--data", "{data}", "--seeds", "0,-1"], "c.csv",
+     (cli.evaluation, "ablation_codebook_report"), "bad --seeds value '0,-1': seeds must be >= 0"),
+], ids=["generate", "dataset-gen", "train-ae", "train-ae-config", "train-prior",
+        "ablate-features", "ablate-codebook"])
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+def test_negative_seeds_are_one_error_line(workspace, tmp_path, capsys, monkeypatch, argv, out,
+                                           heavy, needle, dry_run):
+    """A negative seed, given by --seed, --seeds or the config file, is
+    one error line naming it, before any work, with or without
+    --dry-run; nothing is written."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a negative seed reached the work")
+
+    monkeypatch.setattr(*heavy, refuse)
+    (tmp_path / "neg.conf").write_text("seed = -3\n")
+    paths = {**{k: str(v) for k, v in workspace.items()}, "out": str(tmp_path)}
+    argv = [a.format(**paths) for a in argv] + ["--out", tmp_path / out]
+    capsys.readouterr()
+    assert run(argv + (["--dry-run"] if dry_run else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: " + needle]
+    assert "dry-run" not in captured.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["neg.conf"]
+
+
 def test_ablate_rejects_malformed_grid(tmp_path, capsys):
     data = tmp_path / "d.graphs"
     run(["dataset", "gen", "--spec", "community-small", "--count", 4, "--out", data])

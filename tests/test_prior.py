@@ -157,12 +157,11 @@ def test_build_inputs_partition_context():
 # set attention
 
 
-def block_attention(q, k, v, heads, first=0):
-    """The attention inside prior._block_forward for the queries q
-    (B, T, d) of partition 0 at positions first..first+T-1 over the
-    keys and values k, v (B, S, d): the output of the block's own
-    causal_attention call, with its own mask, when the block's query
-    map is the identity."""
+def block_attention(q, k, v, heads):
+    """The attention inside prior._block_forward under teacher forcing
+    for the queries q (B, T, d) of partition 0 over the keys and values
+    k, v (B, T, d): the output of the block's own causal_attention call,
+    with its own mask, when the block's query map is the identity."""
     d = q.shape[-1]
     blk = prior.PriorBlock({}, "blk", np.random.default_rng(0), d, heads, 1)
     blk.wq[0].w.data[...] = np.eye(d)
@@ -176,7 +175,8 @@ def block_attention(q, k, v, heads, first=0):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ad, "causal_attention", recording)
-        prior._block_forward(blk, Tensor(q), Tensor(k), Tensor(v), 0, first)
+        prior._block_forward(blk, Tensor(q), 0,
+                             prior._teacher_forced_attention(blk, Tensor(k), Tensor(v)))
     assert len(seen) == 1
     return seen[0].data
 
@@ -214,24 +214,39 @@ def test_attention_ignores_future_and_present_keys():
 
 
 def test_attention_over_key_prefix_matches_full_sequence():
-    """The queries of position t alone give row t of the full result,
-    over the keys and values of positions 0..t as the last row, and
-    over those of positions 0..t-1 with first position t, the sampler's
-    step, which at t = 0 has no keys and gives zeros."""
+    """The positions 0..t alone give rows 0..t of the full result, and
+    position 0 alone gives zeros."""
     rng = np.random.default_rng(4)
     B, H, T, d = 3, 2, 5, 8
     q, k, v = (rng.normal(size=(B, T, d)) for _ in range(3))
     full = block_attention(q, k, v, H)
     for t in range(T):
-        last = block_attention(q[:, t:t + 1], k[:, :t + 1], v[:, :t + 1], H, first=t)
-        sampler = block_attention(q[:, t:t + 1], k[:, :t], v[:, :t], H, first=t)
-        for got in (last, sampler):
-            assert got.shape == (B, 1, d)
-            np.testing.assert_allclose(got, full[:, t:t + 1], rtol=0, atol=1e-12)
-    first = block_attention(q[:, :1], k[:, :1], v[:, :1], H)
-    np.testing.assert_array_equal(first, np.zeros((B, 1, d)))
-    np.testing.assert_array_equal(block_attention(q[:, :1], k[:, :0], v[:, :0], H),
+        got = block_attention(q[:, :t + 1], k[:, :t + 1], v[:, :t + 1], H)
+        np.testing.assert_allclose(got, full[:, :t + 1], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(block_attention(q[:, :1], k[:, :1], v[:, :1], H),
                                   np.zeros((B, 1, d)))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 8])
+def test_cached_attention_is_the_teacher_forced_row(heads):
+    """The sampler's step: the queries of position t over the keys and
+    values of positions 0..t-1 in a head-interleaved cache give row t
+    of the teacher-forced result, in float64 to 1e-12, and exact zeros
+    at t = 0 (d_k = d at one head, d_k = 1 at d heads)."""
+    rng = np.random.default_rng(5)
+    B, T, d = 3, 6, 8
+    q, k, v = (rng.normal(size=(B, T, d)) for _ in range(3))
+    full = block_attention(q, k, v, heads)
+    # (2, d_k, T, B, heads): position s's keys and values as the sampler writes them
+    cache = np.stack([np.stack([prior._split_heads(a[:, s], heads) for s in range(T)], axis=1)
+                      for a in (k, v)])
+    assert cache.shape == (2, d // heads, T, B, heads)
+    for t in range(T):
+        got = prior._cached_attention(Tensor(q[:, t:t + 1]), cache[:, :, :t], heads).data
+        assert got.shape == (B, 1, d)
+        np.testing.assert_allclose(got, full[:, t:t + 1], rtol=0, atol=1e-12)
+        if t == 0:
+            np.testing.assert_array_equal(got, np.zeros((B, 1, d)))
 
 
 def test_padding_slots_never_reach_the_loss():
