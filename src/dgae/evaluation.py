@@ -16,11 +16,17 @@ This reading is stated in every report this module writes.
 
 Statistics are computed a set at a time: graph_stats groups a set by
 node count and works on stacked (G, n, n) adjacency matrices in chunks
-of bounded size. mmd puts both sets in one table, whichever is
-narrower: CDFs on the bins occupied in any histogram, or, for integer
-counts, quantile functions on the merged grid of shares k/n over every
-histogram total n. Each kernel mean is a running sum over blocks of
-rows, so no N x N matrix is built.
+of bounded size. Orbit counting packs each node pair's edges across a
+chunk's graphs into words of up to 64 bits, one bit per graph, and
+tests every subset of 2 to 4 nodes in all graphs at once: a subset is connected
+where it holds an edge of every minimal cut, an AND over the cuts of
+the OR of each cut's pairs. mmd puts both sets in one table, whichever
+is narrower: CDFs on the bins occupied in any histogram, or, for
+integer counts, quantile functions on the merged grid of shares k/n
+over every histogram total n. Each kernel mean is a running sum over
+blocks of rows, so no N x N matrix is built, and it skips the pairs
+whose kernel is exactly 0.0 in float64: those whose weighted means lie
+further apart than the EMD at which the kernel underflows.
 
 Every CSV report goes through write_report, whose comment lines state
 its conventions. Both ablation studies are one _sweep over (cell, seed).
@@ -62,11 +68,13 @@ def graphlet_orbit_tables():
     indexed by the edge-pattern code of an s-node subgraph (bit b set
     when the b-th pair of itertools.combinations(range(s), 2) is an
     edge) and True when that pattern is connected: every entry of
-    (A + I)^(s - 1) is nonzero for its adjacency matrix A. The tables
-    are built on first use, all codes of a size at once, and cached in
-    the module global _ORBIT_TABLES; setting it to None makes the next
-    call build them again, which is how the eval workload of
-    dgaebench/run.py makes every set-up pay for them.
+    (A + I)^(s - 1) is nonzero for its adjacency matrix A. They are the
+    one definition of connectedness: node_orbit_counts tests it through
+    the cuts that _cuts reads off them. The tables are built on first
+    use, all codes of a size at once, and cached in the module global
+    _ORBIT_TABLES; setting it to None makes the next call build them
+    again, which is how the eval workload of dgaebench/run.py makes
+    every set-up pay for them.
     """
     global _ORBIT_TABLES
     if _ORBIT_TABLES is None:
@@ -84,14 +92,15 @@ def graphlet_orbit_tables():
 @functools.lru_cache(maxsize=64)
 def _subsets(n, s):
     """Read-only (C(n, s), s) array of the s-subsets of range(n) in
-    lexicographic order, and (C(n, s), P) indices into the flattened
-    n x n adjacency of each subset's P node pairs."""
+    lexicographic order, and (P, C(n, s)) indices into the flattened
+    n x n adjacency of each subset's P node pairs, pair by pair. The
+    indices are not marked read-only, as np.take copies an index array
+    that is; no caller writes to them."""
     count = math.comb(n, s)
     combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), s)),
                          dtype=np.int64, count=count * s).reshape(count, s)
-    flat = np.stack([combos[:, i] * n + combos[:, j] for i, j in _pairs(s)], axis=1)
-    combos.flags.writeable = flat.flags.writeable = False
-    return combos, flat
+    combos.flags.writeable = False
+    return combos, np.stack([combos[:, i] * n + combos[:, j] for i, j in _pairs(s)])
 
 
 @functools.lru_cache(maxsize=64)
@@ -105,31 +114,62 @@ def _incidence(n, s):
     return inc
 
 
+@functools.lru_cache(maxsize=None)
+def _cuts(s):
+    """Edge-bit lists of the minimal edge cuts of s nodes, read off
+    graphlet_orbit_tables()[s]: one list per maximal disconnected
+    pattern D (adding any pair it lacks connects it), of the pairs D
+    lacks. Connectedness is monotone in the edges, so a pattern is
+    connected iff it holds an edge of every cut; for s = 4 that is 7
+    cuts, the 4 stars of a node and the 3 splits into two pairs. Cached
+    for the life of the process, whatever becomes of _ORBIT_TABLES."""
+    table = graphlet_orbit_tables()[s]
+    codes = np.arange(len(table))[:, None]
+    bits = 1 << np.arange(s * (s - 1) // 2)
+    has = (codes & bits) != 0
+    maximal = ~table & (table[codes | bits] | has).all(axis=1)
+    return [np.flatnonzero(~row).tolist() for row in has[maximal]]
+
+
 def node_orbit_counts(A):
     """(G, n) int64 per-node orbit totals of a (G, n, n) stack of
     adjacency matrices: the number of connected induced subgraphs on 2
     to 4 nodes that contain each node, which is the sum of its graphlet
     orbit counts.
 
-    Per s, every s-subset's edge-pattern code is built for all G graphs
-    at once, looked up in the connectedness table, and the connected
-    subsets are counted per node by one product with _incidence(n, s).
+    Each node pair's edge bits across the G graphs are packed into
+    words of 1, 2, 4 or 8 bytes, the fewest that hold G bits (ceil(G /
+    64) uint64 words past 32 graphs). Per s, the words of every
+    s-subset's pairs are gathered, and the subset is connected in a graph where
+    its bit is set in the AND over the cuts of _cuts(s) of the OR over
+    each cut's pairs. The connected subsets are unpacked once and
+    counted per node by one product with _incidence(n, s).
     """
-    tables = graphlet_orbit_tables()
     G, n, _ = A.shape
-    # (n*n, G): the pattern bits of a pair are one contiguous row
-    pair_rows = (A.reshape(G, n * n).T != 0).astype(np.uint8)
+    bits = np.packbits(A.reshape(G, n * n).T != 0, axis=1, bitorder="little")
+    # (n*n, W) words: bit g of a pair's words is its edge in graph g
+    width = min(8, 1 << (bits.shape[1] - 1).bit_length())
+    words = np.zeros((n * n, -(-bits.shape[1] // width) * width), dtype=np.uint8)
+    words[:, :bits.shape[1]] = bits
+    words = words.view(f"u{width}")
     totals = np.zeros((G, n), dtype=np.int64)
     for s in (2, 3, 4):
         if n < s:
             continue
         _, flat = _subsets(n, s)
-        codes = pair_rows[flat[:, 0]]
-        for b in range(1, flat.shape[1]):
-            codes |= pair_rows[flat[:, b]] << b
-        ok = tables[s].astype(np.float32)[codes]
+        pairs = np.take(words, flat, axis=0)  # (P, C(n, s), W)
+        connected = None
+        for cut in _cuts(s):
+            crossed = pairs[cut[0]].copy()
+            for b in cut[1:]:
+                crossed |= pairs[b]
+            if connected is None:
+                connected = crossed
+            else:
+                connected &= crossed
+        ok = np.unpackbits(connected.view(np.uint8), axis=1, count=G, bitorder="little")
         # exact: every count is an integer below C(n - 1, s - 1) < 2**24
-        totals += (ok.T @ _incidence(n, s)).astype(np.int64)
+        totals += (ok.astype(np.float32).T @ _incidence(n, s)).astype(np.int64)
     return totals
 
 
@@ -144,8 +184,9 @@ class GraphStats:
 
 
 # byte budget of graph_stats' largest per-chunk temporary, the (C(n, 4), G)
-# float32 connectedness matrix of node_orbit_counts, so that its memory
-# does not grow with the set
+# float32 connectedness matrix that node_orbit_counts unpacks from its
+# words, so that its memory does not grow with the set; from two graphs on,
+# the six pair words it gathers per 4-subset take fewer bytes
 _STATS_CHUNK_BYTES = 1 << 21
 
 
@@ -222,7 +263,9 @@ def _cdf_table(M):
     at the bins U nonzero in any row, weighted by the number of bins up
     to the next one (or to L), over which every CDF stays constant."""
     U = np.flatnonzero(M.any(axis=0))
-    F = np.cumsum(M[:, U] / np.maximum(M.sum(axis=1, keepdims=True), 1e-300), axis=1)
+    F = M[:, U]
+    F /= np.maximum(M.sum(axis=1, keepdims=True), 1e-300)
+    np.cumsum(F, axis=1, out=F)
     return F, np.diff(np.append(U, M.shape[1])).astype(np.float64)
 
 
@@ -233,14 +276,15 @@ def _quantile_table(M, limit):
     M holds nonnegative integer counts and the grid has under `limit`
     columns. At a/b a row of total n reads the bin of its ceil(a n / b)-th
     count, and an all-zero row reads L, as its all-zero CDF does."""
-    if not np.all((M >= 0) & (M == np.floor(M))):
+    if not M.min(initial=0.0) >= 0.0:  # a negative count or NaN
         return None
     n = M.sum(axis=1).astype(np.int64)
     base = int(n.max()) + 1
     # k/T, k = 1..T, are T distinct columns: no k past limit is needed
     k, t = np.arange(1, min(base, limit + 1))[:, None], np.unique(n[n > 0])
     keys = np.unique(((k * base + t) // np.gcd(k, t))[k <= t])  # a * base + b
-    if len(keys) >= limit:
+    # the (N, L) integer check only once the grid is known to be narrow
+    if len(keys) >= limit or not np.array_equal(M, np.floor(M)):
         return None
     a, b = np.divmod(keys[np.argsort(keys // base / (keys % base))], base)
     # one search over all rows' running count, each row's ranks offset by
@@ -261,49 +305,103 @@ def _emd_table(hists):
     return _quantile_table(M, np.count_nonzero(M.any(axis=0))) or _cdf_table(M)
 
 
-def _kernel_mean(Fa, Fb, weights, s2):
-    """Mean of exp(-emd(a, b)^2 / s2) over every row a of Fa and b of Fb,
-    rows of one _emd_table, where emd(a, b) = |a - b| @ weights.
+# exp(-x) is exactly 0.0 in float64 for x > 745.2, so a pair whose EMD
+# exceeds sigma * _REACH, where x = _REACH**2 / 2 = 746, adds exactly 0.0
+_REACH = math.sqrt(2.0 * 746.0)
+
+
+def _reach(Fa, Fb, weights, sigma):
+    """(Fa, Fb, lo, hi) for _kernel_mean: the rows of both sides, and per
+    row i of Fa the columns lo[i]:hi[i] of Fb whose kernel with it may
+    be nonzero, nondecreasing in i; Fb is still Fa if it was.
+
+    The weights are nonnegative, so the gap between two rows' weighted
+    means m = F @ weights is at most their EMD. When the means spread
+    wider than reach = sigma * _REACH (plus a bound on their rounding),
+    each side is sorted by its means and a row reaches only the rows
+    whose means lie within reach of its own; otherwise every row reaches
+    all of Fb.
+    """
+    same = Fb is Fa
+    ma = Fa @ weights
+    mb = ma if same else Fb @ weights
+    top = max(ma.max(), mb.max())
+    reach = sigma * _REACH + 4 * len(weights) * np.finfo(np.float64).eps * top
+    if top - min(ma.min(), mb.min()) <= reach:
+        return Fa, Fb, [0] * len(Fa), [len(Fb)] * len(Fa)
+    order = np.argsort(ma)
+    Fa, ma = Fa[order], ma[order]
+    if same:
+        Fb, mb = Fa, ma
+    else:
+        order = np.argsort(mb)
+        Fb, mb = Fb[order], mb[order]
+    return (Fa, Fb, np.searchsorted(mb, ma - reach).tolist(),
+            np.searchsorted(mb, ma + reach, side="right").tolist())
+
+
+def _kernel_mean(Fa, Fb, weights, sigma):
+    """Mean of exp(-(emd(a, b) / sigma)^2 / 2) over every row a of Fa and
+    b of Fb, rows of one _emd_table, where emd(a, b) = |a - b| @ weights.
 
     Rows of Fa go in blocks of about _EMD_BLOCK_BYTES, and each block's
     kernel values are added to a running sum. Called with Fb is Fa, a
     block compares its rows only with themselves and the rows after
     them: its own square is symmetric and counts once, the rest twice.
+    A block compares only with the columns _reach gives its rows: every
+    pair left out has a kernel of exactly 0.0, so the sum changes only
+    in its order.
     """
     same = Fb is Fa
+    Fa, Fb, lo, hi = _reach(Fa, Fb, weights, sigma)
+    cap = _EMD_BLOCK_BYTES // (8 * max(1, len(weights)))  # block rows x columns
     total = 0.0
     r = 0
-    while r < len(Fa):
-        first = r if same else 0  # first column this block compares with
-        rows = max(1, _EMD_BLOCK_BYTES // (8 * max(1, (len(Fb) - first) * len(weights))))
-        d = Fa[r:r + rows, None, :] - Fb[None, first:, :]
-        np.abs(d, out=d)
-        k = np.exp(-(d @ weights) ** 2 / s2)
-        total += 2.0 * k.sum() - k[:, :rows].sum() if same else k.sum()
-        r += rows
+    with np.errstate(over="ignore"):  # e / sigma may overflow to inf: kernel 0.0
+        while r < len(Fa):
+            first = r if same else lo[r]  # first column this block compares with
+            rows = min(len(Fa) - r, max(1, cap // max(1, hi[r] - first)))
+            if hi[r + rows - 1] > hi[r]:
+                # a block's columns end at its last row's, nondecreasing in rows
+                size = np.arange(1, rows + 1) * (np.array(hi[r:r + rows]) - first)
+                rows = max(1, int(np.searchsorted(size, cap, side="right")))
+            k = Fa[r:r + rows, None, :] - Fb[None, first:hi[r + rows - 1], :]
+            np.abs(k, out=k)
+            k = k @ weights
+            k /= sigma
+            k *= k
+            k *= -0.5
+            np.exp(k, out=k)
+            total += 2.0 * k.sum() - k[:, :rows].sum() if same else k.sum()
+            r += rows
     return total / (len(Fa) * len(Fb))
 
 
 def mmd(hists_a, hists_b, sigma=1.0, bin_width=1.0):
     """Biased squared-MMD V-statistic between two sets of histograms
-    under k(x, y) = exp(-emd(x, y)^2 / (2 sigma^2)). Identical sets give
-    values <= 1e-12. The kernel is PSD on point-mass histograms but not
-    on spread ones (1-D EMD is an L1 distance between CDFs, and L1 is not
-    Hilbertian), so the value is not a squared RKHS norm there and can be
-    genuinely negative; such values are returned as they are.
+    under k(x, y) = exp(-emd(x, y)^2 / (2 sigma^2)), computed as
+    exp(-(emd / sigma)^2 / 2) so that no sigma > 0 gives a 0/0: as sigma
+    falls to 0 the kernel tends to 1 at EMD 0 and to 0 elsewhere.
+    Identical sets give values <= 1e-12. The kernel is PSD on point-mass
+    histograms but not on spread ones (1-D EMD is an L1 distance between
+    CDFs, and L1 is not Hilbertian), so the value is not a squared RKHS
+    norm there and can be genuinely negative; such values are returned
+    as they are.
 
     The EMD compares rows of _emd_table: CDFs, or for integer counts
     quantile functions (Vallender 1973), whichever table has fewer
     columns. An all-zero histogram is a point mass at the padded length.
+    _kernel_mean sums the kernel in row blocks and skips the pairs whose
+    kernel is exactly 0.0, so the sums differ from the full double sum
+    only in their order.
     """
     if not hists_a or not hists_b:
         raise ValueError("mmd needs nonempty sets")
     F, weights = _emd_table(list(hists_a) + list(hists_b))
     Fa, Fb = F[:len(hists_a)], F[len(hists_a):]
     weights = weights * bin_width
-    s2 = 2.0 * sigma * sigma
-    val = float(_kernel_mean(Fa, Fa, weights, s2) + _kernel_mean(Fb, Fb, weights, s2)
-                - 2.0 * _kernel_mean(Fa, Fb, weights, s2))
+    val = float(_kernel_mean(Fa, Fa, weights, sigma) + _kernel_mean(Fb, Fb, weights, sigma)
+                - 2.0 * _kernel_mean(Fa, Fb, weights, sigma))
     # the floor absorbs rounding only; a value past it comes from the
     # kernel not being PSD on spread histograms and is reported as is
     if -1e-12 < val < 0.0:

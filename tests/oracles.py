@@ -221,7 +221,7 @@ def node_orbit_counts(g):
         if n < s:
             continue
         combos, flat = evaluation._subsets(n, s)
-        codes = A[flat] @ (1 << np.arange(flat.shape[1]))
+        codes = (1 << np.arange(len(flat))) @ A[flat]
         ok = tables[s][codes]
         totals += np.bincount(combos[ok].ravel(), minlength=n)
     return totals

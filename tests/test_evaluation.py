@@ -5,6 +5,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,13 +186,19 @@ def assert_stats_equal(got, want):
 def test_set_stats_match_per_graph_oracle():
     """The set-level pass gives every graph exactly the histograms of
     the former one-graph-at-a-time definitions, whatever the mix of
-    sizes in the set and the position of a graph in it."""
+    sizes in the set and the position of a graph in it. The 13-node
+    group has 130 graphs, so its orbit counts pack into two full uint64
+    words and a partial one, and it holds the empty and the complete
+    graph."""
     rng = np.random.default_rng(31)
     special = edge_case_graphs()
     coefs = np.concatenate([oracles.clustering_coefficients(g) for g in special])
     assert {0.5, 1.0, 1.0 / 3.0, 0.7, 2.0} <= set(coefs.tolist())
-    graphs = special + [random_graph(rng, int(rng.integers(1, 13)), float(rng.random()))
-                        for _ in range(300)]
+    words = [new_graph(13), new_graph(13, list(itertools.combinations(range(13), 2)))]
+    words += [random_graph(rng, 13, float(rng.random())) for _ in range(128)]
+    graphs = special + words + [random_graph(rng, int(rng.integers(1, 13)), float(rng.random()))
+                                for _ in range(300)]
+    assert sum(g.n == 13 for g in graphs) == 130
     order = rng.permutation(len(graphs))
     graphs = [graphs[k] for k in order]
     for bins in (100, 170, 33, 7, 6, 3, 1):
@@ -360,22 +367,66 @@ def test_kernel_mean_is_the_mean_of_the_full_kernel_matrix(monkeypatch):
     off the diagonal counted twice. Either way it equals the mean of the
     full kernel matrix over emd_pairs: on CDF and quantile tables and
     the zero-column table of all-zero rows, with the default row blocks,
-    blocks that do not divide the row count, and blocks of one row."""
+    blocks that do not divide the row count, and blocks of one row.
+
+    The pairs it skips change nothing: on a table whose row means spread
+    far past reach = sigma * _REACH, so that most pairs are skipped, on
+    one with pairs whose means lie exactly reach apart, and on one with
+    duplicate rows."""
     rng = np.random.default_rng(25)
     zero = _emd_table([np.zeros(3), np.zeros(1)])
     assert zero[0].shape == (2, 0)
+    # point masses spread over 2,000 bins, each with a little noise
+    centers = rng.integers(0, 2000, 40)
+    far = quantile_table(count_rows([np.bincount(c + rng.integers(0, 30, 5)) for c in centers]))
+    m = far[0] @ far[1]
+    assert (np.abs(m[:, None] - m[None]) > evaluation._REACH).mean() > 0.8
+    # means (and EMDs) in units of reach at sigma = 1: across the halves
+    # (rows 0-3 and 4-7) 0 and 1 lie exactly reach apart, and only the
+    # pairs 0, 0.97 and 3, 2.03 have a kernel above 0.0, about 1e-305,
+    # which a shorter reach on either side drops
+    edge = (np.array([[0.0], [3.0], [6.0], [9.0], [0.97], [1.0], [2.03], [10.0]]),
+            np.array([evaluation._REACH]))
+    assert (edge[0] @ edge[1])[[0, 5]].tolist() == [0.0, evaluation._REACH]
+    duplicates = (far[0][rng.permutation(np.arange(40).repeat(3))], far[1])
     tables = [_cdf_table(sparse_rows(rng, 37, 30, [0, 5, 29])),
-              quantile_table(count_rows(integer_count_sets()["orbit_hist"])), zero]
+              quantile_table(count_rows(integer_count_sets()["orbit_hist"])), zero,
+              far, edge, duplicates]
     for F, weights in tables:
         half = (len(F) + 1) // 2
         for budget in (evaluation._EMD_BLOCK_BYTES, 3 * 8 * len(F) * F.shape[1], 1):
             monkeypatch.setattr(evaluation, "_EMD_BLOCK_BYTES", budget)
-            for w, s2 in ((1.0, 2.0), (0.01, 0.5)):
+            for w, sigma in ((1.0, 1.0), (0.01, 0.5)):
                 for Fa, Fb in ((F, F), (F[:half], F[half:]), (F[half:], F)):
-                    want = np.exp(-emd_pairs(Fa, Fb, weights * w) ** 2 / s2).mean()
-                    got = _kernel_mean(Fa, Fb, weights * w, s2)
+                    e = emd_pairs(Fa, Fb, weights * w)
+                    want = np.exp(-e ** 2 / (2 * sigma ** 2)).mean()
+                    got = _kernel_mean(Fa, Fb, weights * w, sigma)
                     assert got == pytest.approx(want, rel=1e-12, abs=0.0), \
                         (F.shape, budget, w, Fa is Fb)
+
+
+def test_mmd_at_a_tiny_sigma_is_the_point_mass_limit():
+    """At a sigma whose square underflows to 0.0 the kernel is 1 at EMD
+    0 and 0 elsewhere, the limit as sigma falls to 0, and mmd reads the
+    share of pairs at EMD 0 within A, plus that within B, minus twice
+    that across A x B, with no floating-point warning."""
+    rng = np.random.default_rng(27)
+    stats = graph_stats([random_graph(rng, int(rng.integers(2, 6)), 0.5)
+                         for _ in range(60)], 10)
+    for name, bin_width in (("degree_hist", 1.0), ("clustering_hist", 0.1),
+                            ("orbit_hist", 1.0)):
+        hists = [getattr(s, name) for s in stats]
+        M = count_rows(hists)
+        A, B = M[:25], M[25:]
+        share = {key: (emd_matrix(X, Y, bin_width) == 0.0).mean()
+                 for key, X, Y in (("aa", A, A), ("bb", B, B), ("ab", A, B))}
+        assert min(share.values()) > 0.0, name
+        want = share["aa"] + share["bb"] - 2.0 * share["ab"]
+        for sigma in (1e-200, 5e-324):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = mmd(hists[:25], hists[25:], sigma, bin_width)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (name, sigma)
 
 
 def test_all_zero_histogram_is_a_point_mass_past_the_end():
