@@ -20,13 +20,12 @@ of bounded size. Orbit counting packs each node pair's edges across a
 chunk's graphs into words of up to 64 bits, one bit per graph, and
 tests every subset of 2 to 4 nodes in all graphs at once: a subset is connected
 where it holds an edge of every minimal cut, an AND over the cuts of
-the OR of each cut's pairs. mmd puts both sets in one table, whichever
-is narrower: CDFs on the bins occupied in any histogram, or, for
-integer counts, quantile functions on the merged grid of shares k/n
-over every histogram total n. Each kernel mean is a running sum over
-blocks of rows, so no N x N matrix is built, and it skips the pairs
-whose kernel is exactly 0.0 in float64: those whose weighted means lie
-further apart than the EMD at which the kernel underflows.
+the OR of each cut's pairs. mmd computes each EMD of integer counts
+exactly, in integers, on the grid of the two histograms' own totals n
+and m (their quantile functions at the shares k/n and k/m) or at the
+occupied bins, and sums kernel values over blocks of rows into a 2 x 2
+table by set, with no N x N matrix, skipping the pairs whose kernel is
+exactly 0.0: those whose means lie further apart than where it underflows.
 
 Every CSV report goes through write_report, whose comment lines state
 its conventions. Both ablation studies are one _sweep over (cell, seed).
@@ -44,8 +43,8 @@ import numpy as np
 from . import training
 
 _REPORT_NOTES = [
-    "# mmd: biased squared-MMD V-statistic (diagonal terms included), "
-    "kernel exp(-emd^2 / (2 sigma^2)) over 1-D EMD of normalized histograms",
+    "# mmd: biased squared-MMD V-statistic (diagonal terms included), kernel exp(-emd^2 / "
+    "(2 sigma^2)) over 1-D EMD of normalized histograms, exact on each size pair's own grid",
     "# orbit statistic: per-node participation counts in connected induced "
     "subgraphs on 2..4 nodes, histogrammed per graph",
 ]
@@ -251,58 +250,104 @@ def graph_stats(graphs, clustering_bins=100):
     return out
 
 
-# byte budget of the row block over which _kernel_mean sums a comparison's
-# kernel values: small enough that the block and the table rows it is made
-# from stay in a core's L2 cache; on 250 x 250 orbit histograms budgets of
-# 128 KB to 1 MB ran alike, 16 MB about 40% and 64 MB about 140% slower
-_EMD_BLOCK_BYTES = 1 << 19
+# budget of the row block over which _pair_sums sums kernel values, in bytes
+# of float32 (a float64 block is twice it): on the eval benchmark's float32
+# tables 256 KB ran 1-6% slower than 512 KB and 128 KB 20%, and it keeps the
+# working memory at 2,000 histograms a set near that at 250
+_EMD_BLOCK_BYTES = 1 << 18
+
+# float32 holds every integer below 2**24 exactly; one more table costs
+# _pair_sums about _ENTRY_COST table elements; a total of fewer histograms
+# than _GROUP_ROWS shares a size group with as few ones just below it
+_FLOAT32_EXACT, _ENTRY_COST, _GROUP_ROWS = 1 << 24, 100_000, 16
 
 
-def _cdf_table(M):
-    """(F, weights) of the (N, L) histograms M: each normalized row's CDF
-    at the bins U nonzero in any row, weighted by the number of bins up
-    to the next one (or to L), over which every CDF stays constant."""
-    U = np.flatnonzero(M.any(axis=0))
-    F = M[:, U]
-    F /= np.maximum(M.sum(axis=1, keepdims=True), 1e-300)
-    np.cumsum(F, axis=1, out=F)
-    return F, np.diff(np.append(U, M.shape[1])).astype(np.float64)
+@functools.lru_cache(maxsize=1024)
+def _grid(sizes):
+    """(t, widths, l): the shares k/n of every total n in sizes as integers t over
+    l = lcm(sizes), where a row of total n reads its sorted value ceil(t n / l) - 1."""
+    l = math.lcm(*sizes)
+    t = np.unique(np.concatenate([np.arange(l // n, l + 1, l // n) for n in sizes]))
+    return t, np.diff(t, prepend=0), l
 
 
-def _quantile_table(M, limit):
-    """(F, weights) of the (N, L) histograms M by their quantile functions
-    on the reduced fractions a/b = k/n, 0 < k <= n, of every nonzero row
-    total n, each weighted by the gap to the fraction before; None unless
-    M holds nonnegative integer counts and the grid has under `limit`
-    columns. At a/b a row of total n reads the bin of its ceil(a n / b)-th
-    count, and an all-zero row reads L, as its all-zero CDF does."""
-    if not M.min(initial=0.0) >= 0.0:  # a negative count or NaN
-        return None
-    n = M.sum(axis=1).astype(np.int64)
-    base = int(n.max()) + 1
-    # k/T, k = 1..T, are T distinct columns: no k past limit is needed
-    k, t = np.arange(1, min(base, limit + 1))[:, None], np.unique(n[n > 0])
-    keys = np.unique(((k * base + t) // np.gcd(k, t))[k <= t])  # a * base + b
-    # the (N, L) integer check only once the grid is known to be narrow
-    if len(keys) >= limit or not np.array_equal(M, np.floor(M)):
-        return None
-    a, b = np.divmod(keys[np.argsort(keys // base / (keys % base))], base)
-    # one search over all rows' running count, each row's ranks offset by
-    # the counts before it; an all-zero row's rank 1 lands later: L
-    rank = np.maximum((a * n[:, None] + b - 1) // b, 1) + (np.cumsum(n) - n)[:, None]
-    at = np.searchsorted(np.cumsum(M.ravel()), rank.ravel()).reshape(rank.shape)
-    L = M.shape[1]
-    Q = np.minimum(at - np.arange(len(M))[:, None] * L, L)
-    return Q.astype(np.float64), np.diff(a / b, prepend=0.0)
+def _emd_tables(hists):
+    """The tables on which mmd compares hists, yielded as (ra, Fa, rb, Fb,
+    weights, scale), each (columns, rows) with its rows sorted by mean
+    weights @ F: the EMD in bins of rows ra[i] and rb[j] is weights @
+    |Fa[:, i] - Fb[:, j]| * scale, and each pair of rows is in one entry.
+    An all-zero row is one count at L, the longest length. Integer counts
+    are grouped by total, and each pair of groups has integer entries
+    and weights and scale 1 / l, l the lcm of their totals: on their
+    _grid, or at the bins U occupied in any row, the counts above each
+    times l / n. So l * EMD <= l * L is exact, in float32 if below
+    _FLOAT32_EXACT. Where that costs more, one float64 table holds the
+    shares above each bin, as for other rows. No table is padded to L.
+    """
+    N, lengths = len(hists), np.array([len(h) for h in hists])
+    L, step = int(lengths.max()), max(1, N * (_EMD_BLOCK_BYTES >> 5) // max(1, int(lengths.sum())))
 
+    def read():  # (row, bin, count) of the nonzero counts, a few histograms at a time
+        for a in range(0, N, step):
+            flat, ends = np.concatenate(hists[a:a + step]), np.cumsum(lengths[a:a + step])
+            col = np.flatnonzero(flat)
+            row = np.searchsorted(ends, col, side="right")
+            yield a + row, col - (ends - lengths[a:a + step])[row], flat[col].astype(np.float64)
 
-def _emd_table(hists):
-    """(F, weights) of histograms padded to one length: the quantile
-    table where it is narrower than the CDF table, else the CDF table."""
-    M = np.zeros((len(hists), max(len(h) for h in hists)))
-    for i, h in enumerate(hists):
-        M[i, :len(h)] = h
-    return _quantile_table(M, np.count_nonzero(M.any(axis=0))) or _cdf_table(M)
+    totals, sums, occupied, integer = np.zeros(N), np.zeros(N), np.zeros(L, bool), True
+    for row, col, vals in read():
+        totals += np.bincount(row, vals, minlength=N)
+        sums += np.bincount(row, col * vals, minlength=N)
+        occupied[col] = True
+        integer = integer and np.all((vals > 0) & (vals == np.floor(vals)))
+    n, U = np.where(totals > 0, totals, 1.0), np.flatnonzero(occupied)
+    w, sums[totals == 0] = np.diff(np.append(U, L)), L
+    sizes, count = np.unique(n, return_counts=True)
+    # in table elements, one float64 table costs twice float32 ones per pair
+    cost, groups = len(U) * N ** 2, []
+    pairs = integer and sizes[-1] ** 2 * (L + 1) < 2.0 ** 53
+    if pairs:
+        n, sizes = n.astype(np.int64), sizes.astype(np.int64)
+        grid = count @ (sizes[:, None] + sizes - np.gcd.outer(sizes, sizes)) @ count
+        cdf = cost <= grid  # any totals may then share a group if a float64 table is small
+        wide = cdf and 8 * N * len(U) <= _EMD_BLOCK_BYTES
+        for size, c in zip(sizes.tolist(), count.tolist()):
+            last, rows = groups[-1] if groups else ((), 0)
+            few = wide or max(c, rows) < _GROUP_ROWS
+            if groups and few and math.lcm(*last, size) * L < _FLOAT32_EXACT:
+                groups[-1] = (last + (size,), rows + c)
+            else:
+                groups.append(((size,), c))
+        pairs = min(cost, grid) + _ENTRY_COST * len(groups) ** 2 < 2 * cost
+    if not pairs or cdf:  # each row's counts above each bin of U
+        table = np.zeros((N, len(U)), np.min_scalar_type(int(n.max())) if pairs else np.float64)
+        for row, col, vals in read():
+            table[row, np.searchsorted(U, col)] = vals
+        np.cumsum(table, axis=1, out=table)
+        np.subtract(n[:, None], table, out=table, casting="unsafe")
+    if not pairs:  # as shares, in one table
+        table /= n[:, None]
+        rows = np.argsort(table @ w, kind="stable")
+        table = np.ascontiguousarray(table[rows].T)
+        yield rows, table, rows, table, w.astype(np.float64), 1.0
+        return
+    if not cdf:  # every row's counts' bins in order, then an all-zero row's one at L
+        table = np.concatenate([c.repeat(v.astype(np.int64)) for _, c, v in read()] + [[L]])
+        first = np.where(totals > 0, np.cumsum(totals) - totals, len(table) - 1).astype(np.int64)
+    for i, (sizes, _) in enumerate(groups):
+        rows = np.flatnonzero(np.isin(n, sizes))
+        rows = rows[np.argsort(sums[rows] * (math.lcm(*sizes) // n[rows]), kind="stable")]
+        groups[i] = (sizes, rows, np.ascontiguousarray(table[rows].T) if cdf else table)
+
+    def side(rows, A, l, t, dtype):  # a group's table in one entry
+        return (np.multiply(A, l // n[rows], dtype=dtype) if cdf
+                else A[first[rows] + (t[:, None] - 1) // (l // n[rows])].astype(dtype))
+
+    for (sa, ra, A), (sb, rb, B) in itertools.combinations_with_replacement(groups, 2):
+        t, weights, l = (None, w, math.lcm(*sa, *sb)) if cdf else _grid(tuple(sorted({*sa, *sb})))
+        dtype = np.float32 if l * L < _FLOAT32_EXACT else np.float64
+        Fa = side(ra, A, l, t, dtype)
+        yield ra, Fa, rb, Fa if ra is rb else side(rb, B, l, t, dtype), weights.astype(dtype), 1 / l
 
 
 # exp(-x) is exactly 0.0 in float64 for x > 745.2, so a pair whose EMD
@@ -310,74 +355,49 @@ def _emd_table(hists):
 _REACH = math.sqrt(2.0 * 746.0)
 
 
-def _reach(Fa, Fb, weights, sigma):
-    """(Fa, Fb, lo, hi) for _kernel_mean: the rows of both sides, and per
-    row i of Fa the columns lo[i]:hi[i] of Fb whose kernel with it may
-    be nonzero, nondecreasing in i; Fb is still Fa if it was.
-
-    The weights are nonnegative, so the gap between two rows' weighted
-    means m = F @ weights is at most their EMD. When the means spread
-    wider than reach = sigma * _REACH (plus a bound on their rounding),
-    each side is sorted by its means and a row reaches only the rows
-    whose means lie within reach of its own; otherwise every row reaches
-    all of Fb.
+def _pair_sums(Fa, Fb, ya, yb, weights, unit, sigma):
+    """(2, 2) sums of exp(-(emd / sigma)^2 / 2), emd = weights @ |a - b| *
+    unit, over the rows a of Fa and b of Fb (an _emd_tables entry) in
+    both orders, keyed by their one-hot sets ya and yb; with Fb is Fa and
+    yb ya, over every ordered pair. Rows of Fa go in blocks of about
+    _EMD_BLOCK_BYTES (in float32) that meet, with Fb is Fa, their own
+    square once and the rows after it twice, and only the rows whose
+    means m = weights @ F lie within sigma * _REACH / unit (plus a
+    rounding bound): |m_a - m_b| * unit <= emd, so each pair left out
+    has a kernel of exactly 0.0.
     """
-    same = Fb is Fa
-    ma = Fa @ weights
-    mb = ma if same else Fb @ weights
-    top = max(ma.max(), mb.max())
+    same, w64 = Fb is Fa, weights.astype(np.float64)
+    ma, mb = w64 @ Fa, w64 @ Fb
+    top = float(max(-ma[0], ma[-1], -mb[0], mb[-1], 0.0))  # the means are sorted
+    sigma = max(sigma / unit, 5e-324)  # in table units, off 0.0: EMD 0 gives 0.0
     reach = sigma * _REACH + 4 * len(weights) * np.finfo(np.float64).eps * top
-    if top - min(ma.min(), mb.min()) <= reach:
-        return Fa, Fb, [0] * len(Fa), [len(Fb)] * len(Fa)
-    order = np.argsort(ma)
-    Fa, ma = Fa[order], ma[order]
-    if same:
-        Fb, mb = Fa, ma
-    else:
-        order = np.argsort(mb)
-        Fb, mb = Fb[order], mb[order]
-    return (Fa, Fb, np.searchsorted(mb, ma - reach).tolist(),
-            np.searchsorted(mb, ma + reach, side="right").tolist())
-
-
-def _kernel_mean(Fa, Fb, weights, sigma):
-    """Mean of exp(-(emd(a, b) / sigma)^2 / 2) over every row a of Fa and
-    b of Fb, rows of one _emd_table, where emd(a, b) = |a - b| @ weights.
-
-    Rows of Fa go in blocks of about _EMD_BLOCK_BYTES, and each block's
-    kernel values are added to a running sum. Called with Fb is Fa, a
-    block compares its rows only with themselves and the rows after
-    them: its own square is symmetric and counts once, the rest twice.
-    A block compares only with the columns _reach gives its rows: every
-    pair left out has a kernel of exactly 0.0, so the sum changes only
-    in its order.
-    """
-    same = Fb is Fa
-    Fa, Fb, lo, hi = _reach(Fa, Fb, weights, sigma)
-    cap = _EMD_BLOCK_BYTES // (8 * max(1, len(weights)))  # block rows x columns
-    total = 0.0
-    r = 0
-    with np.errstate(over="ignore"):  # e / sigma may overflow to inf: kernel 0.0
-        while r < len(Fa):
+    lo = np.searchsorted(mb, ma - reach).tolist()
+    hi = np.searchsorted(mb, ma + reach, side="right").tolist()
+    cap = _EMD_BLOCK_BYTES // (4 * max(1, len(weights)))  # block rows x columns
+    total, square, r = np.zeros((2, 2)), np.zeros((2, 2)), 0
+    with np.errstate(over="ignore"):  # emd / sigma may overflow to inf: kernel 0.0
+        while r < len(ma):
             first = r if same else lo[r]  # first column this block compares with
-            rows = min(len(Fa) - r, max(1, cap // max(1, hi[r] - first)))
-            if hi[r + rows - 1] > hi[r]:
+            rows = min(len(ma) - r, max(1, cap // max(1, hi[r] - first)))
+            if rows * (hi[r + rows - 1] - first) > cap:
                 # a block's columns end at its last row's, nondecreasing in rows
                 size = np.arange(1, rows + 1) * (np.array(hi[r:r + rows]) - first)
                 rows = max(1, int(np.searchsorted(size, cap, side="right")))
-            k = Fa[r:r + rows, None, :] - Fb[None, first:hi[r + rows - 1], :]
+            last = hi[r + rows - 1]
+            k = Fa[:, r:r + rows, None] - Fb[:, None, first:last]
             np.abs(k, out=k)
-            k = k @ weights
-            k /= sigma
-            k *= k
-            k *= -0.5
+            k = weights @ k.reshape(len(weights), rows * (last - first))
+            k = np.divide(k, sigma, dtype=np.float64).reshape(rows, last - first)  # emd / sigma
+            k *= -0.5 * k
             np.exp(k, out=k)
-            total += 2.0 * k.sum() - k[:, :rows].sum() if same else k.sum()
+            total += ya[r:r + rows].T @ k @ yb[first:last]
+            if same:
+                square += ya[r:r + rows].T @ k[:, :rows] @ ya[r:r + rows]
             r += rows
-    return total / (len(Fa) * len(Fb))
+    return total + total.T - square
 
 
-def mmd(hists_a, hists_b, sigma=1.0, bin_width=1.0):
+def mmd(hists_a, hists_b, sigma=1.0, bin_width=1.0, terms=False):
     """Biased squared-MMD V-statistic between two sets of histograms
     under k(x, y) = exp(-emd(x, y)^2 / (2 sigma^2)), computed as
     exp(-(emd / sigma)^2 / 2) so that no sigma > 0 gives a 0/0: as sigma
@@ -386,46 +406,45 @@ def mmd(hists_a, hists_b, sigma=1.0, bin_width=1.0):
     histograms but not on spread ones (1-D EMD is an L1 distance between
     CDFs, and L1 is not Hilbertian), so the value is not a squared RKHS
     norm there and can be genuinely negative; such values are returned
-    as they are.
+    as they are. terms=True returns (mmd, k_ref, k_gen, k_cross): the
+    mean kernel within hists_a, within hists_b and across them.
 
-    The EMD compares rows of _emd_table: CDFs, or for integer counts
-    quantile functions (Vallender 1973), whichever table has fewer
-    columns. An all-zero histogram is a point mass at the padded length.
-    _kernel_mean sums the kernel in row blocks and skips the pairs whose
-    kernel is exactly 0.0, so the sums differ from the full double sum
-    only in their order.
+    The EMD is over the tables of _emd_tables, exact for integer counts
+    (Vallender 1973); _pair_sums skips only pairs of kernel exactly 0.0,
+    so the sums differ from the full double sum only in their order.
     """
     if not hists_a or not hists_b:
         raise ValueError("mmd needs nonempty sets")
-    F, weights = _emd_table(list(hists_a) + list(hists_b))
-    Fa, Fb = F[:len(hists_a)], F[len(hists_a):]
-    weights = weights * bin_width
-    val = float(_kernel_mean(Fa, Fa, weights, sigma) + _kernel_mean(Fb, Fb, weights, sigma)
-                - 2.0 * _kernel_mean(Fa, Fb, weights, sigma))
+    na, nb = len(hists_a), len(hists_b)
+    y = np.eye(2)  # one-hot sets: rows of hists_a, then of hists_b
+    S = sum(_pair_sums(Fa, Fb, y.take(ra >= na, 0), y.take(rb >= na, 0), w, s * bin_width, sigma)
+            for ra, Fa, rb, Fb, w, s in _emd_tables(list(hists_a) + list(hists_b)))
+    k = (float(S[0, 0]) / na ** 2, float(S[1, 1]) / nb ** 2, float(S[0, 1]) / (na * nb))
+    val = k[0] + k[1] - 2.0 * k[2]
     # the floor absorbs rounding only; a value past it comes from the
     # kernel not being PSD on spread histograms and is reported as is
     if -1e-12 < val < 0.0:
         val = 0.0
-    return val
+    return (val, *k) if terms else val
 
 
 def mmd_report(ref_graphs, gen_graphs, sigma=1.0, clustering_bins=100):
-    """All three statistics plus their average, as an ordered dict.
-
-    One graph_stats pass per set gives every histogram; each of the
-    three MMDs then compares the two sets' histograms as sums of kernel
-    values over blocks of rows.
+    """All three statistics plus their average, as an ordered dict, then
+    each statistic's kernel means k_ref, k_gen and k_cross. One
+    graph_stats pass per set gives every histogram; each MMD compares
+    the two sets' histograms as sums of kernel values over row blocks.
     """
     ref = graph_stats(ref_graphs, clustering_bins)
     gen = graph_stats(gen_graphs, clustering_bins)
-    deg = mmd([s.degree_hist for s in ref], [s.degree_hist for s in gen], sigma, 1.0)
-    clu = mmd([s.clustering_hist for s in ref], [s.clustering_hist for s in gen],
-              sigma, 1.0 / clustering_bins)
-    orb = mmd([s.orbit_hist for s in ref], [s.orbit_hist for s in gen], sigma, 1.0)
-    return {"mmd_degree": deg, "mmd_clustering": clu, "mmd_orbit": orb,
-            "mmd_avg": (deg + clu + orb) / 3.0,
-            "ref_count": len(ref_graphs), "gen_count": len(gen_graphs),
-            "sigma": sigma, "clustering_bins": clustering_bins}
+    report, terms = {}, {}
+    for stat, width in (("degree", 1.0), ("clustering", 1.0 / clustering_bins), ("orbit", 1.0)):
+        pick = stat + "_hist"
+        report["mmd_" + stat], *k = mmd([getattr(s, pick) for s in ref],
+                                        [getattr(s, pick) for s in gen], sigma, width, True)
+        terms.update({f"k_{side}_{stat}": v for side, v in zip(("ref", "gen", "cross"), k)})
+    report["mmd_avg"] = sum(report.values()) / 3.0
+    return {**report, "ref_count": len(ref_graphs), "gen_count": len(gen_graphs),
+            "sigma": sigma, "clustering_bins": clustering_bins, **terms}
 
 
 def write_report(path, notes, rows):
@@ -442,7 +461,8 @@ def write_report(path, notes, rows):
 
 
 def write_mmd_report(path, report):
-    write_report(path, _REPORT_NOTES, [report])
+    terms = "# per statistic s: mmd_s = k_ref_s + k_gen_s - 2*k_cross_s, the mean kernels"
+    write_report(path, _REPORT_NOTES + [terms + " within and across the sets"], [report])
 
 
 # ---------------------------------------------------------------------------

@@ -290,11 +290,18 @@ def emd_reference(p, q, bin_width=1.0):
     return float(wasserstein_distance(positions, positions, p, q))
 
 
-def emd_pairs(Fa, Fb, weights):
-    """(Na, Nb) 1-D EMD between every row of Fa and every row of Fb, rows
-    of one evaluation._emd_table: the full matrix whose kernel values
-    evaluation.mmd sums block by block without building it."""
-    return np.abs(Fa[:, None] - Fb[None]) @ weights
+def emd_pairs(hists, bin_width=1.0):
+    """(N, N) 1-D EMD between every two of the histograms hists, over
+    the tables evaluation._emd_tables gives them: the full matrix whose
+    kernel values evaluation.mmd sums block by block without building
+    it. A pair no table holds stays NaN."""
+    D = np.full((len(hists), len(hists)), np.nan)
+    for ra, Fa, rb, Fb, weights, scale in evaluation._emd_tables(list(hists)):
+        e = np.tensordot(weights, np.abs(Fa[:, :, None] - Fb[:, None]), 1)
+        e = e.astype(np.float64) * (scale * bin_width)
+        D[np.ix_(ra, rb)] = e
+        D[np.ix_(rb, ra)] = e.T
+    return D
 
 
 def mmd_double_sum(hists_a, hists_b, sigma=1.0, bin_width=1.0):

@@ -365,16 +365,14 @@ def test_criterion_07_mmd_correctness():
     cnd = {}
     for pick, width in _STAT_WIDTHS:
         hs = [getattr(s, pick) for s in stats[:n]]
-        F, weights = evaluation._emd_table(hs)
-        D = oracles.emd_pairs(F, F, weights * width)
+        D = oracles.emd_pairs(hs, width)
         cnd[pick] = float(np.linalg.eigvalsh(-J @ D @ J).min())
     cnd_worst = min(cnd.values())
 
     # diagnostic only: the Gaussian-of-EMD kernel is not PSD on spread
     # histograms, because L1 is not a Hilbertian metric, so exp(-emd^2)
     # may have negative eigenvalues however sound the implementation
-    F, weights = evaluation._emd_table(ha)
-    K = np.exp(-oracles.emd_pairs(F, F, weights) ** 2 / 2.0)
+    K = np.exp(-oracles.emd_pairs(ha) ** 2 / 2.0)
     gauss_min_eig = float(np.linalg.eigvalsh(K).min())
 
     # control: on point-mass histograms the kernel reduces to a scalar
@@ -384,8 +382,7 @@ def test_criterion_07_mmd_correctness():
         h = np.zeros(12)
         h[v] = 1.0
         deltas.append(h)
-    Fd, weights = evaluation._emd_table(deltas)
-    Kd = np.exp(-oracles.emd_pairs(Fd, Fd, weights) ** 2 / 2.0)
+    Kd = np.exp(-oracles.emd_pairs(deltas) ** 2 / 2.0)
     min_eig_delta = float(np.linalg.eigvalsh(Kd).min())
 
     ok = (oracle_worst <= 1e-10 and self_val <= 1e-12

@@ -527,6 +527,10 @@ def test_eval_report_columns_and_determinism(workspace, tmp_path, capsys):
             + float(row["mmd_orbit"])) / 3.0
     assert float(row["mmd_avg"]) == pytest.approx(want, abs=1e-9)
     assert int(row["ref_count"]) == 24 and int(row["gen_count"]) == 10
+    # each statistic's three kernel means, from which its mmd is made
+    for stat in ("degree", "clustering", "orbit"):
+        k_ref, k_gen, k_cross = (float(row[f"k_{side}_{stat}"]) for side in ("ref", "gen", "cross"))
+        assert float(row["mmd_" + stat]) == pytest.approx(k_ref + k_gen - 2.0 * k_cross, abs=1e-9)
 
     again = tmp_path / "again.csv"
     assert run(["eval", "--ref", workspace["data"], "--gen", workspace["samples"],

@@ -16,10 +16,8 @@ from dgae.graphs import DatasetSpec, Graph, build_dataset, load_dataset, new_gra
 from dgae.evaluation import (
     DEFAULT_CODEBOOK_GRID,
     FEATURE_CELLS,
-    _cdf_table,
-    _emd_table,
-    _kernel_mean,
-    _quantile_table,
+    _emd_tables,
+    _pair_sums,
     ablation_codebook_report,
     ablation_feature_report,
     clustering_coefficients,
@@ -254,20 +252,34 @@ def test_graph_stats_memory_is_bounded():
 
 
 def emd(p, q, bin_width=1.0):
-    """EMD of one pair of same-length histograms, as a single-row call."""
-    F, weights = _emd_table([np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)])
-    return float(emd_pairs(F[:1], F[1:], weights * bin_width)[0, 0])
+    """EMD of one pair of same-length histograms, as a two-row call."""
+    return float(emd_pairs([np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)],
+                           bin_width)[0, 1])
 
 
-def emd_matrix(A, B, bin_width, table=_cdf_table):
-    """emd_pairs over one table of the rows of A and B."""
-    F, weights = table(np.vstack([A, B]))
-    return emd_pairs(F[:len(A)], F[len(A):], weights * bin_width)
+def emd_matrix(A, B, bin_width=1.0):
+    """emd_pairs between the rows of A and those of B, on the tables of
+    all of them at once."""
+    return emd_pairs(list(A) + list(B), bin_width)[:len(A), len(A):]
 
 
-def quantile_table(M):
-    """The quantile table of integer counts M, with no column limit."""
-    return _quantile_table(M, math.inf)
+# scales small counts off the integers, which sends them to the float CDFs
+OFF_INTEGER = 1.0 + 2.0 ** -20
+
+
+def table_kind(hists):
+    """The table _emd_tables takes for hists: "float" for CDFs of
+    non-integer rows; for integer counts, per pair of totals, "grid" for
+    quantile functions on the pair's own grid or "cdf" for the counts
+    above each occupied bin ("mixed" if the entries disagree)."""
+    kinds = set()
+    for ra, Fa, rb, Fb, weights, scale in _emd_tables(list(hists)):
+        steps = np.diff(np.hstack([Fa, Fb]), axis=0)
+        if scale == 1.0 and not np.array_equal(Fa, np.floor(Fa)):
+            kinds.add("float")
+        elif steps.any():  # quantile functions rise, counts above a bin fall
+            kinds.add("grid" if steps.min() >= 0 else "cdf" if steps.max() <= 0 else "mixed")
+    return kinds.pop() if len(kinds) == 1 else "mixed"
 
 
 def test_emd_examples():
@@ -343,66 +355,82 @@ def integer_count_sets():
             for name in ("degree_hist", "clustering_hist", "orbit_hist")}
 
 
-def test_quantile_table_matches_cdf_table_and_reference():
-    """On integer counts both tables give one EMD matrix, and both match
-    the transport solver. Length-1 histograms meet longer ones, so the
-    padding is compared too."""
+def test_quantile_table_matches_cdf_table_and_reference(monkeypatch):
+    """On integer counts the quantile grids, the counts above each
+    occupied bin and the float CDFs give one EMD matrix, and each
+    matches the transport solver. Length-1 histograms meet longer ones.
+    With no cost per table, extra rows steer the choice: one spread over
+    200 bins makes the grids the narrower, many heavy ones at bin 0 the
+    counts above each bin, and the same rows off the integers take the
+    CDFs."""
+    monkeypatch.setattr(evaluation, "_ENTRY_COST", 0)
     for name, hists in integer_count_sets().items():
-        M = count_rows(hists + [np.array([1])])
-        A, B = M[:25], M[25:]
+        hists = hists + [np.array([1])]
+        M = count_rows(hists)
+        want = np.array([[emd_reference(x, y) for y in M] for x in M[:25]])
         for w in (1.0, 0.1):
-            want = np.array([[emd_reference(x, y, w) for y in B] for x in A])
-            got = {}
-            for table in (quantile_table, _cdf_table):
-                got[table] = [emd_matrix(X, Y, w, table) for X, Y in ((A, B), (A, A), (B, A))]
-                np.testing.assert_allclose(got[table][0], want, rtol=1e-12, atol=1e-15,
-                                           err_msg=name)
-            for q, c in zip(got[quantile_table], got[_cdf_table]):
-                np.testing.assert_allclose(q, c, rtol=1e-12, atol=1e-15, err_msg=name)
+            for rows, kind in ((hists + [np.ones(200)], "grid"),
+                               (hists + [np.array([1000])] * len(M), "cdf"),
+                               (list(M * OFF_INTEGER), "float")):
+                assert table_kind(rows) == kind, (name, kind)
+                got = emd_pairs(rows, w)[:25, :len(M)]
+                np.testing.assert_allclose(got, w * want, rtol=1e-12, atol=1e-15,
+                                           err_msg=f"{name} {kind}")
 
 
 def test_kernel_mean_is_the_mean_of_the_full_kernel_matrix(monkeypatch):
-    """_kernel_mean adds each row block's kernel values to a running sum,
-    and a self comparison sums one triangle of blocks with the blocks
-    off the diagonal counted twice. Either way it equals the mean of the
-    full kernel matrix over emd_pairs: on CDF and quantile tables and
-    the zero-column table of all-zero rows, with the default row blocks,
-    blocks that do not divide the row count, and blocks of one row.
+    """_pair_sums adds each row block's kernel values into a 2 x 2 table
+    keyed by the sets of the two rows, and a self comparison sums one
+    triangle of blocks with the blocks off the diagonal counted in both
+    orders. Over the entries of _emd_tables it sums to Y^T K Y for the
+    full kernel matrix K over emd_pairs and one-hot sets Y: on float
+    CDFs, quantile grids, counts above each bin and the zero-column
+    table of all-zero rows, with the default row blocks, blocks that do
+    not divide the row count, and blocks of one row.
 
-    The pairs it skips change nothing: on a table whose row means spread
+    The pairs it skips change nothing: on histograms whose means spread
     far past reach = sigma * _REACH, so that most pairs are skipped, on
-    one with pairs whose means lie exactly reach apart, and on one with
+    a table with pairs whose means lie exactly reach apart, and on
     duplicate rows."""
     rng = np.random.default_rng(25)
-    zero = _emd_table([np.zeros(3), np.zeros(1)])
-    assert zero[0].shape == (2, 0)
+    monkeypatch.setattr(evaluation, "_ENTRY_COST", 0)
+    zero = [np.zeros(3), np.zeros(1)]
+    assert next(_emd_tables(zero))[1].shape == (0, 2)
     # point masses spread over 2,000 bins, each with a little noise
-    centers = rng.integers(0, 2000, 40)
-    far = quantile_table(count_rows([np.bincount(c + rng.integers(0, 30, 5)) for c in centers]))
-    m = far[0] @ far[1]
+    far = [np.bincount(c + rng.integers(0, 30, 5)) for c in rng.integers(0, 2000, 40)]
+    m = np.array([h @ np.arange(len(h)) / h.sum() for h in far])
     assert (np.abs(m[:, None] - m[None]) > evaluation._REACH).mean() > 0.8
+    orbit = integer_count_sets()["orbit_hist"]
+    sets = [list(sparse_rows(rng, 37, 30, [0, 5, 29])), orbit, orbit + [np.array([1000])] * 40,
+            zero, far, [far[i] for i in rng.permutation(np.arange(40).repeat(3))]]
+    assert [table_kind(h) for h in sets[:3]] == ["float", "grid", "cdf"]
     # means (and EMDs) in units of reach at sigma = 1: across the halves
     # (rows 0-3 and 4-7) 0 and 1 lie exactly reach apart, and only the
     # pairs 0, 0.97 and 3, 2.03 have a kernel above 0.0, about 1e-305,
     # which a shorter reach on either side drops
-    edge = (np.array([[0.0], [3.0], [6.0], [9.0], [0.97], [1.0], [2.03], [10.0]]),
-            np.array([evaluation._REACH]))
-    assert (edge[0] @ edge[1])[[0, 5]].tolist() == [0.0, evaluation._REACH]
-    duplicates = (far[0][rng.permutation(np.arange(40).repeat(3))], far[1])
-    tables = [_cdf_table(sparse_rows(rng, 37, 30, [0, 5, 29])),
-              quantile_table(count_rows(integer_count_sets()["orbit_hist"])), zero,
-              far, edge, duplicates]
-    for F, weights in tables:
-        half = (len(F) + 1) // 2
-        for budget in (evaluation._EMD_BLOCK_BYTES, 3 * 8 * len(F) * F.shape[1], 1):
-            monkeypatch.setattr(evaluation, "_EMD_BLOCK_BYTES", budget)
-            for w, sigma in ((1.0, 1.0), (0.01, 0.5)):
-                for Fa, Fb in ((F, F), (F[:half], F[half:]), (F[half:], F)):
-                    e = emd_pairs(Fa, Fb, weights * w)
-                    want = np.exp(-e ** 2 / (2 * sigma ** 2)).mean()
-                    got = _kernel_mean(Fa, Fb, weights * w, sigma)
-                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), \
-                        (F.shape, budget, w, Fa is Fb)
+    edge = np.array([[0.0, 3.0, 6.0, 9.0, 0.97, 1.0, 2.03, 10.0]])
+    weights = np.array([evaluation._REACH])
+    assert (weights @ edge)[[0, 5]].tolist() == [0.0, evaluation._REACH]
+    for budget in (evaluation._EMD_BLOCK_BYTES, 5000, 1):
+        monkeypatch.setattr(evaluation, "_EMD_BLOCK_BYTES", budget)
+        for w, sigma in ((1.0, 1.0), (0.01, 0.5)):
+            for hists in sets:
+                Y = np.eye(2)[rng.integers(0, 2, len(hists))]
+                K = np.exp(-(emd_pairs(hists, w) / sigma) ** 2 / 2)
+                got = sum(_pair_sums(Fa, Fb, Y[ra], Y[rb], v, scale * w, sigma)
+                          for ra, Fa, rb, Fb, v, scale in _emd_tables(hists))
+                np.testing.assert_allclose(got, Y.T @ K @ Y, rtol=1e-12, atol=0.0,
+                                           err_msg=f"{len(hists)} {budget} {w}")
+            Y = np.eye(2)[[0, 1, 0, 1, 1, 0, 1, 1]]
+            K = np.exp(-(np.abs(edge - edge.T) * weights[0] * w / sigma) ** 2 / 2)
+            cross = Y[:4].T @ K[:4, 4:] @ Y[4:]
+            np.testing.assert_allclose(
+                _pair_sums(edge[:, :4], edge[:, 4:], Y[:4], Y[4:], weights, w, sigma),
+                cross + cross.T, rtol=1e-12, atol=0.0)
+            order = np.argsort(edge[0])
+            E = edge[:, order]
+            got = _pair_sums(E, E, Y[order], Y[order], weights, w, sigma)
+            np.testing.assert_allclose(got, Y.T @ K @ Y, rtol=1e-12, atol=0.0)
 
 
 def test_mmd_at_a_tiny_sigma_is_the_point_mass_limit():
@@ -429,47 +457,116 @@ def test_mmd_at_a_tiny_sigma_is_the_point_mass_limit():
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (name, sigma)
 
 
-def test_all_zero_histogram_is_a_point_mass_past_the_end():
+def test_all_zero_histogram_is_a_point_mass_past_the_end(monkeypatch):
     """An all-zero histogram (a 0-node graph, or every value dropped)
-    is a point mass at L, the padded length: its EMD to a histogram of
-    mean m is L - m in both tables. oracles.emd_reference returns 0.0
+    is a point mass at L, the longest length: its EMD to a histogram of
+    mean m is L - m in every table. oracles.emd_reference returns 0.0
     for such degenerate inputs instead, so the convention is pinned
-    against the CDF table and the closed form, not against it."""
+    against the float CDFs and the closed form, not against it. With no
+    cost per table, heavy rows of the same length send the counts from
+    the grids to the counts above each bin."""
+    monkeypatch.setattr(evaluation, "_ENTRY_COST", 0)
     rows = [np.array([0, 0]), np.array([2, 1, 0, 1]), np.array([0]), np.array([0, 0, 0, 3]),
             np.array([1, 1, 1])]
     M = count_rows(rows)
     L = M.shape[1]
-    q = emd_matrix(M, M, 1.0, quantile_table)
-    np.testing.assert_allclose(q, emd_matrix(M, M, 1.0), rtol=1e-12, atol=1e-15)
     means = (M * np.arange(L)).sum(axis=1) / np.maximum(M.sum(axis=1), 1)
-    for i, j in ((0, 1), (0, 3), (2, 4)):
-        assert q[i, j] == pytest.approx(L - means[j], rel=1e-12)
-    assert q[0, 2] == 0.0
-    # every row empty: no grid column and no occupied bin, EMD 0
-    F, weights = _emd_table([np.zeros(3), np.zeros(1)])
-    assert F.shape == (2, 0)
-    np.testing.assert_array_equal(emd_pairs(F, F, weights), np.zeros((2, 2)))
+    cdfs = emd_pairs(list(M * OFF_INTEGER))
+    assert table_kind(list(M * OFF_INTEGER)) == "float"
+    for extra, kind in (([], "grid"), ([np.array([0, 0, 0, 50])] * 5, "cdf")):
+        assert table_kind(rows + extra) == kind
+        q = emd_pairs(rows + extra)[:5, :5]
+        np.testing.assert_allclose(q, cdfs, rtol=1e-12, atol=1e-15)
+        for i, j in ((0, 1), (0, 3), (2, 4)):
+            assert q[i, j] == pytest.approx(L - means[j], rel=1e-12)
+        assert q[0, 2] == 0.0
+    # every row empty: no occupied bin, EMD 0
+    assert next(_emd_tables([np.zeros(3), np.zeros(1)]))[1].shape == (0, 2)
+    np.testing.assert_array_equal(emd_pairs([np.zeros(3), np.zeros(1)]), np.zeros((2, 2)))
 
 
-def test_emd_table_is_the_narrower_one():
-    """_emd_table takes the quantile table only for nonnegative integer
-    counts whose merged grid has fewer columns than the occupied
-    support; it compares the same rows either way."""
+def test_emd_table_is_the_narrower_one(monkeypatch):
+    """For nonnegative integer counts _emd_tables takes the counts above
+    each occupied bin where there are no more such bins than the pairs'
+    quantile grids have columns on average, and the grids otherwise,
+    unless one float64 table of every row's CDF costs less than the
+    tables of every pair of size groups, _ENTRY_COST elements each: so
+    these few histograms of many totals take it. Other rows always do."""
     sets = integer_count_sets()
+    assert {table_kind(hists) for hists in sets.values()} == {"float"}
+    monkeypatch.setattr(evaluation, "_ENTRY_COST", 0)
     for hists in sets.values():
-        M = count_rows(hists)
-        width = min(_cdf_table(M)[0].shape[1], quantile_table(M)[0].shape[1])
-        assert _emd_table(hists)[0].shape[1] == width
-    # orbit totals spread over many bins: the grid is the narrower
-    orbit = count_rows(sets["orbit_hist"])
-    assert quantile_table(orbit)[0].shape[1] < _cdf_table(orbit)[0].shape[1]
-    # a limit at the grid's width or below gives no table
-    width = quantile_table(orbit)[0].shape[1]
-    assert _quantile_table(orbit, width) is None
-    assert _quantile_table(orbit, width + 1)[0].shape[1] == width
+        totals = [max(1, int(h.sum())) for h in hists]
+        width = np.mean([n + m - math.gcd(n, m) for n in totals for m in totals])
+        occupied = len(np.unique(np.concatenate([np.flatnonzero(h) for h in hists])))
+        assert table_kind(hists) == ("cdf" if occupied <= width else "grid")
+    # orbit totals spread over many bins: the grids are the narrower
+    assert table_kind(sets["orbit_hist"]) == "grid"
     # the same rows scaled off the integers keep the CDF table
     halves = [h / 2.0 for h in sets["orbit_hist"] if h.sum() % 2]
-    assert _emd_table(halves)[0].shape[1] == _cdf_table(count_rows(halves))[0].shape[1]
+    assert table_kind(halves) == "float"
+
+
+def test_benchmark_statistics_take_their_tables(tmp_path):
+    """On one of the benchmark's eval inputs (250 graphs a set), degree
+    takes the counts above its few occupied bins, and clustering and
+    orbit take the size-pair grids."""
+    inputs = load_bench_inputs()
+    stats = []
+    for stream in (1, 2):
+        path = tmp_path / f"{stream}.jsonl"
+        inputs.make_dataset(path, 250, 3, stream=stream)
+        stats += graph_stats(load_dataset(str(path))[0])
+    for name, kind in (("degree_hist", "cdf"), ("clustering_hist", "grid"), ("orbit_hist", "grid")):
+        assert table_kind([getattr(s, name) for s in stats]) == kind, name
+
+
+def test_size_pair_grids_are_exact(monkeypatch):
+    """EMDs on the size-pair grids match the transport solver to 1e-12
+    on mixed totals: 19 and 20 (coprime), 1 and 20, and length-1
+    histograms, and L - m from an all-zero one to a row of mean m. The
+    float32 and float64 branches give bit-identical EMDs. Totals 97 and
+    89 over 2,000 bins, where l * L >= 2**24, compare in float64 and
+    match."""
+    rng = np.random.default_rng(29)
+    monkeypatch.setattr(evaluation, "_ENTRY_COST", 0)
+
+    def spread(total, L):
+        return np.bincount(rng.integers(0, L, total), minlength=L)
+
+    hists = ([spread(n, 120) for n in (19, 19, 19, 20, 20, 20, 1, 1)]
+             + [np.array([3]), np.array([1]), np.zeros(7), np.zeros(0)])
+    assert table_kind(hists) == "grid"
+    assert {F.dtype for _, F, _, _, _, _ in _emd_tables(hists)} == {np.dtype(np.float32)}
+    got = emd_pairs(hists, 0.1)
+    M = count_rows(hists)
+    for i, j in itertools.product(range(len(M)), repeat=2):
+        if M[i].any() and M[j].any():
+            want = emd_reference(M[i], M[j], 0.1)
+        else:  # an all-zero row is a point mass at L = 120
+            want = 0.1 * abs((M[i] @ np.arange(120) / M[i].sum() if M[i].any() else 120)
+                             - (M[j] @ np.arange(120) / M[j].sum() if M[j].any() else 120))
+        assert got[i, j] == pytest.approx(want, rel=1e-12, abs=1e-15), (i, j)
+    # the same tables in float64 hold the same integers: bit-identical
+    # EMDs and kernel sums
+    Y = np.eye(2)[rng.integers(0, 2, len(hists))]
+    for ra, Fa, rb, Fb, w, scale in _emd_tables(hists):
+        Fa64 = Fa.astype(np.float64)
+        Fb64 = Fa64 if Fb is Fa else Fb.astype(np.float64)
+
+        def results(F, G, v):  # the entry's EMD matrix and kernel sums
+            return (np.tensordot(v, np.abs(F[:, :, None] - G[:, None]), 1).astype(np.float64),
+                    _pair_sums(F, G, Y[ra], Y[rb], v, scale * 0.1, 0.5))
+
+        for got, want in zip(results(Fa, Fb, w), results(Fa64, Fb64, w.astype(np.float64))):
+            np.testing.assert_array_equal(got, want)
+    wide = [spread(n, 2000) for n in (97, 97, 97, 89, 89, 89)]
+    assert math.lcm(97, 89) * 2000 >= 2 ** 24 and table_kind(wide) == "grid"
+    # only the entry across the totals has l = 8,633
+    assert [F.dtype.name for _, F, _, _, _, _ in _emd_tables(wide)] == \
+        ["float32", "float64", "float32"]
+    want = np.array([[emd_reference(x, y) for y in wide] for x in wide])
+    np.testing.assert_allclose(emd_pairs(wide), want, rtol=1e-12, atol=1e-15)
 
 
 def test_mmd_memory_stays_bounded():
@@ -494,8 +591,7 @@ def test_mmd_memory_stays_bounded_on_integer_counts():
     rng = np.random.default_rng(27)
     a, b = ([np.bincount(rng.integers(0, 300, size=int(rng.integers(12, 21))), minlength=300)
              for _ in range(300)] for _ in range(2))
-    F, _ = _emd_table(a + b)
-    assert F.shape[1] < _cdf_table(count_rows(a + b))[0].shape[1]
+    assert table_kind(a + b) == "grid"
     tracemalloc.start()
     try:
         mmd(a, b)
@@ -637,15 +733,24 @@ def test_mmd_report_structure_and_file(tmp_path):
     assert rep["ref_count"] == 6 and rep["gen_count"] == 6
     assert rep["sigma"] == 1.0 and rep["clustering_bins"] == 100
 
+    terms = [f"k_{side}_{stat}" for stat in ("degree", "clustering", "orbit")
+             for side in ("ref", "gen", "cross")]
+    for stat in ("degree", "clustering", "orbit"):
+        k_ref, k_gen, k_cross = (rep[f"k_{side}_{stat}"] for side in ("ref", "gen", "cross"))
+        assert 0.0 < k_cross <= 1.0 and 0.0 < k_ref <= 1.0 and 0.0 < k_gen <= 1.0
+        assert rep["mmd_" + stat] == pytest.approx(k_ref + k_gen - 2.0 * k_cross, abs=1e-12)
+
     p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     write_mmd_report(p1, rep)
     write_mmd_report(p2, rep)
     assert p1.read_bytes() == p2.read_bytes()
     lines = p1.read_text().splitlines()
-    assert lines[0].startswith("#") and lines[1].startswith("#")
-    header = lines[2].split(",")
+    assert [l.startswith("#") for l in lines] == [True] * 3 + [False] * 2
+    assert "k_ref_s + k_gen_s - 2*k_cross_s" in lines[2]
+    header = lines[3].split(",")
     assert header[:4] == ["mmd_degree", "mmd_clustering", "mmd_orbit", "mmd_avg"]
-    row = lines[3].split(",")
+    assert header[-9:] == terms
+    row = lines[4].split(",")
     np.testing.assert_allclose(float(row[3]), rep["mmd_avg"], rtol=1e-9)
 
 
