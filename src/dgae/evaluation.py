@@ -17,15 +17,14 @@ This reading is stated in every report this module writes.
 Statistics are computed a set at a time: graph_stats groups a set by
 node count and works on stacked (G, n, n) adjacency matrices in chunks
 of bounded size. Orbit counting packs each node pair's edges across a
-chunk's graphs into words of up to 64 bits, one bit per graph, and
-tests every subset of 2 to 4 nodes in all graphs at once: a subset is connected
-where it holds an edge of every minimal cut, an AND over the cuts of
-the OR of each cut's pairs. mmd computes each EMD of integer counts
-exactly, in integers, on the grid of the two histograms' own totals n
-and m (their quantile functions at the shares k/n and k/m) or at the
-occupied bins, and sums kernel values over blocks of rows into a 2 x 2
-table by set, with no N x N matrix, skipping the pairs whose kernel is
-exactly 0.0: those whose means lie further apart than where it underflows.
+chunk's graphs into words of up to 64 bits, one bit per graph, and tests
+every subset of 2 to 4 nodes in all graphs at once: a subset is
+connected where it holds an edge of every minimal cut, an AND over the
+cuts of the OR of each cut's pairs. mmd computes each EMD of integer
+counts exactly on the grid of the two histograms' own totals n and m
+(their quantile functions at the shares k/n and k/m) or at the occupied
+bins, and sums kernel values over row blocks into a 2 x 2 table by set,
+with no N x N matrix, skipping the pairs whose kernel is exactly 0.0.
 
 Every CSV report goes through write_report, whose comment lines state
 its conventions. Both ablation studies are one _sweep over (cell, seed).
@@ -256,10 +255,9 @@ def graph_stats(graphs, clustering_bins=100):
 # working memory at 2,000 histograms a set near that at 250
 _EMD_BLOCK_BYTES = 1 << 18
 
-# float32 holds every integer below 2**24 exactly; one more table costs
-# _pair_sums about _ENTRY_COST table elements; a total of fewer histograms
-# than _GROUP_ROWS shares a size group with as few ones just below it
-_FLOAT32_EXACT, _ENTRY_COST, _GROUP_ROWS = 1 << 24, 100_000, 16
+# float32 holds every integer below 2**24 exactly; size groups of fewer than _GROUP_ROWS
+# histograms merge in _emd_tables, as measured in BENCH_size_pair_emd.json ("grouping")
+_FLOAT32_EXACT, _GROUP_ROWS = 1 << 24, 16
 
 
 @functools.lru_cache(maxsize=1024)
@@ -277,12 +275,12 @@ def _emd_tables(hists):
     weights @ F: the EMD in bins of rows ra[i] and rb[j] is weights @
     |Fa[:, i] - Fb[:, j]| * scale, and each pair of rows is in one entry.
     An all-zero row is one count at L, the longest length. Integer counts
-    are grouped by total, and each pair of groups has integer entries
-    and weights and scale 1 / l, l the lcm of their totals: on their
-    _grid, or at the bins U occupied in any row, the counts above each
-    times l / n. So l * EMD <= l * L is exact, in float32 if below
-    _FLOAT32_EXACT. Where that costs more, one float64 table holds the
-    shares above each bin, as for other rows. No table is padded to L.
+    are grouped by total, and each pair of groups has integer entries and
+    weights and scale 1 / l, l the lcm of their totals: on their _grid or,
+    where narrower, at the bins U occupied in any row, the counts above
+    each times l / n. So l * EMD <= l * L is exact, in float32 if below
+    _FLOAT32_EXACT. Other rows take one float64 table of the shares above
+    each bin. No table is padded to L.
     """
     N, lengths = len(hists), np.array([len(h) for h in hists])
     L, step = int(lengths.max()), max(1, N * (_EMD_BLOCK_BYTES >> 5) // max(1, int(lengths.sum())))
@@ -303,29 +301,31 @@ def _emd_tables(hists):
     n, U = np.where(totals > 0, totals, 1.0), np.flatnonzero(occupied)
     w, sums[totals == 0] = np.diff(np.append(U, L)), L
     sizes, count = np.unique(n, return_counts=True)
-    # in table elements, one float64 table costs twice float32 ones per pair
-    cost, groups = len(U) * N ** 2, []
-    pairs = integer and sizes[-1] ** 2 * (L + 1) < 2.0 ** 53
-    if pairs:
-        n, sizes = n.astype(np.int64), sizes.astype(np.int64)
-        grid = count @ (sizes[:, None] + sizes - np.gcd.outer(sizes, sizes)) @ count
-        cdf = cost <= grid  # any totals may then share a group if a float64 table is small
-        wide = cdf and 8 * N * len(U) <= _EMD_BLOCK_BYTES
+
+    def grouped(few):  # (totals, rows): a total joins the group before while both hold
+        groups = []    # fewer than `few` rows and l * L < _FLOAT32_EXACT, l its totals' lcm
         for size, c in zip(sizes.tolist(), count.tolist()):
-            last, rows = groups[-1] if groups else ((), 0)
-            few = wide or max(c, rows) < _GROUP_ROWS
-            if groups and few and math.lcm(*last, size) * L < _FLOAT32_EXACT:
+            last, rows = groups[-1] if groups else ((), few)
+            if max(c, rows) < few and math.lcm(*last, size) * L < _FLOAT32_EXACT:
                 groups[-1] = (last + (size,), rows + c)
             else:
                 groups.append(((size,), c))
-        pairs = min(cost, grid) + _ENTRY_COST * len(groups) ** 2 < 2 * cost
-    if not pairs or cdf:  # each row's counts above each bin of U
-        table = np.zeros((N, len(U)), np.min_scalar_type(int(n.max())) if pairs else np.float64)
+        return groups
+    exact = integer and sizes[-1] ** 2 * (L + 1) < 2.0 ** 53
+    if exact:  # the narrower tables, in elements summed over pairs of groups
+        n, sizes = n.astype(np.int64), sizes.astype(np.int64)
+        groups = grouped(_GROUP_ROWS)
+        cdf = len(U) * N ** 2 <= sum(a * b * len(_grid(tuple(sorted({*sa, *sb})))[0])
+                                     for (sa, a), (sb, b) in itertools.product(groups, repeat=2))
+        if cdf and 8 * N * len(U) <= _EMD_BLOCK_BYTES:  # any totals, as a float64 copy
+            groups = grouped(N + 1)                     # of the table fits a block
+    if not exact or cdf:  # each row's counts above each bin of U
+        table = np.zeros((N, len(U)), np.min_scalar_type(int(n.max())) if exact else np.float64)
         for row, col, vals in read():
             table[row, np.searchsorted(U, col)] = vals
         np.cumsum(table, axis=1, out=table)
         np.subtract(n[:, None], table, out=table, casting="unsafe")
-    if not pairs:  # as shares, in one table
+    if not exact:  # as shares, in one table
         table /= n[:, None]
         rows = np.argsort(table @ w, kind="stable")
         table = np.ascontiguousarray(table[rows].T)
@@ -356,15 +356,14 @@ _REACH = math.sqrt(2.0 * 746.0)
 
 
 def _pair_sums(Fa, Fb, ya, yb, weights, unit, sigma):
-    """(2, 2) sums of exp(-(emd / sigma)^2 / 2), emd = weights @ |a - b| *
-    unit, over the rows a of Fa and b of Fb (an _emd_tables entry) in
-    both orders, keyed by their one-hot sets ya and yb; with Fb is Fa and
-    yb ya, over every ordered pair. Rows of Fa go in blocks of about
-    _EMD_BLOCK_BYTES (in float32) that meet, with Fb is Fa, their own
-    square once and the rows after it twice, and only the rows whose
-    means m = weights @ F lie within sigma * _REACH / unit (plus a
-    rounding bound): |m_a - m_b| * unit <= emd, so each pair left out
-    has a kernel of exactly 0.0.
+    """(2, 2) sums of exp(-(emd / sigma)^2 / 2), emd = weights @ |a - b| * unit,
+    over the rows a of Fa and b of Fb (an _emd_tables entry) in both orders,
+    keyed by their one-hot sets ya and yb; with Fb is Fa and yb ya, over
+    every ordered pair. Rows of Fa go in blocks of about _EMD_BLOCK_BYTES
+    (in float32) that meet, with Fb is Fa, their own square once and the
+    rows after it twice, and only the rows whose means m = weights @ F lie
+    within sigma * _REACH / unit (plus a rounding bound): |m_a - m_b| *
+    unit <= emd, so each pair left out has a kernel of exactly 0.0.
     """
     same, w64 = Fb is Fa, weights.astype(np.float64)
     ma, mb = w64 @ Fa, w64 @ Fb
@@ -406,12 +405,14 @@ def mmd(hists_a, hists_b, sigma=1.0, bin_width=1.0, terms=False):
     histograms but not on spread ones (1-D EMD is an L1 distance between
     CDFs, and L1 is not Hilbertian), so the value is not a squared RKHS
     norm there and can be genuinely negative; such values are returned
-    as they are. terms=True returns (mmd, k_ref, k_gen, k_cross): the
-    mean kernel within hists_a, within hists_b and across them.
+    as they are. terms=True returns (mmd, k_ref, k_gen, k_cross), the
+    mean kernels within hists_a, within hists_b and across them, so that
+    mmd_report's statistics stay the mmd spans dgaebench/tracer.py times.
 
     The EMD is over the tables of _emd_tables, exact for integer counts
-    (Vallender 1973); _pair_sums skips only pairs of kernel exactly 0.0,
-    so the sums differ from the full double sum only in their order.
+    on each size pair's own grid (Vallender 1973); _pair_sums skips only
+    pairs of kernel exactly 0.0, so the sums differ from the full double
+    sum only in their order.
     """
     if not hists_a or not hists_b:
         raise ValueError("mmd needs nonempty sets")
@@ -423,8 +424,7 @@ def mmd(hists_a, hists_b, sigma=1.0, bin_width=1.0, terms=False):
     val = k[0] + k[1] - 2.0 * k[2]
     # the floor absorbs rounding only; a value past it comes from the
     # kernel not being PSD on spread histograms and is reported as is
-    if -1e-12 < val < 0.0:
-        val = 0.0
+    val = 0.0 if -1e-12 < val < 0.0 else val
     return (val, *k) if terms else val
 
 

@@ -355,15 +355,14 @@ def integer_count_sets():
             for name in ("degree_hist", "clustering_hist", "orbit_hist")}
 
 
-def test_quantile_table_matches_cdf_table_and_reference(monkeypatch):
+def test_quantile_table_matches_cdf_table_and_reference():
     """On integer counts the quantile grids, the counts above each
     occupied bin and the float CDFs give one EMD matrix, and each
     matches the transport solver. Length-1 histograms meet longer ones.
-    With no cost per table, extra rows steer the choice: one spread over
+    Extra rows steer the choice: one spread over
     200 bins makes the grids the narrower, many heavy ones at bin 0 the
     counts above each bin, and the same rows off the integers take the
     CDFs."""
-    monkeypatch.setattr(evaluation, "_ENTRY_COST", 0)
     for name, hists in integer_count_sets().items():
         hists = hists + [np.array([1])]
         M = count_rows(hists)
@@ -393,7 +392,6 @@ def test_kernel_mean_is_the_mean_of_the_full_kernel_matrix(monkeypatch):
     a table with pairs whose means lie exactly reach apart, and on
     duplicate rows."""
     rng = np.random.default_rng(25)
-    monkeypatch.setattr(evaluation, "_ENTRY_COST", 0)
     zero = [np.zeros(3), np.zeros(1)]
     assert next(_emd_tables(zero))[1].shape == (0, 2)
     # point masses spread over 2,000 bins, each with a little noise
@@ -457,15 +455,14 @@ def test_mmd_at_a_tiny_sigma_is_the_point_mass_limit():
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (name, sigma)
 
 
-def test_all_zero_histogram_is_a_point_mass_past_the_end(monkeypatch):
+def test_all_zero_histogram_is_a_point_mass_past_the_end():
     """An all-zero histogram (a 0-node graph, or every value dropped)
     is a point mass at L, the longest length: its EMD to a histogram of
     mean m is L - m in every table. oracles.emd_reference returns 0.0
     for such degenerate inputs instead, so the convention is pinned
-    against the float CDFs and the closed form, not against it. With no
-    cost per table, heavy rows of the same length send the counts from
-    the grids to the counts above each bin."""
-    monkeypatch.setattr(evaluation, "_ENTRY_COST", 0)
+    against the float CDFs and the closed form, not against it. Extra
+    rows of total one at bin 1 send the counts to the grids, heavy rows
+    of the same length to the counts above each bin."""
     rows = [np.array([0, 0]), np.array([2, 1, 0, 1]), np.array([0]), np.array([0, 0, 0, 3]),
             np.array([1, 1, 1])]
     M = count_rows(rows)
@@ -473,7 +470,7 @@ def test_all_zero_histogram_is_a_point_mass_past_the_end(monkeypatch):
     means = (M * np.arange(L)).sum(axis=1) / np.maximum(M.sum(axis=1), 1)
     cdfs = emd_pairs(list(M * OFF_INTEGER))
     assert table_kind(list(M * OFF_INTEGER)) == "float"
-    for extra, kind in (([], "grid"), ([np.array([0, 0, 0, 50])] * 5, "cdf")):
+    for extra, kind in (([np.array([0, 1])] * 20, "grid"), ([np.array([0, 0, 0, 50])] * 5, "cdf")):
         assert table_kind(rows + extra) == kind
         q = emd_pairs(rows + extra)[:5, :5]
         np.testing.assert_allclose(q, cdfs, rtol=1e-12, atol=1e-15)
@@ -485,23 +482,22 @@ def test_all_zero_histogram_is_a_point_mass_past_the_end(monkeypatch):
     np.testing.assert_array_equal(emd_pairs([np.zeros(3), np.zeros(1)]), np.zeros((2, 2)))
 
 
-def test_emd_table_is_the_narrower_one(monkeypatch):
+def test_emd_table_is_the_narrower_one():
     """For nonnegative integer counts _emd_tables takes the counts above
-    each occupied bin where there are no more such bins than the pairs'
-    quantile grids have columns on average, and the grids otherwise,
-    unless one float64 table of every row's CDF costs less than the
-    tables of every pair of size groups, _ENTRY_COST elements each: so
-    these few histograms of many totals take it. Other rows always do."""
+    each occupied bin where that table holds no more elements than the
+    quantile grids of every pair of size groups, and the grids otherwise:
+    on rows of one total n, whose grid has n columns, the counts above
+    each bin where no more than n bins are occupied. Integer rows take
+    one of the two however few rows and many totals they have; other
+    rows take the float CDFs."""
+    rng = np.random.default_rng(30)
+    for n, L in ((5, 3), (5, 5), (5, 6), (40, 30), (40, 60)):
+        hists = [np.bincount(rng.integers(0, L, n), minlength=L) for _ in range(12)]
+        occupied = np.count_nonzero(np.sum(hists, axis=0))
+        assert table_kind(hists) == ("cdf" if occupied <= n else "grid"), (n, L)
     sets = integer_count_sets()
-    assert {table_kind(hists) for hists in sets.values()} == {"float"}
-    monkeypatch.setattr(evaluation, "_ENTRY_COST", 0)
-    for hists in sets.values():
-        totals = [max(1, int(h.sum())) for h in hists]
-        width = np.mean([n + m - math.gcd(n, m) for n in totals for m in totals])
-        occupied = len(np.unique(np.concatenate([np.flatnonzero(h) for h in hists])))
-        assert table_kind(hists) == ("cdf" if occupied <= width else "grid")
-    # orbit totals spread over many bins: the grids are the narrower
-    assert table_kind(sets["orbit_hist"]) == "grid"
+    assert {name: table_kind(hists) for name, hists in sets.items()} == \
+        {"degree_hist": "cdf", "clustering_hist": "cdf", "orbit_hist": "grid"}
     # the same rows scaled off the integers keep the CDF table
     halves = [h / 2.0 for h in sets["orbit_hist"] if h.sum() % 2]
     assert table_kind(halves) == "float"
@@ -521,7 +517,7 @@ def test_benchmark_statistics_take_their_tables(tmp_path):
         assert table_kind([getattr(s, name) for s in stats]) == kind, name
 
 
-def test_size_pair_grids_are_exact(monkeypatch):
+def test_size_pair_grids_are_exact():
     """EMDs on the size-pair grids match the transport solver to 1e-12
     on mixed totals: 19 and 20 (coprime), 1 and 20, and length-1
     histograms, and L - m from an all-zero one to a row of mean m. The
@@ -529,7 +525,6 @@ def test_size_pair_grids_are_exact(monkeypatch):
     89 over 2,000 bins, where l * L >= 2**24, compare in float64 and
     match."""
     rng = np.random.default_rng(29)
-    monkeypatch.setattr(evaluation, "_ENTRY_COST", 0)
 
     def spread(total, L):
         return np.bincount(rng.integers(0, L, total), minlength=L)
