@@ -14,17 +14,22 @@ in connected induced subgraphs on 2 to 4 nodes (equivalently the sum
 of its graphlet orbit counts), and histogram those totals per graph.
 This reading is stated in every report this module writes.
 
-Statistics are computed a set at a time: graph_stats groups a set by
-node count and works on stacked (G, n, n) adjacency matrices in chunks
-of bounded size. Orbit counting packs each node pair's edges across a
-chunk's graphs into words of up to 64 bits, one bit per graph, and tests
-every subset of 2 to 4 nodes in all graphs at once: a subset is
-connected where it holds an edge of every minimal cut, an AND over the
-cuts of the OR of each cut's pairs. mmd computes each EMD of integer
-counts exactly on the grid of the two histograms' own totals n and m
-(their quantile functions at the shares k/n and k/m) or at the occupied
-bins, and sums kernel values over row blocks into a 2 x 2 table by set,
-with no N x N matrix, skipping the pairs whose kernel is exactly 0.0.
+Statistics are computed a set at a time, once for both sets of a
+report: graph_stats groups the graphs by node count and works on stacked
+(G, n, n) bool adjacency matrices in chunks of bounded size, with
+triangles counted exactly in float32 (no count passes n^2 < 2**24). Per
+statistic it returns one sparse Counts table: CSR-style row offsets, the
+bins and counts of each row's nonzero entries, and the histogram length
+L. Orbit counting packs each node pair's edges across a chunk's graphs
+into words of up to 64 bits, one bit per graph, and tests every subset
+of 2 to 4 nodes in all graphs at once: a subset is connected where it
+holds an edge of every minimal cut, an AND over the cuts of the OR of
+each cut's pairs. mmd reads the rows of both sets as one such table,
+computes each EMD of integer counts exactly on the grid of the two
+histograms' own totals n and m (their quantile functions at the shares
+k/n and k/m) or at the occupied bins, and sums kernel values over row
+blocks into a 2 x 2 table by set, with no N x N matrix, skipping the
+pairs whose kernel is exactly 0.0.
 
 Every CSV report goes through write_report, whose comment lines state
 its conventions. Both ablation studies are one _sweep over (cell, seed).
@@ -174,28 +179,70 @@ def node_orbit_counts(A):
 # ---------------------------------------------------------------------------
 # per-graph statistics, computed a set at a time
 
-@dataclass
+@dataclass(frozen=True)
+class Counts:
+    """A set's histograms, a row each: row i's nonzero entries are the
+    counts counts[o:p] at ascending bins bins[o:p], o, p = offsets[i:i +
+    2]. Every row is L bins long, so an all-zero row is a point mass at
+    L. table[a:b] is rows a to b, as views."""
+    offsets: np.ndarray
+    bins: np.ndarray
+    counts: np.ndarray
+    L: int
+
+    def __len__(self):
+        return len(self.offsets) - 1
+
+    def __getitem__(self, rows):
+        a, b, _ = rows.indices(len(self))
+        o = self.offsets[a:b + 1]
+        return Counts(o - o[0], self.bins[o[0]:o[-1]], self.counts[o[0]:o[-1]], self.L)
+
+
+@dataclass(frozen=True)
 class GraphStats:
-    degree_hist: np.ndarray      # raw counts, unit bins
-    clustering_hist: np.ndarray  # raw counts over [0, 1]
-    orbit_hist: np.ndarray       # raw counts of per-node orbit totals
+    """A set's three statistics, one Counts table each, rows in input order."""
+    degree: Counts      # raw counts, unit bins
+    clustering: Counts  # raw counts over [0, 1]
+    orbit: Counts       # raw counts of per-node orbit totals, unit bins
+
+    def __len__(self):
+        return len(self.degree)
+
+
+def _counts(hists):
+    """hists as a Counts table: a Counts as it is, or a sequence of 1-D
+    histograms read once, L their longest length."""
+    if isinstance(hists, Counts):
+        return hists
+    lengths = np.array([len(h) for h in hists], dtype=np.int64)
+    starts = np.concatenate([[0], np.cumsum(lengths)])
+    flat = np.concatenate([np.zeros(0), *hists])
+    at = np.flatnonzero(flat)
+    counts, offsets = flat[at], np.searchsorted(at, starts)
+    del flat
+    at -= np.repeat(starts[:-1], np.diff(offsets))  # bins
+    return Counts(offsets, at, counts, int(lengths.max(initial=0)))
 
 
 # byte budget of graph_stats' largest per-chunk temporary, the (C(n, 4), G)
 # float32 connectedness matrix that node_orbit_counts unpacks from its
 # words, so that its memory does not grow with the set; from two graphs on,
-# the six pair words it gathers per 4-subset take fewer bytes
+# the six pair words it gathers per 4-subset take fewer bytes, and from 8
+# nodes on so does each (G, n, n) float32 triangle product (below 8 nodes a
+# product passes the budget only in a chunk of over 10,000 graphs)
 _STATS_CHUNK_BYTES = 1 << 21
 
 
 def clustering_coefficients(A):
     """(G, n) local clustering coefficients of a (G, n, n) stack of 0/1
-    int64 adjacency matrices: 2 * triangles / (deg * (deg - 1)), 0 where
-    a node has fewer than two neighbours."""
+    adjacency matrices of any dtype: 2 * triangles / (deg * (deg - 1)),
+    0 where a node has fewer than two neighbours."""
     deg = A.sum(axis=2)
-    Af = A.astype(np.float64)
-    # diag(A @ A @ A) without the third product; exact in float64
-    tri = np.rint(((Af @ Af) * Af.transpose(0, 2, 1)).sum(axis=2)).astype(np.int64) // 2
+    Af = A.astype(np.float32)
+    # diag(A @ A @ A) without the third product; exact in float32, as no
+    # entry or row sum of the products passes n^2 < 2**24
+    tri = ((Af @ Af) * Af.transpose(0, 2, 1)).sum(axis=2).astype(np.int64) // 2
     denom = deg * (deg - 1)
     return np.where(denom > 0, 2.0 * tri / np.maximum(denom, 1), 0.0)
 
@@ -213,40 +260,49 @@ def _uniform_histograms(x, bins):
     return np.bincount(rows[keep] * bins + idx, minlength=len(keep) * bins).reshape(-1, bins)
 
 
-def _row_bincounts(v):
-    """Per row of the (G, n) int64 array v, np.bincount(row)."""
-    G = len(v)
-    width = int(v.max()) + 1
-    counts = np.bincount((v + width * np.arange(G)[:, None]).ravel(),
-                         minlength=G * width).reshape(G, width)
-    # copies, so no row keeps the chunk's widest padding alive
-    return [row[:top + 1].copy() for row, top in zip(counts, v.max(axis=1))]
+def _bincounts(v):
+    """(G, v.max() + 1) int64: np.bincount of each row of the (G, n) int64 array v."""
+    width = int(v.max(initial=0)) + 1
+    return np.bincount((v + width * np.arange(len(v))[:, None]).ravel(),
+                       minlength=len(v) * width).reshape(-1, width)
 
 
 def graph_stats(graphs, clustering_bins=100):
-    """One GraphStats per graph of a set, in input order.
+    """The GraphStats of a set: per statistic, one Counts table whose
+    row k is graph k's histogram.
 
     Graphs are grouped by node count, and each group's adjacency
-    matrices are stacked and processed in chunks whose largest
+    matrices are stacked as bool and processed in chunks whose largest
     temporary stays near _STATS_CHUNK_BYTES: degrees and triangles come
     from batched sums and products, and each kind of histogram of a
-    chunk from one binning.
+    chunk from one binning, whose nonzero entries are kept with their
+    input row. At the end one stable sort by row puts each table in
+    input order.
     """
-    out = [None] * len(graphs)
     by_n = {}
     for k, g in enumerate(graphs):
         by_n.setdefault(g.n, []).append(k)
+    parts, L = ([], [], []), [0, clustering_bins, 0]  # per statistic, per chunk: (rows, bins, counts)
     for n, members in sorted(by_n.items()):
         rows = max(1, _STATS_CHUNK_BYTES // (4 * max(1, math.comb(n, 4))))
         for r in range(0, len(members), rows):
             chunk = members[r:r + rows]
-            A = np.stack([graphs[k].adjacency() for k in chunk])
-            degree = _row_bincounts(A.sum(axis=2))
-            clustering = _uniform_histograms(clustering_coefficients(A), clustering_bins)
-            orbit = _row_bincounts(node_orbit_counts(A))
-            for k, d, c, o in zip(chunk, degree, clustering, orbit):
-                out[k] = GraphStats(d, c, o)
-    return out
+            A = np.stack([graphs[k].edge_categories for k in chunk]) != 0
+            coefs = clustering_coefficients(A)
+            hists = (_bincounts(A.sum(axis=2)), _uniform_histograms(coefs, clustering_bins),
+                     _bincounts(node_orbit_counts(A)))
+            for i, h in enumerate(hists):
+                at = np.flatnonzero(h)
+                parts[i].append((np.take(chunk, at // h.shape[1]), at % h.shape[1], h.ravel()[at]))
+                L[i] = max(L[i], h.shape[1])
+    tables = []
+    for part, width in zip(parts, L):
+        row, bins, counts = (np.concatenate([np.zeros(0, np.int64)] + [c[i] for c in part])
+                             for i in range(3))
+        take = np.argsort(row, kind="stable")
+        offsets = np.append(0, np.cumsum(np.bincount(row, minlength=len(graphs))))
+        tables.append(Counts(offsets, bins[take], counts[take], width))
+    return GraphStats(*tables)
 
 
 # budget of the row block over which _pair_sums sums kernel values, in bytes
@@ -270,27 +326,28 @@ def _grid(sizes):
 
 
 def _emd_tables(hists):
-    """The tables on which mmd compares hists, yielded as (ra, Fa, rb, Fb,
-    weights, scale), each (columns, rows) with its rows sorted by mean
-    weights @ F: the EMD in bins of rows ra[i] and rb[j] is weights @
-    |Fa[:, i] - Fb[:, j]| * scale, and each pair of rows is in one entry.
-    An all-zero row is one count at L, the longest length. Integer counts
-    are grouped by total, and each pair of groups has integer entries and
-    weights and scale 1 / l, l the lcm of their totals: on their _grid or,
-    where narrower, at the bins U occupied in any row, the counts above
-    each times l / n. So l * EMD <= l * L is exact, in float32 if below
-    _FLOAT32_EXACT. Other rows take one float64 table of the shares above
-    each bin. No table is padded to L.
+    """The tables on which mmd compares hists (read by _counts), yielded
+    as (ra, Fa, rb, Fb, weights, scale), each (columns, rows) with its
+    rows sorted by mean weights @ F: the EMD in bins of rows ra[i] and
+    rb[j] is weights @ |Fa[:, i] - Fb[:, j]| * scale, and each pair of
+    rows is in one entry. An all-zero row is one count at L.
+    Integer counts are grouped by total, and each pair of groups has
+    integer entries and weights and scale 1 / l, l the lcm of their
+    totals: on their _grid, read off each group's table on its own grid,
+    or, where narrower, at the bins U occupied in any row, the counts
+    above each times l / n. So l * EMD <= l * L is exact, in float32 if
+    below _FLOAT32_EXACT. Other rows take one float64 table of the shares
+    above each bin. No table is padded to L.
     """
-    N, lengths = len(hists), np.array([len(h) for h in hists])
-    L, step = int(lengths.max()), max(1, N * (_EMD_BLOCK_BYTES >> 5) // max(1, int(lengths.sum())))
+    h = _counts(hists)
+    N, L = len(h), h.L
+    step = max(1, N * (_EMD_BLOCK_BYTES >> 5) // max(1, len(h.bins)))
 
-    def read():  # (row, bin, count) of the nonzero counts, a few histograms at a time
+    def read():  # (row, bin, count) of the nonzero counts, a few thousand at a time
         for a in range(0, N, step):
-            flat, ends = np.concatenate(hists[a:a + step]), np.cumsum(lengths[a:a + step])
-            col = np.flatnonzero(flat)
-            row = np.searchsorted(ends, col, side="right")
-            yield a + row, col - (ends - lengths[a:a + step])[row], flat[col].astype(np.float64)
+            o = h.offsets[a:a + step + 1]
+            yield (np.repeat(np.arange(a, a + len(o) - 1), np.diff(o)), h.bins[o[0]:o[-1]],
+                   h.counts[o[0]:o[-1]].astype(np.float64))
 
     totals, sums, occupied, integer = np.zeros(N), np.zeros(N), np.zeros(L, bool), True
     for row, col, vals in read():
@@ -332,22 +389,34 @@ def _emd_tables(hists):
         yield rows, table, rows, table, w.astype(np.float64), 1.0
         return
     if not cdf:  # every row's counts' bins in order, then an all-zero row's one at L
-        table = np.concatenate([c.repeat(v.astype(np.int64)) for _, c, v in read()] + [[L]])
-        first = np.where(totals > 0, np.cumsum(totals) - totals, len(table) - 1).astype(np.int64)
+        values = np.append(np.repeat(h.bins, h.counts.astype(np.int64)), L)
+        first = np.where(totals > 0, np.cumsum(totals) - totals, len(values) - 1).astype(np.int64)
     for i, (sizes, _) in enumerate(groups):
         rows = np.flatnonzero(np.isin(n, sizes))
         rows = rows[np.argsort(sums[rows] * (math.lcm(*sizes) // n[rows]), kind="stable")]
-        groups[i] = (sizes, rows, np.ascontiguousarray(table[rows].T) if cdf else table)
+        if cdf:
+            own = np.ascontiguousarray(table[rows].T)
+        else:  # the rows' quantile functions on their own group's grid
+            t, _, l = _grid(sizes)
+            own = values[first[rows] + (t[:, None] - 1) // (l // n[rows])].astype(
+                np.float32 if L < _FLOAT32_EXACT else np.float64)
+        groups[i] = (sizes, rows, own)
 
-    def side(rows, A, l, t, dtype):  # a group's table in one entry
-        return (np.multiply(A, l // n[rows], dtype=dtype) if cdf
-                else A[first[rows] + (t[:, None] - 1) // (l // n[rows])].astype(dtype))
+    def side(sizes, rows, own, l, t, dtype):  # a group's table in one entry
+        if cdf:
+            return np.multiply(own, l // n[rows], dtype=dtype)
+        t_own, _, l_own = _grid(sizes)
+        if len(t_own) < len(t):  # each share of the wider grid reads the next of its own
+            own = own.take(np.searchsorted(t_own * (l // l_own), t), axis=0)
+        return own.astype(dtype, copy=False)
 
     for (sa, ra, A), (sb, rb, B) in itertools.combinations_with_replacement(groups, 2):
-        t, weights, l = (None, w, math.lcm(*sa, *sb)) if cdf else _grid(tuple(sorted({*sa, *sb})))
+        union = tuple(sorted({*sa, *sb}))
+        t, weights, l = (None, w, math.lcm(*union)) if cdf else _grid(union)
         dtype = np.float32 if l * L < _FLOAT32_EXACT else np.float64
-        Fa = side(ra, A, l, t, dtype)
-        yield ra, Fa, rb, Fa if ra is rb else side(rb, B, l, t, dtype), weights.astype(dtype), 1 / l
+        Fa = side(sa, ra, A, l, t, dtype)
+        Fb = Fa if ra is rb else side(sb, rb, B, l, t, dtype)
+        yield ra, Fa, rb, Fb, weights.astype(dtype), 1 / l
 
 
 # exp(-x) is exactly 0.0 in float64 for x > 745.2, so a pair whose EMD
@@ -383,7 +452,11 @@ def _pair_sums(Fa, Fb, ya, yb, weights, unit, sigma):
                 size = np.arange(1, rows + 1) * (np.array(hi[r:r + rows]) - first)
                 rows = max(1, int(np.searchsorted(size, cap, side="right")))
             last = hi[r + rows - 1]
-            k = Fa[:, r:r + rows, None] - Fb[:, None, first:last]
+            # a copy and an outer-broadcast subtract: numpy subtracts about 1.4x
+            # slower with the stride-0 operand innermost, as in Fa[..., None] - Fb
+            k = np.empty((len(weights), rows, last - first), Fa.dtype)
+            np.copyto(k, Fa[:, r:r + rows, None])
+            k -= Fb[:, None, first:last]
             np.abs(k, out=k)
             k = weights @ k.reshape(len(weights), rows * (last - first))
             k = np.divide(k, sigma, dtype=np.float64).reshape(rows, last - first)  # emd / sigma
@@ -397,10 +470,12 @@ def _pair_sums(Fa, Fb, ya, yb, weights, unit, sigma):
 
 
 def mmd(hists_a, hists_b, sigma=1.0, bin_width=1.0, terms=False):
-    """Biased squared-MMD V-statistic between two sets of histograms
-    under k(x, y) = exp(-emd(x, y)^2 / (2 sigma^2)), computed as
-    exp(-(emd / sigma)^2 / 2) so that no sigma > 0 gives a 0/0: as sigma
-    falls to 0 the kernel tends to 1 at EMD 0 and to 0 elsewhere.
+    """Biased squared-MMD V-statistic between two sets of histograms,
+    two Counts tables (such as rows of graph_stats' tables) or two
+    sequences of 1-D histograms, under k(x, y) = exp(-emd(x, y)^2 / (2
+    sigma^2)), computed as exp(-(emd / sigma)^2 / 2) so that no sigma >
+    0 gives a 0/0: as sigma falls to 0 the kernel tends to 1 at EMD 0
+    and to 0 elsewhere.
     Identical sets give values <= 1e-12. The kernel is PSD on point-mass
     histograms but not on spread ones (1-D EMD is an L1 distance between
     CDFs, and L1 is not Hilbertian), so the value is not a squared RKHS
@@ -416,10 +491,13 @@ def mmd(hists_a, hists_b, sigma=1.0, bin_width=1.0, terms=False):
     """
     if not hists_a or not hists_b:
         raise ValueError("mmd needs nonempty sets")
-    na, nb = len(hists_a), len(hists_b)
-    y = np.eye(2)  # one-hot sets: rows of hists_a, then of hists_b
+    a, b, na, nb = hists_a, hists_b, len(hists_a), len(hists_b)
+    both = (Counts(np.append(a.offsets, b.offsets[1:] + a.offsets[-1]), np.append(a.bins, b.bins),
+                   np.append(a.counts, b.counts), max(a.L, b.L))
+            if isinstance(a, Counts) else [*a, *b])  # the rows of hists_a, then of hists_b
+    y = np.eye(2)  # one-hot sets
     S = sum(_pair_sums(Fa, Fb, y.take(ra >= na, 0), y.take(rb >= na, 0), w, s * bin_width, sigma)
-            for ra, Fa, rb, Fb, w, s in _emd_tables(list(hists_a) + list(hists_b)))
+            for ra, Fa, rb, Fb, w, s in _emd_tables(both))
     k = (float(S[0, 0]) / na ** 2, float(S[1, 1]) / nb ** 2, float(S[0, 1]) / (na * nb))
     val = k[0] + k[1] - 2.0 * k[2]
     # the floor absorbs rounding only; a value past it comes from the
@@ -431,16 +509,15 @@ def mmd(hists_a, hists_b, sigma=1.0, bin_width=1.0, terms=False):
 def mmd_report(ref_graphs, gen_graphs, sigma=1.0, clustering_bins=100):
     """All three statistics plus their average, as an ordered dict, then
     each statistic's kernel means k_ref, k_gen and k_cross. One
-    graph_stats pass per set gives every histogram; each MMD compares
-    the two sets' histograms as sums of kernel values over row blocks.
+    graph_stats pass over both sets gives every histogram, and each
+    statistic's table is split by row into the two sets; each MMD
+    compares them as sums of kernel values over row blocks.
     """
-    ref = graph_stats(ref_graphs, clustering_bins)
-    gen = graph_stats(gen_graphs, clustering_bins)
+    stats, na = graph_stats([*ref_graphs, *gen_graphs], clustering_bins), len(ref_graphs)
     report, terms = {}, {}
     for stat, width in (("degree", 1.0), ("clustering", 1.0 / clustering_bins), ("orbit", 1.0)):
-        pick = stat + "_hist"
-        report["mmd_" + stat], *k = mmd([getattr(s, pick) for s in ref],
-                                        [getattr(s, pick) for s in gen], sigma, width, True)
+        table = getattr(stats, stat)
+        report["mmd_" + stat], *k = mmd(table[:na], table[na:], sigma, width, True)
         terms.update({f"k_{side}_{stat}": v for side, v in zip(("ref", "gen", "cross"), k)})
     report["mmd_avg"] = sum(report.values()) / 3.0
     return {**report, "ref_count": len(ref_graphs), "gen_count": len(gen_graphs),

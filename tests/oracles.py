@@ -7,7 +7,9 @@ Closed-form results in the package are checked against these. Four
 helpers, grad_check, pair_matrix, encode_graph and load_bench_inputs,
 are not references: they drive the package's own code, lay out its
 pair rows as a matrix or load the benchmark's input writer for the
-tests. The per-graph statistics
+tests; dense_rows and dense_stats are not references either: they lay
+out the package's sparse statistics tables as the per-graph dense
+histograms the references give. The per-graph statistics
 (graph_stats, clustering_coefficients, node_orbit_counts) are the
 package's former one-graph-at-a-time definitions, kept to pin its
 set-level ones; node_orbit_counts reads the package's connectedness
@@ -20,6 +22,7 @@ their unfactorised forms from them. emd_pairs is the dense all-pairs
 EMD over the package's own tables, which the package no longer builds.
 """
 
+import collections
 import itertools
 import types
 from pathlib import Path
@@ -235,6 +238,9 @@ def clustering_coefficients(g):
     return np.where(denom > 0, 2.0 * tri / np.maximum(denom, 1), 0.0)
 
 
+GraphStats = collections.namedtuple("GraphStats", "degree_hist clustering_hist orbit_hist")
+
+
 def graph_stats(g, clustering_bins=100):
     """One graph's GraphStats: bincount of degrees, np.histogram of the
     clustering coefficients over [0, 1], bincount of orbit totals."""
@@ -244,7 +250,27 @@ def graph_stats(g, clustering_bins=100):
     coef = clustering_coefficients(g)
     clustering_hist = np.histogram(coef, bins=clustering_bins, range=(0.0, 1.0))[0]
     orbit_hist = np.bincount(node_orbit_counts(g))
-    return evaluation.GraphStats(degree_hist, clustering_hist, orbit_hist)
+    return GraphStats(degree_hist, clustering_hist, orbit_hist)
+
+
+def dense_rows(table, full=False):
+    """The rows of an evaluation.Counts table as dense histograms of its
+    counts' dtype: each table.L bins long if full, as np.histogram gives
+    them, else ending at its last nonzero bin, as np.bincount does."""
+    rows = []
+    for o, p in zip(table.offsets[:-1], table.offsets[1:]):
+        h = np.zeros(table.L if full else table.bins[p - 1] + 1 if p > o else 0, table.counts.dtype)
+        h[table.bins[o:p]] = table.counts[o:p]
+        rows.append(h)
+    return rows
+
+
+def dense_stats(stats):
+    """One GraphStats of dense histograms per row of evaluation.graph_stats'
+    tables, laid out as graph_stats above gives them."""
+    return [GraphStats(*rows) for rows in zip(dense_rows(stats.degree),
+                                              dense_rows(stats.clustering, full=True),
+                                              dense_rows(stats.orbit))]
 
 
 def _connected(adj):

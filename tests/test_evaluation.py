@@ -38,6 +38,8 @@ from dgae.training import (
 
 import oracles
 from oracles import (
+    dense_rows,
+    dense_stats,
     emd_pairs,
     emd_reference,
     graph_from_adjacency,
@@ -68,7 +70,7 @@ def stack(g):
 
 def test_triangle_stats_frozen():
     g = new_graph(3, [(0, 1), (1, 2), (0, 2)])
-    s, = graph_stats([g])
+    s, = dense_stats(graph_stats([g]))
     np.testing.assert_array_equal(s.degree_hist, [0, 0, 3])
     np.testing.assert_allclose(clustering_coefficients(stack(g))[0], [1.0, 1.0, 1.0])
     # coefficient 1.0 lands in the last of the 100 bins
@@ -79,7 +81,7 @@ def test_triangle_stats_frozen():
 
 def test_star_stats():
     g = new_graph(5, [(0, i) for i in range(1, 5)])
-    s, = graph_stats([g])
+    s, = dense_stats(graph_stats([g]))
     np.testing.assert_array_equal(s.degree_hist, [0, 4, 0, 0, 1])
     np.testing.assert_array_equal(clustering_coefficients(stack(g))[0], np.zeros(5))
     assert s.clustering_hist[0] == 5
@@ -184,7 +186,9 @@ def assert_stats_equal(got, want):
 def test_set_stats_match_per_graph_oracle():
     """The set-level pass gives every graph exactly the histograms of
     the former one-graph-at-a-time definitions, whatever the mix of
-    sizes in the set and the position of a graph in it. The 13-node
+    sizes in the set and the position of a graph in it: each sparse row
+    of its tables, laid out dense, equals the oracle's histogram, and
+    each table is as long as the set's longest histogram. The 13-node
     group has 130 graphs, so its orbit counts pack into two full uint64
     words and a partial one, and it holds the empty and the complete
     graph."""
@@ -202,14 +206,18 @@ def test_set_stats_match_per_graph_oracle():
     for bins in (100, 170, 33, 7, 6, 3, 1):
         got = graph_stats(graphs, bins)
         assert len(got) == len(graphs)
-        for g, s in zip(graphs, got):
-            assert_stats_equal(s, oracles.graph_stats(g, bins))
+        want = [oracles.graph_stats(g, bins) for g in graphs]
+        for s, w in zip(dense_stats(got), want):
+            assert_stats_equal(s, w)
+        for name, table in (("degree_hist", got.degree), ("clustering_hist", got.clustering),
+                            ("orbit_hist", got.orbit)):
+            assert table.L == max(len(getattr(w, name)) for w in want), name
     for g in special:
         np.testing.assert_array_equal(clustering_coefficients(stack(g))[0],
                                       oracles.clustering_coefficients(g))
         np.testing.assert_array_equal(node_orbit_counts(stack(g))[0],
                                       oracles.node_orbit_counts(g))
-    assert graph_stats([]) == []
+    assert len(graph_stats([])) == 0
 
 
 def test_set_stats_chunks_do_not_change_the_answer(monkeypatch):
@@ -218,8 +226,11 @@ def test_set_stats_chunks_do_not_change_the_answer(monkeypatch):
     whole = graph_stats(graphs)
     # one graph per chunk
     monkeypatch.setattr(evaluation, "_STATS_CHUNK_BYTES", 1)
-    for a, b in zip(graph_stats(graphs), whole):
+    chunked = graph_stats(graphs)
+    for a, b in zip(dense_stats(chunked), dense_stats(whole)):
         assert_stats_equal(a, b)
+    for name in ("degree", "clustering", "orbit"):
+        assert getattr(chunked, name).L == getattr(whole, name).L, name
 
 
 def test_graph_stats_memory_is_bounded():
@@ -347,7 +358,7 @@ def integer_count_sets():
     special = edge_case_graphs()
     graphs = special + [random_graph(rng, int(rng.integers(2, 12)), float(rng.random()))
                         for _ in range(30)]
-    stats = graph_stats(graphs, 10)
+    stats = dense_stats(graph_stats(graphs, 10))
     dropped = stats[len(special) - 1].clustering_hist
     assert dropped.sum() < special[-1].n
     assert len(stats[0].degree_hist) == 1 and len(stats[0].orbit_hist) == 1
@@ -437,8 +448,8 @@ def test_mmd_at_a_tiny_sigma_is_the_point_mass_limit():
     share of pairs at EMD 0 within A, plus that within B, minus twice
     that across A x B, with no floating-point warning."""
     rng = np.random.default_rng(27)
-    stats = graph_stats([random_graph(rng, int(rng.integers(2, 6)), 0.5)
-                         for _ in range(60)], 10)
+    stats = dense_stats(graph_stats([random_graph(rng, int(rng.integers(2, 6)), 0.5)
+                                     for _ in range(60)], 10))
     for name, bin_width in (("degree_hist", 1.0), ("clustering_hist", 0.1),
                             ("orbit_hist", 1.0)):
         hists = [getattr(s, name) for s in stats]
@@ -512,7 +523,7 @@ def test_benchmark_statistics_take_their_tables(tmp_path):
     for stream in (1, 2):
         path = tmp_path / f"{stream}.jsonl"
         inputs.make_dataset(path, 250, 3, stream=stream)
-        stats += graph_stats(load_dataset(str(path))[0])
+        stats += dense_stats(graph_stats(load_dataset(str(path))[0]))
     for name, kind in (("degree_hist", "cdf"), ("clustering_hist", "grid"), ("orbit_hist", "grid")):
         assert table_kind([getattr(s, name) for s in stats]) == kind, name
 
@@ -752,7 +763,11 @@ def test_mmd_report_structure_and_file(tmp_path):
 def test_mmd_report_matches_the_benchmark_reference(tmp_path):
     """mmd_report answers the benchmark's eval inputs as recorded in
     dgaebench/reference.json, at the benchmark's tolerance: every smoke
-    input seed (20 graphs a set) and two full-size ones (250)."""
+    input seed (20 graphs a set) and two full-size ones (250). On the
+    full-size ones, its one statistics pass over both sets, split by
+    row, gives the same MMDs, bit for bit, as statistics computed per
+    set, and mmd gives the same value on the tables and on their rows
+    as lists of dense histograms."""
     inputs = load_bench_inputs()
     answers = json.loads((BENCH / "reference.json").read_text())["answers"]["eval"]
     cfg = ModelConfig()
@@ -768,6 +783,16 @@ def test_mmd_report_matches_the_benchmark_reference(tmp_path):
         got = [rep[key] for key in ("mmd_degree", "mmd_clustering", "mmd_orbit")]
         np.testing.assert_allclose(got, answers[size][str(k)], rtol=1e-9, atol=0.0,
                                    err_msg=f"{size} input seed {k}")
+        if size == "full":
+            a, b = (graph_stats(s, cfg.clustering_bins) for s in sets)
+            for stat, width in (("degree", 1.0), ("clustering", 1.0 / cfg.clustering_bins),
+                                ("orbit", 1.0)):
+                ta, tb = getattr(a, stat), getattr(b, stat)
+                value = mmd(ta, tb, cfg.mmd_sigma, width)
+                assert value == rep["mmd_" + stat], (stat, k)
+                full = stat == "clustering"
+                assert mmd(dense_rows(ta, full), dense_rows(tb, full), cfg.mmd_sigma,
+                           width) == value, (stat, k)
 
 
 def test_train_vs_test_floor_is_small():
